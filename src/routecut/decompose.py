@@ -204,19 +204,25 @@ def build_virtual_tasks(
     return [virtual_task_from_ids(s.ids, instance, dist) for s in pool]
 
 
-def elementary_virtual_tasks(instance: Instance) -> list[VirtualTask]:
+def elementary_virtual_tasks(instance: Instance, dist: DistanceTable) -> list[VirtualTask]:
     """One single-task unit per task, forward orientation."""
-    dist = instance.distances()
     return [
         virtual_task_from_ids((t.forward_id,), instance, dist) for t in instance.tasks
     ]
 
 
-def _endpoint_distance(a: VirtualTask, b: VirtualTask, rows: list[list[float]]) -> float:
-    # Units are traversable in either direction, so take the best pairing.
-    ra = rows[a.head]
-    rb = rows[a.tail]
-    return min(ra[b.head], ra[b.tail], rb[b.head], rb[b.tail])
+def _endpoint_distances(
+    matrix: np.ndarray, heads: np.ndarray, tails: np.ndarray, j: int
+) -> np.ndarray:
+    """Distance from every unit to unit ``j`` given the units' endpoints.
+
+    Units are traversable in either direction, so take the best pairing.
+    """
+    h, t = heads[j], tails[j]
+    return np.minimum(
+        np.minimum(matrix[heads, h], matrix[heads, t]),
+        np.minimum(matrix[tails, h], matrix[tails, t]),
+    )
 
 
 def _pick_min(values: list[float], rng: random.Random) -> int:
@@ -263,35 +269,52 @@ def hdu(
     ceil(scale * m) medoids chosen farthest-point style on endpoint
     distances, each cluster is chained nearest-neighbor into one
     higher-level unit, and the process repeats.  ``units`` must cover every
-    instance task exactly once.
+    instance task exactly once; no units (an instance without tasks) give
+    an empty solution.
+
+    Tie-break contract, which fixes the output for a given ``rng`` state:
+    the first medoid is ``rng.randrange(m)``; each further medoid is the
+    first unit, in list order, farthest from its nearest medoid so far
+    (no draw); each unit then joins its nearest medoid, and ``rng`` is
+    drawn, in unit order, only for units whose nearest medoids tie.
     """
     if not 0.0 < scale < 1.0:
         raise ValueError("scale must be in (0, 1)")
     covered = sorted(ti for u in units for ti in map(task_index_of, u.ids))
     if covered != list(range(instance.task_count)):
         raise ValueError("units must cover all tasks exactly once")
+    if not units:
+        return Solution([])
 
     rows = dist.rows
+    matrix = dist.matrix
     while len(units) > 1:
         m = len(units)
         k = max(1, min(math.ceil(scale * m), m - 1))
-        medoids = [rng.randrange(m)]
-        nearest = [_endpoint_distance(u, units[medoids[0]], rows) for u in units]
-        while len(medoids) < k:
-            nearest_masked = [
-                -1.0 if i in medoids else nearest[i] for i in range(m)
-            ]
-            far = int(np.argmax(nearest_masked))
-            medoids.append(far)
-            for i in range(m):
-                d = _endpoint_distance(units[i], units[far], rows)
-                if d < nearest[i]:
-                    nearest[i] = d
+        heads = np.fromiter((u.head for u in units), dtype=np.intp, count=m)
+        tails = np.fromiter((u.tail for u in units), dtype=np.intp, count=m)
+        first = rng.randrange(m)
+        columns = [_endpoint_distances(matrix, heads, tails, first)]
+        # distance to the nearest medoid so far; -1 at the medoids, below
+        # every (non-negative) distance, so argmax never picks one again
+        nearest = columns[0].copy()
+        nearest[first] = -1.0
+        while len(columns) < k:
+            far = int(np.argmax(nearest))  # first index on ties
+            columns.append(_endpoint_distances(matrix, heads, tails, far))
+            nearest[far] = -1.0
+            np.minimum(nearest, columns[-1], out=nearest)
+
+        to_medoid = np.stack(columns, axis=1)
+        is_min = to_medoid == to_medoid.min(axis=1, keepdims=True)
+        ties = is_min.sum(axis=1)
+        choice = np.argmax(is_min, axis=1)
+        for i in np.flatnonzero(ties > 1).tolist():
+            choice[i] = np.flatnonzero(is_min[i])[rng.randrange(int(ties[i]))]
 
         clusters: list[list[VirtualTask]] = [[] for _ in range(k)]
-        for u in units:
-            dists = [_endpoint_distance(u, units[mi], rows) for mi in medoids]
-            clusters[_pick_min(dists, rng)].append(u)
+        for u, c in zip(units, choice.tolist()):
+            clusters[c].append(u)
 
         units = [
             virtual_task_from_ids(_chain_cluster(cluster, rows, rng), instance, dist)

@@ -325,7 +325,10 @@ def local_search(
             if try_task(ti):
                 improved = True
     result = st.to_solution(instance, dist)
-    assert result.total_cost <= solution.total_cost + 1e-6
+    if result.total_cost > solution.total_cost + 1e-6:
+        raise RuntimeError(
+            f"local search worsened the solution: {solution.total_cost} -> {result.total_cost}"
+        )
     return result
 
 

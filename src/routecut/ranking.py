@@ -76,14 +76,19 @@ class RankMatrix:
 
     def nearest(self, k: int) -> list[list[int]]:
         """Per task, the k other tasks with the cheapest links, nearest first."""
+        if k < 0:
+            raise ValueError("k must be non-negative")
         n = self.task_count
+        if n == 0:
+            return []
         k = min(k, n - 1)
         order = np.argsort(self.numerators, axis=1, kind="stable")
-        out: list[list[int]] = []
-        for i in range(n):
-            row = [int(j) for j in order[i] if j != i]
-            out.append(row[:k])
-        return out
+        # the k + 1 cheapest columns hold the k answers and, unless a tie
+        # block pushed it further right, the row's own diagonal entry
+        head = order[:, : k + 1]
+        keep = head != np.arange(n)[:, None]
+        keep[keep.all(axis=1), k] = False
+        return head[keep].reshape(n, k).tolist()
 
     def to_csv(self, stream: IO[str], instance: Instance) -> None:
         labels = [f"({t.u + 1},{t.v + 1})" for t in instance.tasks]

@@ -207,7 +207,7 @@ def _hierarchical_loop(
     neighbors = _neighbors(instance, dist, ranks, config)
     use_rco = config.algorithm == "sahid-rco"
 
-    current = hdu(elementary_virtual_tasks(instance), instance, dist, config.scale, rng)
+    current = hdu(elementary_virtual_tasks(instance, dist), instance, dist, config.scale, rng)
     current = local_search(
         current, instance, dist, rng,
         max_evals=config.sub_solver_budget, deadline=deadline, neighbors=neighbors,

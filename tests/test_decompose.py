@@ -247,7 +247,7 @@ def test_virtual_task_reversal_roundtrip(path_instance):
 
 def test_hdu_single_task(single_task_instance):
     dist = single_task_instance.distances()
-    units = elementary_virtual_tasks(single_task_instance)
+    units = elementary_virtual_tasks(single_task_instance, dist)
     sol = hdu(units, single_task_instance, dist, 0.1, make_rng(0))
     assert validate(sol, single_task_instance) == []
     assert sol.route_count == 1
@@ -257,9 +257,10 @@ def test_hdu_everything_fits_one_route():
     inst = make_instance(
         4, [(0, 1, 1, 1, 1), (1, 2, 1, 1, 1), (2, 3, 1, 1, 1)], capacity=50
     )
-    units = elementary_virtual_tasks(inst)
+    dist = inst.distances()
+    units = elementary_virtual_tasks(inst, dist)
     for seed in range(5):
-        sol = hdu(units, inst, inst.distances(), 0.4, make_rng(seed))
+        sol = hdu(units, inst, dist, 0.4, make_rng(seed))
         assert validate(sol, inst) == []
         assert sol.route_count == 1
 
@@ -269,7 +270,7 @@ def test_hdu_greedy_split_arithmetic():
     edges = [(i, i + 1, 1, 1, 1) for i in range(6)]
     inst = make_instance(7, edges, capacity=2)
     dist = inst.distances()
-    units = elementary_virtual_tasks(inst)
+    units = elementary_virtual_tasks(inst, dist)
     for seed in range(10):
         sol = hdu(units, inst, dist, 0.1, make_rng(seed))
         assert validate(sol, inst) == []
@@ -280,7 +281,7 @@ def test_hdu_greedy_split_arithmetic():
 def test_hdu_deterministic_under_seed():
     inst = generate_instance(16, 10, 12, seed=2)
     dist = inst.distances()
-    units = elementary_virtual_tasks(inst)
+    units = elementary_virtual_tasks(inst, dist)
     a = hdu(units, inst, dist, 0.1, make_rng(77))
     b = hdu(units, inst, dist, 0.1, make_rng(77))
     assert [r.ids for r in a.routes] == [r.ids for r in b.routes]
@@ -303,7 +304,7 @@ def test_hdu_from_split_pool_validates():
 def test_hdu_cost_above_sanity_bound():
     inst = generate_instance(14, 8, 16, seed=11)
     dist = inst.distances()
-    sol = hdu(elementary_virtual_tasks(inst), inst, dist, 0.1, make_rng(5))
+    sol = hdu(elementary_virtual_tasks(inst, dist), inst, dist, 0.1, make_rng(5))
     service = sum(t.service_cost for t in inst.tasks)
     # at least one route must leave and return to the depot
     out_back = min(

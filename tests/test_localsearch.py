@@ -4,6 +4,7 @@ import pytest
 
 from routecut import local_search, path_scanning, validate
 from routecut.generator import generate_instance
+from routecut.localsearch import _State
 from routecut.seeding import make_rng
 
 from conftest import brute_force_optimum, make_instance, solution_from_tasks
@@ -50,6 +51,17 @@ def test_local_optimum_returned_unchanged():
     assert start.total_cost == pytest.approx(opt_cost)
     out = local_search(start, inst, dist, make_rng(4), debug=True)
     assert [r.ids for r in out.routes] == [r.ids for r in start.routes]
+
+
+def test_worse_result_raises_even_under_optimize(path_instance, monkeypatch):
+    # the never-worse check is explicit, so ``python -O`` cannot strip it
+    dist = path_instance.distances()
+    start = solution_from_tasks(path_instance, dist, [[0, 1]])
+    costlier = solution_from_tasks(path_instance, dist, [[0], [1]])
+    assert costlier.total_cost > start.total_cost
+    monkeypatch.setattr(_State, "to_solution", lambda self, instance, dist: costlier)
+    with pytest.raises(RuntimeError, match="worsened"):
+        local_search(start, path_instance, dist, make_rng(0))
 
 
 def test_cost_never_increases_and_stays_feasible():

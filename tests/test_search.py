@@ -17,7 +17,7 @@ from routecut.generator import generate_instance
 from routecut.search import concat_solutions
 from routecut.seeding import make_rng
 
-from conftest import brute_force_optimum
+from conftest import brute_force_optimum, make_instance
 
 
 def _deterministic_config(algorithm, seed=0, **kw):
@@ -41,6 +41,17 @@ def test_single_task_instance_trivial(single_task_instance, algorithm):
     assert best.total_cost == 2.0
     costs = [c for _, c in trace.samples]
     assert costs == sorted(costs, reverse=True)
+
+
+@pytest.mark.parametrize("algorithm", ["sahid-rco", "sahid-random", "cluster-rco",
+                                       "cluster-whole-route", "local-only"])
+def test_instance_without_tasks_gives_empty_solution(algorithm):
+    inst = make_instance(3, [(0, 1, 0, 0, 1), (1, 2, 0, 0, 1)])
+    assert inst.task_count == 0
+    best, _ = solve(inst, _deterministic_config(algorithm))
+    assert validate(best, inst) == []
+    assert best.total_cost == 0
+    assert best.routes == []
 
 
 @pytest.mark.parametrize("algorithm", ["sahid-rco", "sahid-random", "cluster-rco",
