@@ -3,8 +3,9 @@
 An experiment is a grid of (instance, variant, run) cells.  Each cell
 solves one instance with one algorithm variant under a time budget, using
 seed ``base_seed + run``, and persists the solution and its convergence
-trace.  Cells are independent and may execute in a bounded process pool;
-failures are recorded per cell and never abort the experiment.
+trace, or the full traceback of a failure in a ``.err`` file.  Cells are
+independent and may execute in a bounded process pool; failures are
+recorded per cell and never abort the experiment.
 """
 
 from __future__ import annotations
@@ -90,6 +91,8 @@ def _run_cell(args: tuple) -> RunRecord:
     stem = Path(instance_path).stem
     sol_path = out_dir / f"{stem}__{variant}__s{seed}.sol"
     trace_path = out_dir / f"{stem}__{variant}__s{seed}.trace.csv"
+    err_path = out_dir / f"{stem}__{variant}__s{seed}.err"
+    err_path.unlink(missing_ok=True)
     try:
         instance = _cached_instance(instance_path)
         config = replace(config, seed=seed, time_limit=time_limit)
@@ -114,9 +117,11 @@ def _run_cell(args: tuple) -> RunRecord:
             best.route_count, str(trace_path), str(sol_path),
         )
     except Exception:
+        full = traceback.format_exc()
+        err_path.write_text(full)
         return RunRecord(
             stem, variant, seed, math.nan, 0.0, 0, str(trace_path), str(sol_path),
-            error=traceback.format_exc(limit=2).strip().splitlines()[-1],
+            error=full.strip().splitlines()[-1],
         )
 
 
@@ -240,10 +245,19 @@ def write_summary_csv(rows: list[SummaryRow], path: str | Path) -> None:
 
 
 def samples_by_cell(records: list[RunRecord]) -> dict[tuple[str, str], list[float]]:
-    out: dict[tuple[str, str], list[float]] = {}
+    """Final costs per (instance, variant) in seed order, over the seeds that
+    every variant of the instance completed; an instance with no such seed
+    is left out."""
+    done: dict[tuple[str, str], dict[int, float]] = {}
     for r in records:
+        cell = done.setdefault((r.instance, r.variant), {})
         if not r.failed:
-            out.setdefault((r.instance, r.variant), []).append(r.final_cost)
+            cell[r.seed] = r.final_cost
+    out: dict[tuple[str, str], list[float]] = {}
+    for (instance, variant), cell in done.items():
+        shared = set.intersection(*(set(c) for (i, _), c in done.items() if i == instance))
+        if shared:
+            out[(instance, variant)] = [cell[seed] for seed in sorted(shared)]
     return out
 
 

@@ -19,7 +19,7 @@ from .instance import load_instance
 from .rco import RcoParams
 from .search import ALGORITHMS, SearchConfig, solve
 from .solution import min_vehicles, read_solution, validate, write_solution
-from .stats import significance_table
+from .stats import MIN_SAMPLE, significance_table
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,7 +128,9 @@ def _fmt_aligned(rows: list[list[str]]) -> str:
 def _cmd_stats(args) -> int:
     records = read_records_csv(args.dir / "records.csv")
     rows = summarize(records)
-    table = significance_table(samples_by_cell(records), args.reference, args.alpha)
+    # every variant of an instance has the same shared seeds, hence one length
+    samples = {k: v for k, v in samples_by_cell(records).items() if len(v) >= MIN_SAMPLE}
+    table = significance_table(samples, args.reference, args.alpha)
 
     summary_rows = [["instance", "variant", "runs", "mean", "std", "flag"]]
     for r in rows:
@@ -140,6 +142,8 @@ def _cmd_stats(args) -> int:
     wdl_rows = [["variant", "W", "D", "L"]]
     for variant, (w, d, l) in sorted(table.wdl.items()):
         wdl_rows.append([variant, str(w), str(d), str(l)])
+    dropped = len(records) - sum(map(len, samples.values()))
+    print(f"dropped {dropped} of {len(records)} runs (failed or unmatched seed)")
     print(f"reference: {table.reference} (alpha={table.alpha})")
     print(_fmt_aligned(wdl_rows))
 

@@ -51,12 +51,17 @@ def subroute_distance(a: SubRoute, b: SubRoute, ranks: RankMatrix) -> float:
 
 
 def _pairwise_distances(pool: list[SubRoute], ranks: RankMatrix) -> np.ndarray:
-    n = len(pool)
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i, j] = d[j, i] = subroute_distance(pool[i], pool[j], ranks)
-    return d
+    """``subroute_distance`` for every pair, bit for bit with integer
+    numerators (exact int64 block sums); float numerators sum in another
+    order than ``np.mean`` and may differ in the last bits."""
+    sizes = np.array([len(s) for s in pool])
+    order = np.concatenate([s.task_indices() for s in pool])
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    block = ranks.numerators[np.ix_(order, order)]
+    sums = np.add.reduceat(np.add.reduceat(block, starts, axis=0), starts, axis=1)
+    # mirror the upper triangle: float sums of a block and its transpose may differ
+    d = np.triu(sums / np.outer(sizes, sizes) / 4.0, 1)
+    return d + d.T
 
 
 def _farthest_point_medoids(d: np.ndarray, g: int, rng: random.Random) -> list[int]:

@@ -9,7 +9,7 @@ Two divide-and-conquer shapes share the splitting/clustering machinery:
 * the clustering loop (``cluster-rco`` / ``cluster-whole-route``): each
   cycle splits the best-so-far solution, groups the pieces into task
   subsets by fuzzy k-medoids, solves the induced sub-problems
-  independently (optionally in parallel), and recombines the per-group
+  independently, one group after another, and recombines the per-group
   winners.
 
 ``local-only`` (construction plus one local-search descent) serves as the
@@ -23,10 +23,8 @@ with a deterministic counter instead of real time.
 
 from __future__ import annotations
 
-import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO
 
@@ -107,36 +105,26 @@ def _fmt(x: float) -> str:
 
 
 class _Clock:
-    """Monotonic seconds; the virtual variant advances a fixed tick per
-    query so repeated runs see identical timestamps."""
+    """Monotonic seconds, or with ``virtual`` a counter: each ``now()`` call
+    is one 1 ms tick.  Deadline polls (once per loop iteration or cycle, and
+    in ``local_search`` every ``_CHECK_EVERY`` = 256 evaluations) and trace
+    samples call it, and cluster groups run in group order, so virtual runs
+    repeat exactly even when the time limit binds.  Moving a poll or changing
+    ``_CHECK_EVERY`` or the group order changes virtual-clock results."""
 
     def __init__(self, virtual: bool):
         self.virtual = virtual
-        self._lock = threading.Lock()
         self._ticks = 0
         self._t0 = time.monotonic()
 
     def now(self) -> float:
         if not self.virtual:
             return time.monotonic() - self._t0
-        with self._lock:
-            self._ticks += 1
-            return self._ticks * 1e-3
+        self._ticks += 1
+        return self._ticks * 1e-3
 
     def elapsed_ms(self) -> int:
         return int(self.now() * 1000)
-
-
-class _Deadline:
-    def __init__(self, clock: _Clock, limit: float):
-        self.clock = clock
-        self.limit = limit
-
-    def expired(self) -> bool:
-        return self.clock.now() >= self.limit
-
-    def __call__(self) -> bool:
-        return self.expired()
 
 
 def project_solution(
@@ -177,7 +165,10 @@ def solve(
         ranks = build_rank_matrix(instance, dist)
 
     clock = _Clock(config.virtual_clock)
-    deadline = _Deadline(clock, config.time_limit)
+
+    def deadline() -> bool:
+        return clock.now() >= config.time_limit
+
     trace = SearchTrace()
     if trace_sink is not None:
         trace_sink.write("elapsed_ms,best_cost\n")
@@ -218,7 +209,7 @@ def _hierarchical_loop(
         return best  # nothing to decompose
 
     idle = 0
-    while not deadline.expired():
+    while not deadline():
         if config.max_iterations is not None and trace.iterations >= config.max_iterations:
             break
         if use_rco:
@@ -288,32 +279,21 @@ def _cluster_loop(instance, dist, ranks, config, clock, deadline, trace, sink) -
     rng = make_rng(config.seed, 1)
     cycles_done = 0
     for cycle in range(config.max_cycles):
-        if deadline.expired():
+        if deadline():
             break
         subroutes = rco_split(best, ranks, split_params, rng)
         groups = fuzzy_kmedoid(subroutes, config.cluster, ranks, rng)
-        task_sets = [group_task_indices(g) for g in groups]
-
-        def solve_group(gi: int) -> list[Solution]:
-            keep = task_sets[gi]
+        per_group: list[list[Solution]] = []
+        for gi, group in enumerate(groups):  # in group order: see _Clock
+            keep = group_task_indices(group)
             grng = make_rng(config.seed, 2, cycle, gi)
-            out = []
-            for member in pool:
-                sub = project_solution(member, keep, instance, dist)
-                out.append(
-                    local_search(
-                        sub, instance, dist, grng,
-                        max_evals=config.sub_solver_budget,
-                        deadline=deadline, neighbors=neighbors,
-                    )
+            per_group.append([
+                local_search(
+                    project_solution(member, keep, instance, dist), instance, dist, grng,
+                    max_evals=config.sub_solver_budget, deadline=deadline, neighbors=neighbors,
                 )
-            return out
-
-        if len(groups) > 1:
-            with ThreadPoolExecutor(max_workers=len(groups)) as ex:
-                per_group = list(ex.map(solve_group, range(len(groups))))
-        else:
-            per_group = [solve_group(0)]
+                for member in pool
+            ])
 
         new_pool = [
             concat_solutions([per_group[g][m] for g in range(len(groups))])

@@ -15,6 +15,7 @@ from itertools import combinations
 from typing import NamedTuple, Sequence
 
 EXACT_LIMIT = 12
+MIN_SAMPLE = 3  # smallest sample the rank-sum test accepts
 
 
 class WilcoxonResult(NamedTuple):
@@ -42,8 +43,8 @@ def _midranks_doubled(values: Sequence[float]) -> list[int]:
 def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float]) -> WilcoxonResult:
     """Two-sided rank-sum test of two independent samples."""
     n, m = len(a), len(b)
-    if n < 3 or m < 3:
-        raise ValueError("each sample needs at least 3 observations")
+    if n < MIN_SAMPLE or m < MIN_SAMPLE:
+        raise ValueError(f"each sample needs at least {MIN_SAMPLE} observations")
     combined = list(a) + list(b)
     if min(combined) == max(combined):
         expected = n * (n + m + 1) / 2.0

@@ -294,7 +294,7 @@ def test_criterion_09_byte_identical_determinism(tmp_path):
     inst = generate_instance(16, 12, capacity=14, seed=21)
     for algo, caps in (
         ("sahid-rco", dict(max_iterations=60)),
-        ("cluster-rco", dict(max_cycles=10)),  # parallel group solving inside
+        ("cluster-rco", dict(max_cycles=10)),  # several groups solved per cycle
     ):
         blobs = []
         for repeat in range(2):

@@ -5,14 +5,17 @@ import math
 import pytest
 
 from routecut import load_instance, read_solution, validate
+from routecut import bench
 from routecut.bench import (
     ExperimentSpec,
+    RunRecord,
     parse_experiment_config,
     read_records_csv,
     resolve_budget,
     run_experiment,
     samples_by_cell,
     summarize,
+    write_records_csv,
 )
 from routecut.cli import main
 from routecut.generator import generate_instance_file
@@ -121,6 +124,33 @@ def test_failures_are_recorded_not_raised(tmp_path, small_instance_file):
     rows = summarize(records)
     flagged = [r for r in rows if r.instance == "broken"]
     assert flagged and "2-failed" in flagged[0].flag
+
+
+def test_failed_cell_leaves_full_traceback(tmp_path, small_instance_file, monkeypatch):
+    def exploding_solve(instance, config):
+        raise RuntimeError("solver blew up")
+
+    monkeypatch.setattr(bench, "solve", exploding_solve)
+    spec = ExperimentSpec([small_instance_file], [("v", _quick_config("sahid-rco"))], runs=1)
+    [record] = run_experiment(spec, tmp_path / "out")
+    assert record.error == "RuntimeError: solver blew up"
+    err = (tmp_path / "out" / f"small__v__s{record.seed}.err").read_text()
+    assert err.startswith("Traceback")
+    assert "in exploding_solve" in err
+    assert 'raise RuntimeError("solver blew up")' in err
+
+
+def test_samples_compare_shared_seeds_only():
+    def rec(variant, seed, cost, error=""):
+        return RunRecord("i", variant, seed, cost, 1.0, 1, "", "", error)
+
+    records = [rec("a", s, 10.0 + s) for s in range(4)]
+    records += [rec("b", s, 20.0 + s) for s in (0, 2, 3)]
+    records.append(rec("b", 1, math.nan, "RuntimeError: boom"))
+    assert samples_by_cell(records) == {("i", "a"): [10.0, 12.0, 13.0],
+                                        ("i", "b"): [20.0, 22.0, 23.0]}
+    records += [rec("c", s, math.nan, "RuntimeError: boom") for s in range(4)]
+    assert samples_by_cell(records) == {}  # no seed completed by every variant
 
 
 def test_budget_modes(small_instance_file):
@@ -269,6 +299,23 @@ virtual_clock = true
     assert "reference: sahid-rco" in out
     assert (out_dir / "wdl.csv").exists()
     assert (out_dir / "comparisons.csv").exists()
+
+
+def test_cli_stats_survives_a_failed_run(tmp_path, capsys):
+    records = [
+        RunRecord("i", variant, seed, base + seed, 1.0, 1, "", "")
+        for variant, base in (("a", 10.0), ("b", 30.0))
+        for seed in range(5)
+    ]
+    records[-1] = RunRecord("i", "b", 4, math.nan, 0.0, 0, "", "", "RuntimeError: boom")
+    # two runs per variant are too few for the rank-sum test
+    records += [RunRecord("j", v, seed, 1.0, 1.0, 1, "", "") for v in "ab" for seed in (0, 1)]
+    write_records_csv(records, tmp_path / "records.csv")
+    assert main(["stats", str(tmp_path), "--reference", "a"]) == 0
+    out = capsys.readouterr().out
+    assert "dropped 6 of 14 runs" in out
+    assert "reference: a" in out
+    assert (tmp_path / "wdl.csv").read_text().splitlines()[1] == "b,1,0,0"
 
 
 def test_cli_clean_errors(tmp_path, capsys):

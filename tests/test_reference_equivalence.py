@@ -1,11 +1,13 @@
-"""The numpy `hdu` level loop and `RankMatrix.nearest` against the
-pure-Python versions they replaced, kept here as references.
+"""The numpy `hdu` level loop, `RankMatrix.nearest`, `path_scanning` and
+`_pairwise_distances` against the pure-Python versions they replaced, kept
+here as references.
 
-Both must reproduce the references exactly: the same routes, the same
-neighbour lists and, for `hdu`, the same number and order of RNG draws
-(compared through ``rng.getstate()``).  The instances are built to be
-tie-heavy: parallel required edges, zero deadheading costs and therefore
-off-diagonal zero link numerators.
+Each must reproduce its reference exactly: the same routes, the same
+neighbour lists, the same distance matrix and, where the RNG is drawn, the
+same number and order of draws (compared through ``rng.getstate()``).  The
+instances are built to be tie-heavy: parallel required edges, zero
+deadheading costs and therefore off-diagonal zero link numerators, plus
+float demands whose sums land on or just past the capacity.
 """
 
 import math
@@ -14,10 +16,25 @@ import random
 import numpy as np
 import pytest
 
-from routecut import RankMatrix, build_rank_matrix, elementary_virtual_tasks, hdu
-from routecut.decompose import _chain_cluster, _pick_min, virtual_task_from_ids
+from routecut import (
+    RankMatrix,
+    RcoParams,
+    build_rank_matrix,
+    elementary_virtual_tasks,
+    hdu,
+    path_scanning,
+    rco_split,
+    subroute_distance,
+)
+from routecut.decompose import (
+    _chain_cluster,
+    _pairwise_distances,
+    _pick_min,
+    virtual_task_from_ids,
+)
 from routecut.generator import generate_instance
 from routecut.instance import forward_id, inverse_id
+from routecut.rco import SubRoute
 from routecut.seeding import make_rng
 from routecut.solution import Solution
 
@@ -86,6 +103,51 @@ def reference_nearest(ranks, k):
         row = [int(j) for j in order[i] if j != i]
         out.append(row[:k])
     return out
+
+
+def reference_path_scanning(instance, dist, rng):
+    rows = dist.rows
+    head = instance.id_head
+    tail = instance.id_tail
+    unserved = set(range(instance.task_count))
+    interiors = []
+    while unserved:
+        current = instance.depot
+        load = 0.0
+        interior = []
+        while True:
+            row = rows[current]
+            best_d = None
+            best_ids = []
+            for ti in unserved:
+                task = instance.tasks[ti]
+                if load + task.demand > instance.capacity:
+                    continue
+                for tid in (task.forward_id, task.reverse_id):
+                    d = row[head[tid]]
+                    if best_d is None or d < best_d:
+                        best_d = d
+                        best_ids = [tid]
+                    elif d == best_d:
+                        best_ids.append(tid)
+            if best_d is None:
+                break
+            tid = best_ids[0] if len(best_ids) == 1 else best_ids[rng.randrange(len(best_ids))]
+            interior.append(tid)
+            load += instance.id_demand[tid]
+            current = tail[tid]
+            unserved.remove((tid - 1) >> 1)
+        interiors.append(interior)
+    return Solution.build(interiors, instance, dist)
+
+
+def reference_pairwise_distances(pool, ranks):
+    n = len(pool)
+    d = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i, j] = d[j, i] = subroute_distance(pool[i], pool[j], ranks)
+    return d
 
 
 # --- tie-heavy instances -----------------------------------------------------
@@ -184,9 +246,142 @@ def test_nearest_edge_cases():
         ranks.nearest(-1)
 
 
-def test_matches_reference_on_a_generated_mid_size_instance():
+@pytest.fixture(scope="module")
+def mid_instance():
     instance = generate_instance(500, 800, 60, seed=1)
     dist = instance.distances()
+    return instance, dist, build_rank_matrix(instance, dist)
+
+
+def test_matches_reference_on_a_generated_mid_size_instance(mid_instance):
+    instance, dist, ranks = mid_instance
     _assert_hdu_matches(elementary_virtual_tasks(instance, dist), instance, dist, 0.1, 3)
-    ranks = build_rank_matrix(instance, dist)
     assert ranks.nearest(20) == reference_nearest(ranks, 20)
+
+
+# --- path_scanning and _pairwise_distances -----------------------------------
+
+
+def _float_demand_instance(seed):
+    """The tie-heavy graph with float demands: sums such as 0.2 + 0.5 land
+    on a capacity of 0.7, and 0.1 + 0.2 overshoots 0.3 in floating point."""
+    rng = random.Random(seed)
+    capacity = rng.choice((0.3, 0.6, 0.7, 1.0))
+    demands = [d for d in (0.1, 0.2, 0.3, 0.4, 0.5) if d <= capacity]
+    base = _tie_heavy_instance(seed)
+    edges = [
+        (e.u, e.v, rng.choice(demands) if e.required else 0, e.service_cost,
+         e.deadheading_cost)
+        for e in base.edges
+    ]
+    return make_instance(base.vertex_count, edges, capacity=capacity)
+
+
+def _assert_path_scanning_matches(instance, dist, seed):
+    ref_rng = make_rng(seed)
+    new_rng = make_rng(seed)
+    expected = reference_path_scanning(instance, dist, ref_rng)
+    got = path_scanning(instance, dist, new_rng)
+    assert [r.ids for r in got.routes] == [r.ids for r in expected.routes]
+    assert got.total_cost == expected.total_cost
+    assert new_rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_path_scanning_matches_reference_on_tie_heavy_instances(seed):
+    for instance in (_tie_heavy_instance(seed), _float_demand_instance(seed)):
+        dist = instance.distances()
+        for draw in range(3):
+            _assert_path_scanning_matches(instance, dist, 3 * seed + draw)
+
+
+def test_path_scanning_instances_exercise_ties_and_full_routes():
+    draws = full = 0
+    for seed in range(100):
+        for instance in (_tie_heavy_instance(seed), _float_demand_instance(seed)):
+            rng = make_rng(seed)
+            solution = path_scanning(instance, instance.distances(), rng)
+            draws += rng.getstate() != make_rng(seed).getstate()
+            full += any(
+                sum(instance.id_demand[t] for t in r.interior) == instance.capacity
+                for r in solution.routes
+            )
+    assert draws >= 50
+    assert full >= 50
+
+
+@pytest.mark.parametrize("first, second, capacity", [(2, 3, 5), (0.2, 0.5, 0.7)])
+def test_path_scanning_fit_test_is_load_plus_demand(first, second, capacity):
+    # the load lands exactly on the capacity, so both tasks share one route;
+    # for floats 0.2 + 0.5 <= 0.7 holds while 0.5 <= 0.7 - 0.2 does not
+    edges = [(0, 1, first, 1, 1), (1, 2, second, 1, 1)]
+    instance = make_instance(3, edges, capacity=capacity)
+    dist = instance.distances()
+    expected = reference_path_scanning(instance, dist, make_rng(0))
+    assert expected.route_count == 1
+    _assert_path_scanning_matches(instance, dist, 0)
+
+
+def test_path_scanning_matches_reference_on_a_generated_mid_size_instance(mid_instance):
+    instance, dist, _ = mid_instance
+    for seed in range(2):
+        _assert_path_scanning_matches(instance, dist, seed)
+
+
+def _random_subroutes(task_count, rng):
+    ids = [forward_id(ti) for ti in range(task_count)]
+    ids = [inverse_id(t) if rng.random() < 0.5 else t for t in ids]
+    rng.shuffle(ids)
+    pool = []
+    while ids:
+        size = rng.randint(1, 4)
+        pool.append(SubRoute(tuple(ids[:size]), len(pool), 0))
+        ids = ids[size:]
+    return pool
+
+
+def _assert_pairwise_matches(pool, ranks):
+    got = _pairwise_distances(pool, ranks)
+    assert np.array_equal(got, reference_pairwise_distances(pool, ranks))
+    for i in range(len(pool)):
+        for j in range(len(pool)):
+            assert got[i, j] == subroute_distance(pool[i], pool[j], ranks)
+
+
+@pytest.mark.parametrize(
+    # a rank matrix needs two tasks
+    "seed", [s for s in range(100) if _tie_heavy_instance(s).task_count >= 2]
+)
+def test_pairwise_distances_match_reference_on_tie_heavy_instances(seed):
+    instance = _tie_heavy_instance(seed)
+    dist = instance.distances()
+    ranks = build_rank_matrix(instance, dist)
+    assert np.issubdtype(ranks.numerators.dtype, np.integer)
+    rng = make_rng(seed)
+    solution = path_scanning(instance, dist, rng)
+    for params in (RcoParams(0.0, 0.0), RcoParams(0.5, 0.5), RcoParams(1.0, 1.0)):
+        _assert_pairwise_matches(list(rco_split(solution, ranks, params, rng)), ranks)
+    _assert_pairwise_matches(_random_subroutes(instance.task_count, rng), ranks)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_pairwise_distances_close_to_reference_on_float_numerators(seed):
+    # float block sums run in another order than np.mean's: equal up to rounding
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    num = rng.random((n, n)) * 10
+    num += num.T  # link numerators are symmetric
+    np.fill_diagonal(num, 0)
+    ranks = RankMatrix(num, np.zeros((n, n), dtype=np.uint16))
+    pool = _random_subroutes(n, random.Random(seed))
+    got = _pairwise_distances(pool, ranks)
+    np.testing.assert_allclose(got, reference_pairwise_distances(pool, ranks), rtol=1e-12)
+    assert np.array_equal(got, got.T)
+
+
+def test_pairwise_distances_match_reference_on_a_generated_mid_size_instance(mid_instance):
+    instance, dist, ranks = mid_instance
+    rng = make_rng(5)
+    pool = list(rco_split(path_scanning(instance, dist, rng), ranks, RcoParams(), rng))
+    assert len(pool) > 100
+    _assert_pairwise_matches(pool, ranks)

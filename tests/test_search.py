@@ -163,3 +163,33 @@ def test_wall_clock_budget_is_respected():
     elapsed = time.monotonic() - t0
     assert validate(best, inst) == []
     assert elapsed < 5.0  # generous slack over the 1s budget
+
+
+# --- virtual-clock contract: one 1 ms tick per clock query, groups in order --
+
+
+def test_virtual_clock_binding_limit_is_deterministic():
+    inst = generate_instance(60, 80, 20, seed=4)
+    cfg = SearchConfig(algorithm="cluster-rco", seed=5, time_limit=0.25, max_cycles=50,
+                       sub_solver_budget=5000, virtual_clock=True)
+    best1, trace1 = solve(inst, cfg)
+    best2, trace2 = solve(inst, cfg)
+    assert 0 < trace1.iterations < cfg.max_cycles  # the limit, not the cap, stopped it
+    assert trace1.samples[-1][0] >= 250
+    assert [r.ids for r in best1.routes] == [r.ids for r in best2.routes]
+    assert trace1.samples == trace2.samples
+    assert trace1.cycles == trace2.cycles
+
+
+@pytest.mark.parametrize("algorithm, caps, stamps", [
+    ("cluster-rco", dict(max_cycles=3), [52, 80]),
+    ("sahid-rco", dict(max_iterations=5), [12, 44, 52, 58]),
+])
+def test_virtual_clock_timestamps_are_pinned(algorithm, caps, stamps):
+    # each stamp counts the clock queries made so far; moving a deadline poll
+    # or changing the local-search poll interval moves them
+    inst = generate_instance(16, 12, 14, seed=3)
+    cfg = SearchConfig(algorithm=algorithm, seed=11, time_limit=600.0,
+                       virtual_clock=True, **caps)
+    _, trace = solve(inst, cfg)
+    assert [ms for ms, _ in trace.samples] == stamps
