@@ -18,10 +18,9 @@ from __future__ import annotations
 import random
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .distances import DistanceTable
 from .instance import Instance, inverse_id, task_index_of
+from .ranking import link_numerators, nearest_columns
 from .solution import Solution
 
 _EPS = 1e-9
@@ -29,22 +28,10 @@ _CHECK_EVERY = 256
 
 
 def neighbor_lists(instance: Instance, dist: DistanceTable, size: int) -> list[list[int]]:
-    """Per task, the ``size`` tasks with the cheapest links, nearest first."""
-    n = instance.task_count
-    if n <= 1:
-        return [[] for _ in range(n)]
-    heads = np.array([t.u for t in instance.tasks])
-    tails = np.array([t.v for t in instance.tasks])
-    m = dist.matrix
-    num = (
-        m[np.ix_(heads, heads)]
-        + m[np.ix_(heads, tails)]
-        + m[np.ix_(tails, heads)]
-        + m[np.ix_(tails, tails)]
-    )
-    np.fill_diagonal(num, np.inf)
-    order = np.argsort(num, axis=1, kind="stable")[:, : min(size, n - 1)]
-    return [[int(j) for j in row] for row in order]
+    """Per task, the ``size`` tasks with the cheapest links, nearest first
+    and equal links in task-index order: ``RankMatrix.nearest`` without the
+    rank matrix (see ``ranking.nearest_columns``)."""
+    return nearest_columns(link_numerators(instance, dist), size)
 
 
 class _State:

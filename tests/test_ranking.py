@@ -1,14 +1,13 @@
 """Link costs and the competition-ranked link matrix."""
 
 import io
-import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from routecut import build_rank_matrix, link_cost, rank_rows
+from routecut import RankMatrix, build_rank_matrix, link_cost, rank_rows
 from routecut.generator import generate_instance
 
 from conftest import LINK_NUMERATORS, RANKS_GOLDEN, make_instance
@@ -102,12 +101,31 @@ def test_build_requires_two_tasks():
         build_rank_matrix(inst, inst.distances())
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10_000), st.integers(2, 9))
-def test_competition_rank_against_counting_oracle(seed, n):
-    rng = random.Random(seed)
-    costs = np.array([[rng.randint(0, 6) for _ in range(n)] for _ in range(n)], dtype=float)
+# --- properties on small matrices with heavy ties ----------------------------
+
+# ints 0..3, and multiples of 0.1 where 0.1 + 0.2 sits next to, not on, 0.3
+TIE_VALUES = (tuple(range(4)), (0.0, 0.1, 0.2, 0.1 + 0.2, 0.3))
+
+
+@st.composite
+def tie_heavy_matrices(draw, max_n=9):
+    n = draw(st.integers(1, max_n))
+    values = draw(st.sampled_from(TIE_VALUES))
+    cells = draw(st.lists(st.sampled_from(values), min_size=n * n, max_size=n * n))
+    return np.array(cells).reshape(n, n)
+
+
+def _by_value_then_index(row, i):
+    return sorted((j for j in range(len(row)) if j != i), key=lambda j: (row[j], j))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_matrices())
+def test_competition_rank_against_counting_oracle(costs):
+    # the diagonal is drawn like the rest of its row and must not count
+    n = len(costs)
     got = rank_rows(costs)
+    assert got.dtype == np.uint16
     for i in range(n):
         for j in range(n):
             if i == j:
@@ -118,6 +136,21 @@ def test_competition_rank_against_counting_oracle(seed, n):
             )
             assert got[i, j] == 1 + smaller
             assert 1 <= got[i, j] <= n - 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_matrices(), st.integers(0, 11))
+def test_nearest_is_the_head_of_the_row_sorted_by_value_then_index(num, k):
+    n = len(num)
+    got = RankMatrix(num, rank_rows(num)).nearest(k)
+    assert got == [_by_value_then_index(num[i], i)[:k] for i in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_matrices(), st.integers(0, 10))
+def test_nearest_k_is_a_prefix_of_nearest_k_plus_one(num, k):
+    ranks = RankMatrix(num, rank_rows(num))
+    assert ranks.nearest(k) == [r[:k] for r in ranks.nearest(k + 1)]
 
 
 def test_rescaling_costs_preserves_ranks():

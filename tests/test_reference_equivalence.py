@@ -1,13 +1,14 @@
-"""The numpy `hdu` level loop, `RankMatrix.nearest`, `path_scanning` and
-`_pairwise_distances` against the pure-Python versions they replaced, kept
-here as references.
+"""The numpy `hdu` level loop, `RankMatrix.nearest`, `neighbor_lists`,
+`rank_rows`, `path_scanning` and `_pairwise_distances` against the
+versions they replaced, kept here as references.
 
 Each must reproduce its reference exactly: the same routes, the same
-neighbour lists, the same distance matrix and, where the RNG is drawn, the
-same number and order of draws (compared through ``rng.getstate()``).  The
-instances are built to be tie-heavy: parallel required edges, zero
-deadheading costs and therefore off-diagonal zero link numerators, plus
-float demands whose sums land on or just past the capacity.
+neighbour lists, the same rank values and dtype, the same distance matrix
+and, where the RNG is drawn, the same number and order of draws (compared
+through ``rng.getstate()``).  The instances are built to be tie-heavy:
+parallel required edges, zero deadheading costs and therefore off-diagonal
+zero link numerators, plus float demands whose sums land on or just past
+the capacity.
 """
 
 import math
@@ -34,6 +35,8 @@ from routecut.decompose import (
 )
 from routecut.generator import generate_instance
 from routecut.instance import forward_id, inverse_id
+from routecut.localsearch import neighbor_lists
+from routecut.ranking import _RANK_BLOCK, rank_rows
 from routecut.rco import SubRoute
 from routecut.seeding import make_rng
 from routecut.solution import Solution
@@ -41,10 +44,15 @@ from routecut.solution import Solution
 from conftest import make_instance
 
 SCALES = (0.1, 0.5, 0.9)
-NEIGHBOR_SIZES = (1, 3, 20)
 
 
-# --- references: the pure-Python code the numpy versions replaced ----------
+def _neighbor_sizes(n):
+    """Every k the top-k selection treats apart: none, one, a few, the
+    usual 20, all other tasks and more than there are."""
+    return sorted({0, 1, 3, 20, max(n - 1, 0), n + 5})
+
+
+# --- references: the code the numpy versions replaced ----------------------
 
 
 def _endpoint_distance(a, b, rows):
@@ -103,6 +111,38 @@ def reference_nearest(ranks, k):
         row = [int(j) for j in order[i] if j != i]
         out.append(row[:k])
     return out
+
+
+def reference_neighbor_lists(instance, dist, size):
+    n = instance.task_count
+    if n <= 1:
+        return [[] for _ in range(n)]
+    heads = np.array([t.u for t in instance.tasks])
+    tails = np.array([t.v for t in instance.tasks])
+    m = dist.matrix
+    num = (
+        m[np.ix_(heads, heads)]
+        + m[np.ix_(heads, tails)]
+        + m[np.ix_(tails, heads)]
+        + m[np.ix_(tails, tails)]
+    )
+    np.fill_diagonal(num, np.inf)
+    order = np.argsort(num, axis=1, kind="stable")[:, : min(size, n - 1)]
+    return [[int(j) for j in row] for row in order]
+
+
+def reference_rank_rows(costs):
+    n = costs.shape[0]
+    dtype = np.uint16 if n <= np.iinfo(np.uint16).max else np.uint32
+    ranks = np.zeros((n, n), dtype=dtype)
+    idx = np.arange(n)
+    for i in range(n):
+        row = costs[i]
+        others = np.sort(row[idx != i])
+        r = np.searchsorted(others, row, side="left") + 1
+        r[i] = 0
+        ranks[i] = r
+    return ranks
 
 
 def reference_path_scanning(instance, dist, rng):
@@ -209,8 +249,24 @@ def test_nearest_matches_reference_on_tie_heavy_instances(seed):
     if instance.task_count < 2:
         pytest.skip("a rank matrix needs two tasks")
     ranks = build_rank_matrix(instance, instance.distances())
-    for k in NEIGHBOR_SIZES:
+    for k in _neighbor_sizes(instance.task_count):
         assert ranks.nearest(k) == reference_nearest(ranks, k)
+
+
+def _assert_same_ranks(got, expected):
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_rank_rows_and_neighbor_lists_match_reference_on_tie_heavy_instances(seed):
+    instance = _tie_heavy_instance(seed)
+    dist = instance.distances()
+    for k in _neighbor_sizes(instance.task_count):
+        assert neighbor_lists(instance, dist, k) == reference_neighbor_lists(instance, dist, k)
+    if instance.task_count >= 2:
+        num = build_rank_matrix(instance, dist).numerators
+        _assert_same_ranks(rank_rows(num), reference_rank_rows(num))
 
 
 def test_tie_heavy_instances_are_tie_heavy():
@@ -234,7 +290,35 @@ def test_nearest_matches_reference_on_random_numerators(seed):
     num = rng.integers(0, 4, size=(n, n))
     np.fill_diagonal(num, 0)
     ranks = RankMatrix(num, np.zeros((n, n), dtype=np.uint16))
-    for k in (0, *NEIGHBOR_SIZES, n - 1, n + 5):
+    for k in _neighbor_sizes(n):
+        assert ranks.nearest(k) == reference_nearest(ranks, k)
+
+
+def _random_matrix(n, kind, rng):
+    """A square matrix of ints 0..3, of multiples of 0.1 (0.1 + 0.2 next
+    to 0.3) or of distinct random floats.  The diagonal is drawn like the
+    rest, so it is cheaper than, equal to or dearer than the other entries
+    of its row."""
+    if kind == "int":
+        return rng.integers(0, 4, size=(n, n))
+    if kind == "tenths":
+        return rng.choice([0.0, 0.1, 0.2, 0.1 + 0.2, 0.3], size=(n, n))
+    return rng.random((n, n))
+
+
+# a single row, one row short of a block, a block, one row over, and a
+# partial third block
+BLOCK_SIZES = (1, _RANK_BLOCK - 1, _RANK_BLOCK, _RANK_BLOCK + 1, 2 * _RANK_BLOCK + 3)
+
+
+@pytest.mark.parametrize("kind", ["int", "tenths", "float"])
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+@pytest.mark.parametrize("seed", range(4))
+def test_ranking_matches_reference_on_random_matrices(seed, n, kind):
+    num = _random_matrix(n, kind, np.random.default_rng([seed, n]))
+    _assert_same_ranks(rank_rows(num), reference_rank_rows(num))
+    ranks = RankMatrix(num, reference_rank_rows(num))
+    for k in _neighbor_sizes(n):
         assert ranks.nearest(k) == reference_nearest(ranks, k)
 
 
@@ -257,6 +341,16 @@ def test_matches_reference_on_a_generated_mid_size_instance(mid_instance):
     instance, dist, ranks = mid_instance
     _assert_hdu_matches(elementary_virtual_tasks(instance, dist), instance, dist, 0.1, 3)
     assert ranks.nearest(20) == reference_nearest(ranks, 20)
+
+
+def test_ranking_matches_reference_on_a_generated_mid_size_instance(mid_instance):
+    instance, dist, ranks = mid_instance
+    _assert_same_ranks(ranks.ranks, reference_rank_rows(ranks.numerators))
+    n = instance.task_count
+    for k in _neighbor_sizes(n):
+        assert ranks.nearest(k) == reference_nearest(ranks, k)
+    for k in (1, 20):
+        assert neighbor_lists(instance, dist, k) == reference_neighbor_lists(instance, dist, k)
 
 
 # --- path_scanning and _pairwise_distances -----------------------------------

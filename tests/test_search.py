@@ -4,6 +4,8 @@ import io
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routecut import (
     ClusterConfig,
@@ -14,7 +16,7 @@ from routecut import (
     validate,
 )
 from routecut.generator import generate_instance
-from routecut.search import concat_solutions
+from routecut.search import ALGORITHMS, concat_solutions
 from routecut.seeding import make_rng
 
 from conftest import brute_force_optimum, make_instance
@@ -52,6 +54,34 @@ def test_instance_without_tasks_gives_empty_solution(algorithm):
     assert validate(best, inst) == []
     assert best.total_cost == 0
     assert best.routes == []
+
+
+@st.composite
+def tiny_instances(draw):
+    """0-6 tasks on up to 5 vertices joined by a service-free path: tasks may
+    run parallel to each other or to the path, and a demand may equal the
+    capacity."""
+    vertices = draw(st.integers(2, 5))
+    capacity = draw(st.integers(1, 5))
+    costs = st.integers(0, 3)
+    edges = [(u, u + 1, 0, 0, draw(costs)) for u in range(vertices - 1)]
+    pairs = st.tuples(st.integers(0, vertices - 1), st.integers(0, vertices - 1))
+    for u, v in draw(st.lists(pairs.filter(lambda p: p[0] != p[1]), max_size=6)):
+        edges.append((u, v, draw(st.integers(1, capacity)), draw(costs), draw(costs)))
+    return make_instance(vertices, edges, capacity=capacity)
+
+
+@pytest.mark.filterwarnings("ignore:pool of .* sub-routes cannot fill")
+@settings(max_examples=60, deadline=None)
+@given(tiny_instances(), st.integers(0, 100))
+def test_every_algorithm_solves_tiny_instances(inst, seed):
+    # neighbor_size 1 and 20 reach nearest() with k below, at and above n - 1
+    for algorithm in ALGORITHMS:
+        for neighbor_size in (1, 20):
+            cfg = _deterministic_config(algorithm, seed=seed, max_iterations=3,
+                                        max_cycles=2, neighbor_size=neighbor_size)
+            best, _ = solve(inst, cfg)
+            assert validate(best, inst) == []
 
 
 @pytest.mark.parametrize("algorithm", ["sahid-rco", "sahid-random", "cluster-rco",
