@@ -39,7 +39,6 @@ from .ranking import RankMatrix, build_rank_matrix, link_cost, rank_rows
 from .rco import (
     RcoParams,
     SubRoute,
-    SubRoutePool,
     average_task_rank,
     classify_links,
     rco_split,
@@ -75,7 +74,6 @@ __all__ = [
     "SearchTrace",
     "Solution",
     "SubRoute",
-    "SubRoutePool",
     "Task",
     "Violation",
     "VirtualTask",

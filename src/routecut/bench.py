@@ -17,10 +17,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .decompose import ClusterConfig
 from .instance import Instance, load_instance
-from .rco import RcoParams
-from .search import ALGORITHMS, SearchConfig, solve
+from .search import ALGORITHMS, PARAMETERS, SearchConfig, build_config, solve
 from .solution import read_solution, validate, write_solution
 
 
@@ -263,28 +261,12 @@ def samples_by_cell(records: list[RunRecord]) -> dict[tuple[str, str], list[floa
 
 # --- experiment config files -------------------------------------------------
 #
-# Plain `key = value` lines; `#` starts a comment.  Keys mirror the
-# ExperimentSpec and SearchConfig fields:
-#
-#   instances = a.dat, b.dat
-#   variants = sahid-rco, sahid-random
-#   runs = 11
-#   base_seed = 1000
-#   budget = fixed:60
-#   time_multiplier = 1.0
-#   lambda = 0.05
-#   theta = 0.2
-#   groups = 2
-#   alpha = 5
-#   scale = 0.1
-#   accept = 1.10
-#   idle = 10000
-#   max_cycles = 50
-#   max_iterations = 0        # 0 = no cap
-#   virtual_clock = false
-#   workers = 1
+# Plain `key = value` lines; `#` starts a comment.  A key is an ExperimentSpec
+# field or a search.PARAMETERS key; list values are comma-separated.
 
 def parse_experiment_config(path: str | Path) -> ExperimentSpec:
+    kinds = {"runs": int, "base_seed": int, "budget": str, "time_multiplier": float, "workers": int}
+    known = {"instances", "variants", *kinds, *PARAMETERS}
     values: dict[str, str] = {}
     base = Path(path).parent
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -294,7 +276,10 @@ def parse_experiment_config(path: str | Path) -> ExperimentSpec:
         if "=" not in line:
             raise ValueError(f"{path}:{line_no}: expected `key = value`")
         key, _, value = line.partition("=")
-        values[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key not in known:
+            raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
+        values[key] = value.strip()
 
     def _list(key: str) -> list[str]:
         return [item.strip() for item in values.get(key, "").split(",") if item.strip()]
@@ -309,29 +294,7 @@ def parse_experiment_config(path: str | Path) -> ExperimentSpec:
         if name not in ALGORITHMS:
             raise ValueError(f"unknown variant {name!r}; choose from {ALGORITHMS}")
 
-    rco = RcoParams(float(values.get("lambda", 0.05)), float(values.get("theta", 0.2)))
-    cluster = ClusterConfig(int(values.get("groups", 2)), float(values.get("alpha", 5.0)))
-    max_iterations = int(values.get("max_iterations", 0)) or None
-    config = SearchConfig(
-        algorithm=variant_names[0],
-        rco=rco,
-        cluster=cluster,
-        scale=float(values.get("scale", 0.1)),
-        accept_threshold=float(values.get("accept", 1.10)),
-        idle_limit=int(values.get("idle", 10000)),
-        max_cycles=int(values.get("max_cycles", 50)),
-        time_limit=float(values.get("time_limit", 30.0)),
-        sub_solver_budget=int(values.get("sub_solver_budget", 50_000)),
-        max_iterations=max_iterations,
-        virtual_clock=values.get("virtual_clock", "false").lower() in ("1", "true", "yes"),
-    )
-    variants = [(name, replace(config, algorithm=name)) for name in variant_names]
-    return ExperimentSpec(
-        instances=instances,
-        variants=variants,
-        runs=int(values.get("runs", 25)),
-        base_seed=int(values.get("base_seed", 0)),
-        budget=values.get("budget"),
-        time_multiplier=float(values.get("time_multiplier", 1.0)),
-        workers=int(values.get("workers", 1)),
-    )
+    params = {key: value for key, value in values.items() if key in PARAMETERS}
+    variants = [(name, build_config(params, algorithm=name)) for name in variant_names]
+    given = {key: kind(values[key]) for key, kind in kinds.items() if key in values}
+    return ExperimentSpec(instances, variants, **given)

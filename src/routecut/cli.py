@@ -13,11 +13,9 @@ from .bench import (
     samples_by_cell,
     summarize,
 )
-from .decompose import ClusterConfig
 from .generator import generate_instance_file
 from .instance import load_instance
-from .rco import RcoParams
-from .search import ALGORITHMS, SearchConfig, solve
+from .search import ALGORITHMS, PARAMETERS, build_config, solve
 from .solution import min_vehicles, read_solution, validate, write_solution
 from .stats import MIN_SAMPLE, significance_table
 
@@ -31,20 +29,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve one instance")
     p.add_argument("instance", type=Path)
-    p.add_argument("--algorithm", choices=ALGORITHMS, default="sahid-rco")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--time-limit", type=float, default=30.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.05)
-    p.add_argument("--theta", type=float, default=0.2)
-    p.add_argument("--groups", type=int, default=2)
-    p.add_argument("--alpha", type=float, default=5.0)
-    p.add_argument("--scale", type=float, default=0.1)
-    p.add_argument("--accept", type=float, default=1.10)
-    p.add_argument("--idle", type=int, default=10000)
-    p.add_argument("--max-cycles", type=int, default=50)
-    p.add_argument("--max-iters", type=int, default=0, help="0 = no iteration cap")
-    p.add_argument("--virtual-clock", action="store_true",
-                   help="deterministic trace timestamps (reproducible runs)")
+    # options left out keep the SearchConfig default
+    p.add_argument("--algorithm", choices=ALGORITHMS, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    for key, (path, kind) in PARAMETERS.items():
+        flags = ["--" + key.replace("_", "-")]
+        if key == "max_iterations":
+            flags.append("--max-iters")  # the older spelling
+        typed = {"action": "store_true"} if kind is bool else {"type": kind}
+        p.add_argument(*flags, default=argparse.SUPPRESS, help=f"SearchConfig.{path}", **typed)
     p.add_argument("--trace", type=Path, help="stream the convergence trace to this CSV")
     p.add_argument("--out", type=Path, help="write the best solution here")
 
@@ -75,18 +68,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args) -> int:
     instance = load_instance(args.instance)
-    config = SearchConfig(
-        algorithm=args.algorithm,
-        rco=RcoParams(args.lam, args.theta),
-        cluster=ClusterConfig(args.groups, args.alpha),
-        scale=args.scale,
-        accept_threshold=args.accept,
-        idle_limit=args.idle,
-        max_cycles=args.max_cycles,
-        time_limit=args.time_limit,
-        seed=args.seed,
-        max_iterations=args.max_iters or None,
-        virtual_clock=args.virtual_clock,
+    given = vars(args)
+    config = build_config(
+        {key: given[key] for key in PARAMETERS if key in given},
+        **{name: given[name] for name in ("algorithm", "seed") if name in given},
     )
     sink = open(args.trace, "w") if args.trace else None
     try:

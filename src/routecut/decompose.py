@@ -22,7 +22,7 @@ import numpy as np
 from .distances import DistanceTable
 from .instance import Instance, inverse_id, task_index_of
 from .ranking import RankMatrix
-from .rco import SubRoute, SubRoutePool
+from .rco import SubRoute
 from .solution import Solution
 
 
@@ -75,7 +75,7 @@ def _farthest_point_medoids(d: np.ndarray, g: int, rng: random.Random) -> list[i
 
 
 def fuzzy_kmedoid(
-    pool: SubRoutePool,
+    pool: list[SubRoute],
     config: ClusterConfig,
     ranks: RankMatrix,
     rng: random.Random,
@@ -201,7 +201,7 @@ def virtual_task_from_ids(
 
 
 def build_virtual_tasks(
-    pool: SubRoutePool, instance: Instance, dist: DistanceTable
+    pool: list[SubRoute], instance: Instance, dist: DistanceTable
 ) -> list[VirtualTask]:
     """One virtual task per sub-route, order and orientation preserved."""
     if len(pool) == 0:

@@ -27,15 +27,6 @@ class DistanceTable:
             self._rows = self.matrix.tolist()
         return self._rows
 
-    def cost(self, u: int, v: int) -> float:
-        return float(self.matrix[u, v])
-
-    def __getitem__(self, pair: tuple[int, int]) -> float:
-        return float(self.matrix[pair])
-
-    def __len__(self) -> int:
-        return self.matrix.shape[0]
-
 
 def shortest_paths(instance: Instance) -> DistanceTable:
     """Run Dijkstra from every vertex and materialize the full table.

@@ -14,7 +14,7 @@ here too.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .instance import task_index_of
 from .ranking import RankMatrix
@@ -52,25 +52,6 @@ class SubRoute:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-
-@dataclass
-class SubRoutePool:
-    """The sub-routes produced by splitting one solution."""
-
-    subroutes: list[SubRoute] = field(default_factory=list)
-
-    def task_indices(self) -> list[int]:
-        out: list[int] = []
-        for s in self.subroutes:
-            out.extend(s.task_indices())
-        return out
-
-    def __len__(self) -> int:
-        return len(self.subroutes)
-
-    def __iter__(self):
-        return iter(self.subroutes)
 
 
 def average_task_rank(solution: Solution, ranks: RankMatrix) -> float:
@@ -121,7 +102,7 @@ def rco_split(
     ranks: RankMatrix,
     params: RcoParams,
     rng: random.Random,
-) -> SubRoutePool:
+) -> list[SubRoute]:
     """Cut each route at up to one good and one poor link.
 
     The task multiset of the result always equals the solution's, and each
@@ -140,10 +121,10 @@ def rco_split(
         if rng.random() < params.theta and poor:
             cuts.append(poor[rng.randrange(len(poor))])
         _cut_interior(interior, cuts, k, pool)
-    return SubRoutePool(pool)
+    return pool
 
 
-def uniform_split(solution: Solution, rng: random.Random) -> SubRoutePool:
+def uniform_split(solution: Solution, rng: random.Random) -> list[SubRoute]:
     """Split every route into two sub-routes at a uniformly random link.
 
     This is the random-split baseline the rank-guided operator is compared
@@ -156,4 +137,4 @@ def uniform_split(solution: Solution, rng: random.Random) -> SubRoutePool:
             continue
         cuts = [rng.randrange(len(interior) - 1)] if len(interior) >= 2 else []
         _cut_interior(interior, cuts, k, pool)
-    return SubRoutePool(pool)
+    return pool

@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import IO
+from typing import IO, Mapping
 
 from .construct import path_scanning
 from .decompose import (
@@ -78,6 +78,51 @@ class SearchConfig:
             raise ValueError("accept_threshold must be at least 1")
         if self.time_limit <= 0:
             raise ValueError("time_limit must be positive")
+        if self.neighbor_size < 0:
+            raise ValueError("neighbor_size must be non-negative")
+        if self.pool_size < 1:
+            raise ValueError("pool_size must be at least 1")
+
+
+# The parameters settable from `routecut solve` and experiment config files:
+# config key -> (SearchConfig field, type).  The CLI flag is the key with
+# dashes; defaults live only in the dataclasses.
+PARAMETERS: dict[str, tuple[str, type]] = {
+    "lambda": ("rco.lam", float),
+    "theta": ("rco.theta", float),
+    "groups": ("cluster.group_count", int),
+    "alpha": ("cluster.fuzziness", float),
+    "scale": ("scale", float),
+    "accept": ("accept_threshold", float),
+    "idle": ("idle_limit", int),
+    "max_cycles": ("max_cycles", int),
+    "max_iterations": ("max_iterations", int),
+    "time_limit": ("time_limit", float),
+    "virtual_clock": ("virtual_clock", bool),
+    "sub_solver_budget": ("sub_solver_budget", int),
+}
+
+
+def build_config(values: Mapping[str, object], **fields) -> SearchConfig:
+    """A SearchConfig from ``{PARAMETERS key: value}`` plus plain fields.
+
+    Values may be strings (config files) or typed (CLI); booleans are true
+    for 1/true/yes.  ``max_iterations`` 0 means no cap.
+    """
+    nested: dict[str, dict] = {"rco": {}, "cluster": {}}
+    for key, value in values.items():
+        if key not in PARAMETERS:
+            raise ValueError(f"unknown parameter {key!r}")
+        path, kind = PARAMETERS[key]
+        owner, _, name = path.rpartition(".")
+        if kind is bool:
+            value = str(value).lower() in ("1", "true", "yes")
+        (nested[owner] if owner else fields)[name] = kind(value)
+    if fields.get("max_iterations") == 0:
+        fields["max_iterations"] = None
+    return SearchConfig(
+        rco=RcoParams(**nested["rco"]), cluster=ClusterConfig(**nested["cluster"]), **fields
+    )
 
 
 @dataclass

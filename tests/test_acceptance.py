@@ -146,7 +146,7 @@ def test_criterion_04_conservation_and_feasibility():
         sol, ranks, want = prepared[trial % len(prepared)]
         params = RcoParams(rng.random(), rng.random())
         pool = rco_split(sol, ranks, params, make_rng(trial))
-        assert Counter(pool.task_indices()) == want
+        assert Counter(t for s in pool for t in s.task_indices()) == want
         per_route: dict[int, list] = {}
         for s in pool:
             per_route.setdefault(s.route_index, []).append(s)
@@ -188,7 +188,7 @@ def test_criterion_05_cut_probability_calibration():
     good_cut = poor_cut = 0
     for _ in range(trials):
         pool = rco_split(sol, ranks, params, rng)
-        for s in pool.subroutes[1:]:
+        for s in pool[1:]:
             if s.start - 1 in good_positions:
                 good_cut += 1
             else:

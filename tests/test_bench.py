@@ -1,6 +1,8 @@
 """Experiment harness and CLI surfaces."""
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -17,9 +19,11 @@ from routecut.bench import (
     summarize,
     write_records_csv,
 )
+from routecut import cli
 from routecut.cli import main
 from routecut.generator import generate_instance_file
-from routecut.search import SearchConfig
+from routecut.search import PARAMETERS, SearchConfig, SearchTrace
+from routecut.solution import Solution
 
 
 def _quick_config(algorithm, **kw):
@@ -224,6 +228,79 @@ def test_parse_config_rejects_bad_variant(tmp_path, small_instance_file):
     cfg.write_text(f"instances = {small_instance_file}\nvariants = teleport\n")
     with pytest.raises(ValueError, match="teleport"):
         parse_experiment_config(cfg)
+
+
+def test_parse_config_rejects_unknown_key(tmp_path, small_instance_file):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"instances = {small_instance_file}\nvariants = sahid-rco\nlamda = 0.9\n")
+    with pytest.raises(ValueError, match=r"exp\.cfg:3: unknown key 'lamda'"):
+        parse_experiment_config(cfg)
+
+
+# a non-default value for every parameter, as written on a command line
+_NON_DEFAULT = {
+    "lambda": "0.3", "theta": "0.4", "groups": "3", "alpha": "2.5", "scale": "0.2",
+    "accept": "1.2", "idle": "7", "max_cycles": "4", "max_iterations": "9",
+    "time_limit": "12.5", "virtual_clock": None, "sub_solver_budget": "1234",
+}
+
+
+def _cli_config(monkeypatch, instance_file, options):
+    seen = []
+
+    def fake_solve(instance, config, trace_sink=None):
+        seen.append(config)
+        return Solution([]), SearchTrace()
+
+    monkeypatch.setattr(cli, "solve", fake_solve)
+    assert main(["solve", str(instance_file), *options]) == 0
+    return seen[0]
+
+
+def _file_config(tmp_path, instance_file, lines, variant="cluster-rco"):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"instances = {instance_file}\nvariants = {variant}\n" + "".join(lines))
+    return parse_experiment_config(cfg).variants[0][1]
+
+
+def test_parameter_table_is_the_documented_set():
+    assert set(PARAMETERS) == set(_NON_DEFAULT)
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| `([\w.]+)` \|", readme, re.MULTILINE)
+    assert dict(rows) == {key: path for key, (path, _) in PARAMETERS.items()}
+
+
+@pytest.mark.parametrize("key", sorted(PARAMETERS))
+def test_cli_and_config_file_build_the_same_config(key, tmp_path, small_instance_file,
+                                                   monkeypatch):
+    value = _NON_DEFAULT[key]
+    flag = ["--" + key.replace("_", "-")] + ([] if value is None else [value])
+    from_cli = _cli_config(
+        monkeypatch, small_instance_file, ["--algorithm", "cluster-rco", "--seed", "0", *flag]
+    )
+    line = f"{key} = {'true' if value is None else value}\n"
+    from_file = _file_config(tmp_path, small_instance_file, [line])
+    assert from_cli == from_file
+    assert from_cli != SearchConfig(algorithm="cluster-rco")
+
+
+def test_cli_and_config_file_defaults(tmp_path, small_instance_file, monkeypatch):
+    assert _cli_config(monkeypatch, small_instance_file, []) == SearchConfig()
+    assert _file_config(tmp_path, small_instance_file, [], "sahid-rco") == SearchConfig()
+
+
+def test_zero_iterations_means_no_cap(tmp_path, small_instance_file, monkeypatch):
+    from_cli = _cli_config(monkeypatch, small_instance_file, ["--max-iters", "0"])
+    from_file = _file_config(tmp_path, small_instance_file, ["max_iterations = 0\n"])
+    assert from_cli.max_iterations is None and from_file.max_iterations is None
+
+
+@pytest.mark.parametrize("text, want", [
+    ("1", True), ("yes", True), ("TRUE", True), ("0", False), ("no", False), ("false", False),
+])
+def test_config_file_booleans(tmp_path, small_instance_file, text, want):
+    config = _file_config(tmp_path, small_instance_file, [f"virtual_clock = {text}\n"])
+    assert config.virtual_clock is want
 
 
 def test_parallel_workers_match_sequential(tmp_path, small_instance_file):

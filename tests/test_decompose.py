@@ -25,16 +25,14 @@ from routecut import (
 from routecut.decompose import group_task_indices, virtual_task_from_ids
 from routecut.generator import generate_instance
 from routecut.instance import forward_id
-from routecut.rco import SubRoute, SubRoutePool
+from routecut.rco import SubRoute
 from routecut.seeding import make_rng
 
 from conftest import make_instance
 
 
 def _pool_of_singletons(task_indices):
-    return SubRoutePool([
-        SubRoute((forward_id(ti),), i, 0) for i, ti in enumerate(task_indices)
-    ])
+    return [SubRoute((forward_id(ti),), i, 0) for i, ti in enumerate(task_indices)]
 
 
 def _numerator_matrix(values):
@@ -209,7 +207,7 @@ def test_degenerate_pool_reduces_groups():
 
 def test_single_task_virtual_task(single_task_instance):
     dist = single_task_instance.distances()
-    pool = SubRoutePool([SubRoute((1,), 0, 0)])
+    pool = [SubRoute((1,), 0, 0)]
     (vt,) = build_virtual_tasks(pool, single_task_instance, dist)
     assert vt.demand == 5
     assert vt.internal_cost == pytest.approx(1.0)  # just its service cost
@@ -218,7 +216,7 @@ def test_single_task_virtual_task(single_task_instance):
 
 def test_two_task_virtual_task(path_instance):
     dist = path_instance.distances()
-    pool = SubRoutePool([SubRoute((forward_id(0), forward_id(1)), 0, 0)])
+    pool = [SubRoute((forward_id(0), forward_id(1)), 0, 0)]
     (vt,) = build_virtual_tasks(pool, path_instance, dist)
     # sc(t1) + delta(tail t1, head t2) + sc(t2) = 1 + 0 + 1
     assert vt.internal_cost == pytest.approx(2.0)
@@ -228,7 +226,7 @@ def test_two_task_virtual_task(path_instance):
 
 def test_empty_pool_is_rejected(path_instance):
     with pytest.raises(ValueError):
-        build_virtual_tasks(SubRoutePool([]), path_instance, path_instance.distances())
+        build_virtual_tasks([], path_instance, path_instance.distances())
 
 
 def test_virtual_task_reversal_roundtrip(path_instance):
@@ -308,7 +306,8 @@ def test_hdu_cost_above_sanity_bound():
     service = sum(t.service_cost for t in inst.tasks)
     # at least one route must leave and return to the depot
     out_back = min(
-        dist.cost(inst.depot, t.u) + dist.cost(t.v, inst.depot) for t in inst.tasks
+        float(dist.matrix[inst.depot, t.u]) + float(dist.matrix[t.v, inst.depot])
+        for t in inst.tasks
     )
     assert sol.total_cost >= service + out_back - 1e-9
 

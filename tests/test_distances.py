@@ -16,7 +16,7 @@ def test_depot_self_distance_zero():
     inst = make_instance(3, [(0, 1, 1, 1, 1), (1, 2, 1, 1, 1)])
     dist = inst.distances()
     for v in range(3):
-        assert dist.cost(v, v) == 0.0
+        assert float(dist.matrix[v, v]) == 0.0
 
 
 def test_triangle_shortcut():
@@ -24,30 +24,30 @@ def test_triangle_shortcut():
     inst = make_instance(
         3, [(0, 1, 1, 1, 1), (1, 2, 1, 1, 1), (0, 2, 1, 5, 5)], capacity=10
     )
-    assert inst.distances().cost(0, 2) == 2.0
+    assert float(inst.distances().matrix[0, 2]) == 2.0
 
 
 def test_path_graph():
     inst = make_instance(3, [(0, 1, 1, 1, 1), (1, 2, 1, 1, 1)])
-    assert inst.distances().cost(0, 2) == 2.0
+    assert float(inst.distances().matrix[0, 2]) == 2.0
 
 
 def test_zero_cost_edge_is_an_edge():
     inst = make_instance(3, [(0, 1, 1, 1, 0), (1, 2, 1, 1, 4)])
     d = inst.distances()
-    assert d.cost(0, 1) == 0.0
-    assert d.cost(0, 2) == 4.0
+    assert float(d.matrix[0, 1]) == 0.0
+    assert float(d.matrix[0, 2]) == 4.0
 
 
 def test_parallel_edges_take_cheapest():
     inst = make_instance(2, [(0, 1, 1, 9, 9), (0, 1, 2, 2, 2)], capacity=10)
-    assert inst.distances().cost(0, 1) == 2.0
+    assert float(inst.distances().matrix[0, 1]) == 2.0
 
 
 def test_unreachable_nontask_vertex_is_infinite():
     inst = make_instance(3, [(0, 1, 1, 1, 1)], capacity=10)
     d = inst.distances()
-    assert math.isinf(d.cost(0, 2))
+    assert math.isinf(float(d.matrix[0, 2]))
 
 
 def _random_connected_instance(rng: random.Random, n: int) -> Instance:

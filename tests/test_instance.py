@@ -127,7 +127,7 @@ def test_self_loop_task_accepted():
     inst = make_instance(2, [(0, 0, 2, 3, 3), (0, 1, 1, 1, 1)], capacity=10)
     assert inst.task_count == 2
     dist = inst.distances()
-    assert dist.cost(0, 0) == 0.0
+    assert float(dist.matrix[0, 0]) == 0.0
 
 
 def test_directed_id_structure():

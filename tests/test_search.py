@@ -183,6 +183,13 @@ def test_accept_threshold_validation():
         SearchConfig(time_limit=0)
 
 
+@pytest.mark.parametrize("field, value", [("neighbor_size", -1), ("pool_size", 0)])
+def test_neighbor_and_pool_size_validation(field, value):
+    with pytest.raises(ValueError, match=field):
+        SearchConfig(**{field: value})
+    SearchConfig(**{field: value + 1})  # the smallest accepted value
+
+
 def test_wall_clock_budget_is_respected():
     import time
 
