@@ -268,6 +268,7 @@ def parse_experiment_config(path: str | Path) -> ExperimentSpec:
     kinds = {"runs": int, "base_seed": int, "budget": str, "time_multiplier": float, "workers": int}
     known = {"instances", "variants", *kinds, *PARAMETERS}
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     base = Path(path).parent
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -279,6 +280,9 @@ def parse_experiment_config(path: str | Path) -> ExperimentSpec:
         key = key.strip().lower()
         if key not in known:
             raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
+        if key in lines:
+            raise ValueError(f"{path}:{line_no}: key {key!r} repeats line {lines[key]}")
+        lines[key] = line_no
         values[key] = value.strip()
 
     def _list(key: str) -> list[str]:

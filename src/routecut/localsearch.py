@@ -8,13 +8,19 @@ around each task's nearest other tasks, which keeps passes near-linear on
 large sub-problems while degenerating to the full neighborhood on small
 ones.
 
-Route costs are cached and maintained incrementally by the move
-operators; ``debug=True`` recomputes every touched route from scratch and
-asserts agreement (slow, used by the test suite).
+Route costs and loads are cached, and so is the position index: ``where``
+(each task's route and position) and ``prefix`` (each route's running
+loads).  A move updates them only for the routes it changed: one for a
+flip, 2-opt or intra-route swap; both for a swap, a relocation (a fresh
+route is the appended index) or a tail exchange.  A route a move empties
+is dropped, and the routes after it, shifted down one index, are
+re-indexed.  ``debug=True`` rebuilds every cost, load and index entry after
+each applied move and asserts agreement (slow, used by the test suite).
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Callable, Sequence
 
@@ -38,7 +44,6 @@ class _State:
     """Mutable search state: interiors, cached loads/costs, position index."""
 
     def __init__(self, solution: Solution, instance: Instance, dist: DistanceTable):
-        self.inst = instance
         self.D = dist.rows
         self.head = instance.id_head
         self.tail = instance.id_tail
@@ -76,28 +81,27 @@ class _State:
         else:
             self.prefix.append(pre)
 
-    def _reindex_all(self) -> None:
-        self.prefix = []
-        for k in range(len(self.routes)):
-            self._reindex(k)
-
     def drop_route(self, k: int) -> None:
+        """Remove empty route k; the routes after it move down one index."""
         del self.routes[k], self.loads[k], self.costs[k], self.prefix[k]
-        self._reindex_all()
+        for j in range(k, len(self.routes)):
+            self._reindex(j)
 
-    def total_cost(self) -> float:
-        return sum(self.costs)
-
-    def check(self, *ks: int) -> None:
-        for k in ks:
-            if k >= len(self.routes):
-                continue
-            r = self.routes[k]
+    def check(self) -> None:
+        """Assert every cached cost, load and index entry against a rebuild."""
+        where: list[tuple[int, int] | None] = [None] * len(self.where)
+        assert len(self.prefix) == len(self.routes), "one prefix per route"
+        for k, r in enumerate(self.routes):
             exact = self.seq_cost(r)
             assert abs(self.costs[k] - exact) < 1e-6, (
                 f"route {k}: cached {self.costs[k]} vs exact {exact}"
             )
             assert abs(self.loads[k] - sum(self.dem[t] for t in r)) < 1e-9
+            pre = list(itertools.accumulate((self.dem[t] for t in r), initial=0.0))
+            assert self.prefix[k] == pre, f"route {k}: stale prefix loads"
+            for i, t in enumerate(r):
+                where[task_index_of(t)] = (k, i)
+        assert self.where == where, "stale position index"
 
     # boundary vertices around a position
     def prev_v(self, r: list[int], i: int) -> int:
@@ -137,7 +141,7 @@ def local_search(
         neighbors = neighbor_lists(instance, dist, neighbor_size)
 
     D = st.D
-    head, tail, dem, sc = st.head, st.tail, st.dem, st.sc
+    head, tail, dem = st.head, st.tail, st.dem
     depot, capacity = st.depot, st.capacity
     evals = 0
     out_of_budget = False
@@ -158,7 +162,7 @@ def local_search(
         a = r1[i1]
 
         # orientation flip in place (segment reversal of length 1)
-        if _try_reverse(st, k1, i1, i1, debug):
+        if _try_reverse(st, k1, i1, i1):
             return True
         if spent(1):
             return False
@@ -171,7 +175,7 @@ def local_search(
             if spent(1):
                 return False
             if delta < -_EPS:
-                _apply_relocate(st, k1, i1, a, len(st.routes), 0, debug)
+                _apply_relocate(st, k1, i1, a, len(st.routes), 0, gain)
                 return True
 
         for tj in neighbors[ti]:
@@ -179,39 +183,36 @@ def local_search(
             if loc is None:
                 continue
             k2, i2 = loc
-            r2 = st.routes[k2]
-            b = r2[i2]
-
             if k2 == k1:
                 lo, hi = (i1, i2) if i1 < i2 else (i2, i1)
-                if hi > lo and _try_reverse(st, k1, lo, hi, debug):
+                if hi > lo and _try_reverse(st, k1, lo, hi):
                     return True
                 if spent(1):
                     return False
-                if _try_relocate_near(st, ti, k1, i1, k2, i2, debug):
+                if _try_relocate_near(st, ti, k1, i1, k2, i2):
                     return True
                 if out_of_budget:
                     return False
-                if _try_swap_intra(st, k1, lo, hi, debug):
+                if _try_swap_intra(st, k1, lo, hi):
                     return True
                 if spent(4):
                     return False
             else:
-                if _try_relocate_near(st, ti, k1, i1, k2, i2, debug):
+                if _try_relocate_near(st, ti, k1, i1, k2, i2):
                     return True
                 if out_of_budget:
                     return False
-                if _try_swap(st, k1, i1, k2, i2, debug):
+                if _try_swap(st, k1, i1, k2, i2):
                     return True
                 if spent(4):
                     return False
-                if _try_tail_exchange(st, k1, i1, k2, i2, debug):
+                if _try_tail_exchange(st, k1, i1, k2, i2):
                     return True
                 if spent(2):
                     return False
         return False
 
-    def _try_relocate_near(st, ti, k1, i1, k2, i2, debug) -> bool:
+    def _try_relocate_near(st, ti, k1, i1, k2, i2) -> bool:
         r1 = st.routes[k1]
         a = r1[i1]
         r2 = st.routes[k2]
@@ -230,11 +231,11 @@ def local_search(
                 if spent(1):
                     return False
                 if cost - gain < -_EPS:
-                    _apply_relocate(st, k1, i1, x, k2, j, debug)
+                    _apply_relocate(st, k1, i1, x, k2, j, gain)
                     return True
         return False
 
-    def _try_swap(st, k1, i1, k2, i2, debug) -> bool:
+    def _try_swap(st, k1, i1, k2, i2) -> bool:
         r1, r2 = st.routes[k1], st.routes[k2]
         a, b = r1[i1], r2[i2]
         da, db = dem[a], dem[b]
@@ -249,11 +250,11 @@ def local_search(
             for x in (a, inverse_id(a)):
                 d2 = D[p2][head[x]] + D[tail[x]][n2] - base2
                 if d1 + d2 < -_EPS:
-                    _apply_swap(st, k1, i1, y, k2, i2, x, d1, d2, debug)
+                    _apply_swap(st, k1, i1, y, k2, i2, x, d1, d2)
                     return True
         return False
 
-    def _try_swap_intra(st, k, i1, i2, debug) -> bool:
+    def _try_swap_intra(st, k, i1, i2) -> bool:
         """Swap two tasks of one route (i1 < i2); adjacency needs its own delta."""
         r = st.routes[k]
         a, b = r[i1], r[i2]
@@ -264,7 +265,7 @@ def local_search(
                 for x in (a, inverse_id(a)):
                     delta = D[p][head[y]] + D[tail[y]][head[x]] + D[tail[x]][n] - base
                     if delta < -_EPS:
-                        _apply_swap_intra(st, k, i1, y, i2, x, delta, debug)
+                        _apply_swap_intra(st, k, i1, y, i2, x, delta)
                         return True
             return False
         n1 = st.next_v(r, i1)
@@ -274,11 +275,11 @@ def local_search(
             for x in (a, inverse_id(a)):
                 delta = D[p][head[y]] + D[tail[y]][n1] + D[p2][head[x]] + D[tail[x]][n] - base
                 if delta < -_EPS:
-                    _apply_swap_intra(st, k, i1, y, i2, x, delta, debug)
+                    _apply_swap_intra(st, k, i1, y, i2, x, delta)
                     return True
         return False
 
-    def _try_tail_exchange(st, k1, i1, k2, i2, debug) -> bool:
+    def _try_tail_exchange(st, k1, i1, k2, i2) -> bool:
         r1, r2 = st.routes[k1], st.routes[k2]
         for c1, c2 in ((i1, i2), (i1, i2 - 1)):
             if c1 == len(r1) - 1 and c2 == len(r2) - 1:
@@ -295,7 +296,7 @@ def local_search(
                     pre1 + st.loads[k2] - pre2 <= capacity
                     and pre2 + st.loads[k1] - pre1 <= capacity
                 ):
-                    _apply_tail_exchange(st, k1, c1, k2, c2, pre1, pre2, debug)
+                    _apply_tail_exchange(st, k1, c1, k2, c2, pre1, pre2)
                     return True
         return False
 
@@ -311,6 +312,8 @@ def local_search(
                 continue
             if try_task(ti):
                 improved = True
+                if debug:
+                    st.check()
     result = st.to_solution(instance, dist)
     if result.total_cost > solution.total_cost + 1e-6:
         raise RuntimeError(
@@ -322,11 +325,10 @@ def local_search(
 # --- move application ---------------------------------------------------
 
 
-def _apply_relocate(st: _State, k1: int, i1: int, x: int, k2: int, j: int, debug: bool) -> None:
+def _apply_relocate(st: _State, k1: int, i1: int, x: int, k2: int, j: int, gain: float) -> None:
+    """Move the task at (k1, i1) to (k2, j) as ``x``; ``gain`` is what removal saves."""
     r1 = st.routes[k1]
     a = r1[i1]
-    p1, n1 = st.prev_v(r1, i1), st.next_v(r1, i1)
-    gain = st.D[p1][st.head[a]] + st.D[st.tail[a]][n1] - st.D[p1][n1]
     del r1[i1]
     st.loads[k1] -= st.dem[a]
     st.costs[k1] -= gain + st.sc[a]
@@ -336,7 +338,6 @@ def _apply_relocate(st: _State, k1: int, i1: int, x: int, k2: int, j: int, debug
         st.costs.append(
             st.D[st.depot][st.head[x]] + st.sc[x] + st.D[st.tail[x]][st.depot]
         )
-        st.prefix.append([])
     else:
         r2 = st.routes[k2]
         if k2 == k1 and j > i1:
@@ -346,28 +347,25 @@ def _apply_relocate(st: _State, k1: int, i1: int, x: int, k2: int, j: int, debug
         r2.insert(j, x)
         st.loads[k2] += st.dem[x]
         st.costs[k2] += st.D[p2][st.head[x]] + st.D[st.tail[x]][n2] - st.D[p2][n2] + st.sc[x]
-    if not r1:
-        st.drop_route(k1)
+    if r1:
+        st._reindex(k1)
+        if k2 != k1:
+            st._reindex(k2)  # a fresh route's index is appended here
     else:
-        st._reindex_all()
-    if debug:
-        st.check(*range(len(st.routes)))
+        st.drop_route(k1)  # re-indexes k2 too when it was above k1
+        if k2 < k1:
+            st._reindex(k2)
 
 
-def _apply_swap_intra(
-    st: _State, k: int, i1: int, y: int, i2: int, x: int, delta: float, debug: bool
-) -> None:
+def _apply_swap_intra(st: _State, k: int, i1: int, y: int, i2: int, x: int, delta: float) -> None:
     st.routes[k][i1] = y
     st.routes[k][i2] = x
     st.costs[k] += delta
     st._reindex(k)
-    if debug:
-        st.check(k)
 
 
 def _apply_swap(
-    st: _State, k1: int, i1: int, y: int, k2: int, i2: int, x: int,
-    d1: float, d2: float, debug: bool,
+    st: _State, k1: int, i1: int, y: int, k2: int, i2: int, x: int, d1: float, d2: float
 ) -> None:
     a = st.routes[k1][i1]
     b = st.routes[k2][i2]
@@ -377,15 +375,11 @@ def _apply_swap(
     st.costs[k2] += d2 + st.sc[x] - st.sc[b]
     st.loads[k1] += st.dem[y] - st.dem[a]
     st.loads[k2] += st.dem[x] - st.dem[b]
-    st.where[task_index_of(a)] = (k2, i2)
-    st.where[task_index_of(b)] = (k1, i1)
     st._reindex(k1)
     st._reindex(k2)
-    if debug:
-        st.check(k1, k2)
 
 
-def _try_reverse(st: _State, k: int, i: int, j: int, debug: bool) -> bool:
+def _try_reverse(st: _State, k: int, i: int, j: int) -> bool:
     r = st.routes[k]
     p, n = st.prev_v(r, i), st.next_v(r, j)
     D, head, tail = st.D, st.head, st.tail
@@ -395,13 +389,11 @@ def _try_reverse(st: _State, k: int, i: int, j: int, debug: bool) -> bool:
     r[i : j + 1] = [inverse_id(t) for t in reversed(r[i : j + 1])]
     st.costs[k] += delta
     st._reindex(k)
-    if debug:
-        st.check(k)
     return True
 
 
 def _apply_tail_exchange(
-    st: _State, k1: int, c1: int, k2: int, c2: int, pre1: float, pre2: float, debug: bool
+    st: _State, k1: int, c1: int, k2: int, c2: int, pre1: float, pre2: float
 ) -> None:
     r1, r2 = st.routes[k1], st.routes[k2]
     load1, load2 = st.loads[k1], st.loads[k2]
@@ -413,9 +405,11 @@ def _apply_tail_exchange(
     st.loads[k2] = pre2 + load1 - pre1
     st.costs[k1] = st.seq_cost(new1)
     st.costs[k2] = st.seq_cost(new2)
-    for k in sorted((k1, k2), reverse=True):
-        if not st.routes[k]:
-            del st.routes[k], st.loads[k], st.costs[k], st.prefix[k]
-    st._reindex_all()
-    if debug:
-        st.check(*range(len(st.routes)))
+    # new1 keeps r1[: c1 + 1] with c1 >= 0, so only route k2 can empty
+    if new2:
+        st._reindex(k1)
+        st._reindex(k2)
+    else:
+        st.drop_route(k2)  # re-indexes k1 too when it was above k2
+        if k1 < k2:
+            st._reindex(k1)

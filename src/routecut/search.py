@@ -82,6 +82,10 @@ class SearchConfig:
             raise ValueError("neighbor_size must be non-negative")
         if self.pool_size < 1:
             raise ValueError("pool_size must be at least 1")
+        if not 0 < self.scale < 1:
+            raise ValueError("scale must be in (0, 1)")
+        if self.sub_solver_budget < 0:
+            raise ValueError("sub_solver_budget must be non-negative")
 
 
 # The parameters settable from `routecut solve` and experiment config files:

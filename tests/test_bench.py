@@ -237,6 +237,18 @@ def test_parse_config_rejects_unknown_key(tmp_path, small_instance_file):
         parse_experiment_config(cfg)
 
 
+def test_parse_config_rejects_repeated_key(tmp_path, small_instance_file):
+    # a later line must not silently override an earlier one; keys ignore case
+    cfg = tmp_path / "exp.cfg"
+    head = f"instances = {small_instance_file}\nvariants = sahid-rco\n"
+    cfg.write_text(head + "lambda = 0.3\n# comment\n\nLAMBDA = 0.9\n")
+    with pytest.raises(ValueError, match=r"exp\.cfg:6: key 'lambda' repeats line 3"):
+        parse_experiment_config(cfg)
+    cfg.write_text(head + "variants = sahid-random\n")
+    with pytest.raises(ValueError, match=r"exp\.cfg:3: key 'variants' repeats line 2"):
+        parse_experiment_config(cfg)
+
+
 # a non-default value for every parameter, as written on a command line
 _NON_DEFAULT = {
     "lambda": "0.3", "theta": "0.4", "groups": "3", "alpha": "2.5", "scale": "0.2",

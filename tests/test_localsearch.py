@@ -83,6 +83,19 @@ def test_incremental_costs_match_recomputation():
         local_search(start, inst, dist, make_rng(seed, 2), debug=True)
 
 
+def test_index_checked_when_moves_empty_routes():
+    # one task per route: relocations and tail exchanges empty routes below
+    # and above the other route they touch, and debug=True then checks the
+    # position index and prefix loads of every route, the shifted ones too
+    for seed in range(10):
+        inst = generate_instance(20, 30, 10, seed=seed)
+        dist = inst.distances()
+        start = solution_from_tasks(inst, dist, [[ti] for ti in range(inst.task_count)])
+        out = local_search(start, inst, dist, make_rng(seed, 4), debug=True)
+        assert out.route_count < start.route_count
+        assert validate(out, inst) == []
+
+
 def test_reaches_small_optimum_often():
     hits = 0
     for seed in range(10):

@@ -1,6 +1,7 @@
 """The numpy `hdu` level loop, `RankMatrix.nearest`, `neighbor_lists`,
-`rank_rows`, `path_scanning` and `_pairwise_distances` against the
-versions they replaced, kept here as references.
+`rank_rows`, `path_scanning`, `_pairwise_distances` and local search's
+touched-route re-indexing against the versions they replaced, kept here as
+references.
 
 Each must reproduce its reference exactly: the same routes, the same
 neighbour lists, the same rank values and dtype, the same distance matrix
@@ -13,6 +14,7 @@ the capacity.
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from routecut import (
     build_rank_matrix,
     elementary_virtual_tasks,
     hdu,
+    local_search,
+    localsearch,
     path_scanning,
     rco_split,
     subroute_distance,
@@ -479,3 +483,125 @@ def test_pairwise_distances_match_reference_on_a_generated_mid_size_instance(mid
     pool = list(rco_split(path_scanning(instance, dist, rng), ranks, RcoParams(), rng))
     assert len(pool) > 100
     _assert_pairwise_matches(pool, ranks)
+
+
+# --- local search: re-indexing only the routes a move touched ---------------
+
+
+class _FullReindexState(localsearch._State):
+    """The index upkeep that touched-route re-indexing replaced: every
+    re-index, and every dropped route, rebuilds ``prefix`` and ``where`` for
+    every route."""
+
+    def _reindex(self, k):
+        self.prefix = []
+        for j in range(len(self.routes)):
+            super()._reindex(j)
+
+    def drop_route(self, k):
+        del self.routes[k], self.loads[k], self.costs[k], self.prefix[k]
+        self._reindex(k)
+
+
+# budgets that stop at once, in the middle of a pass, and never
+LOCAL_SEARCH_EVALS = (1, 5, 40, 300, None)
+
+
+def _local_search_starts(instance, dist, rng):
+    """path_scanning's solution; its routes cut into pieces of at most two
+    tasks, which moves empty; and tasks in random order and orientation
+    filled into routes up to the capacity, whose detours fresh routes fix."""
+    scanned = path_scanning(instance, dist, rng)
+    pieces = [r.interior[i : i + 2] for r in scanned.routes for i in range(0, r.size, 2)]
+    ids = [forward_id(ti) for ti in range(instance.task_count)]
+    ids = [inverse_id(t) if rng.random() < 0.5 else t for t in ids]
+    rng.shuffle(ids)
+    filled, load = [], instance.capacity
+    for t in ids:
+        if load + instance.id_demand[t] > instance.capacity:
+            filled.append([])
+            load = 0
+        filled[-1].append(t)
+        load += instance.id_demand[t]
+    return [scanned, *(Solution.build(r, instance, dist) for r in (pieces, filled))]
+
+
+def _assert_local_search_matches(instance, dist, start, seed, max_evals, monkeypatch, **kw):
+    runs = []
+    for state in (localsearch._State, _FullReindexState):
+        rng = make_rng(seed)
+        with monkeypatch.context() as m:
+            m.setattr(localsearch, "_State", state)
+            out = local_search(start, instance, dist, rng, max_evals=max_evals, **kw)
+        runs.append(([r.ids for r in out.routes], out.total_cost, rng.getstate()))
+    assert runs[0] == runs[1]
+
+
+def _count_reindex_branches(monkeypatch, seen):
+    """Count, into ``seen``, the applied moves that take each branch of the
+    touched-route re-indexing."""
+    relocate, exchange = localsearch._apply_relocate, localsearch._apply_tail_exchange
+
+    def counting_relocate(st, k1, i1, x, k2, j, gain):
+        if k2 == len(st.routes):
+            seen["relocate into a fresh route"] += 1
+        elif len(st.routes[k1]) == 1:
+            seen["relocate empties k1, k2 < k1" if k2 < k1 else "relocate empties k1, k2 > k1"] += 1
+        relocate(st, k1, i1, x, k2, j, gain)
+
+    def counting_exchange(st, k1, c1, k2, c2, pre1, pre2):
+        if c2 == -1 and c1 == len(st.routes[k1]) - 1:
+            seen["exchange empties k2, k1 < k2" if k1 < k2 else "exchange empties k2, k1 > k2"] += 1
+        exchange(st, k1, c1, k2, c2, pre1, pre2)
+
+    monkeypatch.setattr(localsearch, "_apply_relocate", counting_relocate)
+    monkeypatch.setattr(localsearch, "_apply_tail_exchange", counting_exchange)
+
+
+REINDEX_BRANCHES = {
+    "relocate into a fresh route",
+    "relocate empties k1, k2 < k1",
+    "relocate empties k1, k2 > k1",
+    "exchange empties k2, k1 < k2",
+    "exchange empties k2, k1 > k2",
+}
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_local_search_matches_full_reindex_on_tie_heavy_instances(seed, monkeypatch):
+    instance = _tie_heavy_instance(seed)
+    dist = instance.distances()
+    for start in _local_search_starts(instance, dist, make_rng(seed)):
+        for max_evals in LOCAL_SEARCH_EVALS:
+            _assert_local_search_matches(
+                instance, dist, start, seed, max_evals, monkeypatch, debug=True
+            )
+
+
+def test_local_search_tie_heavy_runs_reach_every_reindex_branch(monkeypatch):
+    seen = Counter()
+    _count_reindex_branches(monkeypatch, seen)
+    for seed in range(100):
+        instance = _tie_heavy_instance(seed)
+        dist = instance.distances()
+        for start in _local_search_starts(instance, dist, make_rng(seed)):
+            local_search(start, instance, dist, make_rng(seed), debug=True)
+    # no run here relocates into a fresh route, whose detour saving must
+    # beat a round trip from the depot; the mid-size instance below does
+    assert set(seen) == REINDEX_BRANCHES - {"relocate into a fresh route"}, seen
+
+
+def test_local_search_matches_full_reindex_on_a_generated_mid_size_instance(
+    mid_instance, monkeypatch
+):
+    instance, dist, _ = mid_instance
+    seen = Counter()
+    _count_reindex_branches(monkeypatch, seen)
+    scanned, *short_routes = _local_search_starts(instance, dist, make_rng(7))
+    # to a local optimum from path_scanning's solution only: the reference
+    # re-indexes all routes after each move, seconds on the other starts
+    runs = [(scanned, (2_000, 25_000, None))] + [(s, (2_000, 12_000)) for s in short_routes]
+    for start, budgets in runs:
+        for max_evals in budgets:
+            _assert_local_search_matches(instance, dist, start, 7, max_evals, monkeypatch)
+    assert set(seen) == REINDEX_BRANCHES, seen

@@ -1,6 +1,7 @@
 """Search loop contracts: feasibility, monotonicity, determinism, optimality."""
 
 import io
+import math
 import warnings
 
 import pytest
@@ -183,11 +184,22 @@ def test_accept_threshold_validation():
         SearchConfig(time_limit=0)
 
 
-@pytest.mark.parametrize("field, value", [("neighbor_size", -1), ("pool_size", 0)])
-def test_neighbor_and_pool_size_validation(field, value):
+@pytest.mark.parametrize(
+    "field, rejected, accepted",
+    [
+        ("neighbor_size", -1, 0),
+        ("pool_size", 0, 1),
+        ("sub_solver_budget", -1, 0),
+        ("scale", 0.0, math.nextafter(0.0, 1.0)),  # the smallest accepted value
+        ("scale", 1.0, math.nextafter(1.0, 0.0)),  # the largest
+        ("scale", 5.0, 0.5),
+        ("scale", math.nan, 0.5),
+    ],
+)
+def test_config_field_validation(field, rejected, accepted):
     with pytest.raises(ValueError, match=field):
-        SearchConfig(**{field: value})
-    SearchConfig(**{field: value + 1})  # the smallest accepted value
+        SearchConfig(**{field: rejected})
+    SearchConfig(**{field: accepted})
 
 
 def test_wall_clock_budget_is_respected():
