@@ -15,7 +15,6 @@ from .decompose import (
     elementary_virtual_tasks,
     fuzzy_kmedoid,
     hdu,
-    subroute_distance,
 )
 from .distances import DistanceTable, shortest_paths
 from .generator import generate_instance
@@ -35,7 +34,7 @@ from .instance import (
 )
 from .localsearch import local_search
 from .construct import path_scanning
-from .ranking import RankMatrix, build_rank_matrix, link_cost, rank_rows
+from .ranking import RankMatrix, build_rank_matrix, rank_rows
 from .rco import (
     RcoParams,
     SubRoute,
@@ -87,7 +86,6 @@ __all__ = [
     "generate_instance",
     "hdu",
     "inverse_id",
-    "link_cost",
     "load_instance",
     "local_search",
     "min_vehicles",
@@ -102,7 +100,6 @@ __all__ = [
     "shortest_paths",
     "significance_table",
     "solve",
-    "subroute_distance",
     "task_index_of",
     "uniform_split",
     "validate",

@@ -4,10 +4,10 @@ Two decomposition paths are supported.  The clustering path groups
 sub-routes around medoid sub-routes with a fuzziness-controlled
 probabilistic assignment, yielding task subsets that induce independent
 sub-problems.  The hierarchical path wraps sub-routes into virtual tasks
-(atomic ordered sequences with aggregate demand, internal cost, and two
-endpoints) and repeatedly clusters and chains them into ever coarser
-units until a single giant sequence remains, which is then split into
-capacity-feasible routes.
+(atomic ordered task sequences, joined to others at their two endpoints)
+and repeatedly clusters and chains them into ever coarser units until a
+single giant sequence remains, which is then split into capacity-feasible
+routes.
 """
 
 from __future__ import annotations
@@ -40,20 +40,10 @@ class ClusterConfig:
             raise ValueError("fuzziness must be positive")
 
 
-def subroute_distance(a: SubRoute, b: SubRoute, ranks: RankMatrix) -> float:
-    """Mean link cost over all task pairs of two sub-routes (0 for identity)."""
-    if a is b:
-        return 0.0
-    ai = a.task_indices()
-    bi = b.task_indices()
-    block = ranks.numerators[np.ix_(ai, bi)]
-    return float(block.mean()) / 4.0
-
-
 def _pairwise_distances(pool: list[SubRoute], ranks: RankMatrix) -> np.ndarray:
-    """``subroute_distance`` for every pair, bit for bit with integer
-    numerators (exact int64 block sums); float numerators sum in another
-    order than ``np.mean`` and may differ in the last bits."""
+    """Mean link cost over all task pairs of every two sub-routes, 0 on the
+    diagonal.  Block sums are exact int64 with integer numerators; float
+    numerators may differ from a per-pair ``np.mean`` in the last bits."""
     sizes = np.array([len(s) for s in pool])
     order = np.concatenate([s.task_indices() for s in pool])
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
@@ -157,63 +147,34 @@ def group_task_indices(group: list[SubRoute]) -> set[int]:
 
 @dataclass(frozen=True)
 class VirtualTask:
-    """An ordered task sequence treated as one atomic unit.
-
-    ``internal_cost`` is the objective contribution of traversing the
-    sequence itself: member service costs plus the shortest-path
-    connections between consecutive members, without depot legs.
-    """
+    """An ordered task sequence treated as one atomic unit, entered at
+    ``head`` and left at ``tail`` (vertices)."""
 
     ids: tuple[int, ...]
-    demand: float
-    internal_cost: float
     head: int
     tail: int
-    reversible: bool = True
 
     def reversed(self) -> "VirtualTask":
         """Same unit traversed the other way (cost unchanged on undirected graphs)."""
         return VirtualTask(
-            tuple(inverse_id(t) for t in reversed(self.ids)),
-            self.demand,
-            self.internal_cost,
-            self.tail,
-            self.head,
-            self.reversible,
+            tuple(inverse_id(t) for t in reversed(self.ids)), self.tail, self.head
         )
 
-    def __len__(self) -> int:
-        return len(self.ids)
+
+def virtual_task_from_ids(ids: tuple[int, ...], instance: Instance) -> VirtualTask:
+    return VirtualTask(ids, instance.id_head[ids[0]], instance.id_tail[ids[-1]])
 
 
-def virtual_task_from_ids(
-    ids: tuple[int, ...], instance: Instance, dist: DistanceTable
-) -> VirtualTask:
-    rows = dist.rows
-    demand = 0.0
-    cost = 0.0
-    for t in ids:
-        demand += instance.id_demand[t]
-        cost += instance.id_service[t]
-    for a, b in zip(ids, ids[1:]):
-        cost += rows[instance.id_tail[a]][instance.id_head[b]]
-    return VirtualTask(ids, demand, cost, instance.id_head[ids[0]], instance.id_tail[ids[-1]])
-
-
-def build_virtual_tasks(
-    pool: list[SubRoute], instance: Instance, dist: DistanceTable
-) -> list[VirtualTask]:
+def build_virtual_tasks(pool: list[SubRoute], instance: Instance) -> list[VirtualTask]:
     """One virtual task per sub-route, order and orientation preserved."""
     if len(pool) == 0:
         raise ValueError("cannot build virtual tasks from an empty pool")
-    return [virtual_task_from_ids(s.ids, instance, dist) for s in pool]
+    return [virtual_task_from_ids(s.ids, instance) for s in pool]
 
 
-def elementary_virtual_tasks(instance: Instance, dist: DistanceTable) -> list[VirtualTask]:
+def elementary_virtual_tasks(instance: Instance) -> list[VirtualTask]:
     """One single-task unit per task, forward orientation."""
-    return [
-        virtual_task_from_ids((t.forward_id,), instance, dist) for t in instance.tasks
-    ]
+    return [virtual_task_from_ids((t.forward_id,), instance) for t in instance.tasks]
 
 
 def _endpoint_distances(
@@ -247,13 +208,9 @@ def _chain_cluster(
     tail = cur.tail
     while remaining:
         row = rows[tail]
-        dists = [
-            min(row[u.head], row[u.tail]) if u.reversible else row[u.head]
-            for u in remaining
-        ]
-        j = _pick_min(dists, rng)
+        j = _pick_min([min(row[u.head], row[u.tail]) for u in remaining], rng)
         nxt = remaining.pop(j)
-        if nxt.reversible and row[nxt.tail] < row[nxt.head]:
+        if row[nxt.tail] < row[nxt.head]:
             nxt = nxt.reversed()
         ids.extend(nxt.ids)
         tail = nxt.tail
@@ -322,7 +279,7 @@ def hdu(
             clusters[c].append(u)
 
         units = [
-            virtual_task_from_ids(_chain_cluster(cluster, rows, rng), instance, dist)
+            virtual_task_from_ids(_chain_cluster(cluster, rows, rng), instance)
             for cluster in clusters
             if cluster
         ]

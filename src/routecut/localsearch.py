@@ -22,28 +22,22 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, Sequence
+from typing import Callable
 
 from .distances import DistanceTable
-from .instance import Instance, inverse_id, task_index_of
-from .ranking import link_numerators, nearest_columns
-from .solution import Solution
+from .instance import DEPOT_ID, Instance, inverse_id, task_index_of
+from .solution import Solution, route_cost
 
 _EPS = 1e-9
 _CHECK_EVERY = 256
-
-
-def neighbor_lists(instance: Instance, dist: DistanceTable, size: int) -> list[list[int]]:
-    """Per task, the ``size`` tasks with the cheapest links, nearest first
-    and equal links in task-index order: ``RankMatrix.nearest`` without the
-    rank matrix (see ``ranking.nearest_columns``)."""
-    return nearest_columns(link_numerators(instance, dist), size)
 
 
 class _State:
     """Mutable search state: interiors, cached loads/costs, position index."""
 
     def __init__(self, solution: Solution, instance: Instance, dist: DistanceTable):
+        self.instance = instance
+        self.dist = dist
         self.D = dist.rows
         self.head = instance.id_head
         self.tail = instance.id_tail
@@ -58,17 +52,8 @@ class _State:
         self.where: list[tuple[int, int] | None] = [None] * instance.task_count
         for k, r in enumerate(self.routes):
             self.loads.append(sum(self.dem[t] for t in r))
-            self.costs.append(self.seq_cost(r))
+            self.costs.append(route_cost([DEPOT_ID, *r, DEPOT_ID], instance, dist))
             self._reindex(k)
-
-    def seq_cost(self, interior: Sequence[int]) -> float:
-        D, head, tail, sc = self.D, self.head, self.tail, self.sc
-        prev = self.depot
-        total = 0.0
-        for t in interior:
-            total += D[prev][head[t]] + sc[t]
-            prev = tail[t]
-        return total + D[prev][self.depot]
 
     def _reindex(self, k: int) -> None:
         r = self.routes[k]
@@ -92,7 +77,7 @@ class _State:
         where: list[tuple[int, int] | None] = [None] * len(self.where)
         assert len(self.prefix) == len(self.routes), "one prefix per route"
         for k, r in enumerate(self.routes):
-            exact = self.seq_cost(r)
+            exact = route_cost([DEPOT_ID, *r, DEPOT_ID], self.instance, self.dist)
             assert abs(self.costs[k] - exact) < 1e-6, (
                 f"route {k}: cached {self.costs[k]} vs exact {exact}"
             )
@@ -122,23 +107,22 @@ def local_search(
     *,
     max_evals: int | None = None,
     deadline: Callable[[], bool] | None = None,
-    neighbors: list[list[int]] | None = None,
-    neighbor_size: int = 20,
+    neighbors: list[list[int]],
     debug: bool = False,
 ) -> Solution:
     """Improve a feasible solution until locally optimal or out of budget.
 
-    ``max_evals`` caps the number of move evaluations; ``deadline`` is an
-    optional callable polled cooperatively that returns True once the time
-    budget is exhausted.  The result is always feasible and never costs
-    more than the input.
+    ``neighbors[ti]`` lists the tasks whose moves are tried around task
+    ``ti`` (``RankMatrix.nearest``); it is not read when fewer than two
+    tasks are present.  ``max_evals`` caps the number of move evaluations;
+    ``deadline`` is an optional callable polled cooperatively that returns
+    True once the time budget is exhausted.  The result is always feasible
+    and never costs more than the input.
     """
     st = _State(solution, instance, dist)
     present = [ti for ti in range(instance.task_count) if st.where[ti] is not None]
     if len(present) <= 1:
         return solution.clone()
-    if neighbors is None:
-        neighbors = neighbor_lists(instance, dist, neighbor_size)
 
     D = st.D
     head, tail, dem = st.head, st.tail, st.dem
@@ -403,8 +387,8 @@ def _apply_tail_exchange(
     st.routes[k2] = new2
     st.loads[k1] = pre1 + load2 - pre2
     st.loads[k2] = pre2 + load1 - pre1
-    st.costs[k1] = st.seq_cost(new1)
-    st.costs[k2] = st.seq_cost(new2)
+    st.costs[k1] = route_cost([DEPOT_ID, *new1, DEPOT_ID], st.instance, st.dist)
+    st.costs[k2] = route_cost([DEPOT_ID, *new2, DEPOT_ID], st.instance, st.dist)
     # new1 keeps r1[: c1 + 1] with c1 >= 0, so only route k2 can empty
     if new2:
         st._reindex(k1)

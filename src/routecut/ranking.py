@@ -13,21 +13,11 @@ highly while the central task has many closer alternatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 
 from .distances import DistanceTable
 from .instance import Instance
-
-
-def link_cost(t1: int, t2: int, instance: Instance, dist: DistanceTable) -> float:
-    """Direction-independent cost of the link between two distinct tasks."""
-    if t1 == t2:
-        raise ValueError("link cost is undefined for a task and itself")
-    a, b = instance.tasks[t1], instance.tasks[t2]
-    m = dist.matrix
-    return float(m[a.u, b.u] + m[a.u, b.v] + m[a.v, b.u] + m[a.v, b.v]) / 4.0
 
 
 def link_numerators(instance: Instance, dist: DistanceTable) -> np.ndarray:
@@ -144,29 +134,10 @@ class RankMatrix:
     numerators: np.ndarray
     ranks: np.ndarray
 
-    @property
-    def task_count(self) -> int:
-        return self.ranks.shape[0]
-
-    def link_cost(self, t1: int, t2: int) -> float:
-        return float(self.numerators[t1, t2]) / 4.0
-
-    def rank(self, t1: int, t2: int) -> int:
-        return int(self.ranks[t1, t2])
-
     def nearest(self, k: int) -> list[list[int]]:
         """Per task, the k other tasks with the cheapest links, nearest
         first and equal links in task-index order (see ``nearest_columns``)."""
         return nearest_columns(self.numerators, k)
-
-    def to_csv(self, stream: IO[str], instance: Instance) -> None:
-        labels = [f"({t.u + 1},{t.v + 1})" for t in instance.tasks]
-        stream.write("task," + ",".join(labels) + "\n")
-        for i, label in enumerate(labels):
-            cells = [
-                "" if i == j else str(int(self.ranks[i, j])) for j in range(len(labels))
-            ]
-            stream.write(label + "," + ",".join(cells) + "\n")
 
 
 def build_rank_matrix(instance: Instance, dist: DistanceTable) -> RankMatrix:

@@ -39,11 +39,11 @@ from .decompose import (
 )
 from .distances import DistanceTable
 from .instance import Instance, task_index_of
-from .localsearch import local_search, neighbor_lists
+from .localsearch import local_search
 from .ranking import RankMatrix, build_rank_matrix
 from .rco import RcoParams, rco_split, uniform_split
 from .seeding import make_rng
-from .solution import Route, Solution
+from .solution import Route, Solution, format_number
 
 ALGORITHMS = (
     "sahid-rco",
@@ -78,6 +78,10 @@ class SearchConfig:
             raise ValueError("accept_threshold must be at least 1")
         if self.time_limit <= 0:
             raise ValueError("time_limit must be positive")
+        if self.max_cycles < 0:
+            raise ValueError("max_cycles must be non-negative")
+        if self.max_iterations is not None and self.max_iterations < 0:
+            raise ValueError("max_iterations must be non-negative")
         if self.neighbor_size < 0:
             raise ValueError("neighbor_size must be non-negative")
         if self.pool_size < 1:
@@ -140,17 +144,13 @@ class SearchTrace:
     def record(self, elapsed_ms: int, best_cost: float, sink: IO[str] | None) -> None:
         self.samples.append((elapsed_ms, best_cost))
         if sink is not None:
-            sink.write(f"{elapsed_ms},{_fmt(best_cost)}\n")
+            sink.write(f"{elapsed_ms},{format_number(best_cost)}\n")
             sink.flush()
 
     def write_csv(self, stream: IO[str]) -> None:
         stream.write("elapsed_ms,best_cost\n")
         for ms, cost in self.samples:
-            stream.write(f"{ms},{_fmt(cost)}\n")
-
-
-def _fmt(x: float) -> str:
-    return str(int(x)) if float(x).is_integer() else repr(float(x))
+            stream.write(f"{ms},{format_number(cost)}\n")
 
 
 class _Clock:
@@ -234,20 +234,19 @@ def solve(
     return best, trace
 
 
-def _neighbors(instance, dist, ranks, config):
-    if ranks is not None:
-        return ranks.nearest(config.neighbor_size)
-    return neighbor_lists(instance, dist, config.neighbor_size)
+def _neighbors(ranks, config):
+    # ranks is None only below two tasks, where local_search reads no list
+    return ranks.nearest(config.neighbor_size) if ranks is not None else []
 
 
 def _hierarchical_loop(
     instance, dist, ranks, config, clock, deadline, trace, sink
 ) -> Solution:
     rng = make_rng(config.seed)
-    neighbors = _neighbors(instance, dist, ranks, config)
+    neighbors = _neighbors(ranks, config)
     use_rco = config.algorithm == "sahid-rco"
 
-    current = hdu(elementary_virtual_tasks(instance, dist), instance, dist, config.scale, rng)
+    current = hdu(elementary_virtual_tasks(instance), instance, dist, config.scale, rng)
     current = local_search(
         current, instance, dist, rng,
         max_evals=config.sub_solver_budget, deadline=deadline, neighbors=neighbors,
@@ -265,7 +264,7 @@ def _hierarchical_loop(
             pool = rco_split(current, ranks, config.rco, rng)
         else:
             pool = uniform_split(current, rng)
-        units = build_virtual_tasks(pool, instance, dist)
+        units = build_virtual_tasks(pool, instance)
         candidate = hdu(units, instance, dist, config.scale, rng)
         candidate = local_search(
             candidate, instance, dist, rng,
@@ -295,7 +294,7 @@ def _hierarchical_loop(
 
 def _local_only(instance, dist, ranks, config, clock, deadline, trace, sink) -> Solution:
     rng = make_rng(config.seed)
-    neighbors = _neighbors(instance, dist, ranks, config)
+    neighbors = _neighbors(ranks, config)
     best = path_scanning(instance, dist, rng)
     trace.record(clock.elapsed_ms(), best.total_cost, sink)
     best = local_search(
@@ -307,7 +306,7 @@ def _local_only(instance, dist, ranks, config, clock, deadline, trace, sink) -> 
 
 
 def _cluster_loop(instance, dist, ranks, config, clock, deadline, trace, sink) -> Solution:
-    neighbors = _neighbors(instance, dist, ranks, config)
+    neighbors = _neighbors(ranks, config)
     whole_routes = config.algorithm == "cluster-whole-route"
     split_params = RcoParams(0.0, 0.0) if whole_routes else config.rco
 

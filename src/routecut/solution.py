@@ -52,11 +52,6 @@ class Route:
     def size(self) -> int:
         return len(self.ids) - 2
 
-    def reversed(self, instance: Instance, dist: DistanceTable) -> "Route":
-        from .instance import inverse_id
-
-        return Route.build([inverse_id(t) for t in reversed(self.interior)], instance, dist)
-
     def clone(self) -> "Route":
         return Route(list(self.ids), self.load, self.cost)
 
@@ -169,13 +164,14 @@ def min_vehicles(instance: Instance) -> int:
 #
 # One pair per served task, written head vertex first, 1-based.
 
-def _fmt_number(x: float) -> str:
+def format_number(x: float) -> str:
+    """Whole numbers without a decimal point, others exactly (``repr``)."""
     return str(int(x)) if float(x).is_integer() else repr(float(x))
 
 
 def write_solution(solution: Solution, instance: Instance, stream: IO[str]) -> None:
     reported = solution.stripped()
-    stream.write(f"cost {_fmt_number(reported.total_cost)}\n")
+    stream.write(f"cost {format_number(reported.total_cost)}\n")
     for k, route in enumerate(reported.routes, start=1):
         pairs = " ".join(
             f"({instance.id_head[t] + 1},{instance.id_tail[t] + 1})" for t in route.interior
@@ -197,9 +193,14 @@ def read_solution(
     if dist is None:
         dist = instance.distances()
     lines = [ln.strip() for ln in stream.read().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("cost"):
-        raise ValueError("solution file must start with a `cost` line")
-    stated = float(lines[0].split()[1])
+    first = lines[0] if lines else ""
+    words = first.split()
+    if len(words) != 2 or words[0] != "cost":
+        raise ValueError(f"solution file must start with `cost <number>`, not {first!r}")
+    try:
+        stated = float(words[1])
+    except ValueError:
+        raise ValueError(f"no number in the cost line {first!r}") from None
 
     by_endpoints: dict[tuple[int, int], list[int]] = {}
     for t in instance.tasks:
@@ -207,7 +208,7 @@ def read_solution(
 
     interiors: list[list[int]] = []
     for ln in lines[1:]:
-        if not ln.startswith("route"):
+        if not ln.startswith("route") or ":" not in ln:
             raise ValueError(f"unexpected line in solution file: {ln!r}")
         interior: list[int] = []
         for m in _PAIR_RE.finditer(ln.split(":", 1)[1]):

@@ -7,8 +7,9 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
-from routecut import Edge, Instance, RankMatrix, Solution
+from routecut import Edge, Instance, RankMatrix, Solution, build_rank_matrix
 from routecut.instance import forward_id
 
 settings.register_profile("repeatable", derandomize=True)
@@ -20,9 +21,39 @@ def make_instance(vertices, edges, depot=0, capacity=100, name="test"):
     return Instance(name, vertices, [Edge(*e) for e in edges], depot, capacity)
 
 
+def neighbors(instance, dist, k=20):
+    """``local_search``'s neighbour lists as the search loops build them;
+    none below two tasks, where no rank matrix exists and none is read."""
+    if instance.task_count < 2:
+        return []
+    return build_rank_matrix(instance, dist).nearest(k)
+
+
 def solution_from_tasks(instance, dist, routes):
     """Build a solution from per-route task-index lists, forward orientation."""
     return Solution.build([[forward_id(ti) for ti in seq] for seq in routes], instance, dist)
+
+
+@st.composite
+def small_instances(draw):
+    """Instances the DAT format writes as they are: integer attributes,
+    service cost equal to deadheading cost on required edges, required
+    edges first, and tasks 0 and 1 parallel, (v0,v1) and (v1,v0)."""
+    n = draw(st.integers(2, 6))
+    vertex = st.integers(0, n - 1)
+    cost = st.integers(0, 9)
+
+    def required(u, v):
+        c = draw(cost)
+        return (u, v, draw(st.integers(1, 3)), c, c)
+
+    edges = [required(0, 1), required(1, 0)]
+    edges += [required(draw(vertex), draw(vertex)) for _ in range(draw(st.integers(0, 6)))]
+    # a path through every vertex keeps every task reachable from the depot
+    edges += [(u, u + 1, 0, 0, draw(cost)) for u in range(n - 1)]
+    name = draw(st.text("abcxyz_0123456789", min_size=1, max_size=8))
+    return make_instance(n, edges, depot=draw(vertex), capacity=draw(st.integers(3, 9)),
+                         name=name)
 
 
 @pytest.fixture

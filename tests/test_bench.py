@@ -412,3 +412,8 @@ def test_cli_clean_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["stats", str(tmp_path), "--reference", "x"]) == 2
     assert "error:" in capsys.readouterr().err
+    inst_path = tmp_path / "i.dat"
+    generate_instance_file(inst_path, vertices=10, tasks=4, capacity=12, seed=4)
+    (tmp_path / "bad.sol").write_text("cost 1\nroute 1 (1,2)\n")
+    assert main(["validate", str(inst_path), str(tmp_path / "bad.sol")]) == 2
+    assert "error: unexpected line" in capsys.readouterr().err

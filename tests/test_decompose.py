@@ -19,12 +19,11 @@ from routecut import (
     fuzzy_kmedoid,
     hdu,
     rco_split,
-    subroute_distance,
     validate,
 )
-from routecut.decompose import group_task_indices, virtual_task_from_ids
+from routecut.decompose import _pairwise_distances, group_task_indices, virtual_task_from_ids
 from routecut.generator import generate_instance
-from routecut.instance import forward_id
+from routecut.instance import forward_id, inverse_id
 from routecut.rco import SubRoute
 from routecut.seeding import make_rng
 
@@ -44,14 +43,14 @@ def _numerator_matrix(values):
 
 def test_subroute_distance_identity_is_zero():
     ranks = _numerator_matrix([[0, 3], [3, 0]])
-    (a, b) = _pool_of_singletons([0, 1])
-    assert subroute_distance(a, a, ranks) == 0.0
+    d = _pairwise_distances(_pool_of_singletons([0, 1]), ranks)
+    assert d[0, 0] == d[1, 1] == 0.0
 
 
 def test_subroute_distance_single_pair():
     ranks = _numerator_matrix([[0, 3], [3, 0]])
-    a, b = _pool_of_singletons([0, 1])
-    assert subroute_distance(a, b, ranks) == pytest.approx(3.0)
+    d = _pairwise_distances(_pool_of_singletons([0, 1]), ranks)
+    assert d[0, 1] == pytest.approx(3.0)
 
 
 def test_subroute_distance_hand_mean():
@@ -59,7 +58,7 @@ def test_subroute_distance_hand_mean():
     a = SubRoute((forward_id(0),), 0, 0)
     b = SubRoute((forward_id(1), forward_id(2)), 1, 0)
     # mean of delta(0,1)=2 and delta(0,2)=5
-    assert subroute_distance(a, b, ranks) == pytest.approx(3.5)
+    assert _pairwise_distances([a, b], ranks)[0, 1] == pytest.approx(3.5)
 
 
 @settings(max_examples=30, deadline=None)
@@ -73,10 +72,9 @@ def test_subroute_distance_symmetry(seed):
     cut = rng.randint(1, 7)
     a = SubRoute(tuple(forward_id(t) for t in tis[:cut]), 0, 0)
     b = SubRoute(tuple(forward_id(t) for t in tis[cut:]), 1, 0)
-    dab = subroute_distance(a, b, ranks)
-    dba = subroute_distance(b, a, ranks)
-    assert dab == pytest.approx(dba)
-    assert dab >= 0.0
+    d = _pairwise_distances([a, b], ranks)
+    assert d[0, 1] == pytest.approx(d[1, 0])
+    assert d[0, 1] >= 0.0
 
 
 def test_single_group_contains_everything():
@@ -101,8 +99,8 @@ def _two_clump_matrix():
 
 
 def _best_two_partition(pool, ranks):
-    members = list(pool)
-    n = len(members)
+    d = _pairwise_distances(list(pool), ranks)
+    n = len(pool)
     best, best_val = None, float("inf")
     for size in range(1, n // 2 + 1):
         for left in combinations(range(n), size):
@@ -112,7 +110,7 @@ def _best_two_partition(pool, ranks):
                 for i in side:
                     for j in side:
                         if i < j:
-                            val += subroute_distance(members[i], members[j], ranks)
+                            val += d[i, j]
             if val < best_val:
                 best_val = val
                 best = frozenset(left)
@@ -206,38 +204,31 @@ def test_degenerate_pool_reduces_groups():
 
 
 def test_single_task_virtual_task(single_task_instance):
-    dist = single_task_instance.distances()
     pool = [SubRoute((1,), 0, 0)]
-    (vt,) = build_virtual_tasks(pool, single_task_instance, dist)
-    assert vt.demand == 5
-    assert vt.internal_cost == pytest.approx(1.0)  # just its service cost
+    (vt,) = build_virtual_tasks(pool, single_task_instance)
+    assert vt.ids == (1,)
     assert (vt.head, vt.tail) == (0, 1)
 
 
 def test_two_task_virtual_task(path_instance):
-    dist = path_instance.distances()
     pool = [SubRoute((forward_id(0), forward_id(1)), 0, 0)]
-    (vt,) = build_virtual_tasks(pool, path_instance, dist)
-    # sc(t1) + delta(tail t1, head t2) + sc(t2) = 1 + 0 + 1
-    assert vt.internal_cost == pytest.approx(2.0)
+    (vt,) = build_virtual_tasks(pool, path_instance)
+    assert vt.ids == (forward_id(0), forward_id(1))
     assert (vt.head, vt.tail) == (0, 2)
-    assert vt.demand == 2
 
 
 def test_empty_pool_is_rejected(path_instance):
     with pytest.raises(ValueError):
-        build_virtual_tasks([], path_instance, path_instance.distances())
+        build_virtual_tasks([], path_instance)
 
 
 def test_virtual_task_reversal_roundtrip(path_instance):
-    dist = path_instance.distances()
-    vt = virtual_task_from_ids((forward_id(0), forward_id(1)), path_instance, dist)
+    vt = virtual_task_from_ids((forward_id(0), forward_id(1)), path_instance)
     rev = vt.reversed()
+    assert rev.ids == (inverse_id(forward_id(1)), inverse_id(forward_id(0)))
     assert (rev.head, rev.tail) == (vt.tail, vt.head)
+    assert rev == virtual_task_from_ids(rev.ids, path_instance)
     assert rev.reversed() == vt
-    # reversed internal cost is exact on undirected instances
-    recomputed = virtual_task_from_ids(rev.ids, path_instance, dist)
-    assert recomputed.internal_cost == pytest.approx(vt.internal_cost)
 
 
 # --- hierarchical construction -------------------------------------------
@@ -245,7 +236,7 @@ def test_virtual_task_reversal_roundtrip(path_instance):
 
 def test_hdu_single_task(single_task_instance):
     dist = single_task_instance.distances()
-    units = elementary_virtual_tasks(single_task_instance, dist)
+    units = elementary_virtual_tasks(single_task_instance)
     sol = hdu(units, single_task_instance, dist, 0.1, make_rng(0))
     assert validate(sol, single_task_instance) == []
     assert sol.route_count == 1
@@ -256,7 +247,7 @@ def test_hdu_everything_fits_one_route():
         4, [(0, 1, 1, 1, 1), (1, 2, 1, 1, 1), (2, 3, 1, 1, 1)], capacity=50
     )
     dist = inst.distances()
-    units = elementary_virtual_tasks(inst, dist)
+    units = elementary_virtual_tasks(inst)
     for seed in range(5):
         sol = hdu(units, inst, dist, 0.4, make_rng(seed))
         assert validate(sol, inst) == []
@@ -268,7 +259,7 @@ def test_hdu_greedy_split_arithmetic():
     edges = [(i, i + 1, 1, 1, 1) for i in range(6)]
     inst = make_instance(7, edges, capacity=2)
     dist = inst.distances()
-    units = elementary_virtual_tasks(inst, dist)
+    units = elementary_virtual_tasks(inst)
     for seed in range(10):
         sol = hdu(units, inst, dist, 0.1, make_rng(seed))
         assert validate(sol, inst) == []
@@ -279,7 +270,7 @@ def test_hdu_greedy_split_arithmetic():
 def test_hdu_deterministic_under_seed():
     inst = generate_instance(16, 10, 12, seed=2)
     dist = inst.distances()
-    units = elementary_virtual_tasks(inst, dist)
+    units = elementary_virtual_tasks(inst)
     a = hdu(units, inst, dist, 0.1, make_rng(77))
     b = hdu(units, inst, dist, 0.1, make_rng(77))
     assert [r.ids for r in a.routes] == [r.ids for r in b.routes]
@@ -294,7 +285,7 @@ def test_hdu_from_split_pool_validates():
 
         sol = path_scanning(inst, dist, make_rng(seed))
         pool = rco_split(sol, ranks, RcoParams(0.5, 0.8), make_rng(seed, 3))
-        units = build_virtual_tasks(pool, inst, dist)
+        units = build_virtual_tasks(pool, inst)
         rebuilt = hdu(units, inst, dist, 0.1, make_rng(seed, 4))
         assert validate(rebuilt, inst) == []
 
@@ -302,7 +293,7 @@ def test_hdu_from_split_pool_validates():
 def test_hdu_cost_above_sanity_bound():
     inst = generate_instance(14, 8, 16, seed=11)
     dist = inst.distances()
-    sol = hdu(elementary_virtual_tasks(inst, dist), inst, dist, 0.1, make_rng(5))
+    sol = hdu(elementary_virtual_tasks(inst), inst, dist, 0.1, make_rng(5))
     service = sum(t.service_cost for t in inst.tasks)
     # at least one route must leave and return to the depot
     out_back = min(
@@ -314,6 +305,6 @@ def test_hdu_cost_above_sanity_bound():
 
 def test_hdu_rejects_partial_cover(path_instance):
     dist = path_instance.distances()
-    units = [virtual_task_from_ids((forward_id(0),), path_instance, dist)]
+    units = [virtual_task_from_ids((forward_id(0),), path_instance)]
     with pytest.raises(ValueError, match="cover"):
         hdu(units, path_instance, dist, 0.1, make_rng(0))

@@ -3,6 +3,7 @@
 import io
 
 import pytest
+from hypothesis import given, settings
 
 from routecut import (
     InstanceFormatError,
@@ -15,7 +16,7 @@ from routecut import (
 )
 from routecut.generator import generate_instance
 
-from conftest import make_instance
+from conftest import make_instance, small_instances
 
 MINIMAL = """\
 NOMBRE : tiny
@@ -161,6 +162,18 @@ def test_roundtrip_write_parse():
             (e.u, e.v, e.deadheading_cost)
             for e in sorted(inst.edges, key=lambda e: not e.required)
         ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_instances())
+def test_write_parse_round_trip_on_drawn_instances(inst):
+    buf = io.StringIO()
+    write_instance(inst, buf)
+    again = parse_instance(buf.getvalue())
+    assert (again.name, again.vertex_count, again.depot, again.capacity) == (
+        inst.name, inst.vertex_count, inst.depot, inst.capacity
+    )
+    assert again.edges == inst.edges
 
 
 def test_load_instance_from_path(tmp_path):

@@ -7,7 +7,7 @@ from routecut.generator import generate_instance
 from routecut.localsearch import _State
 from routecut.seeding import make_rng
 
-from conftest import brute_force_optimum, make_instance, solution_from_tasks
+from conftest import brute_force_optimum, make_instance, neighbors, solution_from_tasks
 
 
 def test_path_scanning_single_task(single_task_instance):
@@ -38,7 +38,10 @@ def test_local_search_fixes_crossed_pair(path_instance):
     # serve the far task first, then the near one: clearly improvable
     bad = solution_from_tasks(path_instance, dist, [[1, 0]])
     assert bad.total_cost > 4.0
-    better = local_search(bad, path_instance, dist, make_rng(0), debug=True)
+    better = local_search(
+        bad, path_instance, dist, make_rng(0),
+        neighbors=neighbors(path_instance, dist), debug=True,
+    )
     assert validate(better, path_instance) == []
     assert better.total_cost == pytest.approx(brute_force_optimum(path_instance, dist))
 
@@ -49,7 +52,7 @@ def test_local_optimum_returned_unchanged():
     opt_cost = brute_force_optimum(inst, dist)
     start = solution_from_tasks(inst, dist, [[0, 1]])
     assert start.total_cost == pytest.approx(opt_cost)
-    out = local_search(start, inst, dist, make_rng(4), debug=True)
+    out = local_search(start, inst, dist, make_rng(4), neighbors=neighbors(inst, dist), debug=True)
     assert [r.ids for r in out.routes] == [r.ids for r in start.routes]
 
 
@@ -61,7 +64,8 @@ def test_worse_result_raises_even_under_optimize(path_instance, monkeypatch):
     assert costlier.total_cost > start.total_cost
     monkeypatch.setattr(_State, "to_solution", lambda self, instance, dist: costlier)
     with pytest.raises(RuntimeError, match="worsened"):
-        local_search(start, path_instance, dist, make_rng(0))
+        local_search(start, path_instance, dist, make_rng(0),
+                     neighbors=neighbors(path_instance, dist))
 
 
 def test_cost_never_increases_and_stays_feasible():
@@ -69,7 +73,8 @@ def test_cost_never_increases_and_stays_feasible():
         inst = generate_instance(14, 9, 10, seed=seed)
         dist = inst.distances()
         start = path_scanning(inst, dist, make_rng(seed))
-        out = local_search(start, inst, dist, make_rng(seed, 1), debug=True)
+        out = local_search(start, inst, dist, make_rng(seed, 1),
+                           neighbors=neighbors(inst, dist), debug=True)
         assert out.total_cost <= start.total_cost + 1e-9
         assert validate(out, inst) == []
 
@@ -80,7 +85,8 @@ def test_incremental_costs_match_recomputation():
         inst = generate_instance(16, 12, 14, seed=seed)
         dist = inst.distances()
         start = path_scanning(inst, dist, make_rng(seed))
-        local_search(start, inst, dist, make_rng(seed, 2), debug=True)
+        local_search(start, inst, dist, make_rng(seed, 2),
+                     neighbors=neighbors(inst, dist), debug=True)
 
 
 def test_index_checked_when_moves_empty_routes():
@@ -91,7 +97,8 @@ def test_index_checked_when_moves_empty_routes():
         inst = generate_instance(20, 30, 10, seed=seed)
         dist = inst.distances()
         start = solution_from_tasks(inst, dist, [[ti] for ti in range(inst.task_count)])
-        out = local_search(start, inst, dist, make_rng(seed, 4), debug=True)
+        out = local_search(start, inst, dist, make_rng(seed, 4),
+                           neighbors=neighbors(inst, dist), debug=True)
         assert out.route_count < start.route_count
         assert validate(out, inst) == []
 
@@ -103,7 +110,8 @@ def test_reaches_small_optimum_often():
         dist = inst.distances()
         best = brute_force_optimum(inst, dist)
         start = path_scanning(inst, dist, make_rng(seed))
-        out = local_search(start, inst, dist, make_rng(seed, 3), debug=True)
+        out = local_search(start, inst, dist, make_rng(seed, 3),
+                           neighbors=neighbors(inst, dist), debug=True)
         assert out.total_cost >= best - 1e-9
         hits += out.total_cost == pytest.approx(best)
     assert hits >= 5  # plain descent should already solve most 5-task instances
@@ -113,7 +121,8 @@ def test_eval_budget_respected():
     inst = generate_instance(20, 15, 12, seed=1)
     dist = inst.distances()
     start = path_scanning(inst, dist, make_rng(1))
-    out = local_search(start, inst, dist, make_rng(2), max_evals=50)
+    out = local_search(start, inst, dist, make_rng(2), max_evals=50,
+                       neighbors=neighbors(inst, dist))
     assert out.total_cost <= start.total_cost + 1e-9
     assert validate(out, inst) == []
 
@@ -122,7 +131,8 @@ def test_deadline_stops_search():
     inst = generate_instance(20, 15, 12, seed=2)
     dist = inst.distances()
     start = path_scanning(inst, dist, make_rng(1))
-    out = local_search(start, inst, dist, make_rng(2), deadline=lambda: True)
+    out = local_search(start, inst, dist, make_rng(2), deadline=lambda: True,
+                       neighbors=neighbors(inst, dist))
     assert validate(out, inst) == []
 
 
@@ -130,8 +140,8 @@ def test_determinism_under_seed():
     inst = generate_instance(16, 11, 12, seed=5)
     dist = inst.distances()
     start = path_scanning(inst, dist, make_rng(9))
-    a = local_search(start, inst, dist, make_rng(10))
-    b = local_search(start, inst, dist, make_rng(10))
+    a = local_search(start, inst, dist, make_rng(10), neighbors=neighbors(inst, dist))
+    b = local_search(start, inst, dist, make_rng(10), neighbors=neighbors(inst, dist))
     assert [r.ids for r in a.routes] == [r.ids for r in b.routes]
 
 
@@ -146,6 +156,6 @@ def test_subproblem_tasks_untouched():
 
     keep = set(range(5))
     sub = project_solution(full, keep, inst, dist)
-    out = local_search(sub, inst, dist, make_rng(1), debug=True)
+    out = local_search(sub, inst, dist, make_rng(1), neighbors=neighbors(inst, dist), debug=True)
     assert Counter(out.task_indices()) == Counter(sub.task_indices())
     assert validate(out, inst, required_tasks=keep) == []

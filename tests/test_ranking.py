@@ -1,16 +1,24 @@
 """Link costs and the competition-ranked link matrix."""
 
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from routecut import RankMatrix, build_rank_matrix, link_cost, rank_rows
+from routecut import RankMatrix, build_rank_matrix, rank_rows
 from routecut.generator import generate_instance
+from routecut.ranking import link_numerators
 
 from conftest import LINK_NUMERATORS, RANKS_GOLDEN, make_instance
+
+
+def link_cost(t1, t2, instance, dist):
+    """Reference for ``link_numerators`` / 4: one pair at a time."""
+    if t1 == t2:
+        raise ValueError("link cost is undefined for a task and itself")
+    a, b = instance.tasks[t1], instance.tasks[t2]
+    m = dist.matrix
+    return float(m[a.u, b.u] + m[a.u, b.v] + m[a.v, b.u] + m[a.v, b.v]) / 4.0
 
 
 def test_golden_rank_matrix():
@@ -32,14 +40,6 @@ def test_rank_matrix_is_asymmetric():
     assert got[3, 0] == 2  # but attractive seen from the isolated side
 
 
-def test_golden_link_costs():
-    from routecut import RankMatrix
-
-    ranks = RankMatrix(LINK_NUMERATORS, RANKS_GOLDEN)
-    assert ranks.link_cost(0, 1) == pytest.approx(1.0)   # 4/4
-    assert ranks.link_cost(0, 3) == pytest.approx(4.5)   # 18/4
-
-
 def test_all_equal_costs_share_rank_one():
     costs = np.ones((4, 4))
     got = rank_rows(costs)
@@ -50,38 +50,31 @@ def test_all_equal_costs_share_rank_one():
 def test_link_cost_shared_depot_tasks():
     # tasks (v0,v1) and (v0,v2), unit costs: delta terms 0+1+1+2 -> 1
     inst = make_instance(3, [(0, 1, 1, 1, 1), (0, 2, 1, 1, 1)], capacity=5)
-    dist = inst.distances()
-    assert link_cost(0, 1, inst, dist) == pytest.approx(1.0)
+    assert link_numerators(inst, inst.distances())[0, 1] == 4
 
 
 def test_link_cost_parallel_tasks():
     # parallel tasks: two of the four terms collapse to delta(u,u)=0 and the
     # other two to delta(u,v), so the link cost is delta(u,v)/2 ...
     inst = make_instance(2, [(0, 1, 1, 1, 1), (0, 1, 1, 3, 3)], capacity=5)
-    assert link_cost(0, 1, inst, inst.distances()) == pytest.approx(0.5)
+    assert link_numerators(inst, inst.distances())[0, 1] == 2
     # ... and vanishes entirely when the endpoints are zero-distance apart
     free = make_instance(2, [(0, 1, 1, 1, 0), (0, 1, 1, 3, 3)], capacity=5)
-    assert link_cost(0, 1, free, free.distances()) == pytest.approx(0.0)
-
-
-def test_link_cost_self_is_error():
-    inst = make_instance(2, [(0, 1, 1, 1, 1), (0, 1, 1, 3, 3)], capacity=5)
-    with pytest.raises(ValueError):
-        link_cost(1, 1, inst, inst.distances())
+    assert link_numerators(free, free.distances())[0, 1] == 0
 
 
 def test_link_cost_orientation_independent():
     for seed in range(4):
         inst = generate_instance(10, 6, 20, seed=seed)
         dist = inst.distances()
+        num = link_numerators(inst, dist)
         m = dist.matrix
         for t1 in range(3):
             for t2 in range(3, 6):
                 a, b = inst.tasks[t1], inst.tasks[t2]
-                # swap both tasks' endpoint roles: the four-term mean is unchanged
-                forward = link_cost(t1, t2, inst, dist)
-                swapped = (m[a.v, b.v] + m[a.v, b.u] + m[a.u, b.v] + m[a.u, b.u]) / 4.0
-                assert forward == pytest.approx(float(swapped))
+                # swap both tasks' endpoint roles: the four-term sum is unchanged
+                swapped = m[a.v, b.v] + m[a.v, b.u] + m[a.u, b.v] + m[a.u, b.u]
+                assert num[t1, t2] == swapped
 
 
 def test_build_matches_link_cost():
@@ -91,7 +84,8 @@ def test_build_matches_link_cost():
     for t1 in range(7):
         for t2 in range(7):
             if t1 != t2:
-                assert ranks.link_cost(t1, t2) == pytest.approx(link_cost(t1, t2, inst, dist))
+                assert ranks.numerators[t1, t2] / 4 == link_cost(t1, t2, inst, dist)
+    assert not ranks.numerators.diagonal().any()  # self-links are undefined
     assert ranks.numerators.dtype == np.int64  # integer costs stay exact
 
 
@@ -167,14 +161,3 @@ def test_rescaling_costs_preserves_ranks():
     )
     ranks7 = build_rank_matrix(scaled, scaled.distances())
     assert np.array_equal(ranks.ranks, ranks7.ranks)
-
-
-def test_csv_dump():
-    inst = make_instance(3, [(0, 1, 1, 1, 1), (0, 2, 1, 1, 1)], capacity=5)
-    ranks = build_rank_matrix(inst, inst.distances())
-    buf = io.StringIO()
-    ranks.to_csv(buf, inst)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "task,(1,2),(1,3)"
-    assert lines[1] == "(1,2),,1"
-    assert lines[2] == "(1,3),1,"

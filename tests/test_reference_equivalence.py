@@ -1,5 +1,5 @@
-"""The numpy `hdu` level loop, `RankMatrix.nearest`, `neighbor_lists`,
-`rank_rows`, `path_scanning`, `_pairwise_distances` and local search's
+"""The numpy `hdu` level loop, `RankMatrix.nearest`, `rank_rows`,
+`path_scanning`, `_pairwise_distances` and local search's
 touched-route re-indexing against the versions they replaced, kept here as
 references.
 
@@ -29,7 +29,6 @@ from routecut import (
     localsearch,
     path_scanning,
     rco_split,
-    subroute_distance,
 )
 from routecut.decompose import (
     _chain_cluster,
@@ -39,13 +38,12 @@ from routecut.decompose import (
 )
 from routecut.generator import generate_instance
 from routecut.instance import forward_id, inverse_id
-from routecut.localsearch import neighbor_lists
 from routecut.ranking import _RANK_BLOCK, rank_rows
 from routecut.rco import SubRoute
 from routecut.seeding import make_rng
 from routecut.solution import Solution
 
-from conftest import make_instance
+from conftest import make_instance, neighbors
 
 SCALES = (0.1, 0.5, 0.9)
 
@@ -87,7 +85,7 @@ def reference_hdu(units, instance, dist, scale, rng):
             clusters[_pick_min(dists, rng)].append(u)
 
         units = [
-            virtual_task_from_ids(_chain_cluster(cluster, rows, rng), instance, dist)
+            virtual_task_from_ids(_chain_cluster(cluster, rows, rng), instance)
             for cluster in clusters
             if cluster
         ]
@@ -107,7 +105,7 @@ def reference_hdu(units, instance, dist, scale, rng):
 
 
 def reference_nearest(ranks, k):
-    n = ranks.task_count
+    n = ranks.numerators.shape[0]
     k = min(k, n - 1)
     order = np.argsort(ranks.numerators, axis=1, kind="stable")
     out = []
@@ -115,24 +113,6 @@ def reference_nearest(ranks, k):
         row = [int(j) for j in order[i] if j != i]
         out.append(row[:k])
     return out
-
-
-def reference_neighbor_lists(instance, dist, size):
-    n = instance.task_count
-    if n <= 1:
-        return [[] for _ in range(n)]
-    heads = np.array([t.u for t in instance.tasks])
-    tails = np.array([t.v for t in instance.tasks])
-    m = dist.matrix
-    num = (
-        m[np.ix_(heads, heads)]
-        + m[np.ix_(heads, tails)]
-        + m[np.ix_(tails, heads)]
-        + m[np.ix_(tails, tails)]
-    )
-    np.fill_diagonal(num, np.inf)
-    order = np.argsort(num, axis=1, kind="stable")[:, : min(size, n - 1)]
-    return [[int(j) for j in row] for row in order]
 
 
 def reference_rank_rows(costs):
@@ -185,6 +165,16 @@ def reference_path_scanning(instance, dist, rng):
     return Solution.build(interiors, instance, dist)
 
 
+def subroute_distance(a, b, ranks):
+    """Mean link cost over all task pairs of two sub-routes (0 for identity)."""
+    if a is b:
+        return 0.0
+    ai = a.task_indices()
+    bi = b.task_indices()
+    block = ranks.numerators[np.ix_(ai, bi)]
+    return float(block.mean()) / 4.0
+
+
 def reference_pairwise_distances(pool, ranks):
     n = len(pool)
     d = np.zeros((n, n))
@@ -213,7 +203,7 @@ def _tie_heavy_instance(seed):
     return make_instance(vertices, edges, capacity=rng.randint(3, 6))
 
 
-def _random_units(instance, dist, rng):
+def _random_units(instance, rng):
     """Cover every task once with multi-task units of random orientation."""
     ids = [forward_id(ti) for ti in range(instance.task_count)]
     ids = [inverse_id(t) if rng.random() < 0.5 else t for t in ids]
@@ -221,7 +211,7 @@ def _random_units(instance, dist, rng):
     units = []
     while ids:
         size = rng.randint(1, 3)
-        units.append(virtual_task_from_ids(tuple(ids[:size]), instance, dist))
+        units.append(virtual_task_from_ids(tuple(ids[:size]), instance))
         ids = ids[size:]
     return units
 
@@ -240,8 +230,8 @@ def _assert_hdu_matches(units, instance, dist, scale, seed):
 def test_hdu_matches_reference_on_tie_heavy_instances(seed):
     instance = _tie_heavy_instance(seed)
     dist = instance.distances()
-    elementary = elementary_virtual_tasks(instance, dist)
-    grouped = _random_units(instance, dist, random.Random(seed))
+    elementary = elementary_virtual_tasks(instance)
+    grouped = _random_units(instance, random.Random(seed))
     for scale in SCALES:
         _assert_hdu_matches(elementary, instance, dist, scale, seed)
         _assert_hdu_matches(grouped, instance, dist, scale, seed + 1)
@@ -263,13 +253,10 @@ def _assert_same_ranks(got, expected):
 
 
 @pytest.mark.parametrize("seed", range(100))
-def test_rank_rows_and_neighbor_lists_match_reference_on_tie_heavy_instances(seed):
+def test_rank_rows_match_reference_on_tie_heavy_instances(seed):
     instance = _tie_heavy_instance(seed)
-    dist = instance.distances()
-    for k in _neighbor_sizes(instance.task_count):
-        assert neighbor_lists(instance, dist, k) == reference_neighbor_lists(instance, dist, k)
     if instance.task_count >= 2:
-        num = build_rank_matrix(instance, dist).numerators
+        num = build_rank_matrix(instance, instance.distances()).numerators
         _assert_same_ranks(rank_rows(num), reference_rank_rows(num))
 
 
@@ -343,18 +330,16 @@ def mid_instance():
 
 def test_matches_reference_on_a_generated_mid_size_instance(mid_instance):
     instance, dist, ranks = mid_instance
-    _assert_hdu_matches(elementary_virtual_tasks(instance, dist), instance, dist, 0.1, 3)
+    _assert_hdu_matches(elementary_virtual_tasks(instance), instance, dist, 0.1, 3)
     assert ranks.nearest(20) == reference_nearest(ranks, 20)
 
 
 def test_ranking_matches_reference_on_a_generated_mid_size_instance(mid_instance):
-    instance, dist, ranks = mid_instance
+    instance, _, ranks = mid_instance
     _assert_same_ranks(ranks.ranks, reference_rank_rows(ranks.numerators))
     n = instance.task_count
     for k in _neighbor_sizes(n):
         assert ranks.nearest(k) == reference_nearest(ranks, k)
-    for k in (1, 20):
-        assert neighbor_lists(instance, dist, k) == reference_neighbor_lists(instance, dist, k)
 
 
 # --- path_scanning and _pairwise_distances -----------------------------------
@@ -532,7 +517,10 @@ def _assert_local_search_matches(instance, dist, start, seed, max_evals, monkeyp
         rng = make_rng(seed)
         with monkeypatch.context() as m:
             m.setattr(localsearch, "_State", state)
-            out = local_search(start, instance, dist, rng, max_evals=max_evals, **kw)
+            out = local_search(
+                start, instance, dist, rng,
+                max_evals=max_evals, neighbors=neighbors(instance, dist), **kw,
+            )
         runs.append(([r.ids for r in out.routes], out.total_cost, rng.getstate()))
     assert runs[0] == runs[1]
 
@@ -585,7 +573,8 @@ def test_local_search_tie_heavy_runs_reach_every_reindex_branch(monkeypatch):
         instance = _tie_heavy_instance(seed)
         dist = instance.distances()
         for start in _local_search_starts(instance, dist, make_rng(seed)):
-            local_search(start, instance, dist, make_rng(seed), debug=True)
+            local_search(start, instance, dist, make_rng(seed),
+                         neighbors=neighbors(instance, dist), debug=True)
     # no run here relocates into a fresh route, whose detour saving must
     # beat a round trip from the depot; the mid-size instance below does
     assert set(seen) == REINDEX_BRANCHES - {"relocate into a fresh route"}, seen

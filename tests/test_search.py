@@ -188,6 +188,8 @@ def test_accept_threshold_validation():
     "field, rejected, accepted",
     [
         ("neighbor_size", -1, 0),
+        ("max_iterations", -1, 0),
+        ("max_cycles", -1, 0),
         ("pool_size", 0, 1),
         ("sub_solver_budget", -1, 0),
         ("scale", 0.0, math.nextafter(0.0, 1.0)),  # the smallest accepted value

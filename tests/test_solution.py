@@ -2,6 +2,7 @@
 
 import io
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +16,15 @@ from routecut import (
     validate,
 )
 from routecut.generator import generate_instance
-from routecut.instance import forward_id
+from routecut.instance import forward_id, inverse_id
 from routecut.solution import Route, write_solution
 
-from conftest import feasibility_oracle_kinds, make_instance, solution_from_tasks
+from conftest import (
+    feasibility_oracle_kinds,
+    make_instance,
+    small_instances,
+    solution_from_tasks,
+)
 
 
 def test_empty_route_costs_zero(single_task_instance):
@@ -110,7 +116,9 @@ def test_route_reversal_preserves_cost_and_feasibility():
         inst = generate_instance(10, 6, 30, seed=seed)
         dist = inst.distances()
         sol = solution_from_tasks(inst, dist, [[0, 1, 2], [3, 4, 5]])
-        flipped = Solution([r.reversed(inst, dist) for r in sol.routes])
+        flipped = Solution.build(
+            [[inverse_id(t) for t in reversed(r.interior)] for r in sol.routes], inst, dist
+        )
         assert validate(flipped, inst) == []
         assert flipped.total_cost == pytest.approx(sol.total_cost)
 
@@ -172,6 +180,36 @@ def test_roundtrip_with_parallel_tasks():
     again, _ = read_solution(buf, inst, dist)
     assert again.total_cost == pytest.approx(sol.total_cost)
     assert validate(again, inst) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_instances(), st.randoms(use_true_random=False))
+def test_solution_text_round_trip_on_drawn_instances(inst, rnd):
+    dist = inst.distances()
+    ids = [t.reverse_id if rnd.random() < 0.5 else t.forward_id for t in inst.tasks]
+    # a reverse and a forward ID, both v1 -> v0 on the parallel pair
+    ids[0], ids[1] = inst.tasks[0].reverse_id, inst.tasks[1].forward_id
+    rnd.shuffle(ids)
+    routes = [[] for _ in range(rnd.randint(1, len(ids)))]
+    for t in ids:
+        routes[rnd.randrange(len(routes))].append(t)
+    sol = Solution.build(routes, inst, dist)
+    buf = io.StringIO()
+    write_solution(sol, inst, buf)
+    buf.seek(0)
+    again, stated = read_solution(buf, inst, dist)
+    assert again.total_cost == stated == sol.total_cost
+
+
+@pytest.mark.parametrize("text, bad_line", [
+    ("cost\n", "cost"),
+    ("costly\n", "costly"),
+    ("cost four\n", "cost four"),
+    ("cost 4\nroute 1 (1,2)\n", "route 1 (1,2)"),
+])
+def test_read_solution_names_a_malformed_line(path_instance, text, bad_line):
+    with pytest.raises(ValueError, match=re.escape(repr(bad_line))):
+        read_solution(io.StringIO(text), path_instance, path_instance.distances())
 
 
 def test_read_solution_rejects_garbage(path_instance):
