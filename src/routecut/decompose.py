@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import DistanceTable
+from .distances import DistanceTable, Rows
 from .instance import Instance, inverse_id, task_index_of
 from .ranking import RankMatrix
 from .rco import SubRoute
@@ -198,7 +198,7 @@ def _pick_min(values: list[float], rng: random.Random) -> int:
 
 
 def _chain_cluster(
-    units: list[VirtualTask], rows: list[list[float]], rng: random.Random
+    units: list[VirtualTask], rows: Rows, rng: random.Random
 ) -> tuple[int, ...]:
     """Order one cluster by a randomized nearest-neighbor chain, orienting
     each appended unit so its nearer endpoint joins the chain tail."""

@@ -9,22 +9,43 @@ from scipy.sparse.csgraph import dijkstra
 from .instance import Instance
 
 
+# entries up to this bound keep every sum of a few of them exact both as
+# ints and as floats (a float's significand holds 53 bits)
+_EXACT_INT = 2**50
+
+# a distance table as nested lists: all ints or all floats (see DistanceTable)
+Rows = list[list[int]] | list[list[float]]
+
+
 class DistanceTable:
     """Dense table of shortest-path costs between all vertex pairs.
 
     Unreachable pairs hold infinity (only possible between non-task
     vertices; task endpoints are guaranteed reachable at load time).
     ``rows`` exposes the table as nested lists for tight scalar loops.
+    Its entries are Python ``int``s when every entry is finite, integral
+    and at most ``_EXACT_INT`` (integer edge costs), ``float``s otherwise.
+    CPython shares one object per int below 257, so small costs cost the
+    lists their pointers only; and integers this small add exactly as ints
+    and as floats, so every cost summed from the rows is the same either
+    way.  Sums that start from ``0.0`` (``route_cost``) stay ``float``.
     """
 
     def __init__(self, matrix: np.ndarray):
         self.matrix = matrix
-        self._rows: list[list[float]] | None = None
+        self._rows: Rows | None = None
 
     @property
-    def rows(self) -> list[list[float]]:
+    def rows(self) -> Rows:
         if self._rows is None:
-            self._rows = self.matrix.tolist()
+            m = self.matrix
+            # finiteness first: casting inf to int64 is undefined and warns;
+            # shortest-path costs are never negative
+            if np.isfinite(m).all() and not (m > _EXACT_INT).any():
+                ints = m.astype(np.int64)
+                if np.array_equal(ints, m):
+                    m = ints
+            self._rows = m.tolist()
         return self._rows
 
 

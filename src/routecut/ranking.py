@@ -20,27 +20,51 @@ from .distances import DistanceTable
 from .instance import Instance
 
 
+# task rows of link_numerators per block; 16 to 32 ran fastest of 4..512 at
+# 2500 tasks
+_LINK_BLOCK = 16
+
+
 def link_numerators(instance: Instance, dist: DistanceTable) -> np.ndarray:
     """Four times the link cost of every ordered task pair, diagonal 0.
 
     Entry [i, j] is the plain sum of the four endpoint distances between
-    tasks i and j.  The matrix is int64 when every entry is an exact
-    integer (integer edge costs), float64 otherwise.
+    tasks i and j, added as ``((hh + ht) + th) + tt``.  The matrix is
+    int64 when every entry is an exact integer (integer edge costs),
+    float64 otherwise: the rule reads the sums, not the distances, so
+    half-integral distances whose sums are whole give int64 too.
+
+    The output is filled in blocks of ``_LINK_BLOCK`` task rows: the
+    distance rows from the block's heads and from its tails are gathered
+    once, and their head and tail columns summed into the block.  A block
+    allocates a few ``_LINK_BLOCK`` x max(V, n) arrays and no n x n one;
+    the int64 result reuses the float64 output's memory, converted block
+    by block.
     """
     heads = np.array([t.u for t in instance.tasks], dtype=np.intp)
     tails = np.array([t.v for t in instance.tasks], dtype=np.intp)
     m = dist.matrix
-    num = (
-        m[np.ix_(heads, heads)]
-        + m[np.ix_(heads, tails)]
-        + m[np.ix_(tails, heads)]
-        + m[np.ix_(tails, tails)]
-    )
-    np.fill_diagonal(num, 0)  # self-links are undefined
-    as_int = num.astype(np.int64)
-    if np.array_equal(as_int.astype(np.float64), num):
-        num = as_int
-    return num
+    n = len(heads)
+    num = np.empty((n, n), dtype=np.float64)
+    integral = True
+    for start in range(0, n, _LINK_BLOCK):
+        stop = min(start + _LINK_BLOCK, n)
+        from_heads = m[heads[start:stop]]
+        from_tails = m[tails[start:stop]]
+        out = num[start:stop]
+        np.add(from_heads[:, heads], from_heads[:, tails], out=out)
+        out += from_tails[:, heads]
+        out += from_tails[:, tails]
+        rows = np.arange(stop - start)
+        out[rows, start + rows] = 0  # self-links are undefined
+        integral = integral and np.array_equal(out.astype(np.int64), out)
+    if not integral:
+        return num
+    as_int = num.view(np.int64)  # the same memory, converted block by block
+    for start in range(0, n, _LINK_BLOCK):
+        block = slice(start, start + _LINK_BLOCK)
+        as_int[block] = num[block].astype(np.int64)
+    return as_int
 
 
 def nearest_columns(values: np.ndarray, k: int) -> list[list[int]]:
@@ -78,6 +102,39 @@ def nearest_columns(values: np.ndarray, k: int) -> list[list[int]]:
 
 # rows ranked per pass of rank_rows; 32 ranked 2500 x 2500 fastest of 16..256
 _RANK_BLOCK = 32
+# integer costs whose span (max - min + 1) is below this many times n are
+# ranked by counting, wider or float ones by sorting
+_COUNT_SPAN_PER_ROW = 4
+
+
+def _below_by_sorting(block: np.ndarray, out: np.ndarray) -> None:
+    """out[r, j] = |{k : block[r, k] < block[r, j]}|, by sorting each row
+    and carrying the first position of each tie block to the right."""
+    b, n = block.shape
+    order = np.argsort(block, axis=1)
+    ordered = np.take_along_axis(block, order, axis=1)
+    # first[r, p]: how many entries of row r are strictly cheaper than the
+    # one at sorted position p
+    first = np.zeros((b, n), dtype=np.intp)
+    np.multiply(ordered[:, 1:] != ordered[:, :-1], np.arange(1, n), out=first[:, 1:])
+    del ordered
+    np.maximum.accumulate(first, axis=1, out=first)
+    np.put_along_axis(out, order, first, axis=1)
+
+
+def _below_by_counting(block: np.ndarray, low: np.generic, span: int, out: np.ndarray) -> None:
+    """out[r, j] = |{k : block[r, k] < block[r, j]}| for integer values in
+    ``low .. low + span - 1``: count each value of each row, and read an
+    entry's count of strictly cheaper values off the exclusive running sum
+    of its row's counts."""
+    b = block.shape[0]
+    # offset[r, j]: the slot of block[r, j] among row r's span of values
+    offset = (block - low).astype(np.intp)
+    offset += np.arange(0, b * span, span)[:, None]
+    counts = np.bincount(offset.ravel(), minlength=b * span).reshape(b, span)
+    below = np.cumsum(counts, axis=1)
+    below -= counts
+    out[...] = below.ravel()[offset]
 
 
 def rank_rows(costs: np.ndarray) -> np.ndarray:
@@ -87,33 +144,33 @@ def rank_rows(costs: np.ndarray) -> np.ndarray:
     entries are left as 0 (unset).  The result is uint16, or uint32 when n
     exceeds 65535.
 
-    Rows are ranked in blocks of ``_RANK_BLOCK``: sort each row, carry the
-    first position of each tie block to the right, scatter it back and
-    drop the count for a strictly cheaper diagonal.  The temporaries of a
-    block are three ``_RANK_BLOCK`` x n arrays of 8-byte items plus two
-    boolean ones, about 2 MB at n = 2500 against 50 MB for one n x n
-    int64 array.
+    Rows are ranked in blocks of ``_RANK_BLOCK``: count the strictly
+    cheaper entries of each row, add one and drop the count for a strictly
+    cheaper diagonal.  Integer costs whose span of values is below
+    ``_COUNT_SPAN_PER_ROW`` x n are counted per value (``np.bincount``), in
+    linear time; float costs and wide integer spans are sorted.  The
+    temporaries of a block are a few ``_RANK_BLOCK`` x n arrays of 8-byte
+    items (plus ``_RANK_BLOCK`` x span counts), about 2 MB at n = 2500
+    against 50 MB for one n x n int64 array.
     """
     n = costs.shape[0]
     if costs.shape != (n, n):
         raise ValueError("cost matrix must be square")
     dtype = np.uint16 if n <= np.iinfo(np.uint16).max else np.uint32
     ranks = np.empty((n, n), dtype=dtype)
-    positions = np.arange(1, n)
+    counting = False
+    if n and np.issubdtype(costs.dtype, np.integer):
+        low = costs.min()
+        span = int(costs.max()) - int(low) + 1
+        counting = span < _COUNT_SPAN_PER_ROW * n
     for start in range(0, n, _RANK_BLOCK):
         block = costs[start : start + _RANK_BLOCK]
-        b = block.shape[0]
-        order = np.argsort(block, axis=1)
-        ordered = np.take_along_axis(block, order, axis=1)
-        # first[r, p]: how many entries of row r are strictly cheaper than
-        # the one at sorted position p (its rank, diagonal counted, minus 1)
-        first = np.zeros((b, n), dtype=np.intp)
-        np.multiply(ordered[:, 1:] != ordered[:, :-1], positions, out=first[:, 1:])
-        del ordered
-        np.maximum.accumulate(first, axis=1, out=first)
-        out = ranks[start : start + b]
-        np.put_along_axis(out, order, first, axis=1)
-        rows = np.arange(b)
+        out = ranks[start : start + _RANK_BLOCK]
+        if counting:
+            _below_by_counting(block, low, span, out)
+        else:
+            _below_by_sorting(block, out)
+        rows = np.arange(block.shape[0])
         diagonal = block[rows, start + rows]
         out += 1
         out -= block > diagonal[:, None]

@@ -180,6 +180,8 @@ def write_solution(solution: Solution, instance: Instance, stream: IO[str]) -> N
 
 
 _PAIR_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
+# `route <k>:` and then nothing but (u,v) pairs and whitespace
+_ROUTE_RE = re.compile(rf"route\s+\d+\s*:((?:\s*{_PAIR_RE.pattern})*)\s*")
 
 
 def read_solution(
@@ -208,10 +210,11 @@ def read_solution(
 
     interiors: list[list[int]] = []
     for ln in lines[1:]:
-        if not ln.startswith("route") or ":" not in ln:
+        route = _ROUTE_RE.fullmatch(ln)
+        if route is None:
             raise ValueError(f"unexpected line in solution file: {ln!r}")
         interior: list[int] = []
-        for m in _PAIR_RE.finditer(ln.split(":", 1)[1]):
+        for m in _PAIR_RE.finditer(route.group(1)):
             u, v = int(m.group(1)) - 1, int(m.group(2)) - 1
             pool = by_endpoints.get((min(u, v), max(u, v)))
             if not pool:

@@ -417,3 +417,8 @@ def test_cli_clean_errors(tmp_path, capsys):
     (tmp_path / "bad.sol").write_text("cost 1\nroute 1 (1,2)\n")
     assert main(["validate", str(inst_path), str(tmp_path / "bad.sol")]) == 2
     assert "error: unexpected line" in capsys.readouterr().err
+    (tmp_path / "junk.sol").write_text("cost 1\nroute 1: (1,2) junk\n")
+    assert main(["validate", str(inst_path), str(tmp_path / "junk.sol")]) == 2
+    assert "error: unexpected line in solution file: 'route 1: (1,2) junk'" in (
+        capsys.readouterr().err
+    )

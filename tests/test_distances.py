@@ -2,12 +2,15 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from routecut import Edge, Instance
+from routecut import Edge, Instance, Solution
+from routecut.distances import _EXACT_INT
 
 from conftest import bellman_ford_all_pairs, make_instance
 
@@ -48,6 +51,40 @@ def test_unreachable_nontask_vertex_is_infinite():
     inst = make_instance(3, [(0, 1, 1, 1, 1)], capacity=10)
     d = inst.distances()
     assert math.isinf(float(d.matrix[0, 2]))
+
+
+def _entry_types(rows):
+    return {type(x) for row in rows for x in row}
+
+
+def _total_cost_of_one_route(inst):
+    ids = [t.forward_id for t in inst.tasks]
+    return Solution.build([ids], inst, inst.distances()).total_cost
+
+
+def test_rows_of_integer_costs_are_ints():
+    inst = make_instance(
+        4, [(0, 1, 1, 2, 3), (1, 2, 1, 1, 1), (2, 3, 1, 5, 4), (0, 3, 0, 0, 9)], capacity=10
+    )
+    assert _entry_types(inst.distances().rows) == {int}
+    total = _total_cost_of_one_route(inst)
+    # services 2, 1 and 5, and back from v3 to the depot through v2 and v1
+    assert type(total) is float and total == 2 + 1 + 5 + (4 + 1 + 3)
+
+
+@pytest.mark.parametrize("edges, vertices", [
+    ([(0, 1, 1, 1, 0.5), (1, 2, 1, 1, 1.25)], 3),  # fractional costs
+    ([(0, 1, 1, 1, 1)], 3),  # vertex 2 unreachable: inf in the table
+    ([(0, 1, 1, 1, 1), (1, 2, 1, 1, 2 * _EXACT_INT)], 3),  # too large to stay exact
+])
+def test_rows_of_other_costs_are_floats_without_warnings(edges, vertices):
+    inst = make_instance(vertices, edges, capacity=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = inst.distances().rows
+        total = _total_cost_of_one_route(inst)
+    assert _entry_types(rows) == {float}
+    assert type(total) is float
 
 
 def _random_connected_instance(rng: random.Random, n: int) -> Instance:

@@ -47,6 +47,17 @@ def test_all_equal_costs_share_rank_one():
     assert np.all(off_diag == 1)
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64, np.uint64])
+def test_counted_ranks_equal_sorted_ranks(dtype):
+    # integer costs are counted from their minimum, which may be negative
+    # or near the top of an unsigned type; float costs are sorted
+    rng = np.random.default_rng(5)
+    low = -7 if np.issubdtype(dtype, np.signedinteger) else 120
+    costs = (rng.integers(0, 8, size=(9, 9)) + low).astype(dtype)
+    got = rank_rows(costs)
+    assert np.array_equal(got, rank_rows(costs.astype(np.float64)))
+
+
 def test_link_cost_shared_depot_tasks():
     # tasks (v0,v1) and (v0,v2), unit costs: delta terms 0+1+1+2 -> 1
     inst = make_instance(3, [(0, 1, 1, 1, 1), (0, 2, 1, 1, 1)], capacity=5)
@@ -97,8 +108,10 @@ def test_build_requires_two_tasks():
 
 # --- properties on small matrices with heavy ties ----------------------------
 
-# ints 0..3, and multiples of 0.1 where 0.1 + 0.2 sits next to, not on, 0.3
-TIE_VALUES = (tuple(range(4)), (0.0, 0.1, 0.2, 0.1 + 0.2, 0.3))
+# ints 0..3 (ranked by counting), ints spread wider than rank_rows counts
+# (ranked by sorting when both ends are drawn), and multiples of 0.1 where
+# 0.1 + 0.2 sits next to, not on, 0.3
+TIE_VALUES = (tuple(range(4)), (0, 1, 40, 41), (0.0, 0.1, 0.2, 0.1 + 0.2, 0.3))
 
 
 @st.composite

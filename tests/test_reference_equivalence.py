@@ -1,7 +1,7 @@
-"""The numpy `hdu` level loop, `RankMatrix.nearest`, `rank_rows`,
-`path_scanning`, `_pairwise_distances` and local search's
-touched-route re-indexing against the versions they replaced, kept here as
-references.
+"""The numpy `hdu` level loop, `RankMatrix.nearest`, `rank_rows` (both its
+counting and its sorting path), `link_numerators`, `path_scanning`,
+`_pairwise_distances` and local search's touched-route re-indexing against
+the versions they replaced, kept here as references.
 
 Each must reproduce its reference exactly: the same routes, the same
 neighbour lists, the same rank values and dtype, the same distance matrix
@@ -20,6 +20,8 @@ import numpy as np
 import pytest
 
 from routecut import (
+    Edge,
+    Instance,
     RankMatrix,
     RcoParams,
     build_rank_matrix,
@@ -28,6 +30,7 @@ from routecut import (
     local_search,
     localsearch,
     path_scanning,
+    ranking,
     rco_split,
 )
 from routecut.decompose import (
@@ -38,7 +41,13 @@ from routecut.decompose import (
 )
 from routecut.generator import generate_instance
 from routecut.instance import forward_id, inverse_id
-from routecut.ranking import _RANK_BLOCK, rank_rows
+from routecut.ranking import (
+    _COUNT_SPAN_PER_ROW,
+    _LINK_BLOCK,
+    _RANK_BLOCK,
+    link_numerators,
+    rank_rows,
+)
 from routecut.rco import SubRoute
 from routecut.seeding import make_rng
 from routecut.solution import Solution
@@ -127,6 +136,23 @@ def reference_rank_rows(costs):
         r[i] = 0
         ranks[i] = r
     return ranks
+
+
+def reference_link_numerators(instance, dist):
+    heads = np.array([t.u for t in instance.tasks], dtype=np.intp)
+    tails = np.array([t.v for t in instance.tasks], dtype=np.intp)
+    m = dist.matrix
+    num = (
+        m[np.ix_(heads, heads)]
+        + m[np.ix_(heads, tails)]
+        + m[np.ix_(tails, heads)]
+        + m[np.ix_(tails, tails)]
+    )
+    np.fill_diagonal(num, 0)
+    as_int = num.astype(np.int64)
+    if np.array_equal(as_int.astype(np.float64), num):
+        num = as_int
+    return num
 
 
 def reference_path_scanning(instance, dist, rng):
@@ -252,17 +278,41 @@ def _assert_same_ranks(got, expected):
     assert np.array_equal(got, expected)
 
 
+@pytest.fixture
+def rank_paths(monkeypatch):
+    """The paths ("counting", "sorting") that `rank_rows` takes while a
+    test runs."""
+    taken = set()
+    for path in ("counting", "sorting"):
+        name = f"_below_by_{path}"
+
+        def spy(*args, path=path, below=getattr(ranking, name)):
+            taken.add(path)
+            return below(*args)
+
+        monkeypatch.setattr(ranking, name, spy)
+    return taken
+
+
+def _counts(costs):
+    """Whether `rank_rows` should rank ``costs`` by counting."""
+    span = int(costs.max()) - int(costs.min()) + 1
+    return np.issubdtype(costs.dtype, np.integer) and span < _COUNT_SPAN_PER_ROW * len(costs)
+
+
 @pytest.mark.parametrize("seed", range(100))
-def test_rank_rows_match_reference_on_tie_heavy_instances(seed):
+def test_rank_rows_match_reference_on_tie_heavy_instances(seed, rank_paths):
     instance = _tie_heavy_instance(seed)
     if instance.task_count >= 2:
         num = build_rank_matrix(instance, instance.distances()).numerators
+        rank_paths.clear()
         _assert_same_ranks(rank_rows(num), reference_rank_rows(num))
+        assert rank_paths == {"counting" if _counts(num) else "sorting"}
 
 
 def test_tie_heavy_instances_are_tie_heavy():
     # the generator must actually produce the ties the comparisons rely on
-    zero_links = parallel = 0
+    zero_links = parallel = counted = 0
     for seed in range(100):
         instance = _tie_heavy_instance(seed)
         ends = [tuple(sorted((t.u, t.v))) for t in instance.tasks]
@@ -270,8 +320,10 @@ def test_tie_heavy_instances_are_tie_heavy():
         if instance.task_count >= 2:
             num = build_rank_matrix(instance, instance.distances()).numerators
             zero_links += bool(np.any(num[~np.eye(len(num), dtype=bool)] == 0))
+            counted += _counts(num)
     assert parallel >= 50
     assert zero_links >= 50
+    assert counted >= 90  # the rest span too many values for their size
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -286,12 +338,17 @@ def test_nearest_matches_reference_on_random_numerators(seed):
 
 
 def _random_matrix(n, kind, rng):
-    """A square matrix of ints 0..3, of multiples of 0.1 (0.1 + 0.2 next
-    to 0.3) or of distinct random floats.  The diagonal is drawn like the
-    rest, so it is cheaper than, equal to or dearer than the other entries
-    of its row."""
+    """A square matrix of ints 0..3, of four ints spread wider than
+    `rank_rows` counts, of multiples of 0.1 (0.1 + 0.2 next to 0.3) or of
+    distinct random floats.  The diagonal is drawn like the rest, so it is
+    cheaper than, equal to or dearer than the other entries of its row."""
     if kind == "int":
         return rng.integers(0, 4, size=(n, n))
+    if kind == "wide":
+        step = _COUNT_SPAN_PER_ROW * n
+        num = rng.integers(0, 4, size=(n, n)) * step
+        num[0, 0], num[-1, -1] = 0, 3 * step  # span 3 * step + 1
+        return num
     if kind == "tenths":
         return rng.choice([0.0, 0.1, 0.2, 0.1 + 0.2, 0.3], size=(n, n))
     return rng.random((n, n))
@@ -302,12 +359,15 @@ def _random_matrix(n, kind, rng):
 BLOCK_SIZES = (1, _RANK_BLOCK - 1, _RANK_BLOCK, _RANK_BLOCK + 1, 2 * _RANK_BLOCK + 3)
 
 
-@pytest.mark.parametrize("kind", ["int", "tenths", "float"])
+@pytest.mark.parametrize("kind", ["int", "wide", "tenths", "float"])
 @pytest.mark.parametrize("n", BLOCK_SIZES)
 @pytest.mark.parametrize("seed", range(4))
-def test_ranking_matches_reference_on_random_matrices(seed, n, kind):
+def test_ranking_matches_reference_on_random_matrices(seed, n, kind, rank_paths):
     num = _random_matrix(n, kind, np.random.default_rng([seed, n]))
     _assert_same_ranks(rank_rows(num), reference_rank_rows(num))
+    # a 1 x 1 matrix spans a single value
+    counted = kind == "int" or kind == "wide" and n == 1
+    assert rank_paths == {"counting" if counted else "sorting"}
     ranks = RankMatrix(num, reference_rank_rows(num))
     for k in _neighbor_sizes(n):
         assert ranks.nearest(k) == reference_nearest(ranks, k)
@@ -334,12 +394,56 @@ def test_matches_reference_on_a_generated_mid_size_instance(mid_instance):
     assert ranks.nearest(20) == reference_nearest(ranks, 20)
 
 
-def test_ranking_matches_reference_on_a_generated_mid_size_instance(mid_instance):
-    instance, _, ranks = mid_instance
+def test_ranking_matches_reference_on_a_generated_mid_size_instance(mid_instance, rank_paths):
+    instance, dist, ranks = mid_instance
     _assert_same_ranks(ranks.ranks, reference_rank_rows(ranks.numerators))
+    _assert_same_ranks(rank_rows(ranks.numerators), ranks.ranks)
+    assert rank_paths == {"counting"}
+    _assert_same_numerators(ranks.numerators, reference_link_numerators(instance, dist))
     n = instance.task_count
     for k in _neighbor_sizes(n):
         assert ranks.nearest(k) == reference_nearest(ranks, k)
+
+
+def _assert_same_numerators(got, expected):
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()  # bit for bit, -0.0 and all
+
+
+def _link_instance(kind, tasks, seed):
+    """An instance of ``tasks`` tasks with integer costs, with costs in
+    steps of 0.1 (sums off the integers, so float64 numerators), or on a
+    tree of 0.5-cost task edges: its distances are halves, yet every
+    four-endpoint sum is whole, so the numerators are int64."""
+    if kind == "halves":
+        rng = random.Random(seed)
+        edges = [(rng.randrange(v), v, 1, 1, 0.5) for v in range(1, tasks + 1)]
+        return make_instance(tasks + 1, edges, capacity=tasks)
+    instance = generate_instance(max(tasks, 8), tasks, 60, seed=seed)
+    if kind == "tenths":
+        edges = [Edge(e.u, e.v, e.demand, e.service_cost, e.deadheading_cost / 10)
+                 for e in instance.edges]
+        instance = Instance("tenths", instance.vertex_count, edges,
+                            instance.depot, instance.capacity)
+    return instance
+
+
+LINK_DTYPES = {"int": np.int64, "halves": np.int64, "tenths": np.float64}
+
+
+@pytest.mark.parametrize("kind", sorted(LINK_DTYPES))
+@pytest.mark.parametrize(
+    "tasks", (2, _LINK_BLOCK - 1, _LINK_BLOCK, _LINK_BLOCK + 1, 2 * _LINK_BLOCK + 3)
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_link_numerators_match_reference(seed, tasks, kind):
+    instance = _link_instance(kind, tasks, seed)
+    dist = instance.distances()
+    expected = reference_link_numerators(instance, dist)
+    assert expected.dtype == LINK_DTYPES[kind]
+    if kind == "halves":
+        assert np.any(dist.matrix % 1 == 0.5)
+    _assert_same_numerators(link_numerators(instance, dist), expected)
 
 
 # --- path_scanning and _pairwise_distances -----------------------------------

@@ -206,10 +206,23 @@ def test_solution_text_round_trip_on_drawn_instances(inst, rnd):
     ("costly\n", "costly"),
     ("cost four\n", "cost four"),
     ("cost 4\nroute 1 (1,2)\n", "route 1 (1,2)"),
+    # a route line is `route <k>:` and (u,v) pairs, nothing else
+    ("cost 4\nroute 1: (1,2) (2,3) junk (9\n", "route 1: (1,2) (2,3) junk (9"),
+    ("cost 0\nroute 2: hello\n", "route 2: hello"),
+    ("cost 4\nroutes 1: (1,2) (2,3)\n", "routes 1: (1,2) (2,3)"),
+    ("cost 4\nroute: (1,2) (2,3)\n", "route: (1,2) (2,3)"),
 ])
 def test_read_solution_names_a_malformed_line(path_instance, text, bad_line):
     with pytest.raises(ValueError, match=re.escape(repr(bad_line))):
         read_solution(io.StringIO(text), path_instance, path_instance.distances())
+
+
+def test_read_solution_accepts_pairs_and_whitespace_only(path_instance):
+    dist = path_instance.distances()
+    text = "cost 4\nroute 1:(1,2)( 2 , 3 )  \nroute 2:\n"
+    sol, stated = read_solution(io.StringIO(text), path_instance, dist)
+    assert [r.size for r in sol.routes] == [2, 0]
+    assert sol.total_cost == stated == 4
 
 
 def test_read_solution_rejects_garbage(path_instance):
