@@ -16,6 +16,28 @@ _EXACT_INT = 2**50
 # a distance table as nested lists: all ints or all floats (see DistanceTable)
 Rows = list[list[int]] | list[list[float]]
 
+# rows per block of _int_rows; at 1500 vertices a block of 32 keeps the peak
+# within 0.4 MB of the 18 MB of lists, against +36 MB for one whole-table cast
+_ROWS_BLOCK = 32
+
+
+def _int_rows(m: np.ndarray) -> list[list[int]] | None:
+    """``m`` as nested lists of ints, converted a block of rows at a time,
+    or None unless every entry is finite, integral and at most
+    ``_EXACT_INT``."""
+    rows: list[list[int]] = []
+    for start in range(0, len(m), _ROWS_BLOCK):
+        block = m[start : start + _ROWS_BLOCK]
+        # finiteness first: casting inf to int64 is undefined and warns;
+        # shortest-path costs are never negative
+        if not np.isfinite(block).all() or (block > _EXACT_INT).any():
+            return None
+        ints = block.astype(np.int64)
+        if not np.array_equal(ints, block):
+            return None
+        rows += ints.tolist()
+    return rows
+
 
 class DistanceTable:
     """Dense table of shortest-path costs between all vertex pairs.
@@ -38,14 +60,8 @@ class DistanceTable:
     @property
     def rows(self) -> Rows:
         if self._rows is None:
-            m = self.matrix
-            # finiteness first: casting inf to int64 is undefined and warns;
-            # shortest-path costs are never negative
-            if np.isfinite(m).all() and not (m > _EXACT_INT).any():
-                ints = m.astype(np.int64)
-                if np.array_equal(ints, m):
-                    m = ints
-            self._rows = m.tolist()
+            rows = _int_rows(self.matrix)
+            self._rows = self.matrix.tolist() if rows is None else rows
         return self._rows
 
 

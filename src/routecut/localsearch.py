@@ -8,6 +8,22 @@ around each task's nearest other tasks, which keeps passes near-linear on
 large sub-problems while degenerating to the full neighborhood on small
 ones.
 
+Evaluation count.  ``max_evals`` (``sub_solver_budget`` in the search
+loops) caps move evaluations.  A scan of one task counts, in this order:
+the orientation flip 1; relocation into a fresh route 1 (from a route of
+two or more tasks); then, per neighbour in the same route, the 2-opt 1,
+each relocation candidate 1 and the swap 4; per neighbour in another
+route, each relocation candidate 1 (none when that route lacks room), the
+swap 4 (even when the loads rule it out) and the tail exchange 2.
+Relocations are counted before their check, so the one that reaches the
+cap is never checked.  The other moves are counted after their check, and
+not at all when they improve, since the scan then ends with the move
+applied.  The search stops once the count reaches ``max_evals``; below it,
+``deadline`` is polled once each time the count crosses a multiple of
+``_CHECK_EVERY``, and the search stops when it returns True.  Changing any
+of this moves the point where a capped search stops, so it changes every
+fixed-work result and every virtual-clock run.
+
 Route costs and loads are cached, and so is the position index: ``where``
 (each task's route and position) and ``prefix`` (each route's running
 loads).  A move updates them only for the routes it changed: one for a
@@ -21,6 +37,7 @@ each applied move and asserts agreement (slow, used by the test suite).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from typing import Callable
 
@@ -88,13 +105,6 @@ class _State:
                 where[task_index_of(t)] = (k, i)
         assert self.where == where, "stale position index"
 
-    # boundary vertices around a position
-    def prev_v(self, r: list[int], i: int) -> int:
-        return self.tail[r[i - 1]] if i > 0 else self.depot
-
-    def next_v(self, r: list[int], i: int) -> int:
-        return self.head[r[i + 1]] if i + 1 < len(r) else self.depot
-
     def to_solution(self, instance: Instance, dist: DistanceTable) -> Solution:
         return Solution.build([r for r in self.routes if r], instance, dist)
 
@@ -116,8 +126,9 @@ def local_search(
     ``ti`` (``RankMatrix.nearest``); it is not read when fewer than two
     tasks are present.  ``max_evals`` caps the number of move evaluations;
     ``deadline`` is an optional callable polled cooperatively that returns
-    True once the time budget is exhausted.  The result is always feasible
-    and never costs more than the input.
+    True once the time budget is exhausted (see the module docstring for
+    both).  The result is always feasible and never costs more than the
+    input.
     """
     st = _State(solution, instance, dist)
     present = [ti for ti in range(instance.task_count) if st.where[ti] is not None]
@@ -127,172 +138,156 @@ def local_search(
     D = st.D
     head, tail, dem = st.head, st.tail, st.dem
     depot, capacity = st.depot, st.capacity
+    routes, loads, where = st.routes, st.loads, st.where
     evals = 0
     out_of_budget = False
+    # each count is followed by ``evals >= stop and over()``: stop is the cap
+    # or, with a deadline, the next multiple of _CHECK_EVERY if that is lower
+    cap = math.inf if max_evals is None else max_evals
+    stop = min(cap, _CHECK_EVERY) if deadline is not None else cap
 
-    def spent(n: int) -> bool:
-        nonlocal evals, out_of_budget
-        evals += n
-        if max_evals is not None and evals >= max_evals:
+    def over() -> bool:
+        """The eval cap first, then one deadline poll for the multiple of
+        ``_CHECK_EVERY`` that ``evals`` crossed."""
+        nonlocal out_of_budget, stop
+        if evals >= cap:
             out_of_budget = True
-        elif deadline is not None and evals // _CHECK_EVERY != (evals - n) // _CHECK_EVERY:
-            out_of_budget = deadline()
+        else:  # stop < cap, so stop was a poll boundary
+            out_of_budget = deadline()  # type: ignore[misc]
+            stop = min(cap, (evals // _CHECK_EVERY + 1) * _CHECK_EVERY)
         return out_of_budget
+
+    def exchange(k1: int, c1: int, k2: int, c2: int) -> bool:
+        """Apply the improving tail exchange after (k1, c1) and (k2, c2) if
+        both new routes fit."""
+        pre1 = st.prefix[k1][c1 + 1]
+        pre2 = st.prefix[k2][c2 + 1]
+        if pre1 + loads[k2] - pre2 <= capacity and pre2 + loads[k1] - pre1 <= capacity:
+            _apply_tail_exchange(st, k1, c1, k2, c2, pre1, pre2)
+            return True
+        return False
 
     def try_task(ti: int) -> bool:
         """Scan moves around task ti; apply the first improving one."""
-        k1, i1 = st.where[ti]  # type: ignore[misc]
-        r1 = st.routes[k1]
+        nonlocal evals
+        k1, i1 = where[ti]  # type: ignore[misc]
+        r1 = routes[k1]
         a = r1[i1]
 
         # orientation flip in place (segment reversal of length 1)
         if _try_reverse(st, k1, i1, i1):
             return True
-        if spent(1):
+        evals += 1
+        if evals >= stop and over():
             return False
 
+        # a in either orientation is (ha, ta) or (ta, ha); p1 and n1 are the
+        # vertices before and after it, and gain is what removing it saves
+        ha, ta, ia, da = head[a], tail[a], inverse_id(a), dem[a]
+        last1 = len(r1) - 1
+        p1 = tail[r1[i1 - 1]] if i1 > 0 else depot
+        n1 = head[r1[i1 + 1]] if i1 < last1 else depot
+        Dp1, Dha, Dta = D[p1], D[ha], D[ta]
+        base1 = Dp1[ha] + Dta[n1]
+        gain = base1 - Dp1[n1]
+
         # relocation into a route of its own
-        if len(r1) >= 2:
-            p1, n1 = st.prev_v(r1, i1), st.next_v(r1, i1)
-            gain = D[p1][head[a]] + D[tail[a]][n1] - D[p1][n1]
-            delta = D[depot][head[a]] + D[tail[a]][depot] - gain
-            if spent(1):
+        if last1:
+            delta = D[depot][ha] + Dta[depot] - gain
+            evals += 1
+            if evals >= stop and over():
                 return False
             if delta < -_EPS:
-                _apply_relocate(st, k1, i1, a, len(st.routes), 0, gain)
+                _apply_relocate(st, k1, i1, a, len(routes), 0, gain)
                 return True
 
         for tj in neighbors[ti]:
-            loc = st.where[tj]
+            loc = where[tj]
             if loc is None:
                 continue
             k2, i2 = loc
-            if k2 == k1:
+            r2 = routes[k2]
+            b = r2[i2]
+            hb, tb = head[b], tail[b]
+            pb = tail[r2[i2 - 1]] if i2 > 0 else depot
+            nb = head[r2[i2 + 1]] if i2 + 1 < len(r2) else depot
+            same = k2 == k1
+            if same:
                 lo, hi = (i1, i2) if i1 < i2 else (i2, i1)
                 if hi > lo and _try_reverse(st, k1, lo, hi):
                     return True
-                if spent(1):
+                evals += 1
+                if evals >= stop and over():
                     return False
-                if _try_relocate_near(st, ti, k1, i1, k2, i2):
-                    return True
-                if out_of_budget:
-                    return False
+
+            # relocation of a before b, then after b
+            if same or not loads[k2] + da > capacity:
+                for j, p2, n2 in ((i2, pb, hb), (i2 + 1, tb, nb)):
+                    if same and (j == i1 or j == i1 + 1):
+                        continue
+                    Dp2 = D[p2]
+                    evals += 1
+                    if evals >= stop and over():
+                        return False
+                    if Dp2[ha] + Dta[n2] - Dp2[n2] - gain < -_EPS:
+                        _apply_relocate(st, k1, i1, a, k2, j, gain)
+                        return True
+                    evals += 1
+                    if evals >= stop and over():
+                        return False
+                    if Dp2[ta] + Dha[n2] - Dp2[n2] - gain < -_EPS:
+                        _apply_relocate(st, k1, i1, ia, k2, j, gain)
+                        return True
+
+            if same:
                 if _try_swap_intra(st, k1, lo, hi):
                     return True
-                if spent(4):
+                evals += 4
+                if evals >= stop and over():
                     return False
-            else:
-                if _try_relocate_near(st, ti, k1, i1, k2, i2):
-                    return True
-                if out_of_budget:
-                    return False
-                if _try_swap(st, k1, i1, k2, i2):
-                    return True
-                if spent(4):
-                    return False
-                if _try_tail_exchange(st, k1, i1, k2, i2):
-                    return True
-                if spent(2):
-                    return False
-        return False
-
-    def _try_relocate_near(st, ti, k1, i1, k2, i2) -> bool:
-        r1 = st.routes[k1]
-        a = r1[i1]
-        r2 = st.routes[k2]
-        same = k1 == k2
-        if not same and st.loads[k2] + dem[a] > capacity:
-            return False
-        p1, n1 = st.prev_v(r1, i1), st.next_v(r1, i1)
-        gain = D[p1][head[a]] + D[tail[a]][n1] - D[p1][n1]
-        for j in (i2, i2 + 1):
-            if same and j in (i1, i1 + 1):
                 continue
-            p2 = st.prev_v(r2, j) if j > 0 else depot
-            n2 = head[r2[j]] if j < len(r2) else depot
-            for x in (a, inverse_id(a)):
-                cost = D[p2][head[x]] + D[tail[x]][n2] - D[p2][n2]
-                if spent(1):
-                    return False
-                if cost - gain < -_EPS:
-                    _apply_relocate(st, k1, i1, x, k2, j, gain)
-                    return True
-        return False
 
-    def _try_swap(st, k1, i1, k2, i2) -> bool:
-        r1, r2 = st.routes[k1], st.routes[k2]
-        a, b = r1[i1], r2[i2]
-        da, db = dem[a], dem[b]
-        if st.loads[k1] - da + db > capacity or st.loads[k2] - db + da > capacity:
-            return False
-        p1, n1 = st.prev_v(r1, i1), st.next_v(r1, i1)
-        p2, n2 = st.prev_v(r2, i2), st.next_v(r2, i2)
-        base1 = D[p1][head[a]] + D[tail[a]][n1]
-        base2 = D[p2][head[b]] + D[tail[b]][n2]
-        for y in (b, inverse_id(b)):
-            d1 = D[p1][head[y]] + D[tail[y]][n1] - base1
-            for x in (a, inverse_id(a)):
-                d2 = D[p2][head[x]] + D[tail[x]][n2] - base2
-                if d1 + d2 < -_EPS:
-                    _apply_swap(st, k1, i1, y, k2, i2, x, d1, d2)
-                    return True
-        return False
+            # swap a and b, each in either orientation
+            Dpb, Dtb = D[pb], D[tb]
+            db = dem[b]
+            if not (loads[k1] - da + db > capacity or loads[k2] - db + da > capacity):
+                base2 = Dpb[hb] + Dtb[nb]
+                d1, d1i = Dp1[hb] + Dtb[n1] - base1, Dp1[tb] + D[hb][n1] - base1
+                d2, d2i = Dpb[ha] + Dta[nb] - base2, Dpb[ta] + Dha[nb] - base2
+                # the terms are finite and rounded addition is monotone, so
+                # the smallest of the four sums is that of the two smallest terms
+                if (d1 if d1 < d1i else d1i) + (d2 if d2 < d2i else d2i) < -_EPS:
+                    for y, e1 in ((b, d1), (inverse_id(b), d1i)):
+                        for x, e2 in ((a, d2), (ia, d2i)):
+                            if e1 + e2 < -_EPS:
+                                _apply_swap(st, k1, i1, y, k2, i2, x, e1, e2)
+                                return True
+            evals += 4
+            if evals >= stop and over():
+                return False
 
-    def _try_swap_intra(st, k, i1, i2) -> bool:
-        """Swap two tasks of one route (i1 < i2); adjacency needs its own delta."""
-        r = st.routes[k]
-        a, b = r[i1], r[i2]
-        p, n = st.prev_v(r, i1), st.next_v(r, i2)
-        if i2 == i1 + 1:
-            base = D[p][head[a]] + D[tail[a]][head[b]] + D[tail[b]][n]
-            for y in (b, inverse_id(b)):
-                for x in (a, inverse_id(a)):
-                    delta = D[p][head[y]] + D[tail[y]][head[x]] + D[tail[x]][n] - base
-                    if delta < -_EPS:
-                        _apply_swap_intra(st, k, i1, y, i2, x, delta)
-                        return True
-            return False
-        n1 = st.next_v(r, i1)
-        p2 = st.prev_v(r, i2)
-        base = D[p][head[a]] + D[tail[a]][n1] + D[p2][head[b]] + D[tail[b]][n]
-        for y in (b, inverse_id(b)):
-            for x in (a, inverse_id(a)):
-                delta = D[p][head[y]] + D[tail[y]][n1] + D[p2][head[x]] + D[tail[x]][n] - base
-                if delta < -_EPS:
-                    _apply_swap_intra(st, k, i1, y, i2, x, delta)
+            # tail exchange: cut after a, and after b or before it
+            if i1 < last1 or i2 + 1 < len(r2):
+                delta = Dta[nb] + Dtb[n1] - Dta[n1] - Dtb[nb]
+                if delta < -_EPS and exchange(k1, i1, k2, i2):
                     return True
-        return False
-
-    def _try_tail_exchange(st, k1, i1, k2, i2) -> bool:
-        r1, r2 = st.routes[k1], st.routes[k2]
-        for c1, c2 in ((i1, i2), (i1, i2 - 1)):
-            if c1 == len(r1) - 1 and c2 == len(r2) - 1:
-                continue
-            e1 = tail[r1[c1]] if c1 >= 0 else depot
-            s1 = head[r1[c1 + 1]] if c1 + 1 < len(r1) else depot
-            e2 = tail[r2[c2]] if c2 >= 0 else depot
-            s2 = head[r2[c2 + 1]] if c2 + 1 < len(r2) else depot
-            delta = D[e1][s2] + D[e2][s1] - D[e1][s1] - D[e2][s2]
-            if delta < -_EPS:
-                pre1 = st.prefix[k1][c1 + 1]
-                pre2 = st.prefix[k2][c2 + 1]
-                if (
-                    pre1 + st.loads[k2] - pre2 <= capacity
-                    and pre2 + st.loads[k1] - pre1 <= capacity
-                ):
-                    _apply_tail_exchange(st, k1, c1, k2, c2, pre1, pre2)
-                    return True
+            delta = Dta[hb] + Dpb[n1] - Dta[n1] - Dpb[hb]
+            if delta < -_EPS and exchange(k1, i1, k2, i2 - 1):
+                return True
+            evals += 2
+            if evals >= stop and over():
+                return False
         return False
 
     improved = True
     while improved and not out_of_budget:
         improved = False
-        order = [ti for ti in present if st.where[ti] is not None]
+        order = [ti for ti in present if where[ti] is not None]
         rng.shuffle(order)
         for ti in order:
             if out_of_budget:
                 break
-            if st.where[ti] is None:
+            if where[ti] is None:
                 continue
             if try_task(ti):
                 improved = True
@@ -326,7 +321,7 @@ def _apply_relocate(st: _State, k1: int, i1: int, x: int, k2: int, j: int, gain:
         r2 = st.routes[k2]
         if k2 == k1 and j > i1:
             j -= 1
-        p2 = st.prev_v(r2, j) if j > 0 else st.depot
+        p2 = st.tail[r2[j - 1]] if j > 0 else st.depot
         n2 = st.head[r2[j]] if j < len(r2) else st.depot
         r2.insert(j, x)
         st.loads[k2] += st.dem[x]
@@ -339,6 +334,35 @@ def _apply_relocate(st: _State, k1: int, i1: int, x: int, k2: int, j: int, gain:
         st.drop_route(k1)  # re-indexes k2 too when it was above k1
         if k2 < k1:
             st._reindex(k2)
+
+
+def _try_swap_intra(st: _State, k: int, i1: int, i2: int) -> bool:
+    """Swap two tasks of one route (i1 < i2); adjacency needs its own delta."""
+    D, head, tail, depot = st.D, st.head, st.tail, st.depot
+    r = st.routes[k]
+    a, b = r[i1], r[i2]
+    ia, ib = inverse_id(a), inverse_id(b)
+    p = tail[r[i1 - 1]] if i1 > 0 else depot
+    n = head[r[i2 + 1]] if i2 + 1 < len(r) else depot
+    if i2 == i1 + 1:
+        base = D[p][head[a]] + D[tail[a]][head[b]] + D[tail[b]][n]
+        for y in (b, ib):
+            for x in (a, ia):
+                delta = D[p][head[y]] + D[tail[y]][head[x]] + D[tail[x]][n] - base
+                if delta < -_EPS:
+                    _apply_swap_intra(st, k, i1, y, i2, x, delta)
+                    return True
+        return False
+    n1 = head[r[i1 + 1]] if i1 + 1 < len(r) else depot
+    p2 = tail[r[i2 - 1]] if i2 > 0 else depot
+    base = D[p][head[a]] + D[tail[a]][n1] + D[p2][head[b]] + D[tail[b]][n]
+    for y in (b, ib):
+        for x in (a, ia):
+            delta = D[p][head[y]] + D[tail[y]][n1] + D[p2][head[x]] + D[tail[x]][n] - base
+            if delta < -_EPS:
+                _apply_swap_intra(st, k, i1, y, i2, x, delta)
+                return True
+    return False
 
 
 def _apply_swap_intra(st: _State, k: int, i1: int, y: int, i2: int, x: int, delta: float) -> None:
@@ -364,9 +388,10 @@ def _apply_swap(
 
 
 def _try_reverse(st: _State, k: int, i: int, j: int) -> bool:
+    D, head, tail, depot = st.D, st.head, st.tail, st.depot
     r = st.routes[k]
-    p, n = st.prev_v(r, i), st.next_v(r, j)
-    D, head, tail = st.D, st.head, st.tail
+    p = tail[r[i - 1]] if i > 0 else depot
+    n = head[r[j + 1]] if j + 1 < len(r) else depot
     delta = D[p][tail[r[j]]] + D[head[r[i]]][n] - D[p][head[r[i]]] - D[tail[r[j]]][n]
     if delta >= -_EPS:
         return False

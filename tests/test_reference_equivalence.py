@@ -1,7 +1,8 @@
-"""The numpy `hdu` level loop, `RankMatrix.nearest`, `rank_rows` (both its
-counting and its sorting path), `link_numerators`, `path_scanning`,
-`_pairwise_distances` and local search's touched-route re-indexing against
-the versions they replaced, kept here as references.
+"""`DistanceTable.rows` and `RankMatrix.nearest` (both in row blocks), the
+numpy `hdu` level loop, `rank_rows` (both its counting and its sorting
+path), `link_numerators`, `path_scanning`, `_pairwise_distances`, local
+search's touched-route re-indexing and its fused move scan against the
+versions they replaced, kept here as references.
 
 Each must reproduce its reference exactly: the same routes, the same
 neighbour lists, the same rank values and dtype, the same distance matrix
@@ -14,6 +15,7 @@ the capacity.
 
 import math
 import random
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -39,11 +41,13 @@ from routecut.decompose import (
     _pick_min,
     virtual_task_from_ids,
 )
+from routecut.distances import _EXACT_INT, _ROWS_BLOCK, DistanceTable
 from routecut.generator import generate_instance
 from routecut.instance import forward_id, inverse_id
 from routecut.ranking import (
     _COUNT_SPAN_PER_ROW,
     _LINK_BLOCK,
+    _NEAREST_BLOCK,
     _RANK_BLOCK,
     link_numerators,
     rank_rows,
@@ -381,6 +385,59 @@ def test_nearest_edge_cases():
         ranks.nearest(-1)
 
 
+# one row short of a nearest_columns block, a block, one row over, and a
+# partial third block
+NEAREST_SIZES = (_NEAREST_BLOCK - 1, _NEAREST_BLOCK, _NEAREST_BLOCK + 1, 2 * _NEAREST_BLOCK + 3)
+
+
+def _rows_tied_across_block_edges(n, rng):
+    """Ints 0..3 whose two rows on each side of every block edge are one
+    row repeated: ties within each row, and the same ties on both sides of
+    the edge, with the diagonal cheaper than, equal to or dearer than them."""
+    num = rng.integers(0, 4, size=(n, n))
+    for edge in range(_NEAREST_BLOCK, n, _NEAREST_BLOCK):
+        num[edge - 2 : edge + 2] = num[edge]
+    return num
+
+
+@pytest.mark.parametrize("n", NEAREST_SIZES)
+@pytest.mark.parametrize("seed", range(4))
+def test_nearest_matches_reference_across_row_blocks(seed, n):
+    rng = np.random.default_rng([seed, n])
+    matrices = [
+        _rows_tied_across_block_edges(n, rng),
+        rng.integers(0, 4, size=(n, n)),
+        np.zeros((n, n), dtype=np.int64),  # every off-diagonal entry ties
+        rng.random((n, n)),
+    ]
+    for num in matrices:
+        ranks = RankMatrix(num, np.zeros((n, n), dtype=np.uint16))
+        for k in _neighbor_sizes(n):
+            assert ranks.nearest(k) == reference_nearest(ranks, k)
+
+
+def reference_rows(m):
+    if np.isfinite(m).all() and not (m > _EXACT_INT).any():
+        ints = m.astype(np.int64)
+        if np.array_equal(ints, m):
+            m = ints
+    return m.tolist()
+
+
+@pytest.mark.parametrize("n", (1, _ROWS_BLOCK, _ROWS_BLOCK + 1, 2 * _ROWS_BLOCK + 3))
+@pytest.mark.parametrize("last", [3.0, 0.5, math.inf, 2.0 * _EXACT_INT])
+def test_distance_rows_match_reference(n, last):
+    # the last entry, in the last block of rows, decides between ints and floats
+    m = np.random.default_rng(n).integers(0, 9, size=(n, n)).astype(np.float64)
+    m[-1, -1] = last
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = DistanceTable(m).rows
+    expected = reference_rows(m)
+    assert got == expected
+    assert [type(x) for row in got for x in row] == [type(x) for row in expected for x in row]
+
+
 @pytest.fixture(scope="module")
 def mid_instance():
     instance = generate_instance(500, 800, 60, seed=1)
@@ -698,3 +755,268 @@ def test_local_search_matches_full_reindex_on_a_generated_mid_size_instance(
         for max_evals in budgets:
             _assert_local_search_matches(instance, dist, start, 7, max_evals, monkeypatch)
     assert set(seen) == REINDEX_BRANCHES, seen
+
+
+# --- local search: the move evaluators the fused scan replaced --------------
+
+
+def reference_local_search(solution, instance, dist, rng, *, max_evals=None, deadline=None,
+                           neighbors, debug=False):
+    """Local search with one evaluator per move kind and a ``spent(n)`` that
+    counts evaluations and polls ``deadline`` whenever the count crosses a
+    multiple of ``_CHECK_EVERY``.  It applies moves with the module's own
+    functions, so it differs from ``local_search`` only in how the scan is
+    written."""
+    C, EPS = localsearch._CHECK_EVERY, localsearch._EPS
+    st = localsearch._State(solution, instance, dist)
+    present = [ti for ti in range(instance.task_count) if st.where[ti] is not None]
+    if len(present) <= 1:
+        return solution.clone()
+    D, head, tail, dem = st.D, st.head, st.tail, st.dem
+    depot, capacity = st.depot, st.capacity
+    evals = 0
+    out_of_budget = False
+
+    def prev_v(r, i):
+        return tail[r[i - 1]] if i > 0 else depot
+
+    def next_v(r, i):
+        return head[r[i + 1]] if i + 1 < len(r) else depot
+
+    def spent(n):
+        nonlocal evals, out_of_budget
+        evals += n
+        if max_evals is not None and evals >= max_evals:
+            out_of_budget = True
+        elif deadline is not None and evals // C != (evals - n) // C:
+            out_of_budget = deadline()
+        return out_of_budget
+
+    def try_task(ti):
+        k1, i1 = st.where[ti]
+        r1 = st.routes[k1]
+        a = r1[i1]
+        if localsearch._try_reverse(st, k1, i1, i1):
+            return True
+        if spent(1):
+            return False
+        if len(r1) >= 2:
+            p1, n1 = prev_v(r1, i1), next_v(r1, i1)
+            gain = D[p1][head[a]] + D[tail[a]][n1] - D[p1][n1]
+            delta = D[depot][head[a]] + D[tail[a]][depot] - gain
+            if spent(1):
+                return False
+            if delta < -EPS:
+                localsearch._apply_relocate(st, k1, i1, a, len(st.routes), 0, gain)
+                return True
+        for tj in neighbors[ti]:
+            loc = st.where[tj]
+            if loc is None:
+                continue
+            k2, i2 = loc
+            if k2 == k1:
+                lo, hi = (i1, i2) if i1 < i2 else (i2, i1)
+                if hi > lo and localsearch._try_reverse(st, k1, lo, hi):
+                    return True
+                if spent(1):
+                    return False
+                if relocate_near(k1, i1, k2, i2):
+                    return True
+                if out_of_budget:
+                    return False
+                if swap_intra(k1, lo, hi):
+                    return True
+                if spent(4):
+                    return False
+            else:
+                if relocate_near(k1, i1, k2, i2):
+                    return True
+                if out_of_budget:
+                    return False
+                if swap(k1, i1, k2, i2):
+                    return True
+                if spent(4):
+                    return False
+                if tail_exchange(k1, i1, k2, i2):
+                    return True
+                if spent(2):
+                    return False
+        return False
+
+    def relocate_near(k1, i1, k2, i2):
+        r1, r2 = st.routes[k1], st.routes[k2]
+        a = r1[i1]
+        same = k1 == k2
+        if not same and st.loads[k2] + dem[a] > capacity:
+            return False
+        p1, n1 = prev_v(r1, i1), next_v(r1, i1)
+        gain = D[p1][head[a]] + D[tail[a]][n1] - D[p1][n1]
+        for j in (i2, i2 + 1):
+            if same and j in (i1, i1 + 1):
+                continue
+            p2 = prev_v(r2, j) if j > 0 else depot
+            n2 = head[r2[j]] if j < len(r2) else depot
+            for x in (a, inverse_id(a)):
+                cost = D[p2][head[x]] + D[tail[x]][n2] - D[p2][n2]
+                if spent(1):
+                    return False
+                if cost - gain < -EPS:
+                    localsearch._apply_relocate(st, k1, i1, x, k2, j, gain)
+                    return True
+        return False
+
+    def swap(k1, i1, k2, i2):
+        r1, r2 = st.routes[k1], st.routes[k2]
+        a, b = r1[i1], r2[i2]
+        da, db = dem[a], dem[b]
+        if st.loads[k1] - da + db > capacity or st.loads[k2] - db + da > capacity:
+            return False
+        p1, n1 = prev_v(r1, i1), next_v(r1, i1)
+        p2, n2 = prev_v(r2, i2), next_v(r2, i2)
+        base1 = D[p1][head[a]] + D[tail[a]][n1]
+        base2 = D[p2][head[b]] + D[tail[b]][n2]
+        for y in (b, inverse_id(b)):
+            d1 = D[p1][head[y]] + D[tail[y]][n1] - base1
+            for x in (a, inverse_id(a)):
+                d2 = D[p2][head[x]] + D[tail[x]][n2] - base2
+                if d1 + d2 < -EPS:
+                    localsearch._apply_swap(st, k1, i1, y, k2, i2, x, d1, d2)
+                    return True
+        return False
+
+    def swap_intra(k, i1, i2):
+        r = st.routes[k]
+        a, b = r[i1], r[i2]
+        p, n = prev_v(r, i1), next_v(r, i2)
+        if i2 == i1 + 1:
+            base = D[p][head[a]] + D[tail[a]][head[b]] + D[tail[b]][n]
+            for y in (b, inverse_id(b)):
+                for x in (a, inverse_id(a)):
+                    delta = D[p][head[y]] + D[tail[y]][head[x]] + D[tail[x]][n] - base
+                    if delta < -EPS:
+                        localsearch._apply_swap_intra(st, k, i1, y, i2, x, delta)
+                        return True
+            return False
+        n1 = next_v(r, i1)
+        p2 = prev_v(r, i2)
+        base = D[p][head[a]] + D[tail[a]][n1] + D[p2][head[b]] + D[tail[b]][n]
+        for y in (b, inverse_id(b)):
+            for x in (a, inverse_id(a)):
+                delta = D[p][head[y]] + D[tail[y]][n1] + D[p2][head[x]] + D[tail[x]][n] - base
+                if delta < -EPS:
+                    localsearch._apply_swap_intra(st, k, i1, y, i2, x, delta)
+                    return True
+        return False
+
+    def tail_exchange(k1, i1, k2, i2):
+        r1, r2 = st.routes[k1], st.routes[k2]
+        for c1, c2 in ((i1, i2), (i1, i2 - 1)):
+            if c1 == len(r1) - 1 and c2 == len(r2) - 1:
+                continue
+            e1 = tail[r1[c1]] if c1 >= 0 else depot
+            s1 = head[r1[c1 + 1]] if c1 + 1 < len(r1) else depot
+            e2 = tail[r2[c2]] if c2 >= 0 else depot
+            s2 = head[r2[c2 + 1]] if c2 + 1 < len(r2) else depot
+            delta = D[e1][s2] + D[e2][s1] - D[e1][s1] - D[e2][s2]
+            if delta < -EPS:
+                pre1 = st.prefix[k1][c1 + 1]
+                pre2 = st.prefix[k2][c2 + 1]
+                if (
+                    pre1 + st.loads[k2] - pre2 <= capacity
+                    and pre2 + st.loads[k1] - pre1 <= capacity
+                ):
+                    localsearch._apply_tail_exchange(st, k1, c1, k2, c2, pre1, pre2)
+                    return True
+        return False
+
+    improved = True
+    while improved and not out_of_budget:
+        improved = False
+        order = [ti for ti in present if st.where[ti] is not None]
+        rng.shuffle(order)
+        for ti in order:
+            if out_of_budget:
+                break
+            if st.where[ti] is None:
+                continue
+            if try_task(ti):
+                improved = True
+                if debug:
+                    st.check()
+    return st.to_solution(instance, dist)
+
+
+class _CountingDeadline:
+    """A deadline that counts its polls and returns True from poll
+    ``true_from`` on (never, when None)."""
+
+    def __init__(self, true_from=None):
+        self.true_from = true_from
+        self.polls = 0
+
+    def __call__(self):
+        self.polls += 1
+        return self.true_from is not None and self.polls >= self.true_from
+
+
+def _scan_runs(instance, dist, start, seed, nbrs, max_evals, deadline=_CountingDeadline, **kw):
+    """(route ids, cost, RNG state, deadline polls) of ``local_search`` and
+    of ``reference_local_search`` from one start, each given a fresh
+    ``deadline()``, or no deadline when ``deadline`` is None."""
+    runs = []
+    for search in (local_search, reference_local_search):
+        rng = make_rng(seed)
+        poll = deadline and deadline()
+        out = search(start, instance, dist, rng, max_evals=max_evals, deadline=poll,
+                     neighbors=nbrs, **kw)
+        polls = poll.polls if poll else None
+        runs.append(([r.ids for r in out.routes], out.total_cost, rng.getstate(), polls))
+    return runs
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_local_search_matches_reference_scan_on_tie_heavy_instances(seed):
+    instance = _tie_heavy_instance(seed)
+    dist = instance.distances()
+    nbrs = neighbors(instance, dist)
+    for start in _local_search_starts(instance, dist, make_rng(seed)):
+        for max_evals in LOCAL_SEARCH_EVALS:
+            for deadline in (None, _CountingDeadline):
+                runs = _scan_runs(instance, dist, start, seed, nbrs, max_evals, deadline,
+                                  debug=True)
+                assert runs[0] == runs[1]
+
+
+# caps just below, at and just past a poll boundary, and none
+DEADLINE_CAPS = (255, 256, 257, 511, 512, 1280, 1281, 3000, None)
+
+
+@pytest.mark.parametrize("true_from", [1, 2, 5])
+def test_local_search_matches_reference_scan_when_the_deadline_binds(true_from):
+    instance = generate_instance(60, 90, 20, seed=3)
+    dist = instance.distances()
+    nbrs = neighbors(instance, dist)
+    polls = set()
+    for start in _local_search_starts(instance, dist, make_rng(4)):
+        for max_evals in DEADLINE_CAPS:
+            runs = _scan_runs(instance, dist, start, 4, nbrs, max_evals,
+                              lambda: _CountingDeadline(true_from))
+            assert runs[0] == runs[1]
+            polls.add((max_evals, runs[0][3]))
+    # each multiple of 256 below the cap polls once, and the poll that
+    # returns True ends the search; the count that reaches the cap does not
+    # poll, so a cap of 1280 stops after four polls and one of 1281 after five
+    assert (256, 0) in polls and (257, 1) in polls
+    assert (1280, min(true_from, 4)) in polls and (1281, true_from) in polls
+
+
+def test_local_search_matches_reference_scan_on_a_generated_mid_size_instance(mid_instance):
+    instance, dist, _ = mid_instance
+    nbrs = neighbors(instance, dist)
+    scanned, *short_routes = _local_search_starts(instance, dist, make_rng(7))
+    runs = [(scanned, (2_000, 25_000, None))] + [(s, (2_000, 12_000)) for s in short_routes]
+    for start, budgets in runs:
+        for max_evals in budgets:
+            got, expected = _scan_runs(instance, dist, start, 7, nbrs, max_evals)
+            assert got == expected
+            assert expected[3] > 0

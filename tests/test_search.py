@@ -1,5 +1,6 @@
 """Search loop contracts: feasibility, monotonicity, determinism, optimality."""
 
+import hashlib
 import io
 import math
 import warnings
@@ -15,6 +16,7 @@ from routecut import (
     project_solution,
     solve,
     validate,
+    write_solution,
 )
 from routecut.generator import generate_instance
 from routecut.search import ALGORITHMS, concat_solutions
@@ -244,3 +246,39 @@ def test_virtual_clock_timestamps_are_pinned(algorithm, caps, stamps):
                        virtual_clock=True, **caps)
     _, trace = solve(inst, cfg)
     assert [ms for ms, _ in trace.samples] == stamps
+
+
+# --- fixed-work output, pinned --------------------------------------------
+
+# sha256 of write_solution's text followed by repr(trace.samples), for each
+# algorithm at fixed work on generate_instance(200, 300, 60, seed).  A change
+# that is meant to leave the output alone (a speed-up, a refactor) must leave
+# these as they are; one that changes the search on purpose updates them
+# together with its fixed-work comparison.
+FIXED_WORK_DIGESTS = {
+    (1, "sahid-rco"): "bcc1b67350e0bd7164e7bde2d3dd44d5de262a39235b85656944e2cb178e16ce",
+    (1, "sahid-random"): "1aa724066020b46bb825b71f64e7ec460833b9d874df4a481fa4b42d864230fa",
+    (1, "cluster-rco"): "1c31b72f7e551b903a37d898f713da899ebd46dfcbe51015f3c4260372806aa3",
+    (1, "cluster-whole-route"): "e7a23cbb6f2a069a32749f895211d008160981eb42e0b7e489b84dc230063e3e",
+    (1, "local-only"): "b22e16551c956b24173f05a1699d31dd1bd2ea24cd298574553260c6a9eb4002",
+    (2, "sahid-rco"): "4b5666e7afb413732d793e986feaecb372072371b7866ff846bee119510b5cef",
+    (2, "sahid-random"): "11a72abd3343b8d281bc09cf6dfe27f5d9691b5b134c31333a6c2863c813d778",
+    (2, "cluster-rco"): "9f5869244c9069818c9907c931bbb62b1677938e9b656ad08b98876a28437137",
+    (2, "cluster-whole-route"): "6bbf83cb4b0c4322e66752ca5a9b5379921ead448e259fb3fa405bc129100e44",
+    (2, "local-only"): "da8cac72b3ce31b63eb6e8c6386f1c8ace30bcb27ac442254e522db831501be2",
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_fixed_work_output_is_pinned(seed):
+    inst = generate_instance(200, 300, 60, seed)
+    digests = {}
+    for algorithm in ALGORITHMS:
+        cfg = SearchConfig(algorithm=algorithm, seed=seed, time_limit=1e6, max_iterations=4,
+                           max_cycles=1, virtual_clock=True)
+        best, trace = solve(inst, cfg)
+        text = io.StringIO()
+        write_solution(best, inst, text)
+        payload = text.getvalue() + repr(trace.samples)
+        digests[seed, algorithm] = hashlib.sha256(payload.encode()).hexdigest()
+    assert digests == {key: d for key, d in FIXED_WORK_DIGESTS.items() if key[0] == seed}
