@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .instance import Instance, load_instance
+from .ranking import RankMatrix, build_rank_matrix
 from .search import ALGORITHMS, PARAMETERS, SearchConfig, build_config, solve
 from .solution import read_solution, validate, write_solution
 
@@ -83,6 +84,18 @@ def _cached_instance(path: str) -> Instance:
     return inst
 
 
+# the last instance's rank matrix, by path: cells come grouped by instance
+_last_ranks: dict[str, RankMatrix | None] = {}
+
+
+def _cached_ranks(path: str, instance: Instance) -> RankMatrix | None:
+    if path not in _last_ranks:
+        _last_ranks.clear()
+        dist = instance.distances()
+        _last_ranks[path] = build_rank_matrix(instance, dist) if instance.task_count >= 2 else None
+    return _last_ranks[path]
+
+
 def _run_cell(args: tuple) -> RunRecord:
     instance_path, variant, config, seed, time_limit, out_dir = args
     out_dir = Path(out_dir)
@@ -94,7 +107,7 @@ def _run_cell(args: tuple) -> RunRecord:
     try:
         instance = _cached_instance(instance_path)
         config = replace(config, seed=seed, time_limit=time_limit)
-        best, trace = solve(instance, config)
+        best, trace = solve(instance, config, ranks=_cached_ranks(instance_path, instance))
 
         problems = validate(best, instance)
         if problems:

@@ -18,27 +18,27 @@ def path_scanning(instance: Instance, dist: DistanceTable, rng: random.Random) -
     ascending order (forward before reverse), drawing only when there are two
     or more.
     """
-    # position p holds directed id p + 1
+    # position p holds directed id p + 1; a served id's demand is NaN, so
+    # ``load + left <= capacity`` is false for it whatever the capacity
     heads = np.array(instance.id_head[1:], dtype=np.intp)
-    demands = np.array(instance.id_demand[1:], dtype=np.float64)
-    open_ids = np.ones(len(heads), dtype=bool)
+    left = np.array(instance.id_demand[1:], dtype=np.float64)
     interiors: list[list[int]] = []
 
-    while open_ids.any():
+    while not np.isnan(left).all():
         current = instance.depot
         load = 0.0
         interior: list[int] = []
         while True:
-            cand = np.flatnonzero(open_ids & (load + demands <= instance.capacity))
+            cand = (load + left <= instance.capacity).nonzero()[0]
             if cand.size == 0:
                 break
-            d = dist.matrix[current, heads[cand]]
+            d = dist.matrix[current].take(heads.take(cand))
             ties = cand[d == d.min()]
             pick = ties[0] if len(ties) == 1 else ties[rng.randrange(len(ties))]
             tid = int(pick) + 1
             interior.append(tid)
             load += instance.id_demand[tid]
             current = instance.id_tail[tid]
-            open_ids[[pick, pick ^ 1]] = False  # both directions of the task
+            left[pick] = left[pick ^ 1] = np.nan  # both directions of the task
         interiors.append(interior)
     return Solution.build(interiors, instance, dist)

@@ -74,10 +74,12 @@ def fuzzy_kmedoid(
 
     Medoids start by farthest-point selection from a random sub-route.
     Each iteration assigns every sub-route to a medoid with probability
-    proportional to distance**(-fuzziness) (zero distance forces the
-    assignment), then recenters each medoid on the member minimizing total
-    within-group distance, stopping when assignments stabilize or after 20
-    iterations.  Sub-routes are atomic: they are never split across groups.
+    proportional to distance**(-fuzziness): in sub-route order, one
+    ``rng.random()`` per sub-route with no medoid at zero distance (else it
+    joins the first such medoid), then recenters each medoid on the member
+    minimizing total within-group distance, stopping when assignments
+    stabilize or after 20 iterations.  Sub-routes are atomic: they are
+    never split across groups.
     """
     members = list(pool)
     n = len(members)
@@ -96,17 +98,14 @@ def fuzzy_kmedoid(
     medoids = _farthest_point_medoids(d, g, rng)
     assign = np.full(n, -1, dtype=np.int64)
     for _ in range(20):
-        new_assign = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            dists = d[i, medoids]
-            nearest = int(np.argmin(dists))
-            if dists[nearest] == 0.0:
-                new_assign[i] = nearest
-                continue
-            weights = (dists / dists[nearest]) ** (-alpha)
-            cum = np.cumsum(weights)
-            x = rng.random() * cum[-1]
-            new_assign[i] = int(np.searchsorted(cum, x, side="right"))
+        to_medoid = d[:, medoids]
+        new_assign = np.argmin(to_medoid, axis=1)
+        nearest = to_medoid.min(axis=1)
+        far = np.flatnonzero(nearest != 0.0)  # the rows that draw
+        weights = (to_medoid[far] / nearest[far, None]) ** (-alpha)
+        cum = np.cumsum(weights, axis=1)
+        x = np.array([rng.random() for _ in range(far.size)]) * cum[:, -1]
+        new_assign[far] = (cum <= x[:, None]).sum(axis=1)
         _repair_empty_groups(new_assign, d, medoids)
         if np.array_equal(new_assign, assign):
             break
@@ -183,11 +182,13 @@ def _endpoint_distances(
     """Distance from every unit to unit ``j`` given the units' endpoints.
 
     Units are traversable in either direction, so take the best pairing.
+    Reads each unit's rows at unit ``j``'s columns, copied once: no symmetry.
     """
-    h, t = heads[j], tails[j]
+    to_h = matrix[:, heads[j]].copy()
+    to_t = matrix[:, tails[j]].copy()
     return np.minimum(
-        np.minimum(matrix[heads, h], matrix[heads, t]),
-        np.minimum(matrix[tails, h], matrix[tails, t]),
+        np.minimum(to_h[heads], to_t[heads]),
+        np.minimum(to_h[tails], to_t[tails]),
     )
 
 

@@ -67,44 +67,9 @@ def link_numerators(instance: Instance, dist: DistanceTable) -> np.ndarray:
     return as_int
 
 
-# rows per block of nearest_columns; 24 to 64 ran as fast as one n x n pass
-# at 800 and 2500 tasks, and 32 peaked at +3.3 MB against +50 MB at 2500
+# rows per block of RankMatrix.nearest; 16 to 256 ran within 10% of each
+# other at 2500 tasks, and 32 rows of int64 keys are 0.6 MB at 2500
 _NEAREST_BLOCK = 32
-
-
-def nearest_columns(values: np.ndarray, k: int) -> list[list[int]]:
-    """Per row of a square matrix, the k off-diagonal columns with the
-    smallest values, smallest first; equal values come in column order.
-
-    Each row's threshold is its (k+1)-th smallest value, diagonal
-    included, so at least k off-diagonal entries lie at or below it and
-    every one of the k answers does.  Only those candidates are sorted, by
-    (value, column), so the answer does not depend on how the partition
-    orders ties.  k is capped at n - 1.  Rows are taken in blocks of
-    ``_NEAREST_BLOCK``, so the partition copy and the candidate mask are
-    ``_NEAREST_BLOCK`` x n, not n x n.
-    """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    n = values.shape[0]
-    k = min(k, n - 1)
-    if k <= 0:
-        return [[] for _ in range(n)]
-    out: list[list[int]] = []
-    for start in range(0, n, _NEAREST_BLOCK):
-        block = values[start : start + _NEAREST_BLOCK]
-        threshold = np.partition(block, k, axis=1)[:, k]
-        candidate = block <= threshold[:, None]
-        local = np.arange(block.shape[0])
-        candidate[local, start + local] = False
-        rows, cols = np.nonzero(candidate)
-        order = np.lexsort((cols, block[rows, cols], rows))
-        # rows is the primary key, so row i's candidates start after those
-        # of the rows before it
-        counts = np.bincount(rows, minlength=block.shape[0])
-        starts = np.cumsum(counts) - counts
-        out += cols[order[starts[:, None] + np.arange(k)]].tolist()
-    return out
 
 
 # rows ranked per pass of rank_rows; 32 ranked 2500 x 2500 fastest of 16..256
@@ -192,7 +157,10 @@ class RankMatrix:
     ``numerators`` holds four times the link cost (the plain sum of the
     four endpoint distances); with integer edge costs this is an exact
     integer, so rank comparisons never suffer floating-point tie
-    misclassification.  Diagonals are unset (0 in ``ranks``).
+    misclassification.  ``ranks`` must be ``rank_rows(numerators)``:
+    ``nearest`` reads only the ranks, and only the sub-route distances of
+    the clustering path read the numerators.  Diagonals are unset (0 in
+    ``ranks``).
     """
 
     numerators: np.ndarray
@@ -200,8 +168,35 @@ class RankMatrix:
 
     def nearest(self, k: int) -> list[list[int]]:
         """Per task, the k other tasks with the cheapest links, nearest
-        first and equal links in task-index order (see ``nearest_columns``)."""
-        return nearest_columns(self.numerators, k)
+        first and equal links in task-index order; k is capped at n - 1.
+
+        Within a row, rank order is link-cost order and equal costs share a
+        rank, so the key ``rank * n + column`` is unique and sorts as
+        (cost, column) does.  The diagonal's key is moved past every other
+        one (n * n), the keys are partitioned at k - 1, the first k sorted,
+        and ``% n`` gives back the columns.  Rows are taken in blocks of
+        ``_NEAREST_BLOCK``, so the keys are ``_NEAREST_BLOCK`` x n int64,
+        not n x n.
+        """
+        if k < 0:
+            raise ValueError("k must be non-negative")
+        n = self.ranks.shape[0]
+        k = min(k, n - 1)
+        if k <= 0:
+            return [[] for _ in range(n)]
+        columns = np.arange(n, dtype=np.int64)
+        out: list[list[int]] = []
+        for start in range(0, n, _NEAREST_BLOCK):
+            key = self.ranks[start : start + _NEAREST_BLOCK].astype(np.int64)
+            key *= n
+            key += columns
+            local = np.arange(key.shape[0])
+            key[local, start + local] = n * n
+            key.partition(k - 1, axis=1)
+            top = np.sort(key[:, :k], axis=1)
+            top %= n
+            out += top.tolist()
+        return out
 
 
 def build_rank_matrix(instance: Instance, dist: DistanceTable) -> RankMatrix:

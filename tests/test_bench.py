@@ -1,12 +1,14 @@
 """Experiment harness and CLI surfaces."""
 
+import io
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from routecut import load_instance, read_solution, validate
+from routecut import build_rank_matrix, load_instance, read_solution, solve, validate
 from routecut import bench
 from routecut.bench import (
     ExperimentSpec,
@@ -23,7 +25,7 @@ from routecut import cli
 from routecut.cli import main
 from routecut.generator import generate_instance_file
 from routecut.search import PARAMETERS, SearchConfig, SearchTrace
-from routecut.solution import Solution
+from routecut.solution import Solution, write_solution
 
 
 def _quick_config(algorithm, **kw):
@@ -131,7 +133,7 @@ def test_failures_are_recorded_not_raised(tmp_path, small_instance_file):
 
 
 def test_failed_cell_leaves_full_traceback(tmp_path, small_instance_file, monkeypatch):
-    def exploding_solve(instance, config):
+    def exploding_solve(instance, config, **kw):
         raise RuntimeError("solver blew up")
 
     monkeypatch.setattr(bench, "solve", exploding_solve)
@@ -313,6 +315,47 @@ def test_zero_iterations_means_no_cap(tmp_path, small_instance_file, monkeypatch
 def test_config_file_booleans(tmp_path, small_instance_file, text, want):
     config = _file_config(tmp_path, small_instance_file, [f"virtual_clock = {text}\n"])
     assert config.virtual_clock is want
+
+
+def test_cells_build_each_rank_matrix_once_per_instance(tmp_path, monkeypatch):
+    paths = []
+    for seed in (2, 3):
+        path = tmp_path / f"inst{seed}.dat"
+        generate_instance_file(path, vertices=12, tasks=8, capacity=12, seed=seed)
+        paths.append(path)
+    built = []
+
+    def counting_build(instance, dist):
+        built.append(instance)
+        return build_rank_matrix(instance, dist)
+
+    monkeypatch.setattr(bench, "build_rank_matrix", counting_build)
+    variants = [("sahid-rco", _quick_config("sahid-rco")),
+                ("cluster-rco", _quick_config("cluster-rco"))]
+    spec = ExperimentSpec(paths, variants, runs=2, base_seed=4, workers=1)
+    records = run_experiment(spec, tmp_path / "out")
+    assert len(records) == 8 and not any(r.failed for r in records)
+    assert len(built) == 2 and built[0] is not built[1]
+    for r in records:
+        instance = load_instance(tmp_path / f"{r.instance}.dat")
+        best, _ = solve(instance, replace(dict(variants)[r.variant], seed=r.seed))
+        text = io.StringIO()
+        write_solution(best, instance, text)
+        assert r.final_cost == best.total_cost
+        assert Path(r.solution_path).read_text() == text.getvalue()
+
+
+def test_failed_rank_matrix_lands_in_the_cell(tmp_path, small_instance_file, monkeypatch):
+    def exploding_build(instance, dist):
+        raise RuntimeError("ranking blew up")
+
+    monkeypatch.setattr(bench, "build_rank_matrix", exploding_build)
+    spec = ExperimentSpec([small_instance_file], [("v", _quick_config("sahid-rco"))], runs=1,
+                          base_seed=11)
+    [record] = run_experiment(spec, tmp_path / "out")
+    assert record.error == "RuntimeError: ranking blew up"
+    err = (tmp_path / "out" / "small__v__s11.err").read_text()
+    assert "in exploding_build" in err
 
 
 def test_parallel_workers_match_sequential(tmp_path, small_instance_file):

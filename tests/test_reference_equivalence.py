@@ -1,8 +1,9 @@
 """`DistanceTable.rows` and `RankMatrix.nearest` (both in row blocks), the
 numpy `hdu` level loop, `rank_rows` (both its counting and its sorting
-path), `link_numerators`, `path_scanning`, `_pairwise_distances`, local
-search's touched-route re-indexing and its fused move scan against the
-versions they replaced, kept here as references.
+path), `link_numerators`, `path_scanning`, `_pairwise_distances`,
+`fuzzy_kmedoid`'s one-pass assignment, local search's touched-route
+re-indexing and its fused move scan against the versions they replaced,
+kept here as references.
 
 Each must reproduce its reference exactly: the same routes, the same
 neighbour lists, the same rank values and dtype, the same distance matrix
@@ -36,9 +37,13 @@ from routecut import (
     rco_split,
 )
 from routecut.decompose import (
+    ClusterConfig,
     _chain_cluster,
+    _farthest_point_medoids,
     _pairwise_distances,
     _pick_min,
+    _repair_empty_groups,
+    fuzzy_kmedoid,
     virtual_task_from_ids,
 )
 from routecut.distances import _EXACT_INT, _ROWS_BLOCK, DistanceTable
@@ -214,6 +219,43 @@ def reference_pairwise_distances(pool, ranks):
     return d
 
 
+def reference_fuzzy_kmedoid(pool, config, ranks, rng):
+    """`fuzzy_kmedoid` assigning one sub-route at a time."""
+    members = list(pool)
+    n = len(members)
+    g = min(config.group_count, n)
+    d = _pairwise_distances(members, ranks)
+    if g == 1:
+        return [members]
+    alpha = config.fuzziness
+    medoids = _farthest_point_medoids(d, g, rng)
+    assign = np.full(n, -1, dtype=np.int64)
+    for _ in range(20):
+        new_assign = np.empty(n, dtype=np.int64)
+        for i in range(n):
+            dists = d[i, medoids]
+            nearest = int(np.argmin(dists))
+            if dists[nearest] == 0.0:
+                new_assign[i] = nearest
+                continue
+            weights = (dists / dists[nearest]) ** (-alpha)
+            cum = np.cumsum(weights)
+            x = rng.random() * cum[-1]
+            new_assign[i] = int(np.searchsorted(cum, x, side="right"))
+        _repair_empty_groups(new_assign, d, medoids)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for group in range(g):
+            idx = np.flatnonzero(assign == group)
+            within = d[np.ix_(idx, idx)].sum(axis=1)
+            medoids[group] = int(idx[np.argmin(within)])
+    groups = [[] for _ in range(g)]
+    for i in range(n):
+        groups[int(assign[i])].append(members[i])
+    return groups
+
+
 # --- tie-heavy instances -----------------------------------------------------
 
 
@@ -260,6 +302,23 @@ def _assert_hdu_matches(units, instance, dist, scale, seed):
 def test_hdu_matches_reference_on_tie_heavy_instances(seed):
     instance = _tie_heavy_instance(seed)
     dist = instance.distances()
+    elementary = elementary_virtual_tasks(instance)
+    grouped = _random_units(instance, random.Random(seed))
+    for scale in SCALES:
+        _assert_hdu_matches(elementary, instance, dist, scale, seed)
+        _assert_hdu_matches(grouped, instance, dist, scale, seed + 1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hdu_matches_reference_on_an_asymmetric_table(seed):
+    # medoid distances are read from each unit's row at the medoid's
+    # columns; reading the medoid's row instead holds only when symmetric
+    instance = generate_instance(60, 90, 60, seed=seed)
+    matrix = instance.distances().matrix.copy()
+    upper = np.triu_indices(len(matrix), 1)
+    matrix[upper] += np.random.default_rng(seed).random(len(upper[0])) / 3
+    assert not np.array_equal(matrix, matrix.T)
+    dist = DistanceTable(matrix)
     elementary = elementary_virtual_tasks(instance)
     grouped = _random_units(instance, random.Random(seed))
     for scale in SCALES:
@@ -336,7 +395,7 @@ def test_nearest_matches_reference_on_random_numerators(seed):
     n = int(rng.integers(1, 30))
     num = rng.integers(0, 4, size=(n, n))
     np.fill_diagonal(num, 0)
-    ranks = RankMatrix(num, np.zeros((n, n), dtype=np.uint16))
+    ranks = RankMatrix(num, rank_rows(num))
     for k in _neighbor_sizes(n):
         assert ranks.nearest(k) == reference_nearest(ranks, k)
 
@@ -385,7 +444,7 @@ def test_nearest_edge_cases():
         ranks.nearest(-1)
 
 
-# one row short of a nearest_columns block, a block, one row over, and a
+# one row short of a RankMatrix.nearest block, a block, one row over, and a
 # partial third block
 NEAREST_SIZES = (_NEAREST_BLOCK - 1, _NEAREST_BLOCK, _NEAREST_BLOCK + 1, 2 * _NEAREST_BLOCK + 3)
 
@@ -408,10 +467,11 @@ def test_nearest_matches_reference_across_row_blocks(seed, n):
         _rows_tied_across_block_edges(n, rng),
         rng.integers(0, 4, size=(n, n)),
         np.zeros((n, n), dtype=np.int64),  # every off-diagonal entry ties
-        rng.random((n, n)),
+        _random_matrix(n, "tenths", rng),
+        _random_matrix(n, "float", rng),
     ]
     for num in matrices:
-        ranks = RankMatrix(num, np.zeros((n, n), dtype=np.uint16))
+        ranks = RankMatrix(num, rank_rows(num))
         for k in _neighbor_sizes(n):
             assert ranks.nearest(k) == reference_nearest(ranks, k)
 
@@ -566,6 +626,17 @@ def test_path_scanning_fit_test_is_load_plus_demand(first, second, capacity):
     _assert_path_scanning_matches(instance, dist, 0)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_path_scanning_matches_reference_with_an_infinite_capacity(seed):
+    # a served id must never fit again, however large the capacity
+    base = _tie_heavy_instance(seed)
+    edges = [(e.u, e.v, e.demand, e.service_cost, e.deadheading_cost) for e in base.edges]
+    instance = make_instance(base.vertex_count, edges, capacity=math.inf)
+    dist = instance.distances()
+    _assert_path_scanning_matches(instance, dist, seed)
+    assert path_scanning(instance, dist, make_rng(seed)).route_count == 1
+
+
 def test_path_scanning_matches_reference_on_a_generated_mid_size_instance(mid_instance):
     instance, dist, _ = mid_instance
     for seed in range(2):
@@ -629,6 +700,112 @@ def test_pairwise_distances_match_reference_on_a_generated_mid_size_instance(mid
     pool = list(rco_split(path_scanning(instance, dist, rng), ranks, RcoParams(), rng))
     assert len(pool) > 100
     _assert_pairwise_matches(pool, ranks)
+
+
+# --- fuzzy_kmedoid: assigning every sub-route in one pass ------------------
+
+
+class _QuarterDraws:
+    """An RNG whose ``random()`` is a multiple of 1/4: with tied medoids the
+    running weight sums are whole (1, 2, ...), so draw times total lands
+    exactly on one of them: the one case where ``cum <= x`` and ``cum < x``
+    differ."""
+
+    def __init__(self, seed):
+        self._rng = random.Random(seed)
+
+    def randrange(self, n):
+        return self._rng.randrange(n)
+
+    def random(self):
+        return self._rng.randrange(4) / 4
+
+    def getstate(self):
+        return self._rng.getstate()
+
+
+GROUP_COUNTS = (1, 2, 3, 5)
+FUZZINESS = (0.5, 5.0, 50.0)
+
+
+def _assert_fuzzy_matches(pool, ranks, seed, make=make_rng):
+    for g in GROUP_COUNTS:
+        for alpha in FUZZINESS:
+            config = ClusterConfig(g, alpha)
+            ref_rng, new_rng = make(seed), make(seed)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # pools smaller than g
+                expected = reference_fuzzy_kmedoid(pool, config, ranks, ref_rng)
+                got = fuzzy_kmedoid(pool, config, ranks, new_rng)
+            assert [[s.ids for s in group] for group in got] == [
+                [s.ids for s in group] for group in expected
+            ]
+            assert new_rng.getstate() == ref_rng.getstate()
+
+
+def _rco_pools(instance, dist, ranks, params, seed):
+    rng = make_rng(seed)
+    solution = path_scanning(instance, dist, rng)
+    return [list(rco_split(solution, ranks, p, rng)) for p in params]
+
+
+@pytest.mark.parametrize(
+    # a rank matrix needs two tasks
+    "seed", [s for s in range(100) if _tie_heavy_instance(s).task_count >= 2]
+)
+def test_fuzzy_kmedoid_matches_reference_on_tie_heavy_instances(seed):
+    instance = _tie_heavy_instance(seed)
+    dist = instance.distances()
+    ranks = build_rank_matrix(instance, dist)
+    params = (RcoParams(0.0, 0.0), RcoParams(0.5, 0.5), RcoParams(1.0, 1.0))
+    for pool in _rco_pools(instance, dist, ranks, params, seed):
+        _assert_fuzzy_matches(pool, ranks, seed)
+        _assert_fuzzy_matches(pool, ranks, seed, make=_QuarterDraws)
+
+
+GENERATED_SIZES = ((20, 15), (60, 90), (200, 300))
+FUZZY_PARAMS = (RcoParams(0.05, 0.2), RcoParams(0.5, 0.9), RcoParams(0.0, 0.0))
+
+
+@pytest.mark.parametrize("vertices, tasks", GENERATED_SIZES)
+def test_fuzzy_kmedoid_matches_reference_on_generated_instances(vertices, tasks):
+    instance = generate_instance(vertices, tasks, 60, seed=tasks)
+    dist = instance.distances()
+    ranks = build_rank_matrix(instance, dist)
+    for pool in _rco_pools(instance, dist, ranks, FUZZY_PARAMS, tasks):
+        _assert_fuzzy_matches(pool, ranks, tasks)
+        _assert_fuzzy_matches(pool, ranks, tasks, make=_QuarterDraws)
+
+
+def test_fuzzy_kmedoid_cases_reach_small_pools_zeros_and_exact_draws():
+    # pools smaller than a group count, zero distances between sub-routes,
+    # and quarter draws landing exactly on a running weight sum
+    small = zero_rows = exact = 0
+    for seed in [s for s in range(100) if _tie_heavy_instance(s).task_count >= 2]:
+        instance = _tie_heavy_instance(seed)
+        dist = instance.distances()
+        ranks = build_rank_matrix(instance, dist)
+        for pool in _rco_pools(instance, dist, ranks, (RcoParams(0.5, 0.5),), seed):
+            small += len(pool) < max(GROUP_COUNTS)
+            d = _pairwise_distances(pool, ranks)
+            zero_rows += bool(np.any(d[~np.eye(len(pool), dtype=bool)] == 0))
+            for g in range(2, min(len(pool), max(GROUP_COUNTS)) + 1):
+                to_medoid = d[:, _farthest_point_medoids(d, g, _QuarterDraws(seed))]
+                nearest = to_medoid.min(axis=1, keepdims=True)
+                far = nearest[:, 0] != 0
+                for alpha in FUZZINESS:
+                    cum = np.cumsum((to_medoid[far] / nearest[far]) ** -alpha, axis=1)
+                    landing = cum[:, -1:] * np.array([[0.25, 0.5, 0.75]])
+                    exact += int((cum[:, :-1, None] == landing[:, None, :]).sum())
+    assert small >= 30
+    assert zero_rows >= 50
+    assert exact >= 10  # with the first medoids only; later iterations add more
+
+
+def test_fuzzy_kmedoid_matches_reference_on_a_generated_mid_size_instance(mid_instance):
+    instance, dist, ranks = mid_instance
+    for pool in _rco_pools(instance, dist, ranks, FUZZY_PARAMS[:2], 9):
+        _assert_fuzzy_matches(pool, ranks, 9)
 
 
 # --- local search: re-indexing only the routes a move touched ---------------
