@@ -1,0 +1,31 @@
+#!/bin/sh
+# End-to-end check of the installed `routecut` console script: generate an
+# instance, solve it with both search loops and validate the results, then
+# run `bench` and `stats` in one process and in a pool of two worker
+# processes, each worker keeping its last instance and rank matrix.
+#
+# Usage: scripts/check_console.sh [WORK_DIR]
+# WORK_DIR (created if missing) defaults to a new temporary directory.
+set -eux
+dir=${1:-$(mktemp -d)}
+mkdir -p "$dir"
+cd "$dir"
+
+routecut gen --vertices 12 --tasks 8 --capacity 12 --seed 2 --out i.dat
+routecut solve i.dat --max-iters 2 --virtual-clock --out i.sol
+routecut validate i.dat i.sol
+routecut solve i.dat --algorithm cluster-rco --max-cycles 1 --virtual-clock --out c.sol
+routecut validate i.dat c.sol
+
+printf '%s\n' 'instances = i.dat' 'variants = sahid-rco, sahid-random' 'runs = 3' \
+  'max_iterations = 2' 'virtual_clock = 1' > exp.cfg
+routecut bench exp.cfg --out-dir runs
+routecut stats runs --reference sahid-rco
+test -f runs/wdl.csv
+
+routecut gen --vertices 14 --tasks 10 --capacity 12 --seed 3 --out j.dat
+printf '%s\n' 'instances = i.dat, j.dat' 'variants = sahid-rco, cluster-rco' 'runs = 3' \
+  'max_iterations = 2' 'max_cycles = 1' 'virtual_clock = 1' 'workers = 2' > pool.cfg
+routecut bench pool.cfg --out-dir pool
+routecut stats pool --reference sahid-rco
+test -f pool/wdl.csv

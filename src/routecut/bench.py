@@ -73,27 +73,20 @@ def resolve_budget(spec: ExperimentSpec, config: SearchConfig, instance: Instanc
     return base * spec.time_multiplier
 
 
-_instance_cache: dict[str, Instance] = {}
+# the last instance loaded, by path, with its rank matrix: cells come
+# grouped by instance, so one entry serves a run of cells and a worker keeps
+# one instance's distance table and ranks alive, not every one it has seen
+_last_instance: dict[str, tuple[Instance, RankMatrix | None]] = {}
 
 
-def _cached_instance(path: str) -> Instance:
-    inst = _instance_cache.get(path)
-    if inst is None:
-        inst = load_instance(path)
-        _instance_cache[path] = inst
-    return inst
-
-
-# the last instance's rank matrix, by path: cells come grouped by instance
-_last_ranks: dict[str, RankMatrix | None] = {}
-
-
-def _cached_ranks(path: str, instance: Instance) -> RankMatrix | None:
-    if path not in _last_ranks:
-        _last_ranks.clear()
+def _cached_instance(path: str) -> tuple[Instance, RankMatrix | None]:
+    if path not in _last_instance:
+        _last_instance.clear()
+        instance = load_instance(path)
         dist = instance.distances()
-        _last_ranks[path] = build_rank_matrix(instance, dist) if instance.task_count >= 2 else None
-    return _last_ranks[path]
+        ranks = build_rank_matrix(instance, dist) if instance.task_count >= 2 else None
+        _last_instance[path] = (instance, ranks)
+    return _last_instance[path]
 
 
 def _run_cell(args: tuple) -> RunRecord:
@@ -105,9 +98,9 @@ def _run_cell(args: tuple) -> RunRecord:
     err_path = out_dir / f"{stem}__{variant}__s{seed}.err"
     err_path.unlink(missing_ok=True)
     try:
-        instance = _cached_instance(instance_path)
+        instance, ranks = _cached_instance(instance_path)
         config = replace(config, seed=seed, time_limit=time_limit)
-        best, trace = solve(instance, config, ranks=_cached_ranks(instance_path, instance))
+        best, trace = solve(instance, config, ranks=ranks)
 
         problems = validate(best, instance)
         if problems:
@@ -143,7 +136,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> list[RunRecord]
     broken: list[RunRecord] = []
     for instance_path in spec.instances:
         try:
-            instance = _cached_instance(str(instance_path))
+            instance = load_instance(instance_path)
         except Exception as exc:
             broken.extend(
                 RunRecord(

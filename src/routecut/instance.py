@@ -8,6 +8,7 @@ marks route boundaries.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -104,13 +105,13 @@ class Instance:
             raise InvalidInstanceError("vertex count must be positive")
         if not 0 <= depot < vertex_count:
             raise InvalidInstanceError(f"depot {depot} out of range")
-        if capacity <= 0:
+        if not capacity > 0:  # NaN fails too; +inf is allowed
             raise InvalidInstanceError("capacity must be positive")
         for e in edges:
             if not (0 <= e.u < vertex_count and 0 <= e.v < vertex_count):
                 raise InvalidInstanceError(f"edge ({e.u},{e.v}) has a dangling vertex")
-            if e.demand < 0 or e.service_cost < 0 or e.deadheading_cost < 0:
-                raise InvalidInstanceError(f"edge ({e.u},{e.v}) has a negative attribute")
+            if not all(0 <= x < math.inf for x in (e.demand, e.service_cost, e.deadheading_cost)):
+                raise InvalidInstanceError(f"edge ({e.u},{e.v}) needs finite non-negative numbers")
             if e.demand > capacity:
                 raise InvalidInstanceError(
                     f"edge ({e.u},{e.v}) demand {e.demand} exceeds capacity {capacity}"

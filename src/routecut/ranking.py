@@ -20,60 +20,38 @@ from .distances import DistanceTable
 from .instance import Instance
 
 
-# task rows of link_numerators per block; 16 to 32 ran fastest of 4..512 at
-# 2500 tasks
-_LINK_BLOCK = 16
+def link_numerators(
+    matrix: np.ndarray, heads: np.ndarray, tails: np.ndarray, start: int, stop: int
+) -> np.ndarray:
+    """Rows ``start:stop`` of four times the link cost between the tasks
+    whose endpoints are ``heads`` and ``tails``.
 
-
-def link_numerators(instance: Instance, dist: DistanceTable) -> np.ndarray:
-    """Four times the link cost of every ordered task pair, diagonal 0.
-
-    Entry [i, j] is the plain sum of the four endpoint distances between
-    tasks i and j, added as ``((hh + ht) + th) + tt``.  The matrix is
-    int64 when every entry is an exact integer (integer edge costs),
-    float64 otherwise: the rule reads the sums, not the distances, so
-    half-integral distances whose sums are whole give int64 too.
-
-    The output is filled in blocks of ``_LINK_BLOCK`` task rows: the
-    distance rows from the block's heads and from its tails are gathered
-    once, and their head and tail columns summed into the block.  A block
-    allocates a few ``_LINK_BLOCK`` x max(V, n) arrays and no n x n one;
-    the int64 result reuses the float64 output's memory, converted block
-    by block.
+    Entry [r, j] is the plain sum of the four ``matrix`` distances between
+    the endpoints of tasks ``start + r`` and ``j``, added as
+    ``((hh + ht) + th) + tt``; entry [r, start + r] is 0, since self-links
+    are undefined.  The block is int64 when every entry is an exact
+    integer (integer edge costs), float64 otherwise: the rule reads the
+    sums, not the distances, so half-integral distances whose sums are
+    whole give int64 too.  The distance rows from the block's heads and
+    from its tails are gathered once, and the block allocates a few
+    (stop - start) x max(V, n) arrays.
     """
-    heads = np.array([t.u for t in instance.tasks], dtype=np.intp)
-    tails = np.array([t.v for t in instance.tasks], dtype=np.intp)
-    m = dist.matrix
-    n = len(heads)
-    num = np.empty((n, n), dtype=np.float64)
-    integral = True
-    for start in range(0, n, _LINK_BLOCK):
-        stop = min(start + _LINK_BLOCK, n)
-        from_heads = m[heads[start:stop]]
-        from_tails = m[tails[start:stop]]
-        out = num[start:stop]
-        np.add(from_heads[:, heads], from_heads[:, tails], out=out)
-        out += from_tails[:, heads]
-        out += from_tails[:, tails]
-        rows = np.arange(stop - start)
-        out[rows, start + rows] = 0  # self-links are undefined
-        integral = integral and np.array_equal(out.astype(np.int64), out)
-    if not integral:
-        return num
-    as_int = num.view(np.int64)  # the same memory, converted block by block
-    for start in range(0, n, _LINK_BLOCK):
-        block = slice(start, start + _LINK_BLOCK)
-        as_int[block] = num[block].astype(np.int64)
-    return as_int
+    from_heads = matrix[heads[start:stop]]
+    from_tails = matrix[tails[start:stop]]
+    block = from_heads[:, heads]
+    block += from_heads[:, tails]
+    block += from_tails[:, heads]
+    block += from_tails[:, tails]
+    rows = np.arange(stop - start)
+    block[rows, start + rows] = 0
+    as_int = block.astype(np.int64)
+    return as_int if np.array_equal(as_int, block) else block
 
 
-# rows per block of RankMatrix.nearest; 16 to 256 ran within 10% of each
-# other at 2500 tasks, and 32 rows of int64 keys are 0.6 MB at 2500
-_NEAREST_BLOCK = 32
-
-
-# rows ranked per pass of rank_rows; 32 ranked 2500 x 2500 fastest of 16..256
-_RANK_BLOCK = 32
+# task rows per block of build_rank_matrix and RankMatrix.nearest; 32 ranked
+# 2500 x 2500 fastest of 16..256, nearest ran within 10% from 16 to 256, and
+# 32 rows of int64 keys are 0.6 MB at 2500
+_ROW_BLOCK = 32
 # integer costs whose span (max - min + 1) is below this many times n are
 # ranked by counting, wider or float ones by sorting
 _COUNT_SPAN_PER_ROW = 4
@@ -109,61 +87,58 @@ def _below_by_counting(block: np.ndarray, low: np.generic, span: int, out: np.nd
     out[...] = below.ravel()[offset]
 
 
-def rank_rows(costs: np.ndarray) -> np.ndarray:
-    """Competition-rank each row of a square cost matrix, ignoring the diagonal.
+def _rank_dtype(n: int) -> type:
+    return np.uint16 if n <= np.iinfo(np.uint16).max else np.uint32
 
-    rank[i, j] = 1 + |{k != i : costs[i, k] < costs[i, j]}|; diagonal
-    entries are left as 0 (unset).  The result is uint16, or uint32 when n
-    exceeds 65535.
 
-    Rows are ranked in blocks of ``_RANK_BLOCK``: count the strictly
-    cheaper entries of each row, add one and drop the count for a strictly
-    cheaper diagonal.  Integer costs whose span of values is below
-    ``_COUNT_SPAN_PER_ROW`` x n are counted per value (``np.bincount``), in
-    linear time; float costs and wide integer spans are sorted.  The
-    temporaries of a block are a few ``_RANK_BLOCK`` x n arrays of 8-byte
-    items (plus ``_RANK_BLOCK`` x span counts), about 2 MB at n = 2500
-    against 50 MB for one n x n int64 array.
+def rank_rows(costs: np.ndarray, first: int = 0) -> np.ndarray:
+    """Competition-rank rows ``first .. first + b - 1`` of a square n x n
+    cost matrix, given as their b x n block ``costs``, ignoring the diagonal.
+
+    rank[r, j] = 1 + |{k != i : costs[r, k] < costs[r, j]}| for row
+    i = first + r; diagonal entries [r, i] are left as 0 (unset).  The
+    result is uint16, or uint32 when n exceeds 65535.
+
+    Count the strictly cheaper entries of each row, add one and drop the
+    count for a strictly cheaper diagonal.  Integer costs whose span of
+    values is below ``_COUNT_SPAN_PER_ROW`` x n are counted per value
+    (``np.bincount``), in linear time; float costs and wide integer spans
+    are sorted.  Ranks compare values only, so either path, and an int or a
+    float copy of the same values, gives the same ranks.  The temporaries
+    are a few b x n arrays of 8-byte items (plus b x span counts), so
+    callers rank a large matrix a block of rows at a time.
     """
-    n = costs.shape[0]
-    if costs.shape != (n, n):
-        raise ValueError("cost matrix must be square")
-    dtype = np.uint16 if n <= np.iinfo(np.uint16).max else np.uint32
-    ranks = np.empty((n, n), dtype=dtype)
+    b, n = costs.shape
+    if not 0 <= first <= n - b:
+        raise ValueError("rows must lie within a square cost matrix")
+    ranks = np.empty((b, n), dtype=_rank_dtype(n))
     counting = False
-    if n and np.issubdtype(costs.dtype, np.integer):
+    if b and np.issubdtype(costs.dtype, np.integer):
         low = costs.min()
         span = int(costs.max()) - int(low) + 1
         counting = span < _COUNT_SPAN_PER_ROW * n
-    for start in range(0, n, _RANK_BLOCK):
-        block = costs[start : start + _RANK_BLOCK]
-        out = ranks[start : start + _RANK_BLOCK]
-        if counting:
-            _below_by_counting(block, low, span, out)
-        else:
-            _below_by_sorting(block, out)
-        rows = np.arange(block.shape[0])
-        diagonal = block[rows, start + rows]
-        out += 1
-        out -= block > diagonal[:, None]
-        out[rows, start + rows] = 0
+    if counting:
+        _below_by_counting(costs, low, span, ranks)
+    else:
+        _below_by_sorting(costs, ranks)
+    rows = np.arange(b)
+    diagonal = costs[rows, first + rows]
+    ranks += 1
+    ranks -= costs > diagonal[:, None]
+    ranks[rows, first + rows] = 0
     return ranks
 
 
 @dataclass
 class RankMatrix:
-    """Link-cost and rank tables over all ordered task pairs.
+    """Competition ranks of the links over all ordered task pairs.
 
-    ``numerators`` holds four times the link cost (the plain sum of the
-    four endpoint distances); with integer edge costs this is an exact
-    integer, so rank comparisons never suffer floating-point tie
-    misclassification.  ``ranks`` must be ``rank_rows(numerators)``:
-    ``nearest`` reads only the ranks, and only the sub-route distances of
-    the clustering path read the numerators.  Diagonals are unset (0 in
-    ``ranks``).
+    ``ranks[i]`` is ``rank_rows`` of the link costs leaving task i, with
+    the diagonal unset (0).  Only ranks are kept, 2 bytes per task pair:
+    ``rco`` and ``nearest`` read nothing else, and the clustering path sums
+    its link costs afresh (``link_numerators``).
     """
 
-    numerators: np.ndarray
     ranks: np.ndarray
 
     def nearest(self, k: int) -> list[list[int]]:
@@ -175,8 +150,7 @@ class RankMatrix:
         (cost, column) does.  The diagonal's key is moved past every other
         one (n * n), the keys are partitioned at k - 1, the first k sorted,
         and ``% n`` gives back the columns.  Rows are taken in blocks of
-        ``_NEAREST_BLOCK``, so the keys are ``_NEAREST_BLOCK`` x n int64,
-        not n x n.
+        ``_ROW_BLOCK``, so the keys are ``_ROW_BLOCK`` x n int64, not n x n.
         """
         if k < 0:
             raise ValueError("k must be non-negative")
@@ -186,8 +160,8 @@ class RankMatrix:
             return [[] for _ in range(n)]
         columns = np.arange(n, dtype=np.int64)
         out: list[list[int]] = []
-        for start in range(0, n, _NEAREST_BLOCK):
-            key = self.ranks[start : start + _NEAREST_BLOCK].astype(np.int64)
+        for start in range(0, n, _ROW_BLOCK):
+            key = self.ranks[start : start + _ROW_BLOCK].astype(np.int64)
             key *= n
             key += columns
             local = np.arange(key.shape[0])
@@ -200,9 +174,19 @@ class RankMatrix:
 
 
 def build_rank_matrix(instance: Instance, dist: DistanceTable) -> RankMatrix:
-    """Compute link costs and ranks for every ordered task pair."""
+    """Rank the links of every ordered task pair.
+
+    Link numerators are summed and ranked ``_ROW_BLOCK`` rows at a time,
+    and each block is dropped once ranked: no n x n cost matrix is held.
+    """
     n = instance.task_count
     if n < 2:
         raise ValueError("rank matrix needs at least two tasks")
-    num = link_numerators(instance, dist)
-    return RankMatrix(num, rank_rows(num))
+    heads = np.array([t.u for t in instance.tasks], dtype=np.intp)
+    tails = np.array([t.v for t in instance.tasks], dtype=np.intp)
+    ranks = np.empty((n, n), dtype=_rank_dtype(n))
+    for start in range(0, n, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, n)
+        block = link_numerators(dist.matrix, heads, tails, start, stop)
+        ranks[start:stop] = rank_rows(block, first=start)
+    return RankMatrix(ranks)

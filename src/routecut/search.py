@@ -325,12 +325,11 @@ def _cluster_loop(instance, dist, ranks, config, clock, deadline, trace, sink) -
         return best  # nothing to decompose
 
     rng = make_rng(config.seed, 1)
-    cycles_done = 0
     for cycle in range(config.max_cycles):
         if deadline():
             break
         subroutes = rco_split(best, ranks, split_params, rng)
-        groups = fuzzy_kmedoid(subroutes, config.cluster, ranks, rng)
+        groups = fuzzy_kmedoid(subroutes, config.cluster, instance, dist, rng)
         per_group: list[list[Solution]] = []
         for gi, group in enumerate(groups):  # in group order: see _Clock
             keep = group_task_indices(group)
@@ -370,12 +369,11 @@ def _cluster_loop(instance, dist, ranks, config, clock, deadline, trace, sink) -
                 "best_cost": cycle_best.total_cost,
             }
         )
-        cycles_done += 1
         trace.iterations += 1
         if cycle_best.total_cost < best.total_cost:
             best = cycle_best.clone()
             trace.record(clock.elapsed_ms(), best.total_cost, sink)
 
-    if cycles_done == 0:
+    if trace.iterations == 0:
         warnings.warn("time limit exhausted before the first cycle")
     return best

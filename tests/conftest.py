@@ -127,7 +127,7 @@ def golden_instance():
 
 @pytest.fixture
 def golden_ranks():
-    return RankMatrix(LINK_NUMERATORS.copy(), RANKS_GOLDEN.copy())
+    return RankMatrix(RANKS_GOLDEN.copy())
 
 
 # --- independent oracles -----------------------------------------------------

@@ -178,7 +178,7 @@ def test_criterion_05_cut_probability_calibration():
     np.fill_diagonal(ranks_arr, 0)
     for i in range(10):
         ranks_arr[i, i + 1] = 1 if i % 2 == 0 else 9  # 5 good, 5 poor links
-    ranks = RankMatrix(np.ones((n, n), dtype=np.int64), ranks_arr)
+    ranks = RankMatrix(ranks_arr)
     sol = solution_from_tasks(inst, dist, [list(range(11))])
 
     good_positions = {i for i in range(10) if i % 2 == 0}

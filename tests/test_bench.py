@@ -1,8 +1,10 @@
 """Experiment harness and CLI surfaces."""
 
+import gc
 import io
 import math
 import re
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -343,6 +345,30 @@ def test_cells_build_each_rank_matrix_once_per_instance(tmp_path, monkeypatch):
         write_solution(best, instance, text)
         assert r.final_cost == best.total_cost
         assert Path(r.solution_path).read_text() == text.getvalue()
+
+
+def test_a_worker_keeps_one_instance_alive(tmp_path, monkeypatch):
+    # each instance holds its distance table and rows: a worker that kept
+    # every one it loaded would grow with the experiment
+    paths = []
+    for seed in (2, 3, 4):
+        path = tmp_path / f"inst{seed}.dat"
+        generate_instance_file(path, vertices=12, tasks=8, capacity=12, seed=seed)
+        paths.append(path)
+    loaded = []
+
+    def recording_load(path):
+        instance = load_instance(path)
+        loaded.append(weakref.ref(instance))
+        return instance
+
+    monkeypatch.setattr(bench, "load_instance", recording_load)
+    spec = ExperimentSpec(paths, [("v", _quick_config("sahid-rco"))], runs=2, workers=1)
+    records = run_experiment(spec, tmp_path / "out")
+    assert len(records) == 6 and not any(r.failed for r in records)
+    gc.collect()
+    assert len(loaded) >= 3
+    assert sum(ref() is not None for ref in loaded) <= 1
 
 
 def test_failed_rank_matrix_lands_in_the_cell(tmp_path, small_instance_file, monkeypatch):

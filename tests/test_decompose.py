@@ -1,6 +1,7 @@
 """Sub-route clustering, virtual tasks, and hierarchical construction."""
 
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from routecut import (
     ClusterConfig,
-    RankMatrix,
+    DistanceTable,
     RcoParams,
     build_rank_matrix,
     build_virtual_tasks,
@@ -34,31 +35,36 @@ def _pool_of_singletons(task_indices):
     return [SubRoute((forward_id(ti),), i, 0) for i, ti in enumerate(task_indices)]
 
 
-def _numerator_matrix(values):
-    costs = np.array(values, dtype=np.int64) * 4
-    from routecut.ranking import rank_rows
-
-    return RankMatrix(costs, rank_rows(costs))
+def _linked_tasks(values):
+    """One task per row of ``values`` and a distance table under which the
+    link cost of tasks i and j is ``values[i][j]``: task i runs from vertex
+    2i to 2i + 1, and both its endpoints lie ``values[i][j]`` from both of
+    task j's."""
+    n = len(values)
+    edges = [(2 * i, 2 * i + 1, 1, 1, 1) for i in range(n)]
+    edges += [(2 * i + 1, 2 * i + 2, 0, 0, 1) for i in range(n - 1)]  # reachability
+    instance = make_instance(2 * n, edges, capacity=n)
+    return instance, DistanceTable(np.kron(np.array(values, dtype=float), np.ones((2, 2))))
 
 
 def test_subroute_distance_identity_is_zero():
-    ranks = _numerator_matrix([[0, 3], [3, 0]])
-    d = _pairwise_distances(_pool_of_singletons([0, 1]), ranks)
+    links = _linked_tasks([[0, 3], [3, 0]])
+    d = _pairwise_distances(_pool_of_singletons([0, 1]), *links)
     assert d[0, 0] == d[1, 1] == 0.0
 
 
 def test_subroute_distance_single_pair():
-    ranks = _numerator_matrix([[0, 3], [3, 0]])
-    d = _pairwise_distances(_pool_of_singletons([0, 1]), ranks)
+    links = _linked_tasks([[0, 3], [3, 0]])
+    d = _pairwise_distances(_pool_of_singletons([0, 1]), *links)
     assert d[0, 1] == pytest.approx(3.0)
 
 
 def test_subroute_distance_hand_mean():
-    ranks = _numerator_matrix([[0, 2, 5], [2, 0, 9], [5, 9, 0]])
+    links = _linked_tasks([[0, 2, 5], [2, 0, 9], [5, 9, 0]])
     a = SubRoute((forward_id(0),), 0, 0)
     b = SubRoute((forward_id(1), forward_id(2)), 1, 0)
     # mean of delta(0,1)=2 and delta(0,2)=5
-    assert _pairwise_distances([a, b], ranks)[0, 1] == pytest.approx(3.5)
+    assert _pairwise_distances([a, b], *links)[0, 1] == pytest.approx(3.5)
 
 
 @settings(max_examples=30, deadline=None)
@@ -66,21 +72,20 @@ def test_subroute_distance_hand_mean():
 def test_subroute_distance_symmetry(seed):
     rng = random.Random(seed)
     inst = generate_instance(12, 8, 16, seed=seed % 13)
-    ranks = build_rank_matrix(inst, inst.distances())
     tis = list(range(8))
     rng.shuffle(tis)
     cut = rng.randint(1, 7)
     a = SubRoute(tuple(forward_id(t) for t in tis[:cut]), 0, 0)
     b = SubRoute(tuple(forward_id(t) for t in tis[cut:]), 1, 0)
-    d = _pairwise_distances([a, b], ranks)
+    d = _pairwise_distances([a, b], inst, inst.distances())
     assert d[0, 1] == pytest.approx(d[1, 0])
     assert d[0, 1] >= 0.0
 
 
 def test_single_group_contains_everything():
-    ranks = _numerator_matrix([[0, 2, 5], [2, 0, 9], [5, 9, 0]])
+    links = _linked_tasks([[0, 2, 5], [2, 0, 9], [5, 9, 0]])
     pool = _pool_of_singletons([0, 1, 2])
-    groups = fuzzy_kmedoid(pool, ClusterConfig(1, 5.0), ranks, make_rng(0))
+    groups = fuzzy_kmedoid(pool, ClusterConfig(1, 5.0), *links, make_rng(0))
     assert len(groups) == 1
     assert group_task_indices(groups[0]) == {0, 1, 2}
 
@@ -95,11 +100,11 @@ def _two_clump_matrix():
             if i == j:
                 continue
             vals[i][j] = 1 if (i < 3) == (j < 3) else 50
-    return _numerator_matrix(vals)
+    return _linked_tasks(vals)
 
 
-def _best_two_partition(pool, ranks):
-    d = _pairwise_distances(list(pool), ranks)
+def _best_two_partition(pool, links):
+    d = _pairwise_distances(list(pool), *links)
     n = len(pool)
     best, best_val = None, float("inf")
     for size in range(1, n // 2 + 1):
@@ -118,12 +123,12 @@ def _best_two_partition(pool, ranks):
 
 
 def test_two_separated_clusters_recovered_every_seed():
-    ranks = _two_clump_matrix()
+    links = _two_clump_matrix()
     pool = _pool_of_singletons(range(6))
-    oracle = _best_two_partition(pool, ranks)
+    oracle = _best_two_partition(pool, links)
     assert oracle in (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
     for seed in range(20):
-        groups = fuzzy_kmedoid(pool, ClusterConfig(2, 50.0), ranks, make_rng(seed))
+        groups = fuzzy_kmedoid(pool, ClusterConfig(2, 50.0), *links, make_rng(seed))
         tasks = sorted(tuple(sorted(group_task_indices(g))) for g in groups)
         assert tasks == [(0, 1, 2), (3, 4, 5)]
 
@@ -140,13 +145,13 @@ def test_high_fuzziness_matches_hard_assignment():
     for i in range(n):
         for j in range(i + 1, n):
             vals[i][j] = vals[j][i] = next(within if (i < 3) == (j < 3) else between)
-    ranks = _numerator_matrix(vals)
+    links = _linked_tasks(vals)
     pool = _pool_of_singletons(range(n))
     members = list(pool)
     d = np.array(vals, dtype=float)
 
     for seed in range(8):
-        groups = fuzzy_kmedoid(pool, ClusterConfig(2, 50.0), ranks, make_rng(seed))
+        groups = fuzzy_kmedoid(pool, ClusterConfig(2, 50.0), *links, make_rng(seed))
 
         rng = make_rng(seed)  # replicate the farthest-point initialization
         medoids = [rng.randrange(n)]
@@ -180,7 +185,7 @@ def test_partition_property_random_pools():
         sol = path_scanning(inst, dist, make_rng(seed))
         pool = rco_split(sol, ranks, RcoParams(0.3, 0.6), make_rng(seed, 1))
         g = min(3, len(pool))
-        groups = fuzzy_kmedoid(pool, ClusterConfig(g, 5.0), ranks, make_rng(seed, 2))
+        groups = fuzzy_kmedoid(pool, ClusterConfig(g, 5.0), inst, dist, make_rng(seed, 2))
         assert len(groups) == g
         assert all(groups)
         union = Counter()
@@ -192,11 +197,32 @@ def test_partition_property_random_pools():
         assert sum(len(grp) for grp in groups) == len(pool)
 
 
+def test_pairwise_distances_hold_no_square_cost_matrix():
+    # one n x n array of 8-byte link costs would take the peak past 4 bytes
+    # a task pair; the distances of a whole-route pool need far less
+    inst = generate_instance(600, 1000, 60, seed=1)
+    dist = inst.distances()
+    from routecut import path_scanning
+
+    solution = path_scanning(inst, dist, make_rng(1))
+    pool = [SubRoute(tuple(route.interior), i, 0) for i, route in enumerate(solution.routes)]
+    n = inst.task_count
+    tracemalloc.start()
+    try:
+        d = _pairwise_distances(pool, inst, dist)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n >= 1000 and sum(map(len, pool)) == n
+    assert d.shape == (len(pool), len(pool))
+    assert peak < 4 * n * n
+
+
 def test_degenerate_pool_reduces_groups():
-    ranks = _numerator_matrix([[0, 2], [2, 0]])
+    links = _linked_tasks([[0, 2], [2, 0]])
     pool = _pool_of_singletons([0, 1])
     with pytest.warns(UserWarning, match="reducing"):
-        groups = fuzzy_kmedoid(pool, ClusterConfig(5, 5.0), ranks, make_rng(1))
+        groups = fuzzy_kmedoid(pool, ClusterConfig(5, 5.0), *links, make_rng(1))
     assert len(groups) == 2
 
 

@@ -1,11 +1,14 @@
 """Instance model and DAT parser."""
 
 import io
+import math
 
 import pytest
 from hypothesis import given, settings
 
 from routecut import (
+    Edge,
+    Instance,
     InstanceFormatError,
     InvalidInstanceError,
     inverse_id,
@@ -116,6 +119,34 @@ def test_depot_out_of_range_rejected():
     text = MINIMAL.replace("DEPOSITO : 1", "DEPOSITO : 3")
     with pytest.raises(InvalidInstanceError, match="depot"):
         parse_instance(text)
+
+
+NON_FINITE = pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+)
+
+
+@NON_FINITE
+@pytest.mark.parametrize("demand", [0, 1], ids=["optional", "required"])
+@pytest.mark.parametrize("field", ["demand", "service_cost", "deadheading_cost"])
+def test_non_finite_edge_numbers_rejected(field, demand, value):
+    # a NaN demand would drop the task silently, an infinite cost would
+    # give an infinite solution that validates
+    numbers = {"demand": demand, "service_cost": 1, "deadheading_cost": 1, field: value}
+    edges = [Edge(0, 1, 1, 1, 1), Edge(1, 2, **numbers)]
+    with pytest.raises(InvalidInstanceError, match=r"edge \(1,2\) needs finite non-negative"):
+        Instance("x", 3, edges, 0, 5)
+
+
+@NON_FINITE
+def test_capacity_must_be_positive_and_may_be_infinite(value):
+    # a NaN capacity fits no demand, and path scanning would never return
+    edges = [Edge(0, 1, 1, 1, 1)]
+    if value == math.inf:
+        assert Instance("x", 2, edges, 0, value).capacity == math.inf
+        return
+    with pytest.raises(InvalidInstanceError, match="capacity must be positive"):
+        Instance("x", 2, edges, 0, value)
 
 
 def test_parallel_edges_are_distinct_tasks():

@@ -1,5 +1,7 @@
 """Link costs and the competition-ranked link matrix."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,13 @@ from routecut.generator import generate_instance
 from routecut.ranking import link_numerators
 
 from conftest import LINK_NUMERATORS, RANKS_GOLDEN, make_instance
+
+
+def all_link_numerators(instance, dist):
+    """Every row of ``link_numerators`` as one block."""
+    heads = np.array([t.u for t in instance.tasks], dtype=np.intp)
+    tails = np.array([t.v for t in instance.tasks], dtype=np.intp)
+    return link_numerators(dist.matrix, heads, tails, 0, instance.task_count)
 
 
 def link_cost(t1, t2, instance, dist):
@@ -40,6 +49,15 @@ def test_rank_matrix_is_asymmetric():
     assert got[3, 0] == 2  # but attractive seen from the isolated side
 
 
+def test_row_blocks_rank_as_rows_of_the_whole_matrix():
+    whole = rank_rows(LINK_NUMERATORS)
+    for first in range(0, 8, 3):
+        block = LINK_NUMERATORS[first : first + 3]
+        assert np.array_equal(rank_rows(block, first=first), whole[first : first + 3])
+    with pytest.raises(ValueError, match="square"):
+        rank_rows(LINK_NUMERATORS[6:], first=7)
+
+
 def test_all_equal_costs_share_rank_one():
     costs = np.ones((4, 4))
     got = rank_rows(costs)
@@ -61,24 +79,24 @@ def test_counted_ranks_equal_sorted_ranks(dtype):
 def test_link_cost_shared_depot_tasks():
     # tasks (v0,v1) and (v0,v2), unit costs: delta terms 0+1+1+2 -> 1
     inst = make_instance(3, [(0, 1, 1, 1, 1), (0, 2, 1, 1, 1)], capacity=5)
-    assert link_numerators(inst, inst.distances())[0, 1] == 4
+    assert all_link_numerators(inst, inst.distances())[0, 1] == 4
 
 
 def test_link_cost_parallel_tasks():
     # parallel tasks: two of the four terms collapse to delta(u,u)=0 and the
     # other two to delta(u,v), so the link cost is delta(u,v)/2 ...
     inst = make_instance(2, [(0, 1, 1, 1, 1), (0, 1, 1, 3, 3)], capacity=5)
-    assert link_numerators(inst, inst.distances())[0, 1] == 2
+    assert all_link_numerators(inst, inst.distances())[0, 1] == 2
     # ... and vanishes entirely when the endpoints are zero-distance apart
     free = make_instance(2, [(0, 1, 1, 1, 0), (0, 1, 1, 3, 3)], capacity=5)
-    assert link_numerators(free, free.distances())[0, 1] == 0
+    assert all_link_numerators(free, free.distances())[0, 1] == 0
 
 
 def test_link_cost_orientation_independent():
     for seed in range(4):
         inst = generate_instance(10, 6, 20, seed=seed)
         dist = inst.distances()
-        num = link_numerators(inst, dist)
+        num = all_link_numerators(inst, dist)
         m = dist.matrix
         for t1 in range(3):
             for t2 in range(3, 6):
@@ -91,19 +109,38 @@ def test_link_cost_orientation_independent():
 def test_build_matches_link_cost():
     inst = generate_instance(12, 7, 20, seed=3)
     dist = inst.distances()
-    ranks = build_rank_matrix(inst, dist)
+    num = all_link_numerators(inst, dist)
     for t1 in range(7):
         for t2 in range(7):
             if t1 != t2:
-                assert ranks.numerators[t1, t2] / 4 == link_cost(t1, t2, inst, dist)
-    assert not ranks.numerators.diagonal().any()  # self-links are undefined
-    assert ranks.numerators.dtype == np.int64  # integer costs stay exact
+                assert num[t1, t2] / 4 == link_cost(t1, t2, inst, dist)
+    assert not num.diagonal().any()  # self-links are undefined
+    assert num.dtype == np.int64  # integer costs stay exact
+    ranks = build_rank_matrix(inst, dist)
+    assert np.array_equal(ranks.ranks, rank_rows(num))
 
 
 def test_build_requires_two_tasks():
     inst = make_instance(2, [(0, 1, 1, 1, 1)], capacity=5)
     with pytest.raises(ValueError):
         build_rank_matrix(inst, inst.distances())
+
+
+def test_build_rank_matrix_holds_no_square_cost_matrix():
+    # ranks take 2 bytes a pair; one n x n array of 8-byte costs, whole or
+    # as a float copy, would take the peak past 4 bytes a pair
+    inst = generate_instance(600, 1000, 60, seed=1)
+    dist = inst.distances()
+    n = inst.task_count
+    tracemalloc.start()
+    try:
+        ranks = build_rank_matrix(inst, dist)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n >= 1000
+    assert ranks.ranks.nbytes == 2 * n * n
+    assert peak < 4 * n * n
 
 
 # --- properties on small matrices with heavy ties ----------------------------
@@ -149,14 +186,14 @@ def test_competition_rank_against_counting_oracle(costs):
 @given(tie_heavy_matrices(), st.integers(0, 11))
 def test_nearest_is_the_head_of_the_row_sorted_by_value_then_index(num, k):
     n = len(num)
-    got = RankMatrix(num, rank_rows(num)).nearest(k)
+    got = RankMatrix(rank_rows(num)).nearest(k)
     assert got == [_by_value_then_index(num[i], i)[:k] for i in range(n)]
 
 
 @settings(max_examples=150, deadline=None)
 @given(tie_heavy_matrices(), st.integers(0, 10))
 def test_nearest_k_is_a_prefix_of_nearest_k_plus_one(num, k):
-    ranks = RankMatrix(num, rank_rows(num))
+    ranks = RankMatrix(rank_rows(num))
     assert ranks.nearest(k) == [r[:k] for r in ranks.nearest(k + 1)]
 
 

@@ -1,6 +1,7 @@
 """`DistanceTable.rows` and `RankMatrix.nearest` (both in row blocks), the
 numpy `hdu` level loop, `rank_rows` (both its counting and its sorting
-path), `link_numerators`, `path_scanning`, `_pairwise_distances`,
+path), `link_numerators` (in row blocks), `path_scanning`,
+`_pairwise_distances` (in row blocks of whole sub-routes),
 `fuzzy_kmedoid`'s one-pass assignment, local search's touched-route
 re-indexing and its fused move scan against the versions they replaced,
 kept here as references.
@@ -37,6 +38,7 @@ from routecut import (
     rco_split,
 )
 from routecut.decompose import (
+    _DISTANCE_BLOCK,
     ClusterConfig,
     _chain_cluster,
     _farthest_point_medoids,
@@ -51,9 +53,7 @@ from routecut.generator import generate_instance
 from routecut.instance import forward_id, inverse_id
 from routecut.ranking import (
     _COUNT_SPAN_PER_ROW,
-    _LINK_BLOCK,
-    _NEAREST_BLOCK,
-    _RANK_BLOCK,
+    _ROW_BLOCK,
     link_numerators,
     rank_rows,
 )
@@ -122,10 +122,10 @@ def reference_hdu(units, instance, dist, scale, rng):
     return Solution.build(interiors, instance, dist)
 
 
-def reference_nearest(ranks, k):
-    n = ranks.numerators.shape[0]
+def reference_nearest(costs, k):
+    n = costs.shape[0]
     k = min(k, n - 1)
-    order = np.argsort(ranks.numerators, axis=1, kind="stable")
+    order = np.argsort(costs, axis=1, kind="stable")
     out = []
     for i in range(n):
         row = [int(j) for j in order[i] if j != i]
@@ -147,9 +147,14 @@ def reference_rank_rows(costs):
     return ranks
 
 
-def reference_link_numerators(instance, dist):
+def _task_ends(instance):
     heads = np.array([t.u for t in instance.tasks], dtype=np.intp)
     tails = np.array([t.v for t in instance.tasks], dtype=np.intp)
+    return heads, tails
+
+
+def reference_link_numerators(instance, dist):
+    heads, tails = _task_ends(instance)
     m = dist.matrix
     num = (
         m[np.ix_(heads, heads)]
@@ -200,31 +205,44 @@ def reference_path_scanning(instance, dist, rng):
     return Solution.build(interiors, instance, dist)
 
 
-def subroute_distance(a, b, ranks):
-    """Mean link cost over all task pairs of two sub-routes (0 for identity)."""
+def subroute_distance(a, b, num):
+    """Mean link cost over all task pairs of two sub-routes (0 for identity),
+    from the whole matrix ``num`` of `reference_link_numerators`."""
     if a is b:
         return 0.0
     ai = a.task_indices()
     bi = b.task_indices()
-    block = ranks.numerators[np.ix_(ai, bi)]
+    block = num[np.ix_(ai, bi)]
     return float(block.mean()) / 4.0
 
 
-def reference_pairwise_distances(pool, ranks):
+def reference_pairwise_distances(pool, num):
     n = len(pool)
     d = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            d[i, j] = d[j, i] = subroute_distance(pool[i], pool[j], ranks)
+            d[i, j] = d[j, i] = subroute_distance(pool[i], pool[j], num)
     return d
 
 
-def reference_fuzzy_kmedoid(pool, config, ranks, rng):
+def whole_matrix_pairwise_distances(pool, num):
+    """`_pairwise_distances` over the whole matrix ``num``: gather every
+    pair of the pool's tasks, sum each sub-route's rows, then its columns."""
+    sizes = np.array([len(s) for s in pool])
+    order = np.concatenate([s.task_indices() for s in pool])
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    block = num[np.ix_(order, order)]
+    sums = np.add.reduceat(np.add.reduceat(block, starts, axis=0), starts, axis=1)
+    d = np.triu(sums / np.outer(sizes, sizes) / 4.0, 1)
+    return d + d.T
+
+
+def reference_fuzzy_kmedoid(pool, config, instance, dist, rng):
     """`fuzzy_kmedoid` assigning one sub-route at a time."""
     members = list(pool)
     n = len(members)
     g = min(config.group_count, n)
-    d = _pairwise_distances(members, ranks)
+    d = _pairwise_distances(members, instance, dist)
     if g == 1:
         return [members]
     alpha = config.fuzziness
@@ -331,9 +349,11 @@ def test_nearest_matches_reference_on_tie_heavy_instances(seed):
     instance = _tie_heavy_instance(seed)
     if instance.task_count < 2:
         pytest.skip("a rank matrix needs two tasks")
-    ranks = build_rank_matrix(instance, instance.distances())
+    dist = instance.distances()
+    ranks = build_rank_matrix(instance, dist)
+    num = reference_link_numerators(instance, dist)
     for k in _neighbor_sizes(instance.task_count):
-        assert ranks.nearest(k) == reference_nearest(ranks, k)
+        assert ranks.nearest(k) == reference_nearest(num, k)
 
 
 def _assert_same_ranks(got, expected):
@@ -367,7 +387,7 @@ def _counts(costs):
 def test_rank_rows_match_reference_on_tie_heavy_instances(seed, rank_paths):
     instance = _tie_heavy_instance(seed)
     if instance.task_count >= 2:
-        num = build_rank_matrix(instance, instance.distances()).numerators
+        num = reference_link_numerators(instance, instance.distances())
         rank_paths.clear()
         _assert_same_ranks(rank_rows(num), reference_rank_rows(num))
         assert rank_paths == {"counting" if _counts(num) else "sorting"}
@@ -381,7 +401,7 @@ def test_tie_heavy_instances_are_tie_heavy():
         ends = [tuple(sorted((t.u, t.v))) for t in instance.tasks]
         parallel += len(ends) > len(set(ends))
         if instance.task_count >= 2:
-            num = build_rank_matrix(instance, instance.distances()).numerators
+            num = reference_link_numerators(instance, instance.distances())
             zero_links += bool(np.any(num[~np.eye(len(num), dtype=bool)] == 0))
             counted += _counts(num)
     assert parallel >= 50
@@ -395,9 +415,9 @@ def test_nearest_matches_reference_on_random_numerators(seed):
     n = int(rng.integers(1, 30))
     num = rng.integers(0, 4, size=(n, n))
     np.fill_diagonal(num, 0)
-    ranks = RankMatrix(num, rank_rows(num))
+    ranks = RankMatrix(rank_rows(num))
     for k in _neighbor_sizes(n):
-        assert ranks.nearest(k) == reference_nearest(ranks, k)
+        assert ranks.nearest(k) == reference_nearest(num, k)
 
 
 def _random_matrix(n, kind, rng):
@@ -419,7 +439,7 @@ def _random_matrix(n, kind, rng):
 
 # a single row, one row short of a block, a block, one row over, and a
 # partial third block
-BLOCK_SIZES = (1, _RANK_BLOCK - 1, _RANK_BLOCK, _RANK_BLOCK + 1, 2 * _RANK_BLOCK + 3)
+BLOCK_SIZES = (1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 3)
 
 
 @pytest.mark.parametrize("kind", ["int", "wide", "tenths", "float"])
@@ -431,22 +451,22 @@ def test_ranking_matches_reference_on_random_matrices(seed, n, kind, rank_paths)
     # a 1 x 1 matrix spans a single value
     counted = kind == "int" or kind == "wide" and n == 1
     assert rank_paths == {"counting" if counted else "sorting"}
-    ranks = RankMatrix(num, reference_rank_rows(num))
+    ranks = RankMatrix(reference_rank_rows(num))
     for k in _neighbor_sizes(n):
-        assert ranks.nearest(k) == reference_nearest(ranks, k)
+        assert ranks.nearest(k) == reference_nearest(num, k)
 
 
 def test_nearest_edge_cases():
-    empty = RankMatrix(np.zeros((0, 0), dtype=np.int64), np.zeros((0, 0), dtype=np.uint16))
-    assert empty.nearest(3) == reference_nearest(empty, 3) == []
-    ranks = RankMatrix(np.zeros((3, 3), dtype=np.int64), np.zeros((3, 3), dtype=np.uint16))
+    empty = RankMatrix(np.zeros((0, 0), dtype=np.uint16))
+    assert empty.nearest(3) == reference_nearest(np.zeros((0, 0), dtype=np.int64), 3) == []
+    ranks = RankMatrix(np.zeros((3, 3), dtype=np.uint16))
     with pytest.raises(ValueError, match="non-negative"):
         ranks.nearest(-1)
 
 
 # one row short of a RankMatrix.nearest block, a block, one row over, and a
 # partial third block
-NEAREST_SIZES = (_NEAREST_BLOCK - 1, _NEAREST_BLOCK, _NEAREST_BLOCK + 1, 2 * _NEAREST_BLOCK + 3)
+NEAREST_SIZES = (_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 3)
 
 
 def _rows_tied_across_block_edges(n, rng):
@@ -454,7 +474,7 @@ def _rows_tied_across_block_edges(n, rng):
     row repeated: ties within each row, and the same ties on both sides of
     the edge, with the diagonal cheaper than, equal to or dearer than them."""
     num = rng.integers(0, 4, size=(n, n))
-    for edge in range(_NEAREST_BLOCK, n, _NEAREST_BLOCK):
+    for edge in range(_ROW_BLOCK, n, _ROW_BLOCK):
         num[edge - 2 : edge + 2] = num[edge]
     return num
 
@@ -471,9 +491,9 @@ def test_nearest_matches_reference_across_row_blocks(seed, n):
         _random_matrix(n, "float", rng),
     ]
     for num in matrices:
-        ranks = RankMatrix(num, rank_rows(num))
+        ranks = RankMatrix(rank_rows(num))
         for k in _neighbor_sizes(n):
-            assert ranks.nearest(k) == reference_nearest(ranks, k)
+            assert ranks.nearest(k) == reference_nearest(num, k)
 
 
 def reference_rows(m):
@@ -508,18 +528,19 @@ def mid_instance():
 def test_matches_reference_on_a_generated_mid_size_instance(mid_instance):
     instance, dist, ranks = mid_instance
     _assert_hdu_matches(elementary_virtual_tasks(instance), instance, dist, 0.1, 3)
-    assert ranks.nearest(20) == reference_nearest(ranks, 20)
+    assert ranks.nearest(20) == reference_nearest(reference_link_numerators(instance, dist), 20)
 
 
 def test_ranking_matches_reference_on_a_generated_mid_size_instance(mid_instance, rank_paths):
     instance, dist, ranks = mid_instance
-    _assert_same_ranks(ranks.ranks, reference_rank_rows(ranks.numerators))
-    _assert_same_ranks(rank_rows(ranks.numerators), ranks.ranks)
+    num = reference_link_numerators(instance, dist)
+    _assert_same_ranks(ranks.ranks, reference_rank_rows(num))
+    _assert_same_ranks(rank_rows(num), ranks.ranks)
     assert rank_paths == {"counting"}
-    _assert_same_numerators(ranks.numerators, reference_link_numerators(instance, dist))
     n = instance.task_count
+    _assert_same_numerators(link_numerators(dist.matrix, *_task_ends(instance), 0, n), num)
     for k in _neighbor_sizes(n):
-        assert ranks.nearest(k) == reference_nearest(ranks, k)
+        assert ranks.nearest(k) == reference_nearest(num, k)
 
 
 def _assert_same_numerators(got, expected):
@@ -548,10 +569,17 @@ def _link_instance(kind, tasks, seed):
 LINK_DTYPES = {"int": np.int64, "halves": np.int64, "tenths": np.float64}
 
 
+def _reference_rows(num, start, stop):
+    """Rows start:stop of a reference matrix, int64 when all are whole."""
+    block = num[start:stop]
+    as_int = block.astype(np.int64)
+    return as_int if np.array_equal(as_int, block) else block.astype(np.float64)
+
+
 @pytest.mark.parametrize("kind", sorted(LINK_DTYPES))
-@pytest.mark.parametrize(
-    "tasks", (2, _LINK_BLOCK - 1, _LINK_BLOCK, _LINK_BLOCK + 1, 2 * _LINK_BLOCK + 3)
-)
+# task counts around one, two and three blocks of 16 rows, each cut into
+# single rows, into blocks of 16 and into build_rank_matrix's _ROW_BLOCK
+@pytest.mark.parametrize("tasks", (2, 15, 16, 17, 35))
 @pytest.mark.parametrize("seed", range(3))
 def test_link_numerators_match_reference(seed, tasks, kind):
     instance = _link_instance(kind, tasks, seed)
@@ -560,7 +588,27 @@ def test_link_numerators_match_reference(seed, tasks, kind):
     assert expected.dtype == LINK_DTYPES[kind]
     if kind == "halves":
         assert np.any(dist.matrix % 1 == 0.5)
-    _assert_same_numerators(link_numerators(instance, dist), expected)
+    heads, tails = _task_ends(instance)
+    _assert_same_numerators(link_numerators(dist.matrix, heads, tails, 0, tasks), expected)
+    for rows in (1, 16, _ROW_BLOCK):
+        for start in range(0, tasks, rows):
+            stop = min(start + rows, tasks)
+            _assert_same_numerators(
+                link_numerators(dist.matrix, heads, tails, start, stop),
+                _reference_rows(expected, start, stop),
+            )
+
+
+@pytest.mark.parametrize("kind", sorted(LINK_DTYPES))
+@pytest.mark.parametrize("tasks", BLOCK_SIZES[1:])
+@pytest.mark.parametrize("seed", range(2))
+def test_build_rank_matrix_matches_reference_across_row_blocks(seed, tasks, kind):
+    # each block of rows is summed, typed (int64 or float64) and ranked on
+    # its own; the ranks must be the whole matrix's
+    instance = _link_instance(kind, tasks, seed)
+    dist = instance.distances()
+    num = reference_link_numerators(instance, dist)
+    _assert_same_ranks(build_rank_matrix(instance, dist).ranks, reference_rank_rows(num))
 
 
 # --- path_scanning and _pairwise_distances -----------------------------------
@@ -655,12 +703,14 @@ def _random_subroutes(task_count, rng):
     return pool
 
 
-def _assert_pairwise_matches(pool, ranks):
-    got = _pairwise_distances(pool, ranks)
-    assert np.array_equal(got, reference_pairwise_distances(pool, ranks))
+def _assert_pairwise_matches(pool, instance, dist):
+    num = reference_link_numerators(instance, dist)
+    got = _pairwise_distances(pool, instance, dist)
+    assert got.tobytes() == whole_matrix_pairwise_distances(pool, num).tobytes()
+    assert np.array_equal(got, reference_pairwise_distances(pool, num))
     for i in range(len(pool)):
         for j in range(len(pool)):
-            assert got[i, j] == subroute_distance(pool[i], pool[j], ranks)
+            assert got[i, j] == subroute_distance(pool[i], pool[j], num)
 
 
 @pytest.mark.parametrize(
@@ -671,27 +721,71 @@ def test_pairwise_distances_match_reference_on_tie_heavy_instances(seed):
     instance = _tie_heavy_instance(seed)
     dist = instance.distances()
     ranks = build_rank_matrix(instance, dist)
-    assert np.issubdtype(ranks.numerators.dtype, np.integer)
+    assert np.issubdtype(reference_link_numerators(instance, dist).dtype, np.integer)
     rng = make_rng(seed)
     solution = path_scanning(instance, dist, rng)
     for params in (RcoParams(0.0, 0.0), RcoParams(0.5, 0.5), RcoParams(1.0, 1.0)):
-        _assert_pairwise_matches(list(rco_split(solution, ranks, params, rng)), ranks)
-    _assert_pairwise_matches(_random_subroutes(instance.task_count, rng), ranks)
+        pool = list(rco_split(solution, ranks, params, rng))
+        _assert_pairwise_matches(pool, instance, dist)
+    _assert_pairwise_matches(_random_subroutes(instance.task_count, rng), instance, dist)
+
+
+def _float_cost_instance(n, seed):
+    """A generated instance of ``n`` tasks whose costs are scaled by random
+    floats, so that link numerators are float64 sums."""
+    rng = random.Random(seed)
+    base = generate_instance(max(n, 8), n, 60, seed=seed)
+    edges = [Edge(e.u, e.v, e.demand, e.service_cost, e.deadheading_cost * rng.random())
+             for e in base.edges]
+    return Instance("floats", base.vertex_count, edges, base.depot, base.capacity)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_pairwise_distances_close_to_reference_on_float_numerators(seed):
-    # float block sums run in another order than np.mean's: equal up to rounding
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 40))
-    num = rng.random((n, n)) * 10
-    num += num.T  # link numerators are symmetric
-    np.fill_diagonal(num, 0)
-    ranks = RankMatrix(num, np.zeros((n, n), dtype=np.uint16))
+    # float block sums run in another order than np.mean's: equal up to
+    # rounding, and bit for bit equal to the sums over the whole matrix
+    n = int(np.random.default_rng(seed).integers(2, 40))
+    instance = _float_cost_instance(n, seed)
+    dist = instance.distances()
+    num = reference_link_numerators(instance, dist)
+    assert num.dtype == np.float64
     pool = _random_subroutes(n, random.Random(seed))
-    got = _pairwise_distances(pool, ranks)
-    np.testing.assert_allclose(got, reference_pairwise_distances(pool, ranks), rtol=1e-12)
+    got = _pairwise_distances(pool, instance, dist)
+    np.testing.assert_allclose(got, reference_pairwise_distances(pool, num), rtol=1e-12)
+    assert got.tobytes() == whole_matrix_pairwise_distances(pool, num).tobytes()
     assert np.array_equal(got, got.T)
+
+
+def _straddling_pools(instance, dist, rng):
+    """Pools whose sub-routes cross the block edges of _pairwise_distances:
+    random short sub-routes, whole routes, and one sub-route longer than a
+    block beside single tasks."""
+    n = instance.task_count
+    long = [forward_id(ti) for ti in range(n)]
+    rng.shuffle(long)
+    cut = min(n - 1, _DISTANCE_BLOCK + 3)
+    return [
+        _random_subroutes(n, rng),
+        [SubRoute(tuple(r.interior), i, 0)
+         for i, r in enumerate(path_scanning(instance, dist, make_rng(rng.randrange(1000))).routes)],
+        [SubRoute(tuple(long[:cut]), 0, 0)]
+        + [SubRoute((t,), i + 1, 0) for i, t in enumerate(long[cut:])],
+    ]
+
+
+@pytest.mark.parametrize("kind", sorted(LINK_DTYPES))
+@pytest.mark.parametrize("tasks", (2, _DISTANCE_BLOCK + 1, 3 * _DISTANCE_BLOCK + 5))
+@pytest.mark.parametrize("seed", range(3))
+def test_pairwise_distances_match_whole_matrix_sums_across_row_blocks(seed, tasks, kind):
+    # summed a block of rows at a time, on integer, half-integral and
+    # float link numerators, the distances are the whole matrix's bit for bit
+    instance = _link_instance(kind, tasks, seed)
+    dist = instance.distances()
+    num = reference_link_numerators(instance, dist)
+    for pool in _straddling_pools(instance, dist, random.Random(seed)):
+        got = _pairwise_distances(pool, instance, dist)
+        assert got.tobytes() == whole_matrix_pairwise_distances(pool, num).tobytes()
+        np.testing.assert_allclose(got, reference_pairwise_distances(pool, num), rtol=1e-12)
 
 
 def test_pairwise_distances_match_reference_on_a_generated_mid_size_instance(mid_instance):
@@ -699,7 +793,7 @@ def test_pairwise_distances_match_reference_on_a_generated_mid_size_instance(mid
     rng = make_rng(5)
     pool = list(rco_split(path_scanning(instance, dist, rng), ranks, RcoParams(), rng))
     assert len(pool) > 100
-    _assert_pairwise_matches(pool, ranks)
+    _assert_pairwise_matches(pool, instance, dist)
 
 
 # --- fuzzy_kmedoid: assigning every sub-route in one pass ------------------
@@ -728,15 +822,15 @@ GROUP_COUNTS = (1, 2, 3, 5)
 FUZZINESS = (0.5, 5.0, 50.0)
 
 
-def _assert_fuzzy_matches(pool, ranks, seed, make=make_rng):
+def _assert_fuzzy_matches(pool, instance, dist, seed, make=make_rng):
     for g in GROUP_COUNTS:
         for alpha in FUZZINESS:
             config = ClusterConfig(g, alpha)
             ref_rng, new_rng = make(seed), make(seed)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # pools smaller than g
-                expected = reference_fuzzy_kmedoid(pool, config, ranks, ref_rng)
-                got = fuzzy_kmedoid(pool, config, ranks, new_rng)
+                expected = reference_fuzzy_kmedoid(pool, config, instance, dist, ref_rng)
+                got = fuzzy_kmedoid(pool, config, instance, dist, new_rng)
             assert [[s.ids for s in group] for group in got] == [
                 [s.ids for s in group] for group in expected
             ]
@@ -759,8 +853,8 @@ def test_fuzzy_kmedoid_matches_reference_on_tie_heavy_instances(seed):
     ranks = build_rank_matrix(instance, dist)
     params = (RcoParams(0.0, 0.0), RcoParams(0.5, 0.5), RcoParams(1.0, 1.0))
     for pool in _rco_pools(instance, dist, ranks, params, seed):
-        _assert_fuzzy_matches(pool, ranks, seed)
-        _assert_fuzzy_matches(pool, ranks, seed, make=_QuarterDraws)
+        _assert_fuzzy_matches(pool, instance, dist, seed)
+        _assert_fuzzy_matches(pool, instance, dist, seed, make=_QuarterDraws)
 
 
 GENERATED_SIZES = ((20, 15), (60, 90), (200, 300))
@@ -773,8 +867,8 @@ def test_fuzzy_kmedoid_matches_reference_on_generated_instances(vertices, tasks)
     dist = instance.distances()
     ranks = build_rank_matrix(instance, dist)
     for pool in _rco_pools(instance, dist, ranks, FUZZY_PARAMS, tasks):
-        _assert_fuzzy_matches(pool, ranks, tasks)
-        _assert_fuzzy_matches(pool, ranks, tasks, make=_QuarterDraws)
+        _assert_fuzzy_matches(pool, instance, dist, tasks)
+        _assert_fuzzy_matches(pool, instance, dist, tasks, make=_QuarterDraws)
 
 
 def test_fuzzy_kmedoid_cases_reach_small_pools_zeros_and_exact_draws():
@@ -787,7 +881,7 @@ def test_fuzzy_kmedoid_cases_reach_small_pools_zeros_and_exact_draws():
         ranks = build_rank_matrix(instance, dist)
         for pool in _rco_pools(instance, dist, ranks, (RcoParams(0.5, 0.5),), seed):
             small += len(pool) < max(GROUP_COUNTS)
-            d = _pairwise_distances(pool, ranks)
+            d = _pairwise_distances(pool, instance, dist)
             zero_rows += bool(np.any(d[~np.eye(len(pool), dtype=bool)] == 0))
             for g in range(2, min(len(pool), max(GROUP_COUNTS)) + 1):
                 to_medoid = d[:, _farthest_point_medoids(d, g, _QuarterDraws(seed))]
@@ -805,7 +899,7 @@ def test_fuzzy_kmedoid_cases_reach_small_pools_zeros_and_exact_draws():
 def test_fuzzy_kmedoid_matches_reference_on_a_generated_mid_size_instance(mid_instance):
     instance, dist, ranks = mid_instance
     for pool in _rco_pools(instance, dist, ranks, FUZZY_PARAMS[:2], 9):
-        _assert_fuzzy_matches(pool, ranks, 9)
+        _assert_fuzzy_matches(pool, instance, dist, 9)
 
 
 # --- local search: re-indexing only the routes a move touched ---------------
