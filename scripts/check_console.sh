@@ -2,7 +2,9 @@
 # End-to-end check of the installed `routecut` console script: generate an
 # instance, solve it with both search loops and validate the results, then
 # run `bench` and `stats` in one process and in a pool of two worker
-# processes, each worker keeping its last instance and rank matrix.
+# processes, each worker keeping its last instance and rank matrix.  Every
+# trace CSV, from `solve --trace` or streamed by `bench`, must start with its
+# header, and invalid settings must exit with status 2 and name the field.
 #
 # Usage: scripts/check_console.sh [WORK_DIR]
 # WORK_DIR (created if missing) defaults to a new temporary directory.
@@ -12,8 +14,13 @@ mkdir -p "$dir"
 cd "$dir"
 
 routecut gen --vertices 12 --tasks 8 --capacity 12 --seed 2 --out i.dat
-routecut solve i.dat --max-iters 2 --virtual-clock --out i.sol
+routecut solve i.dat --max-iters 2 --virtual-clock --trace t.csv --out i.sol
 routecut validate i.dat i.sol
+test "$(head -n 1 t.csv)" = elapsed_ms,best_cost
+status=0
+routecut solve i.dat --time-limit nan 2> nan.err || status=$?
+test "$status" -eq 2
+grep -q time_limit nan.err
 routecut solve i.dat --algorithm cluster-rco --max-cycles 1 --virtual-clock --out c.sol
 routecut validate i.dat c.sol
 
@@ -29,3 +36,11 @@ printf '%s\n' 'instances = i.dat, j.dat' 'variants = sahid-rco, cluster-rco' 'ru
 routecut bench pool.cfg --out-dir pool
 routecut stats pool --reference sahid-rco
 test -f pool/wdl.csv
+status=0
+routecut bench pool.cfg --out-dir zero --workers 0 2> zero.err || status=$?
+test "$status" -eq 2
+grep -q workers zero.err
+
+for trace in runs/*.trace.csv pool/*.trace.csv; do
+  test "$(head -n 1 "$trace")" = elapsed_ms,best_cost
+done

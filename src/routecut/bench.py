@@ -36,6 +36,10 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
+        if not self.time_multiplier > 0:  # NaN too
+            raise ValueError("time_multiplier must be positive")
 
 
 @dataclass
@@ -76,16 +80,14 @@ def resolve_budget(spec: ExperimentSpec, config: SearchConfig, instance: Instanc
 # the last instance loaded, by path, with its rank matrix: cells come
 # grouped by instance, so one entry serves a run of cells and a worker keeps
 # one instance's distance table and ranks alive, not every one it has seen
-_last_instance: dict[str, tuple[Instance, RankMatrix | None]] = {}
+_last_instance: dict[str, tuple[Instance, RankMatrix]] = {}
 
 
-def _cached_instance(path: str) -> tuple[Instance, RankMatrix | None]:
+def _cached_instance(path: str) -> tuple[Instance, RankMatrix]:
     if path not in _last_instance:
         _last_instance.clear()
         instance = load_instance(path)
-        dist = instance.distances()
-        ranks = build_rank_matrix(instance, dist) if instance.task_count >= 2 else None
-        _last_instance[path] = (instance, ranks)
+        _last_instance[path] = (instance, build_rank_matrix(instance, instance.distances()))
     return _last_instance[path]
 
 
@@ -100,15 +102,14 @@ def _run_cell(args: tuple) -> RunRecord:
     try:
         instance, ranks = _cached_instance(instance_path)
         config = replace(config, seed=seed, time_limit=time_limit)
-        best, trace = solve(instance, config, ranks=ranks)
+        with open(trace_path, "w") as fh:  # streamed, so a failed cell keeps its part
+            best, trace = solve(instance, config, ranks=ranks, trace_sink=fh)
 
         problems = validate(best, instance)
         if problems:
             raise RuntimeError(f"infeasible result: {problems[0].detail}")
         with open(sol_path, "w") as fh:
             write_solution(best, instance, fh)
-        with open(trace_path, "w") as fh:
-            trace.write_csv(fh)
         with open(sol_path) as fh:
             reread, _ = read_solution(fh, instance, instance.distances())
         if abs(reread.total_cost - best.total_cost) > 1e-6:

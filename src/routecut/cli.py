@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .bench import (
@@ -88,13 +89,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    spec = parse_experiment_config(args.config)
-    if args.budget:
-        spec.budget = args.budget
-    if args.time_multiplier is not None:
-        spec.time_multiplier = args.time_multiplier
-    if args.workers is not None:
-        spec.workers = args.workers
+    overrides = {"budget": args.budget or None, "time_multiplier": args.time_multiplier,
+                 "workers": args.workers}
+    # replace() builds a new spec, so __post_init__ checks the overrides too
+    spec = replace(parse_experiment_config(args.config),
+                   **{k: v for k, v in overrides.items() if v is not None})
     records = run_experiment(spec, args.out_dir)
     failed = [r for r in records if r.failed]
     print(f"{len(records)} runs ({len(failed)} failed) -> {args.out_dir}")

@@ -36,7 +36,7 @@ class ClusterConfig:
     def __post_init__(self):
         if self.group_count < 1:
             raise ValueError("group_count must be at least 1")
-        if self.fuzziness <= 0:
+        if not self.fuzziness > 0:  # NaN too
             raise ValueError("fuzziness must be positive")
 
 

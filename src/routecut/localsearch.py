@@ -133,7 +133,7 @@ def local_search(
     st = _State(solution, instance, dist)
     present = [ti for ti in range(instance.task_count) if st.where[ti] is not None]
     if len(present) <= 1:
-        return solution.clone()
+        return solution
 
     D = st.D
     head, tail, dem = st.head, st.tail, st.dem

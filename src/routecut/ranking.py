@@ -178,10 +178,9 @@ def build_rank_matrix(instance: Instance, dist: DistanceTable) -> RankMatrix:
 
     Link numerators are summed and ranked ``_ROW_BLOCK`` rows at a time,
     and each block is dropped once ranked: no n x n cost matrix is held.
+    With no task or one task the matrix is 0 x 0 or 1 x 1.
     """
     n = instance.task_count
-    if n < 2:
-        raise ValueError("rank matrix needs at least two tasks")
     heads = np.array([t.u for t in instance.tasks], dtype=np.intp)
     tails = np.array([t.v for t in instance.tasks], dtype=np.intp)
     ranks = np.empty((n, n), dtype=_rank_dtype(n))

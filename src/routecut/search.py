@@ -43,7 +43,7 @@ from .localsearch import local_search
 from .ranking import RankMatrix, build_rank_matrix
 from .rco import RcoParams, rco_split, uniform_split
 from .seeding import make_rng
-from .solution import Route, Solution, format_number
+from .solution import Solution, format_number
 
 ALGORITHMS = (
     "sahid-rco",
@@ -74,9 +74,10 @@ class SearchConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.accept_threshold < 1.0:
+        # `not x >= 1` and `not x > 0`, not `x < 1` and `x <= 0`, so that NaN fails
+        if not self.accept_threshold >= 1:
             raise ValueError("accept_threshold must be at least 1")
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
         if self.max_cycles < 0:
             raise ValueError("max_cycles must be non-negative")
@@ -135,22 +136,11 @@ def build_config(values: Mapping[str, object], **fields) -> SearchConfig:
 
 @dataclass
 class SearchTrace:
-    """Best-so-far samples plus loop bookkeeping."""
+    """Best-so-far (elapsed_ms, best_cost) samples and the loop's iteration
+    or cycle count."""
 
     samples: list[tuple[int, float]] = field(default_factory=list)
     iterations: int = 0
-    cycles: list[dict] = field(default_factory=list)
-
-    def record(self, elapsed_ms: int, best_cost: float, sink: IO[str] | None) -> None:
-        self.samples.append((elapsed_ms, best_cost))
-        if sink is not None:
-            sink.write(f"{elapsed_ms},{format_number(best_cost)}\n")
-            sink.flush()
-
-    def write_csv(self, stream: IO[str]) -> None:
-        stream.write("elapsed_ms,best_cost\n")
-        for ms, cost in self.samples:
-            stream.write(f"{ms},{format_number(cost)}\n")
 
 
 class _Clock:
@@ -193,11 +183,9 @@ def project_solution(
 
 
 def concat_solutions(parts: list[Solution]) -> Solution:
-    """Concatenate route sets of per-group solutions (subpop2pop)."""
-    routes: list[Route] = []
-    for part in parts:
-        routes.extend(r.clone() for r in part.routes)
-    return Solution(routes)
+    """Concatenate route sets of per-group solutions (subpop2pop); the
+    routes are shared, since no solution is changed once built."""
+    return Solution([r for part in parts for r in part.routes])
 
 
 def solve(
@@ -208,75 +196,73 @@ def solve(
     trace_sink: IO[str] | None = None,
 ) -> tuple[Solution, SearchTrace]:
     """Run the configured search and return (best solution, trace)."""
-    if dist is None:
-        dist = instance.distances()
-    if ranks is None and instance.task_count >= 2:
-        ranks = build_rank_matrix(instance, dist)
-
+    dist = dist or instance.distances()
+    ranks = ranks or build_rank_matrix(instance, dist)
     clock = _Clock(config.virtual_clock)
+    trace = SearchTrace()
+    if trace_sink is not None:
+        trace_sink.write("elapsed_ms,best_cost\n")
+    neighbors = ranks.nearest(config.neighbor_size)
 
     def deadline() -> bool:
         return clock.now() >= config.time_limit
 
-    trace = SearchTrace()
-    if trace_sink is not None:
-        trace_sink.write("elapsed_ms,best_cost\n")
+    def record(best: Solution) -> None:
+        ms = clock.elapsed_ms()
+        trace.samples.append((ms, best.total_cost))
+        if trace_sink is not None:
+            trace_sink.write(f"{ms},{format_number(best.total_cost)}\n")
+            trace_sink.flush()
 
-    if config.algorithm in ("sahid-rco", "sahid-random"):
-        best = _hierarchical_loop(instance, dist, ranks, config, clock, deadline, trace, trace_sink)
-    elif config.algorithm in ("cluster-rco", "cluster-whole-route"):
-        best = _cluster_loop(instance, dist, ranks, config, clock, deadline, trace, trace_sink)
+    def improve(solution: Solution, rng, max_evals=config.sub_solver_budget) -> Solution:
+        # the module global is read at each call, so a patched one takes effect
+        return local_search(
+            solution, instance, dist, rng,
+            max_evals=max_evals, deadline=deadline, neighbors=neighbors,
+        )
+
+    if config.algorithm == "local-only":  # one uncapped descent from path scanning
+        rng = make_rng(config.seed)
+        best = path_scanning(instance, dist, rng)
+        record(best)
+        best = improve(best, rng, max_evals=None)
+        record(best)
+        trace.iterations = 1
     else:
-        best = _local_only(instance, dist, ranks, config, clock, deadline, trace, trace_sink)
+        loop = _hierarchical_loop if config.algorithm.startswith("sahid") else _cluster_loop
+        best, trace.iterations = loop(instance, dist, ranks, config, improve, record, deadline)
 
     best = best.stripped()
-    trace.record(clock.elapsed_ms(), best.total_cost, trace_sink)
+    record(best)
     return best, trace
 
 
-def _neighbors(ranks, config):
-    # ranks is None only below two tasks, where local_search reads no list
-    return ranks.nearest(config.neighbor_size) if ranks is not None else []
-
-
-def _hierarchical_loop(
-    instance, dist, ranks, config, clock, deadline, trace, sink
-) -> Solution:
+# each loop returns (best solution, rounds done)
+def _hierarchical_loop(instance, dist, ranks, config, improve, record, deadline):
     rng = make_rng(config.seed)
-    neighbors = _neighbors(ranks, config)
-    use_rco = config.algorithm == "sahid-rco"
-
     current = hdu(elementary_virtual_tasks(instance), instance, dist, config.scale, rng)
-    current = local_search(
-        current, instance, dist, rng,
-        max_evals=config.sub_solver_budget, deadline=deadline, neighbors=neighbors,
-    )
-    best = current.clone()
-    trace.record(clock.elapsed_ms(), best.total_cost, sink)
+    best = current = improve(current, rng)
+    record(best)
     if instance.task_count < 2:
-        return best  # nothing to decompose
+        return best, 0  # nothing to decompose
 
-    idle = 0
+    iterations = idle = 0
     while not deadline():
-        if config.max_iterations is not None and trace.iterations >= config.max_iterations:
+        if config.max_iterations is not None and iterations >= config.max_iterations:
             break
-        if use_rco:
+        if config.algorithm == "sahid-rco":
             pool = rco_split(current, ranks, config.rco, rng)
         else:
             pool = uniform_split(current, rng)
         units = build_virtual_tasks(pool, instance)
-        candidate = hdu(units, instance, dist, config.scale, rng)
-        candidate = local_search(
-            candidate, instance, dist, rng,
-            max_evals=config.sub_solver_budget, deadline=deadline, neighbors=neighbors,
-        )
-        trace.iterations += 1
+        candidate = improve(hdu(units, instance, dist, config.scale, rng), rng)
+        iterations += 1
 
         improved_best = candidate.total_cost < best.total_cost
         accepted_worse = False
         if improved_best:
-            best = candidate.clone()
-            trace.record(clock.elapsed_ms(), best.total_cost, sink)
+            best = candidate
+            record(best)
         if candidate.total_cost < current.total_cost:
             current = candidate
         elif (
@@ -287,44 +273,26 @@ def _hierarchical_loop(
             accepted_worse = True
         idle = 0 if (improved_best or accepted_worse) else idle + 1
 
-    if trace.iterations == 0:
+    if iterations == 0:
         warnings.warn("time limit exhausted before the first improvement iteration")
-    return best
+    return best, iterations
 
 
-def _local_only(instance, dist, ranks, config, clock, deadline, trace, sink) -> Solution:
-    rng = make_rng(config.seed)
-    neighbors = _neighbors(ranks, config)
-    best = path_scanning(instance, dist, rng)
-    trace.record(clock.elapsed_ms(), best.total_cost, sink)
-    best = local_search(
-        best, instance, dist, rng, deadline=deadline, neighbors=neighbors,
-    )
-    trace.iterations = 1
-    trace.record(clock.elapsed_ms(), best.total_cost, sink)
-    return best
-
-
-def _cluster_loop(instance, dist, ranks, config, clock, deadline, trace, sink) -> Solution:
-    neighbors = _neighbors(ranks, config)
+def _cluster_loop(instance, dist, ranks, config, improve, record, deadline):
     whole_routes = config.algorithm == "cluster-whole-route"
     split_params = RcoParams(0.0, 0.0) if whole_routes else config.rco
 
     pool: list[Solution] = []
     for i in range(config.pool_size):
         rng_i = make_rng(config.seed, 0, i)
-        s = path_scanning(instance, dist, rng_i)
-        s = local_search(
-            s, instance, dist, rng_i,
-            max_evals=config.sub_solver_budget, deadline=deadline, neighbors=neighbors,
-        )
-        pool.append(s)
-    best = min(pool, key=lambda s: s.total_cost).clone()
-    trace.record(clock.elapsed_ms(), best.total_cost, sink)
+        pool.append(improve(path_scanning(instance, dist, rng_i), rng_i))
+    best = min(pool, key=lambda s: s.total_cost)
+    record(best)
     if instance.task_count < 2:
-        return best  # nothing to decompose
+        return best, 0  # nothing to decompose
 
     rng = make_rng(config.seed, 1)
+    iterations = 0
     for cycle in range(config.max_cycles):
         if deadline():
             break
@@ -334,13 +302,9 @@ def _cluster_loop(instance, dist, ranks, config, clock, deadline, trace, sink) -
         for gi, group in enumerate(groups):  # in group order: see _Clock
             keep = group_task_indices(group)
             grng = make_rng(config.seed, 2, cycle, gi)
-            per_group.append([
-                local_search(
-                    project_solution(member, keep, instance, dist), instance, dist, grng,
-                    max_evals=config.sub_solver_budget, deadline=deadline, neighbors=neighbors,
-                )
-                for member in pool
-            ])
+            per_group.append(
+                [improve(project_solution(member, keep, instance, dist), grng) for member in pool]
+            )
 
         new_pool = [
             concat_solutions([per_group[g][m] for g in range(len(groups))])
@@ -351,29 +315,18 @@ def _cluster_loop(instance, dist, ranks, config, clock, deadline, trace, sink) -
         )
         # the recombined winner mixes routes that never saw each other, so a
         # whole-problem polish often repairs the group boundaries
-        champions = local_search(
-            champions, instance, dist, make_rng(config.seed, 3, cycle),
-            max_evals=config.sub_solver_budget, deadline=deadline, neighbors=neighbors,
-        )
+        champions = improve(champions, make_rng(config.seed, 3, cycle))
         worst = max(range(len(new_pool)), key=lambda m: new_pool[m].total_cost)
         if champions.total_cost < new_pool[worst].total_cost:
             new_pool[worst] = champions
         pool = new_pool
 
         cycle_best = min(pool, key=lambda s: s.total_cost)
-        trace.cycles.append(
-            {
-                "cycle": cycle,
-                "subroutes": len(subroutes),
-                "group_sizes": [len(g) for g in groups],
-                "best_cost": cycle_best.total_cost,
-            }
-        )
-        trace.iterations += 1
+        iterations += 1
         if cycle_best.total_cost < best.total_cost:
-            best = cycle_best.clone()
-            trace.record(clock.elapsed_ms(), best.total_cost, sink)
+            best = cycle_best
+            record(best)
 
-    if trace.iterations == 0:
+    if iterations == 0:
         warnings.warn("time limit exhausted before the first cycle")
-    return best
+    return best, iterations

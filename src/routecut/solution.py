@@ -52,13 +52,15 @@ class Route:
     def size(self) -> int:
         return len(self.ids) - 2
 
-    def clone(self) -> "Route":
-        return Route(list(self.ids), self.load, self.cost)
-
 
 @dataclass
 class Solution:
-    """A set of routes with cached total cost."""
+    """A set of routes with cached total cost.
+
+    No code changes a solution or its routes once built (local search works
+    on copies of the interiors), so solutions and routes are shared, not
+    copied.
+    """
 
     routes: list[Route]
     total_cost: float = field(default=0.0)
@@ -72,9 +74,6 @@ class Solution:
         cls, interiors: Iterable[Iterable[int]], instance: Instance, dist: DistanceTable
     ) -> "Solution":
         return cls([Route.build(seq, instance, dist) for seq in interiors])
-
-    def clone(self) -> "Solution":
-        return Solution([r.clone() for r in self.routes], self.total_cost)
 
     def stripped(self) -> "Solution":
         """Drop empty routes (they cost nothing but clutter reports)."""

@@ -22,10 +22,7 @@ def make_instance(vertices, edges, depot=0, capacity=100, name="test"):
 
 
 def neighbors(instance, dist, k=20):
-    """``local_search``'s neighbour lists as the search loops build them;
-    none below two tasks, where no rank matrix exists and none is read."""
-    if instance.task_count < 2:
-        return []
+    """``local_search``'s neighbour lists as the search loops build them."""
     return build_rank_matrix(instance, dist).nearest(k)
 
 

@@ -300,10 +300,9 @@ def test_criterion_09_byte_identical_determinism(tmp_path):
         for repeat in range(2):
             cfg = SearchConfig(algorithm=algo, seed=77, time_limit=600.0,
                                virtual_clock=True, **caps)
-            best, trace = solve(inst, cfg)
             sol_io, trace_io = StringIO(), StringIO()
+            best, _ = solve(inst, cfg, trace_sink=trace_io)
             write_solution(best, inst, sol_io)
-            trace.write_csv(trace_io)
             blobs.append((sol_io.getvalue(), trace_io.getvalue()))
         assert blobs[0] == blobs[1], f"{algo} runs diverged"
     elapsed = time.monotonic() - t0

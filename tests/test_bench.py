@@ -227,6 +227,32 @@ workers = 2
     assert spec.variants[1][1].rco == first.rco
 
 
+@pytest.mark.parametrize("key, value", [
+    ("workers", "0"), ("workers", "-2"),
+    ("time_multiplier", "0"), ("time_multiplier", "-1.5"), ("time_multiplier", "nan"),
+])
+def test_parse_config_rejects_bad_spec_values(key, value, tmp_path, small_instance_file):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"instances = {small_instance_file}\nvariants = sahid-rco\n{key} = {value}\n")
+    with pytest.raises(ValueError, match=key):
+        parse_experiment_config(cfg)
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--workers", "0", "workers"),
+    ("--time-multiplier", "0", "time_multiplier"),
+    ("--time-multiplier", "nan", "time_multiplier"),
+])
+def test_cli_bench_rejects_bad_overrides(flag, value, field, tmp_path, small_instance_file,
+                                         capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"instances = {small_instance_file}\nvariants = sahid-rco\n")
+    out_dir = tmp_path / "runs"
+    assert main(["bench", str(cfg), "--out-dir", str(out_dir), flag, value]) == 2
+    assert field in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_parse_config_rejects_bad_variant(tmp_path, small_instance_file):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"instances = {small_instance_file}\nvariants = teleport\n")
@@ -384,6 +410,22 @@ def test_failed_rank_matrix_lands_in_the_cell(tmp_path, small_instance_file, mon
     assert "in exploding_build" in err
 
 
+def test_failed_cell_keeps_its_streamed_trace(tmp_path, small_instance_file, monkeypatch):
+    def failing_validate(solution, instance):
+        raise RuntimeError("validation blew up")
+
+    monkeypatch.setattr(bench, "validate", failing_validate)
+    spec = ExperimentSpec([small_instance_file], [("v", _quick_config("sahid-rco"))], runs=1,
+                          base_seed=11)
+    [record] = run_experiment(spec, tmp_path / "out")
+    assert record.error == "RuntimeError: validation blew up"
+    _, trace = solve(load_instance(small_instance_file), replace(_quick_config("sahid-rco"),
+                                                                 seed=11))
+    lines = Path(record.trace_path).read_text().splitlines()
+    assert lines[0] == "elapsed_ms,best_cost"
+    assert len(lines) == 1 + len(trace.samples)
+
+
 def test_parallel_workers_match_sequential(tmp_path, small_instance_file):
     base = dict(
         instances=[small_instance_file],
@@ -418,6 +460,11 @@ def test_cli_gen_solve_validate(tmp_path, capsys):
     assert trace_path.read_text().startswith("elapsed_ms,best_cost")
     assert main(["validate", str(inst_path), str(sol_path)]) == 0
     assert "feasible" in capsys.readouterr().out
+
+
+def test_cli_solve_rejects_a_nan_time_limit(small_instance_file, capsys):
+    assert main(["solve", str(small_instance_file), "--time-limit", "nan"]) == 2
+    assert "time_limit" in capsys.readouterr().err
 
 
 def test_cli_validate_rejects_bad_solution(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Sub-route clustering, virtual tasks, and hierarchical construction."""
 
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -88,6 +89,18 @@ def test_single_group_contains_everything():
     groups = fuzzy_kmedoid(pool, ClusterConfig(1, 5.0), *links, make_rng(0))
     assert len(groups) == 1
     assert group_task_indices(groups[0]) == {0, 1, 2}
+
+
+@pytest.mark.parametrize("field, rejected, accepted", [
+    ("group_count", 0, 1),
+    ("fuzziness", 0.0, 0.5),
+    ("fuzziness", -1.0, 0.5),
+    ("fuzziness", math.nan, math.inf),
+])
+def test_cluster_config_validation(field, rejected, accepted):
+    with pytest.raises(ValueError, match=field):
+        ClusterConfig(**{field: rejected})
+    ClusterConfig(**{field: accepted})
 
 
 def _two_clump_matrix():

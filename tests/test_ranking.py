@@ -120,10 +120,17 @@ def test_build_matches_link_cost():
     assert np.array_equal(ranks.ranks, rank_rows(num))
 
 
-def test_build_requires_two_tasks():
-    inst = make_instance(2, [(0, 1, 1, 1, 1)], capacity=5)
-    with pytest.raises(ValueError):
-        build_rank_matrix(inst, inst.distances())
+@pytest.mark.parametrize("edges, want", [
+    ([(0, 1, 0, 0, 1)], []),  # no required edge, no task
+    ([(0, 1, 1, 1, 1)], [[]]),  # one task
+], ids=["no-task", "one-task"])
+def test_fewer_than_two_tasks_get_a_rank_matrix(edges, want):
+    inst = make_instance(2, edges, capacity=5)
+    ranks = build_rank_matrix(inst, inst.distances()).ranks
+    assert ranks.dtype == np.uint16
+    assert ranks.shape == (len(want), len(want))
+    for k in (0, 1, 20):
+        assert RankMatrix(ranks).nearest(k) == want
 
 
 def test_build_rank_matrix_holds_no_square_cost_matrix():

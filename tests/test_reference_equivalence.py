@@ -1042,7 +1042,7 @@ def reference_local_search(solution, instance, dist, rng, *, max_evals=None, dea
     st = localsearch._State(solution, instance, dist)
     present = [ti for ti in range(instance.task_count) if st.where[ti] is not None]
     if len(present) <= 1:
-        return solution.clone()
+        return solution
     D, head, tail, dem = st.D, st.head, st.tail, st.dem
     depot, capacity = st.depot, st.capacity
     evals = 0
