@@ -5,6 +5,8 @@
 # processes, each worker keeping its last instance and rank matrix.  Every
 # trace CSV, from `solve --trace` or streamed by `bench`, must start with its
 # header, and invalid settings must exit with status 2 and name the field.
+# A broken instance file fails each of its cells, with one `.err` traceback
+# per cell, and `bench` exits with status 1.
 #
 # Usage: scripts/check_console.sh [WORK_DIR]
 # WORK_DIR (created if missing) defaults to a new temporary directory.
@@ -40,6 +42,20 @@ status=0
 routecut bench pool.cfg --out-dir zero --workers 0 2> zero.err || status=$?
 test "$status" -eq 2
 grep -q workers zero.err
+status=0
+routecut bench exp.cfg --out-dir nan --budget fixed:nan 2> budget.err || status=$?
+test "$status" -eq 2
+grep -q budget budget.err
+test ! -e nan
+
+printf 'VERTICES : x\n' > broken.dat
+printf '%s\n' 'instances = broken.dat, i.dat' 'variants = sahid-rco, sahid-random' 'runs = 2' \
+  'max_iterations = 2' 'virtual_clock = 1' > broken.cfg
+status=0
+routecut bench broken.cfg --out-dir broken || status=$?
+test "$status" -eq 1
+test "$(ls broken/*.err | wc -l)" -eq 4
+test "$(ls broken/broken__*.err | wc -l)" -eq 4
 
 for trace in runs/*.trace.csv pool/*.trace.csv; do
   test "$(head -n 1 "$trace")" = elapsed_ms,best_cost

@@ -37,7 +37,6 @@ from .construct import path_scanning
 from .ranking import RankMatrix, build_rank_matrix, rank_rows
 from .rco import (
     RcoParams,
-    SubRoute,
     average_task_rank,
     classify_links,
     rco_split,
@@ -72,7 +71,6 @@ __all__ = [
     "SearchConfig",
     "SearchTrace",
     "Solution",
-    "SubRoute",
     "Task",
     "Violation",
     "VirtualTask",

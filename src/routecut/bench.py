@@ -40,6 +40,22 @@ class ExperimentSpec:
             raise ValueError("workers must be at least 1")
         if not self.time_multiplier > 0:  # NaN too
             raise ValueError("time_multiplier must be positive")
+        if self.budget is not None:
+            _parse_budget(self.budget)
+
+
+def _parse_budget(budget: str) -> tuple[str, float]:
+    """(mode, seconds) of a ``fixed:<sec>`` or ``per-knodes:<sec>`` budget."""
+    mode, _, value = budget.partition(":")
+    if mode not in ("fixed", "per-knodes"):
+        raise ValueError(f"budget {budget!r}: the mode must be fixed or per-knodes")
+    try:
+        seconds = float(value)
+    except ValueError:
+        raise ValueError(f"budget {budget!r} lacks a seconds value") from None
+    if not 0 < seconds < math.inf:  # NaN too
+        raise ValueError(f"budget {budget!r}: the seconds must be finite and positive")
+    return mode, seconds
 
 
 @dataclass
@@ -64,16 +80,8 @@ def resolve_budget(spec: ExperimentSpec, config: SearchConfig, instance: Instanc
     if spec.budget is None:
         base = config.time_limit
     else:
-        mode, _, value = spec.budget.partition(":")
-        if not value:
-            raise ValueError(f"budget {spec.budget!r} lacks a seconds value")
-        seconds = float(value)
-        if mode == "fixed":
-            base = seconds
-        elif mode == "per-knodes":
-            base = seconds * instance.vertex_count / 1000.0
-        else:
-            raise ValueError(f"unknown budget mode {mode!r}")
+        mode, seconds = _parse_budget(spec.budget)
+        base = seconds if mode == "fixed" else seconds * instance.vertex_count / 1000.0
     return base * spec.time_multiplier
 
 
@@ -92,7 +100,7 @@ def _cached_instance(path: str) -> tuple[Instance, RankMatrix]:
 
 
 def _run_cell(args: tuple) -> RunRecord:
-    instance_path, variant, config, seed, time_limit, out_dir = args
+    spec, instance_path, variant, config, seed, out_dir = args
     out_dir = Path(out_dir)
     stem = Path(instance_path).stem
     sol_path = out_dir / f"{stem}__{variant}__s{seed}.sol"
@@ -101,7 +109,7 @@ def _run_cell(args: tuple) -> RunRecord:
     err_path.unlink(missing_ok=True)
     try:
         instance, ranks = _cached_instance(instance_path)
-        config = replace(config, seed=seed, time_limit=time_limit)
+        config = replace(config, seed=seed, time_limit=resolve_budget(spec, config, instance))
         with open(trace_path, "w") as fh:  # streamed, so a failed cell keeps its part
             best, trace = solve(instance, config, ranks=ranks, trace_sink=fh)
 
@@ -133,34 +141,20 @@ def _run_cell(args: tuple) -> RunRecord:
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> list[RunRecord]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = []
-    broken: list[RunRecord] = []
-    for instance_path in spec.instances:
-        try:
-            instance = load_instance(instance_path)
-        except Exception as exc:
-            broken.extend(
-                RunRecord(
-                    Path(instance_path).stem, variant, spec.base_seed + run,
-                    math.nan, 0.0, 0, "", "", error=f"{type(exc).__name__}: {exc}",
-                )
-                for variant, _ in spec.variants
-                for run in range(spec.runs)
-            )
-            continue
-        for variant, config in spec.variants:
-            limit = resolve_budget(spec, config, instance)
-            for run in range(spec.runs):
-                cells.append(
-                    (str(instance_path), variant, config, spec.base_seed + run, limit, str(out_dir))
-                )
-
+    # each cell loads its own instance, so a broken file fails each of its
+    # cells; the file of an earlier experiment's entry may have been rewritten
+    _last_instance.clear()
+    cells = [
+        (spec, str(instance_path), variant, config, spec.base_seed + run, str(out_dir))
+        for instance_path in spec.instances
+        for variant, config in spec.variants
+        for run in range(spec.runs)
+    ]
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as ex:
             records = list(ex.map(_run_cell, cells))
     else:
         records = [_run_cell(c) for c in cells]
-    records.extend(broken)
 
     write_records_csv(records, out_dir / "records.csv")
     rows = summarize(records)

@@ -22,12 +22,12 @@ def path_scanning(instance: Instance, dist: DistanceTable, rng: random.Random) -
     # ``load + left <= capacity`` is false for it whatever the capacity
     heads = np.array(instance.id_head[1:], dtype=np.intp)
     left = np.array(instance.id_demand[1:], dtype=np.float64)
-    interiors: list[list[int]] = []
+    routes: list[list[int]] = []
 
     while not np.isnan(left).all():
         current = instance.depot
         load = 0.0
-        interior: list[int] = []
+        route: list[int] = []
         while True:
             cand = (load + left <= instance.capacity).nonzero()[0]
             if cand.size == 0:
@@ -36,9 +36,9 @@ def path_scanning(instance: Instance, dist: DistanceTable, rng: random.Random) -
             ties = cand[d == d.min()]
             pick = ties[0] if len(ties) == 1 else ties[rng.randrange(len(ties))]
             tid = int(pick) + 1
-            interior.append(tid)
+            route.append(tid)
             load += instance.id_demand[tid]
             current = instance.id_tail[tid]
             left[pick] = left[pick ^ 1] = np.nan  # both directions of the task
-        interiors.append(interior)
-    return Solution.build(interiors, instance, dist)
+        routes.append(route)
+    return Solution.build(routes, instance, dist)

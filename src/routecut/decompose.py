@@ -1,6 +1,7 @@
 """Turning sub-route pools into sub-problems.
 
-Two decomposition paths are supported.  The clustering path groups
+A sub-route is a tuple of directed task IDs (``rco.rco_split``).  Two
+decomposition paths are supported.  The clustering path groups
 sub-routes around medoid sub-routes with a fuzziness-controlled
 probabilistic assignment, yielding task subsets that induce independent
 sub-problems.  The hierarchical path wraps sub-routes into virtual tasks
@@ -22,7 +23,6 @@ import numpy as np
 from .distances import DistanceTable, Rows
 from .instance import Instance, inverse_id, task_index_of
 from .ranking import link_numerators
-from .rco import SubRoute
 from .solution import Solution
 
 
@@ -46,7 +46,7 @@ _DISTANCE_BLOCK = 32
 
 
 def _pairwise_distances(
-    pool: list[SubRoute], instance: Instance, dist: DistanceTable
+    pool: list[tuple[int, ...]], instance: Instance, dist: DistanceTable
 ) -> np.ndarray:
     """Mean link cost over all task pairs of every two sub-routes, 0 on the
     diagonal.  The link numerators of the pool's tasks, in pool order, are
@@ -54,7 +54,7 @@ def _pairwise_distances(
     sub-routes at a time.  Sums are exact int64 with integer costs; float
     sums add in the same order whatever the block size, but may differ from
     a per-pair ``np.mean`` in the last bits."""
-    tasks = [instance.tasks[ti] for s in pool for ti in s.task_indices()]
+    tasks = [instance.tasks[task_index_of(t)] for s in pool for t in s]
     heads = np.array([t.u for t in tasks], dtype=np.intp)
     tails = np.array([t.v for t in tasks], dtype=np.intp)
     sizes = np.array([len(s) for s in pool])
@@ -85,12 +85,12 @@ def _farthest_point_medoids(d: np.ndarray, g: int, rng: random.Random) -> list[i
 
 
 def fuzzy_kmedoid(
-    pool: list[SubRoute],
+    pool: list[tuple[int, ...]],
     config: ClusterConfig,
     instance: Instance,
     dist: DistanceTable,
     rng: random.Random,
-) -> list[list[SubRoute]]:
+) -> list[list[tuple[int, ...]]]:
     """Partition sub-routes into ``group_count`` non-empty groups.
 
     Medoids start by farthest-point selection from a random sub-route.
@@ -136,7 +136,7 @@ def fuzzy_kmedoid(
             within = d[np.ix_(idx, idx)].sum(axis=1)
             medoids[group] = int(idx[np.argmin(within)])
 
-    groups: list[list[SubRoute]] = [[] for _ in range(g)]
+    groups: list[list[tuple[int, ...]]] = [[] for _ in range(g)]
     for i in range(n):
         groups[int(assign[i])].append(members[i])
     return groups
@@ -155,11 +155,8 @@ def _repair_empty_groups(assign: np.ndarray, d: np.ndarray, medoids: list[int]) 
         assign[far] = group
 
 
-def group_task_indices(group: list[SubRoute]) -> set[int]:
-    out: set[int] = set()
-    for s in group:
-        out.update(s.task_indices())
-    return out
+def group_task_indices(group: list[tuple[int, ...]]) -> set[int]:
+    return {task_index_of(t) for s in group for t in s}
 
 
 # --- virtual tasks and hierarchical construction -----------------------------
@@ -185,11 +182,11 @@ def virtual_task_from_ids(ids: tuple[int, ...], instance: Instance) -> VirtualTa
     return VirtualTask(ids, instance.id_head[ids[0]], instance.id_tail[ids[-1]])
 
 
-def build_virtual_tasks(pool: list[SubRoute], instance: Instance) -> list[VirtualTask]:
+def build_virtual_tasks(pool: list[tuple[int, ...]], instance: Instance) -> list[VirtualTask]:
     """One virtual task per sub-route, order and orientation preserved."""
     if len(pool) == 0:
         raise ValueError("cannot build virtual tasks from an empty pool")
-    return [virtual_task_from_ids(s.ids, instance) for s in pool]
+    return [virtual_task_from_ids(s, instance) for s in pool]
 
 
 def elementary_virtual_tasks(instance: Instance) -> list[VirtualTask]:
@@ -309,16 +306,16 @@ def hdu(
     giant = units[0].ids
     demand = instance.id_demand
     capacity = instance.capacity
-    interiors: list[list[int]] = []
+    routes: list[list[int]] = []
     current: list[int] = []
     load = 0.0
     for t in giant:
         if current and load + demand[t] > capacity:
-            interiors.append(current)
+            routes.append(current)
             current = []
             load = 0.0
         current.append(t)
         load += demand[t]
     if current:
-        interiors.append(current)
-    return Solution.build(interiors, instance, dist)
+        routes.append(current)
+    return Solution.build(routes, instance, dist)

@@ -2,8 +2,8 @@
 
 An instance is an undirected graph with a depot, a vehicle capacity, and a
 set of required edges (tasks).  Each task is addressed through two directed
-IDs, one per traversal direction; ID 0 is reserved for the depot dummy that
-marks route boundaries.
+IDs, one per traversal direction; ID 0 is the depot dummy, where every
+route starts and ends.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ import random
 from typing import Callable
 
 from .distances import DistanceTable
-from .instance import DEPOT_ID, Instance, inverse_id, task_index_of
+from .instance import Instance, inverse_id, task_index_of
 from .solution import Solution, route_cost
 
 _EPS = 1e-9
@@ -50,7 +50,7 @@ _CHECK_EVERY = 256
 
 
 class _State:
-    """Mutable search state: interiors, cached loads/costs, position index."""
+    """Mutable search state: routes, cached loads/costs, position index."""
 
     def __init__(self, solution: Solution, instance: Instance, dist: DistanceTable):
         self.instance = instance
@@ -62,14 +62,14 @@ class _State:
         self.sc = instance.id_service
         self.depot = instance.depot
         self.capacity = instance.capacity
-        self.routes: list[list[int]] = [list(r.interior) for r in solution.routes if r.size]
+        self.routes: list[list[int]] = [list(r.ids) for r in solution.routes if r.ids]
         self.loads: list[float] = []
         self.costs: list[float] = []
         self.prefix: list[list[float]] = []
         self.where: list[tuple[int, int] | None] = [None] * instance.task_count
         for k, r in enumerate(self.routes):
             self.loads.append(sum(self.dem[t] for t in r))
-            self.costs.append(route_cost([DEPOT_ID, *r, DEPOT_ID], instance, dist))
+            self.costs.append(route_cost(r, instance, dist))
             self._reindex(k)
 
     def _reindex(self, k: int) -> None:
@@ -94,7 +94,7 @@ class _State:
         where: list[tuple[int, int] | None] = [None] * len(self.where)
         assert len(self.prefix) == len(self.routes), "one prefix per route"
         for k, r in enumerate(self.routes):
-            exact = route_cost([DEPOT_ID, *r, DEPOT_ID], self.instance, self.dist)
+            exact = route_cost(r, self.instance, self.dist)
             assert abs(self.costs[k] - exact) < 1e-6, (
                 f"route {k}: cached {self.costs[k]} vs exact {exact}"
             )
@@ -412,8 +412,8 @@ def _apply_tail_exchange(
     st.routes[k2] = new2
     st.loads[k1] = pre1 + load2 - pre2
     st.loads[k2] = pre2 + load1 - pre1
-    st.costs[k1] = route_cost([DEPOT_ID, *new1, DEPOT_ID], st.instance, st.dist)
-    st.costs[k2] = route_cost([DEPOT_ID, *new2, DEPOT_ID], st.instance, st.dist)
+    st.costs[k1] = route_cost(new1, st.instance, st.dist)
+    st.costs[k2] = route_cost(new2, st.instance, st.dist)
     # new1 keeps r1[: c1 + 1] with c1 >= 0, so only route k2 can empty
     if new2:
         st._reindex(k1)

@@ -3,7 +3,8 @@
 Links inside a route are classified as good (rank strictly below the
 solution's average task rank) or poor (everything else).  Per route, one
 good link is cut with probability lam and one poor link with probability
-theta, producing up to three contiguous sub-routes per route.  Cutting
+theta, producing up to three contiguous sub-routes per route.  A sub-route
+is the tuple of directed task IDs it serves, in route order.  Cutting
 poor links more aggressively than good ones tends to hand downstream
 clustering task subsets that keep promising connections intact.
 
@@ -35,25 +36,6 @@ class RcoParams:
             raise ValueError(f"theta must be in [0,1], got {self.theta}")
 
 
-@dataclass(frozen=True)
-class SubRoute:
-    """A contiguous, orientation-preserving slice of a route interior."""
-
-    ids: tuple[int, ...]
-    route_index: int
-    start: int  # offset of ids[0] within the parent route interior
-
-    def __post_init__(self):
-        if not self.ids:
-            raise ValueError("sub-routes cannot be empty")
-
-    def task_indices(self) -> list[int]:
-        return [task_index_of(t) for t in self.ids]
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
 def average_task_rank(solution: Solution, ranks: RankMatrix) -> float:
     """Mean rank over all task-to-task links inside routes.
 
@@ -64,9 +46,9 @@ def average_task_rank(solution: Solution, ranks: RankMatrix) -> float:
     total = 0
     count = 0
     for route in solution.routes:
-        interior = route.interior
-        for i in range(len(interior) - 1):
-            total += int(table[task_index_of(interior[i]), task_index_of(interior[i + 1])])
+        ids = route.ids
+        for i in range(len(ids) - 1):
+            total += int(table[task_index_of(ids[i]), task_index_of(ids[i + 1])])
             count += 1
     return total / count if count else 0.0
 
@@ -74,27 +56,26 @@ def average_task_rank(solution: Solution, ranks: RankMatrix) -> float:
 def classify_links(route: Route, ranks: RankMatrix, avg: float) -> tuple[list[int], list[int]]:
     """Split a route's link positions into (good, poor).
 
-    Link position i joins interior tasks i and i+1.  A link is good when
+    Link position i joins the route's tasks i and i+1.  A link is good when
     its rank is strictly below ``avg``, poor otherwise.
     """
     table = ranks.ranks
-    interior = route.interior
+    ids = route.ids
     good: list[int] = []
     poor: list[int] = []
-    for i in range(len(interior) - 1):
-        r = int(table[task_index_of(interior[i]), task_index_of(interior[i + 1])])
+    for i in range(len(ids) - 1):
+        r = int(table[task_index_of(ids[i]), task_index_of(ids[i + 1])])
         (good if r < avg else poor).append(i)
     return good, poor
 
 
-def _cut_interior(
-    interior: list[int], cuts: list[int], route_index: int, pool: list[SubRoute]
-) -> None:
+def _cut(ids: list[int], cuts: list[int], pool: list[tuple[int, ...]]) -> None:
+    """Append the pieces of ``ids`` cut after each link position in ``cuts``."""
     start = 0
     for c in sorted(cuts):
-        pool.append(SubRoute(tuple(interior[start : c + 1]), route_index, start))
+        pool.append(tuple(ids[start : c + 1]))
         start = c + 1
-    pool.append(SubRoute(tuple(interior[start:]), route_index, start))
+    pool.append(tuple(ids[start:]))
 
 
 def rco_split(
@@ -102,17 +83,16 @@ def rco_split(
     ranks: RankMatrix,
     params: RcoParams,
     rng: random.Random,
-) -> list[SubRoute]:
+) -> list[tuple[int, ...]]:
     """Cut each route at up to one good and one poor link.
 
-    The task multiset of the result always equals the solution's, and each
-    route contributes between one and three sub-routes.
+    The pieces come in route order, so concatenated they give back the
+    routes' IDs; each non-empty route contributes one to three pieces.
     """
     avg = average_task_rank(solution, ranks)
-    pool: list[SubRoute] = []
-    for k, route in enumerate(solution.routes):
-        interior = route.interior
-        if not interior:
+    pool: list[tuple[int, ...]] = []
+    for route in solution.routes:
+        if not route.ids:
             continue
         good, poor = classify_links(route, ranks, avg)
         cuts: list[int] = []
@@ -120,21 +100,21 @@ def rco_split(
             cuts.append(good[rng.randrange(len(good))])
         if rng.random() < params.theta and poor:
             cuts.append(poor[rng.randrange(len(poor))])
-        _cut_interior(interior, cuts, k, pool)
+        _cut(route.ids, cuts, pool)
     return pool
 
 
-def uniform_split(solution: Solution, rng: random.Random) -> list[SubRoute]:
+def uniform_split(solution: Solution, rng: random.Random) -> list[tuple[int, ...]]:
     """Split every route into two sub-routes at a uniformly random link.
 
     This is the random-split baseline the rank-guided operator is compared
     against; single-task routes pass through whole.
     """
-    pool: list[SubRoute] = []
-    for k, route in enumerate(solution.routes):
-        interior = route.interior
-        if not interior:
+    pool: list[tuple[int, ...]] = []
+    for route in solution.routes:
+        ids = route.ids
+        if not ids:
             continue
-        cuts = [rng.randrange(len(interior) - 1)] if len(interior) >= 2 else []
-        _cut_interior(interior, cuts, k, pool)
+        cuts = [rng.randrange(len(ids) - 1)] if len(ids) >= 2 else []
+        _cut(ids, cuts, pool)
     return pool

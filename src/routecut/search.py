@@ -174,12 +174,12 @@ def project_solution(
     Out-of-subset tasks are deleted from each route and emptied routes are
     dropped; loads only decrease, so feasibility is preserved.
     """
-    interiors = []
+    routes = []
     for route in solution.routes:
-        kept = [t for t in route.interior if task_index_of(t) in keep]
+        kept = [t for t in route.ids if task_index_of(t) in keep]
         if kept:
-            interiors.append(kept)
-    return Solution.build(interiors, instance, dist)
+            routes.append(kept)
+    return Solution.build(routes, instance, dist)
 
 
 def concat_solutions(parts: list[Solution]) -> Solution:

@@ -1,16 +1,17 @@
 """Routes, solutions, objective evaluation, and feasibility checking.
 
-A route is a sequence of directed task IDs wrapped in depot sentinels
-(ID 0).  The objective of a route is the sum over consecutive elements of
-the service cost of the current ID plus the shortest-path cost from its
-tail vertex to the next ID's head vertex.
+A route is the sequence of directed task IDs it serves, in order; the
+tour leaves the depot before the first and returns to it after the last.
+The objective of a route is the sum over consecutive stops, depot first,
+of the service cost of the current stop plus the shortest-path cost from
+its tail vertex to the next stop's head vertex.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 from .distances import DistanceTable
@@ -18,81 +19,70 @@ from .instance import DEPOT_ID, Instance, Number, task_index_of
 
 
 def route_cost(ids: Sequence[int], instance: Instance, dist: DistanceTable) -> float:
-    """Evaluate one sentinel-wrapped ID sequence."""
+    """Cost of the tour that leaves the depot, serves ``ids`` in order and
+    returns; an empty route costs 0."""
     head = instance.id_head
     tail = instance.id_tail
     service = instance.id_service
     rows = dist.rows
     total = 0.0
-    for i in range(len(ids) - 1):
-        t = ids[i]
-        total += service[t] + rows[tail[t]][head[ids[i + 1]]]
+    prev = DEPOT_ID
+    for t in ids:
+        total += service[prev] + rows[tail[prev]][head[t]]
+        prev = t
+    if ids:
+        total += service[prev] + rows[tail[prev]][head[DEPOT_ID]]
     return total
 
 
 @dataclass
 class Route:
-    """One vehicle tour with cached load and cost."""
+    """The directed task IDs one vehicle serves, in order, and their cost."""
 
     ids: list[int]
-    load: Number
     cost: float
 
     @classmethod
-    def build(cls, interior: Iterable[int], instance: Instance, dist: DistanceTable) -> "Route":
-        ids = [DEPOT_ID, *interior, DEPOT_ID]
-        load = sum(instance.id_demand[t] for t in ids)
-        return cls(ids, load, route_cost(ids, instance, dist))
-
-    @property
-    def interior(self) -> list[int]:
-        return self.ids[1:-1]
-
-    @property
-    def size(self) -> int:
-        return len(self.ids) - 2
+    def build(cls, ids: Iterable[int], instance: Instance, dist: DistanceTable) -> "Route":
+        ids = list(ids)
+        return cls(ids, route_cost(ids, instance, dist))
 
 
 @dataclass
 class Solution:
-    """A set of routes with cached total cost.
+    """A set of routes and their total cost.
 
     No code changes a solution or its routes once built (local search works
-    on copies of the interiors), so solutions and routes are shared, not
+    on copies of the ID lists), so solutions and routes are shared, not
     copied.
     """
 
     routes: list[Route]
-    total_cost: float = field(default=0.0)
 
     def __post_init__(self):
-        if not self.total_cost:
-            self.total_cost = sum(r.cost for r in self.routes)
+        self.total_cost = sum(r.cost for r in self.routes)
 
     @classmethod
     def build(
-        cls, interiors: Iterable[Iterable[int]], instance: Instance, dist: DistanceTable
+        cls, routes: Iterable[Iterable[int]], instance: Instance, dist: DistanceTable
     ) -> "Solution":
-        return cls([Route.build(seq, instance, dist) for seq in interiors])
+        return cls([Route.build(ids, instance, dist) for ids in routes])
 
     def stripped(self) -> "Solution":
         """Drop empty routes (they cost nothing but clutter reports)."""
-        return Solution([r for r in self.routes if r.size > 0], self.total_cost)
+        return Solution([r for r in self.routes if r.ids])
 
     def task_indices(self) -> list[int]:
-        out = []
-        for r in self.routes:
-            out.extend(task_index_of(t) for t in r.interior)
-        return out
+        return [task_index_of(t) for r in self.routes for t in r.ids]
 
     @property
     def route_count(self) -> int:
-        return sum(1 for r in self.routes if r.size > 0)
+        return sum(1 for r in self.routes if r.ids)
 
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # missing-task | duplicate-task | capacity | sentinel | unknown-id
+    kind: str  # missing-task | duplicate-task | capacity | unknown-id
     detail: str
     route: int | None = None
 
@@ -116,14 +106,8 @@ def validate(
         required_tasks = set(range(instance.task_count))
 
     for k, route in enumerate(solution.routes):
-        ids = route.ids
-        if len(ids) < 2 or ids[0] != DEPOT_ID or ids[-1] != DEPOT_ID:
-            violations.append(Violation("sentinel", f"route {k} lacks depot sentinels", k))
         load: Number = 0
-        for t in ids[1:-1]:
-            if t == DEPOT_ID:
-                violations.append(Violation("sentinel", f"route {k} has an interior depot", k))
-                continue
+        for t in route.ids:
             if not 1 <= t <= n_ids:
                 violations.append(Violation("unknown-id", f"route {k} uses unknown ID {t}", k))
                 continue
@@ -173,7 +157,7 @@ def write_solution(solution: Solution, instance: Instance, stream: IO[str]) -> N
     stream.write(f"cost {format_number(reported.total_cost)}\n")
     for k, route in enumerate(reported.routes, start=1):
         pairs = " ".join(
-            f"({instance.id_head[t] + 1},{instance.id_tail[t] + 1})" for t in route.interior
+            f"({instance.id_head[t] + 1},{instance.id_tail[t] + 1})" for t in route.ids
         )
         stream.write(f"route {k}: {pairs}\n")
 
@@ -207,12 +191,12 @@ def read_solution(
     for t in instance.tasks:
         by_endpoints.setdefault((min(t.u, t.v), max(t.u, t.v)), []).append(t.index)
 
-    interiors: list[list[int]] = []
+    routes: list[list[int]] = []
     for ln in lines[1:]:
         route = _ROUTE_RE.fullmatch(ln)
         if route is None:
             raise ValueError(f"unexpected line in solution file: {ln!r}")
-        interior: list[int] = []
+        ids: list[int] = []
         for m in _PAIR_RE.finditer(route.group(1)):
             u, v = int(m.group(1)) - 1, int(m.group(2)) - 1
             pool = by_endpoints.get((min(u, v), max(u, v)))
@@ -220,6 +204,6 @@ def read_solution(
                 raise ValueError(f"no unserved task with endpoints ({u + 1},{v + 1})")
             ti = pool.pop(0)
             task = instance.tasks[ti]
-            interior.append(task.forward_id if task.u == u else task.reverse_id)
-        interiors.append(interior)
-    return Solution.build(interiors, instance, dist), stated
+            ids.append(task.forward_id if task.u == u else task.reverse_id)
+        routes.append(ids)
+    return Solution.build(routes, instance, dist), stated

@@ -31,6 +31,29 @@ def solution_from_tasks(instance, dist, routes):
     return Solution.build([[forward_id(ti) for ti in seq] for seq in routes], instance, dist)
 
 
+def split_walk(pool, solution):
+    """Walk the pieces of a route split in route order.
+
+    Returns, per route of ``solution``, the (offset, piece) pairs whose
+    pieces concatenate back to the route's IDs (none for an empty route),
+    and fails unless the pool is exactly the routes cut in order.  A cut
+    after link position c shows as a piece at offset c + 1.
+    """
+    pieces = iter(pool)
+    walk = []
+    for route in solution.routes:
+        at, cut = 0, []
+        while at < len(route.ids):
+            piece = next(pieces, None)
+            assert piece, f"route {len(walk)} is not covered by non-empty pieces"
+            assert piece == tuple(route.ids[at : at + len(piece)])
+            cut.append((at, piece))
+            at += len(piece)
+        walk.append(cut)
+    assert next(pieces, None) is None, "pieces left over after the last route"
+    return walk
+
+
 @st.composite
 def small_instances(draw):
     """Instances the DAT format writes as they are: integer attributes,
@@ -217,24 +240,17 @@ def feasibility_oracle_kinds(solution, instance):
     """Direct transcription of the feasibility constraints; returns the set
     of violated constraint kinds using the same vocabulary as validate()."""
     kinds = set()
-    interiors = []
-    for r in solution.routes:
-        ids = r.ids
-        if len(ids) < 2 or ids[0] != 0 or ids[-1] != 0:
-            kinds.add("sentinel")
-        if any(t == 0 for t in ids[1:-1]):
-            kinds.add("sentinel")
-        interiors.append([t for t in ids[1:-1] if t != 0])
+    routes = [list(r.ids) for r in solution.routes]
 
     n_ids = 2 * instance.task_count
-    if any(not 1 <= t <= n_ids for r in interiors for t in r):
+    if any(not 1 <= t <= n_ids for r in routes for t in r):
         kinds.add("unknown-id")
-    served = [(t - 1) // 2 for r in interiors for t in r if 1 <= t <= n_ids]
+    served = [(t - 1) // 2 for r in routes for t in r if 1 <= t <= n_ids]
     if any(c > 1 for c in Counter(served).values()):
         kinds.add("duplicate-task")
     if set(range(instance.task_count)) - set(served):
         kinds.add("missing-task")
-    for r in interiors:
+    for r in routes:
         load = sum(instance.id_demand[t] for t in r if 1 <= t <= n_ids)
         if load > instance.capacity:
             kinds.add("capacity")

@@ -48,6 +48,7 @@ from conftest import (
     brute_force_optimum,
     make_instance,
     solution_from_tasks,
+    split_walk,
 )
 
 
@@ -88,11 +89,11 @@ def test_criterion_02_split_classification_golden(golden_instance, golden_ranks)
     assert avg == 3.0
     link_tasks = []
     for route, (good, poor) in zip(sol.routes, parts):
-        interior = route.interior
+        ids = route.ids
         for pos in good:
-            link_tasks.append(("good", (interior[pos] - 1) // 2, (interior[pos + 1] - 1) // 2))
+            link_tasks.append(("good", (ids[pos] - 1) // 2, (ids[pos + 1] - 1) // 2))
         for pos in poor:
-            link_tasks.append(("poor", (interior[pos] - 1) // 2, (interior[pos + 1] - 1) // 2))
+            link_tasks.append(("poor", (ids[pos] - 1) // 2, (ids[pos + 1] - 1) // 2))
     good_links = {(a, b) for kind, a, b in link_tasks if kind == "good"}
     poor_links = {(a, b) for kind, a, b in link_tasks if kind == "poor"}
     assert good_links == {(TASK_D, TASK_E), (TASK_G, TASK_F), (TASK_C, TASK_H)}
@@ -146,14 +147,10 @@ def test_criterion_04_conservation_and_feasibility():
         sol, ranks, want = prepared[trial % len(prepared)]
         params = RcoParams(rng.random(), rng.random())
         pool = rco_split(sol, ranks, params, make_rng(trial))
-        assert Counter(t for s in pool for t in s.task_indices()) == want
-        per_route: dict[int, list] = {}
-        for s in pool:
-            per_route.setdefault(s.route_index, []).append(s)
-        for k, pieces in per_route.items():
-            assert 1 <= len(pieces) <= 3
-            pieces.sort(key=lambda s: s.start)
-            assert [t for s in pieces for t in s.ids] == sol.routes[k].interior
+        assert Counter((t - 1) // 2 for s in pool for t in s) == want
+        # the pieces, in route order, concatenate back to the routes
+        for cut in split_walk(pool, sol):
+            assert 1 <= len(cut) <= 3
 
     inst = generate_instance(14, 10, capacity=12, seed=3)
     for algo in ("sahid-rco", "sahid-random", "cluster-rco",
@@ -188,8 +185,9 @@ def test_criterion_05_cut_probability_calibration():
     good_cut = poor_cut = 0
     for _ in range(trials):
         pool = rco_split(sol, ranks, params, rng)
-        for s in pool[1:]:
-            if s.start - 1 in good_positions:
+        (cut,) = split_walk(pool, sol)
+        for at, _ in cut[1:]:
+            if at - 1 in good_positions:
                 good_cut += 1
             else:
                 poor_cut += 1

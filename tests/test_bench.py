@@ -121,7 +121,8 @@ def test_failures_are_recorded_not_raised(tmp_path, small_instance_file):
         variants=[("sahid-rco", _quick_config("sahid-rco"))],
         runs=2,
     )
-    records = run_experiment(spec, tmp_path / "out")
+    out = tmp_path / "out"
+    records = run_experiment(spec, out)
     assert len(records) == 4
     failed = [r for r in records if r.failed]
     assert len(failed) == 2
@@ -132,6 +133,40 @@ def test_failures_are_recorded_not_raised(tmp_path, small_instance_file):
     rows = summarize(records)
     flagged = [r for r in rows if r.instance == "broken"]
     assert flagged and "2-failed" in flagged[0].flag
+    # the file fails each of its cells, which leaves its traceback
+    assert sorted(p.name for p in out.glob("*.err")) == [
+        "broken__sahid-rco__s0.err", "broken__sahid-rco__s1.err"
+    ]
+    for r in failed:
+        assert r.error.endswith("VERTICES is not an integer: 'not-a-number'")
+        text = (out / f"broken__sahid-rco__s{r.seed}.err").read_text()
+        assert text.startswith("Traceback") and "in load_instance" in text
+
+
+def test_one_worker_parses_each_instance_once(tmp_path, small_instance_file, monkeypatch):
+    loads = []
+
+    def counting_load(path):
+        loads.append(path)
+        return load_instance(path)
+
+    monkeypatch.setattr(bench, "load_instance", counting_load)
+    variants = [("sahid-rco", _quick_config("sahid-rco")),
+                ("local-only", _quick_config("local-only"))]
+    spec = ExperimentSpec([small_instance_file], variants, runs=2, workers=1)
+    records = run_experiment(spec, tmp_path / "out")
+    assert not any(r.failed for r in records)
+    assert loads == [str(small_instance_file)]
+
+
+def test_each_experiment_reads_its_instance_files_afresh(tmp_path):
+    path = tmp_path / "x.dat"
+    spec = ExperimentSpec([path], [("v", _quick_config("local-only"))], runs=1)
+    for seed, tasks in ((2, 8), (3, 10)):  # the same path, another instance
+        generate_instance_file(path, vertices=14, tasks=tasks, capacity=12, seed=seed)
+        [record] = run_experiment(spec, tmp_path / f"out{seed}")
+        best, _ = solve(load_instance(path), replace(_quick_config("local-only"), seed=0))
+        assert record.final_cost == best.total_cost
 
 
 def test_failed_cell_leaves_full_traceback(tmp_path, small_instance_file, monkeypatch):
@@ -230,6 +265,10 @@ workers = 2
 @pytest.mark.parametrize("key, value", [
     ("workers", "0"), ("workers", "-2"),
     ("time_multiplier", "0"), ("time_multiplier", "-1.5"), ("time_multiplier", "nan"),
+    ("budget", "weekly"), ("budget", "weekly:3"), ("budget", "fixed"), ("budget", "fixed:"),
+    ("budget", "fixed:soon"), ("budget", "fixed:nan"), ("budget", "fixed:-1"),
+    ("budget", "fixed:0"), ("budget", "fixed:inf"), ("budget", "per-knodes:-inf"),
+    ("budget", "per-knodes:nan"),
 ])
 def test_parse_config_rejects_bad_spec_values(key, value, tmp_path, small_instance_file):
     cfg = tmp_path / "exp.cfg"
@@ -242,6 +281,10 @@ def test_parse_config_rejects_bad_spec_values(key, value, tmp_path, small_instan
     ("--workers", "0", "workers"),
     ("--time-multiplier", "0", "time_multiplier"),
     ("--time-multiplier", "nan", "time_multiplier"),
+    ("--budget", "fixed", "budget"),
+    ("--budget", "fixed:nan", "budget"),
+    ("--budget", "fixed:-1", "budget"),
+    ("--budget", "per-knodes:0", "budget"),
 ])
 def test_cli_bench_rejects_bad_overrides(flag, value, field, tmp_path, small_instance_file,
                                          capsys):

@@ -25,15 +25,14 @@ from routecut import (
 )
 from routecut.decompose import _pairwise_distances, group_task_indices, virtual_task_from_ids
 from routecut.generator import generate_instance
-from routecut.instance import forward_id, inverse_id
-from routecut.rco import SubRoute
+from routecut.instance import forward_id, inverse_id, task_index_of
 from routecut.seeding import make_rng
 
 from conftest import make_instance
 
 
 def _pool_of_singletons(task_indices):
-    return [SubRoute((forward_id(ti),), i, 0) for i, ti in enumerate(task_indices)]
+    return [(forward_id(ti),) for ti in task_indices]
 
 
 def _linked_tasks(values):
@@ -62,8 +61,8 @@ def test_subroute_distance_single_pair():
 
 def test_subroute_distance_hand_mean():
     links = _linked_tasks([[0, 2, 5], [2, 0, 9], [5, 9, 0]])
-    a = SubRoute((forward_id(0),), 0, 0)
-    b = SubRoute((forward_id(1), forward_id(2)), 1, 0)
+    a = (forward_id(0),)
+    b = (forward_id(1), forward_id(2))
     # mean of delta(0,1)=2 and delta(0,2)=5
     assert _pairwise_distances([a, b], *links)[0, 1] == pytest.approx(3.5)
 
@@ -76,8 +75,8 @@ def test_subroute_distance_symmetry(seed):
     tis = list(range(8))
     rng.shuffle(tis)
     cut = rng.randint(1, 7)
-    a = SubRoute(tuple(forward_id(t) for t in tis[:cut]), 0, 0)
-    b = SubRoute(tuple(forward_id(t) for t in tis[cut:]), 1, 0)
+    a = tuple(forward_id(t) for t in tis[:cut])
+    b = tuple(forward_id(t) for t in tis[cut:])
     d = _pairwise_distances([a, b], inst, inst.distances())
     assert d[0, 1] == pytest.approx(d[1, 0])
     assert d[0, 1] >= 0.0
@@ -204,7 +203,7 @@ def test_partition_property_random_pools():
         union = Counter()
         for grp in groups:
             for s in grp:
-                union.update(s.task_indices())
+                union.update(task_index_of(t) for t in s)
         assert union == Counter(sol.task_indices())
         # atomicity: each sub-route appears whole in exactly one group
         assert sum(len(grp) for grp in groups) == len(pool)
@@ -218,7 +217,7 @@ def test_pairwise_distances_hold_no_square_cost_matrix():
     from routecut import path_scanning
 
     solution = path_scanning(inst, dist, make_rng(1))
-    pool = [SubRoute(tuple(route.interior), i, 0) for i, route in enumerate(solution.routes)]
+    pool = [tuple(route.ids) for route in solution.routes]
     n = inst.task_count
     tracemalloc.start()
     try:
@@ -243,14 +242,14 @@ def test_degenerate_pool_reduces_groups():
 
 
 def test_single_task_virtual_task(single_task_instance):
-    pool = [SubRoute((1,), 0, 0)]
+    pool = [(1,)]
     (vt,) = build_virtual_tasks(pool, single_task_instance)
     assert vt.ids == (1,)
     assert (vt.head, vt.tail) == (0, 1)
 
 
 def test_two_task_virtual_task(path_instance):
-    pool = [SubRoute((forward_id(0), forward_id(1)), 0, 0)]
+    pool = [(forward_id(0), forward_id(1))]
     (vt,) = build_virtual_tasks(pool, path_instance)
     assert vt.ids == (forward_id(0), forward_id(1))
     assert (vt.head, vt.tail) == (0, 2)
@@ -303,7 +302,7 @@ def test_hdu_greedy_split_arithmetic():
         sol = hdu(units, inst, dist, 0.1, make_rng(seed))
         assert validate(sol, inst) == []
         assert sol.route_count == 3
-        assert all(r.load == 2 for r in sol.routes)
+        assert all(sum(inst.id_demand[t] for t in r.ids) == 2 for r in sol.routes)
 
 
 def test_hdu_deterministic_under_seed():

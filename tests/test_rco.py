@@ -15,6 +15,7 @@ from routecut import (
     uniform_split,
 )
 from routecut.generator import generate_instance
+from routecut.instance import task_index_of
 from routecut.seeding import make_rng
 from routecut import path_scanning
 
@@ -28,6 +29,7 @@ from conftest import (
     TASK_G,
     TASK_H,
     solution_from_tasks,
+    split_walk,
 )
 
 # Three-route solution over the golden tasks: links and ranks
@@ -54,7 +56,7 @@ def test_golden_good_poor_partition(golden_solution, golden_ranks):
     parts = [
         classify_links(route, golden_ranks, avg) for route in golden_solution.routes
     ]
-    # positions: route link i joins interior tasks i and i+1
+    # positions: route link i joins the route's tasks i and i+1
     assert parts[0] == ([1], [0])  # good: <D,E>; poor: <A,D>
     assert parts[1] == ([1], [0])  # good: <G,F>; poor: <B,G>
     assert parts[2] == ([0], [])   # good: <C,H>
@@ -91,9 +93,7 @@ def test_single_link_average_is_its_rank(golden_instance, golden_ranks):
 
 def test_zero_probabilities_yield_whole_routes(golden_solution, golden_ranks):
     pool = rco_split(golden_solution, golden_ranks, RcoParams(0.0, 0.0), make_rng(1))
-    got = sorted(tuple(s.ids) for s in pool)
-    want = sorted(tuple(r.interior) for r in golden_solution.routes)
-    assert got == want
+    assert pool == [tuple(r.ids) for r in golden_solution.routes]
 
 
 def test_single_cut_splits_in_two(golden_instance, golden_ranks):
@@ -101,17 +101,15 @@ def test_single_cut_splits_in_two(golden_instance, golden_ranks):
     sol = solution_from_tasks(golden_instance, dist, [[TASK_A, TASK_D, TASK_E]])
     # theta=1 forces the poor cut at <A,D> (the only poor link, position 0)
     pool = rco_split(sol, golden_ranks, RcoParams(0.0, 1.0), make_rng(3))
-    pieces = [s.ids for s in pool]
-    interior = sol.routes[0].interior
-    assert pieces == [tuple(interior[:1]), tuple(interior[1:])]
+    ids = sol.routes[0].ids
+    assert pool == [tuple(ids[:1]), tuple(ids[1:])]
 
 
 def test_both_cuts_give_three_subroutes(golden_solution, golden_ranks):
     pool = rco_split(golden_solution, golden_ranks, RcoParams(1.0, 1.0), make_rng(7))
-    by_route = Counter(s.route_index for s in pool)
     # routes 1 and 2 have one good and one poor link each -> 3 pieces;
     # route 3 has only a good link -> 2 pieces
-    assert by_route[0] == 3 and by_route[1] == 3 and by_route[2] == 2
+    assert [len(cut) for cut in split_walk(pool, golden_solution)] == [3, 3, 2]
 
 
 def _random_solution(seed):
@@ -130,35 +128,27 @@ def test_split_conservation_and_slices(seed, lam, theta):
     pool = rco_split(sol, ranks, RcoParams(lam, theta), make_rng(seed, 1))
 
     # task conservation
-    assert Counter(t for s in pool for t in s.task_indices()) == Counter(sol.task_indices())
+    assert Counter(task_index_of(t) for s in pool for t in s) == Counter(sol.task_indices())
 
-    by_route: dict[int, list] = {}
-    for s in pool:
-        assert len(s.ids) >= 1
-        by_route.setdefault(s.route_index, []).append(s)
-    for k, pieces in by_route.items():
-        # cut budget: at most 3 pieces per route
-        assert 1 <= len(pieces) <= 3
-        pieces.sort(key=lambda s: s.start)
-        # slice property: concatenation in provenance order restores the route
-        rebuilt = [t for s in pieces for t in s.ids]
-        assert rebuilt == sol.routes[k].interior
+    # slice property: the pieces, in route order, concatenate back to the
+    # routes (split_walk checks it), at most 3 pieces per non-empty route
+    for route, cut in zip(sol.routes, split_walk(pool, sol)):
+        assert 1 <= len(cut) <= 3 if route.ids else cut == []
 
 
 def test_split_determinism(golden_solution, golden_ranks):
     params = RcoParams(0.5, 0.5)
     a = rco_split(golden_solution, golden_ranks, params, make_rng(99))
     b = rco_split(golden_solution, golden_ranks, params, make_rng(99))
-    assert [s.ids for s in a] == [s.ids for s in b]
-    assert [(s.route_index, s.start) for s in a] == [(s.route_index, s.start) for s in b]
+    assert a == b
+    assert split_walk(a, golden_solution) == split_walk(b, golden_solution)
 
 
 def test_uniform_split_always_two_pieces(golden_solution):
     pool = uniform_split(golden_solution, make_rng(5))
-    by_route = Counter(s.route_index for s in pool)
-    assert all(v == 2 for v in by_route.values())
+    assert [len(cut) for cut in split_walk(pool, golden_solution)] == [2, 2, 2]
     want = Counter(golden_solution.task_indices())
-    assert Counter(t for s in pool for t in s.task_indices()) == want
+    assert Counter(task_index_of(t) for s in pool for t in s) == want
 
 
 def test_cut_rates_match_probabilities(golden_instance, golden_ranks):
@@ -179,8 +169,8 @@ def test_cut_rates_match_probabilities(golden_instance, golden_ranks):
     poor_cuts = 0
     for _ in range(trials):
         pool = rco_split(sol, golden_ranks, params, rng)
-        starts = sorted(s.start for s in pool)
-        cuts = [s - 1 for s in starts[1:]]
+        (cut,) = split_walk(pool, sol)
+        cuts = [at - 1 for at, _ in cut[1:]]
         for c in cuts:
             if c in good:
                 good_cuts[c] += 1

@@ -1,4 +1,5 @@
-"""`DistanceTable.rows` and `RankMatrix.nearest` (both in row blocks), the
+"""`route_cost` over a route's served IDs alone, `DistanceTable.rows` and
+`RankMatrix.nearest` (both in row blocks), the
 numpy `hdu` level loop, `rank_rows` (both its counting and its sorting
 path), `link_numerators` (in row blocks), `path_scanning`,
 `_pairwise_distances` (in row blocks of whole sub-routes),
@@ -50,16 +51,15 @@ from routecut.decompose import (
 )
 from routecut.distances import _EXACT_INT, _ROWS_BLOCK, DistanceTable
 from routecut.generator import generate_instance
-from routecut.instance import forward_id, inverse_id
+from routecut.instance import DEPOT_ID, forward_id, inverse_id, task_index_of
 from routecut.ranking import (
     _COUNT_SPAN_PER_ROW,
     _ROW_BLOCK,
     link_numerators,
     rank_rows,
 )
-from routecut.rco import SubRoute
 from routecut.seeding import make_rng
-from routecut.solution import Solution
+from routecut.solution import Route, Solution, route_cost
 
 from conftest import make_instance, neighbors
 
@@ -210,8 +210,8 @@ def subroute_distance(a, b, num):
     from the whole matrix ``num`` of `reference_link_numerators`."""
     if a is b:
         return 0.0
-    ai = a.task_indices()
-    bi = b.task_indices()
+    ai = [task_index_of(t) for t in a]
+    bi = [task_index_of(t) for t in b]
     block = num[np.ix_(ai, bi)]
     return float(block.mean()) / 4.0
 
@@ -229,7 +229,7 @@ def whole_matrix_pairwise_distances(pool, num):
     """`_pairwise_distances` over the whole matrix ``num``: gather every
     pair of the pool's tasks, sum each sub-route's rows, then its columns."""
     sizes = np.array([len(s) for s in pool])
-    order = np.concatenate([s.task_indices() for s in pool])
+    order = [task_index_of(t) for s in pool for t in s]
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     block = num[np.ix_(order, order)]
     sums = np.add.reduceat(np.add.reduceat(block, starts, axis=0), starts, axis=1)
@@ -347,8 +347,6 @@ def test_hdu_matches_reference_on_an_asymmetric_table(seed):
 @pytest.mark.parametrize("seed", range(100))
 def test_nearest_matches_reference_on_tie_heavy_instances(seed):
     instance = _tie_heavy_instance(seed)
-    if instance.task_count < 2:
-        pytest.skip("a rank matrix needs two tasks")
     dist = instance.distances()
     ranks = build_rank_matrix(instance, dist)
     num = reference_link_numerators(instance, dist)
@@ -386,11 +384,10 @@ def _counts(costs):
 @pytest.mark.parametrize("seed", range(100))
 def test_rank_rows_match_reference_on_tie_heavy_instances(seed, rank_paths):
     instance = _tie_heavy_instance(seed)
-    if instance.task_count >= 2:
-        num = reference_link_numerators(instance, instance.distances())
-        rank_paths.clear()
-        _assert_same_ranks(rank_rows(num), reference_rank_rows(num))
-        assert rank_paths == {"counting" if _counts(num) else "sorting"}
+    num = reference_link_numerators(instance, instance.distances())
+    rank_paths.clear()
+    _assert_same_ranks(rank_rows(num), reference_rank_rows(num))
+    assert rank_paths == {"counting" if _counts(num) else "sorting"}
 
 
 def test_tie_heavy_instances_are_tie_heavy():
@@ -400,10 +397,9 @@ def test_tie_heavy_instances_are_tie_heavy():
         instance = _tie_heavy_instance(seed)
         ends = [tuple(sorted((t.u, t.v))) for t in instance.tasks]
         parallel += len(ends) > len(set(ends))
-        if instance.task_count >= 2:
-            num = reference_link_numerators(instance, instance.distances())
-            zero_links += bool(np.any(num[~np.eye(len(num), dtype=bool)] == 0))
-            counted += _counts(num)
+        num = reference_link_numerators(instance, instance.distances())
+        zero_links += bool(np.any(num[~np.eye(len(num), dtype=bool)] == 0))
+        counted += _counts(num)
     assert parallel >= 50
     assert zero_links >= 50
     assert counted >= 90  # the rest span too many values for their size
@@ -655,7 +651,7 @@ def test_path_scanning_instances_exercise_ties_and_full_routes():
             solution = path_scanning(instance, instance.distances(), rng)
             draws += rng.getstate() != make_rng(seed).getstate()
             full += any(
-                sum(instance.id_demand[t] for t in r.interior) == instance.capacity
+                sum(instance.id_demand[t] for t in r.ids) == instance.capacity
                 for r in solution.routes
             )
     assert draws >= 50
@@ -698,7 +694,7 @@ def _random_subroutes(task_count, rng):
     pool = []
     while ids:
         size = rng.randint(1, 4)
-        pool.append(SubRoute(tuple(ids[:size]), len(pool), 0))
+        pool.append(tuple(ids[:size]))
         ids = ids[size:]
     return pool
 
@@ -713,10 +709,7 @@ def _assert_pairwise_matches(pool, instance, dist):
             assert got[i, j] == subroute_distance(pool[i], pool[j], num)
 
 
-@pytest.mark.parametrize(
-    # a rank matrix needs two tasks
-    "seed", [s for s in range(100) if _tie_heavy_instance(s).task_count >= 2]
-)
+@pytest.mark.parametrize("seed", range(100))
 def test_pairwise_distances_match_reference_on_tie_heavy_instances(seed):
     instance = _tie_heavy_instance(seed)
     dist = instance.distances()
@@ -766,10 +759,8 @@ def _straddling_pools(instance, dist, rng):
     cut = min(n - 1, _DISTANCE_BLOCK + 3)
     return [
         _random_subroutes(n, rng),
-        [SubRoute(tuple(r.interior), i, 0)
-         for i, r in enumerate(path_scanning(instance, dist, make_rng(rng.randrange(1000))).routes)],
-        [SubRoute(tuple(long[:cut]), 0, 0)]
-        + [SubRoute((t,), i + 1, 0) for i, t in enumerate(long[cut:])],
+        [tuple(r.ids) for r in path_scanning(instance, dist, make_rng(rng.randrange(1000))).routes],
+        [tuple(long[:cut])] + [(t,) for t in long[cut:]],
     ]
 
 
@@ -831,9 +822,7 @@ def _assert_fuzzy_matches(pool, instance, dist, seed, make=make_rng):
                 warnings.simplefilter("ignore")  # pools smaller than g
                 expected = reference_fuzzy_kmedoid(pool, config, instance, dist, ref_rng)
                 got = fuzzy_kmedoid(pool, config, instance, dist, new_rng)
-            assert [[s.ids for s in group] for group in got] == [
-                [s.ids for s in group] for group in expected
-            ]
+            assert got == expected
             assert new_rng.getstate() == ref_rng.getstate()
 
 
@@ -843,10 +832,7 @@ def _rco_pools(instance, dist, ranks, params, seed):
     return [list(rco_split(solution, ranks, p, rng)) for p in params]
 
 
-@pytest.mark.parametrize(
-    # a rank matrix needs two tasks
-    "seed", [s for s in range(100) if _tie_heavy_instance(s).task_count >= 2]
-)
+@pytest.mark.parametrize("seed", range(100))
 def test_fuzzy_kmedoid_matches_reference_on_tie_heavy_instances(seed):
     instance = _tie_heavy_instance(seed)
     dist = instance.distances()
@@ -875,7 +861,7 @@ def test_fuzzy_kmedoid_cases_reach_small_pools_zeros_and_exact_draws():
     # pools smaller than a group count, zero distances between sub-routes,
     # and quarter draws landing exactly on a running weight sum
     small = zero_rows = exact = 0
-    for seed in [s for s in range(100) if _tie_heavy_instance(s).task_count >= 2]:
+    for seed in range(100):
         instance = _tie_heavy_instance(seed)
         dist = instance.distances()
         ranks = build_rank_matrix(instance, dist)
@@ -929,7 +915,7 @@ def _local_search_starts(instance, dist, rng):
     tasks, which moves empty; and tasks in random order and orientation
     filled into routes up to the capacity, whose detours fresh routes fix."""
     scanned = path_scanning(instance, dist, rng)
-    pieces = [r.interior[i : i + 2] for r in scanned.routes for i in range(0, r.size, 2)]
+    pieces = [r.ids[i : i + 2] for r in scanned.routes for i in range(0, len(r.ids), 2)]
     ids = [forward_id(ti) for ti in range(instance.task_count)]
     ids = [inverse_id(t) if rng.random() < 0.5 else t for t in ids]
     rng.shuffle(ids)
@@ -1291,3 +1277,79 @@ def test_local_search_matches_reference_scan_on_a_generated_mid_size_instance(mi
             got, expected = _scan_runs(instance, dist, start, 7, nbrs, max_evals)
             assert got == expected
             assert expected[3] > 0
+
+
+# --- route_cost: closing the tour at the depot itself ----------------------
+
+
+def reference_route_cost(ids, instance, dist):
+    """`route_cost` over the route wrapped in depot sentinels, ``[0, *ids, 0]``."""
+    wrapped = [DEPOT_ID, *ids, DEPOT_ID]
+    head, tail, service, rows = instance.id_head, instance.id_tail, instance.id_service, dist.rows
+    total = 0.0
+    for i in range(len(wrapped) - 1):
+        t = wrapped[i]
+        total += service[t] + rows[tail[t]][head[wrapped[i + 1]]]
+    return total
+
+
+def _routes_to_cost(instance, dist, rng):
+    """The empty route, every task alone in either orientation, path
+    scanning's routes forward and reversed, and every task in one route of
+    random order and orientation."""
+    ids = [forward_id(ti) for ti in range(instance.task_count)]
+    scanned = [r.ids for r in path_scanning(instance, dist, rng).routes]
+    mixed = [inverse_id(t) if rng.random() < 0.5 else t for t in ids]
+    rng.shuffle(mixed)
+    return (
+        [[]]
+        + [[t] for t in ids]
+        + [[inverse_id(t)] for t in ids]
+        + scanned
+        + [[inverse_id(t) for t in reversed(r)] for r in scanned]
+        + [mixed]
+    )
+
+
+def _assert_route_costs_match(instance, seed):
+    dist = instance.distances()
+    routes = _routes_to_cost(instance, dist, make_rng(seed))
+    for ids in routes:
+        expected = reference_route_cost(ids, instance, dist)
+        assert route_cost(ids, instance, dist) == expected
+        assert Route.build(ids, instance, dist) == Route(list(ids), expected)
+    solution = Solution.build(routes, instance, dist)
+    assert solution.total_cost == sum(reference_route_cost(r, instance, dist) for r in routes)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_route_cost_matches_reference_on_tie_heavy_instances(seed):
+    _assert_route_costs_match(_tie_heavy_instance(seed), seed)
+
+
+@pytest.mark.parametrize("kind", sorted(LINK_DTYPES))
+@pytest.mark.parametrize("seed", range(3))
+def test_route_cost_matches_reference_on_float_cost_instances(seed, kind):
+    # halves and tenths of deadheading cost, and tenths of service cost, so
+    # that the running sums round: the terms must add in the same order
+    instance = _link_instance(kind, 17, seed)
+    _assert_route_costs_match(instance, seed)
+    edges = [Edge(e.u, e.v, e.demand, e.service_cost / 10, e.deadheading_cost)
+             for e in instance.edges]
+    tenths = Instance("service-tenths", instance.vertex_count, edges,
+                      instance.depot, instance.capacity)
+    _assert_route_costs_match(tenths, seed)
+
+
+def test_route_cost_of_empty_and_one_task_routes(path_instance):
+    # the depot is vertex 0; task 0 runs 0 -> 1 and task 1 runs 1 -> 2,
+    # each at cost 1, so leaving and returning add the path lengths
+    dist = path_instance.distances()
+    assert route_cost([], path_instance, dist) == 0.0
+    assert Solution.build([[]], path_instance, dist).total_cost == 0.0
+    for ids in ([forward_id(0)], [inverse_id(forward_id(0))], [forward_id(1)]):
+        assert route_cost(ids, path_instance, dist) == reference_route_cost(
+            ids, path_instance, dist
+        )
+    assert route_cost([forward_id(0)], path_instance, dist) == 2.0
+    assert route_cost([forward_id(1)], path_instance, dist) == 4.0

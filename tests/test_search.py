@@ -161,7 +161,6 @@ def test_recombination_serves_every_task_once():
 def _snapshot(solution):
     return (
         [list(r.ids) for r in solution.routes],
-        [r.load for r in solution.routes],
         [r.cost for r in solution.routes],
         solution.total_cost,
     )

@@ -76,11 +76,10 @@ def test_capacity_violation_names_route():
 
 def test_interior_depot_reported(path_instance):
     dist = path_instance.distances()
-    sol = Solution(
-        [Route([0, forward_id(0), 0, forward_id(1), 0], 2, 0.0)]
-    )
-    kinds = {v.kind for v in validate(sol, path_instance)}
-    assert "sentinel" in kinds
+    # ID 0 is the depot, which no route lists: it is an unknown task ID
+    sol = Solution([Route([forward_id(0), 0, forward_id(1)], 0.0)])
+    report = validate(sol, path_instance)
+    assert [(v.kind, v.route) for v in report] == [("unknown-id", 0)]
 
 
 def test_min_vehicles():
@@ -117,7 +116,7 @@ def test_route_reversal_preserves_cost_and_feasibility():
         dist = inst.distances()
         sol = solution_from_tasks(inst, dist, [[0, 1, 2], [3, 4, 5]])
         flipped = Solution.build(
-            [[inverse_id(t) for t in reversed(r.interior)] for r in sol.routes], inst, dist
+            [[inverse_id(t) for t in reversed(r.ids)] for r in sol.routes], inst, dist
         )
         assert validate(flipped, inst) == []
         assert flipped.total_cost == pytest.approx(sol.total_cost)
@@ -221,7 +220,7 @@ def test_read_solution_accepts_pairs_and_whitespace_only(path_instance):
     dist = path_instance.distances()
     text = "cost 4\nroute 1:(1,2)( 2 , 3 )  \nroute 2:\n"
     sol, stated = read_solution(io.StringIO(text), path_instance, dist)
-    assert [r.size for r in sol.routes] == [2, 0]
+    assert [len(r.ids) for r in sol.routes] == [2, 0]
     assert sol.total_cost == stated == 4
 
 
