@@ -6,7 +6,8 @@
 # trace CSV, from `solve --trace` or streamed by `bench`, must start with its
 # header, and invalid settings must exit with status 2 and name the field.
 # A broken instance file fails each of its cells, with one `.err` traceback
-# per cell, and `bench` exits with status 1.
+# per cell, and `bench` exits with status 1.  Every trace or solution file
+# that a `records.csv` names must exist.
 #
 # Usage: scripts/check_console.sh [WORK_DIR]
 # WORK_DIR (created if missing) defaults to a new temporary directory.
@@ -60,3 +61,15 @@ test "$(ls broken/broken__*.err | wc -l)" -eq 4
 for trace in runs/*.trace.csv pool/*.trace.csv; do
   test "$(head -n 1 "$trace")" = elapsed_ms,best_cost
 done
+
+python3 - runs/records.csv pool/records.csv broken/records.csv <<'EOF'
+import csv
+import os
+import sys
+
+for name in sys.argv[1:]:
+    with open(name, newline="") as fh:
+        for row in csv.DictReader(fh):
+            for key in ("trace_path", "solution_path"):
+                assert not row[key] or os.path.exists(row[key]), (name, key, row[key])
+EOF

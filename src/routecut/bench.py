@@ -66,7 +66,7 @@ class RunRecord:
     final_cost: float
     elapsed_sec: float
     route_count: int
-    trace_path: str
+    trace_path: str  # "" when the cell wrote no such file, as solution_path
     solution_path: str
     error: str = ""
 
@@ -106,7 +106,8 @@ def _run_cell(args: tuple) -> RunRecord:
     sol_path = out_dir / f"{stem}__{variant}__s{seed}.sol"
     trace_path = out_dir / f"{stem}__{variant}__s{seed}.trace.csv"
     err_path = out_dir / f"{stem}__{variant}__s{seed}.err"
-    err_path.unlink(missing_ok=True)
+    for path in (sol_path, trace_path, err_path):  # an earlier run's files
+        path.unlink(missing_ok=True)
     try:
         instance, ranks = _cached_instance(instance_path)
         config = replace(config, seed=seed, time_limit=resolve_budget(spec, config, instance))
@@ -132,8 +133,9 @@ def _run_cell(args: tuple) -> RunRecord:
     except Exception:
         full = traceback.format_exc()
         err_path.write_text(full)
+        written = [str(p) if p.exists() else "" for p in (trace_path, sol_path)]
         return RunRecord(
-            stem, variant, seed, math.nan, 0.0, 0, str(trace_path), str(sol_path),
+            stem, variant, seed, math.nan, 0.0, 0, *written,
             error=full.strip().splitlines()[-1],
         )
 

@@ -201,6 +201,7 @@ def _endpoint_distances(
 
     Units are traversable in either direction, so take the best pairing.
     Reads each unit's rows at unit ``j``'s columns, copied once: no symmetry.
+    Of ``matrix``'s type, which is signed so ``hdu`` can mark medoids with -1.
     """
     to_h = matrix[:, heads[j]].copy()
     to_t = matrix[:, tails[j]].copy()

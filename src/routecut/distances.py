@@ -16,37 +16,22 @@ _EXACT_INT = 2**50
 # a distance table as nested lists: all ints or all floats (see DistanceTable)
 Rows = list[list[int]] | list[list[float]]
 
-# rows per block of _int_rows; at 1500 vertices a block of 32 keeps the peak
-# within 0.4 MB of the 18 MB of lists, against +36 MB for one whole-table cast
-_ROWS_BLOCK = 32
-
-
-def _int_rows(m: np.ndarray) -> list[list[int]] | None:
-    """``m`` as nested lists of ints, converted a block of rows at a time,
-    or None unless every entry is finite, integral and at most
-    ``_EXACT_INT``."""
-    rows: list[list[int]] = []
-    for start in range(0, len(m), _ROWS_BLOCK):
-        block = m[start : start + _ROWS_BLOCK]
-        # finiteness first: casting inf to int64 is undefined and warns;
-        # shortest-path costs are never negative
-        if not np.isfinite(block).all() or (block > _EXACT_INT).any():
-            return None
-        ints = block.astype(np.int64)
-        if not np.array_equal(ints, block):
-            return None
-        rows += ints.tolist()
-    return rows
-
 
 class DistanceTable:
     """Dense table of shortest-path costs between all vertex pairs.
 
-    Unreachable pairs hold infinity (only possible between non-task
-    vertices; task endpoints are guaranteed reachable at load time).
-    ``rows`` exposes the table as nested lists for tight scalar loops.
-    Its entries are Python ``int``s when every entry is finite, integral
-    and at most ``_EXACT_INT`` (integer edge costs), ``float``s otherwise.
+    One rule sets the type of ``matrix``: when every entry is finite,
+    integral and at most ``_EXACT_INT`` in magnitude (integer edge costs),
+    the narrowest of int16, int32 and int64 that holds four times the
+    largest, so a link numerator (four distances summed, see
+    ``link_numerators``) cannot overflow; float64 otherwise.  Generated
+    instances fit int16: 2 bytes per vertex pair, not float64's 8.  The
+    type is signed, since ``hdu`` writes -1 into a copy of a medoid column.
+    Unreachable pairs hold infinity, so such a table is float64 (only
+    between non-task vertices; task endpoints are reachable at load time).
+
+    ``rows`` exposes the table as nested lists for tight scalar loops:
+    Python ``int``s under an integer type, ``float``s under float64.
     CPython shares one object per int below 257, so small costs cost the
     lists their pointers only; and integers this small add exactly as ints
     and as floats, so every cost summed from the rows is the same either
@@ -54,14 +39,21 @@ class DistanceTable:
     """
 
     def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
+        self.matrix = matrix.astype(np.float64, copy=False)
         self._rows: Rows | None = None
+        # max and min carry nan and inf, which fail the bound: no int cast
+        largest = max(float(matrix.max(initial=0)), -float(matrix.min(initial=0)))
+        if largest <= _EXACT_INT:
+            dtype = next(t for t in (np.int16, np.int32, np.int64)
+                         if 4 * largest <= np.iinfo(t).max)
+            narrow = matrix.astype(dtype)
+            if np.array_equal(narrow, matrix):
+                self.matrix = narrow
 
     @property
     def rows(self) -> Rows:
         if self._rows is None:
-            rows = _int_rows(self.matrix)
-            self._rows = self.matrix.tolist() if rows is None else rows
+            self._rows = self.matrix.tolist()
         return self._rows
 
 

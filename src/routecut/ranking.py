@@ -29,8 +29,10 @@ def link_numerators(
     Entry [r, j] is the plain sum of the four ``matrix`` distances between
     the endpoints of tasks ``start + r`` and ``j``, added as
     ``((hh + ht) + th) + tt``; entry [r, start + r] is 0, since self-links
-    are undefined.  The block is int64 when every entry is an exact
-    integer (integer edge costs), float64 otherwise: the rule reads the
+    are undefined.  An integer ``matrix`` (see ``DistanceTable``) holds four
+    times its largest entry, so the sums are taken in its own type without
+    overflow and returned as int64.  A float64 ``matrix`` gives int64 when
+    every sum is an exact integer, float64 otherwise: the rule reads the
     sums, not the distances, so half-integral distances whose sums are
     whole give int64 too.  The distance rows from the block's heads and
     from its tails are gathered once, and the block allocates a few
@@ -45,7 +47,7 @@ def link_numerators(
     rows = np.arange(stop - start)
     block[rows, start + rows] = 0
     as_int = block.astype(np.int64)
-    return as_int if np.array_equal(as_int, block) else block
+    return as_int if matrix.dtype.kind == "i" or np.array_equal(as_int, block) else block
 
 
 # task rows per block of build_rank_matrix and RankMatrix.nearest; 32 ranked

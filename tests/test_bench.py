@@ -469,6 +469,44 @@ def test_failed_cell_keeps_its_streamed_trace(tmp_path, small_instance_file, mon
     assert len(lines) == 1 + len(trace.samples)
 
 
+def _half_solve(instance, config, trace_sink, **kw):
+    trace_sink.write("elapsed_ms,best_cost\n")
+    raise RuntimeError("solver blew up")
+
+
+def _failing_validate(solution, instance):
+    raise RuntimeError("validation blew up")
+
+
+# where a cell fails, and the files it wrote by then: none when the instance
+# does not load, a partial trace when solve fails, a whole one when validation does
+@pytest.mark.parametrize("fails_in, written", [
+    ("load_instance", set()), ("solve", {"trace"}), ("validate", {"trace"}),
+])
+def test_failed_cell_records_only_files_it_wrote(tmp_path, small_instance_file, monkeypatch,
+                                                fails_in, written):
+    if fails_in == "load_instance":
+        small_instance_file.write_text("VERTICES : not-a-number\n")
+    else:
+        failing = {"solve": _half_solve, "validate": _failing_validate}[fails_in]
+        monkeypatch.setattr(bench, fails_in, failing)
+    out = tmp_path / "out"
+    out.mkdir()
+    stale = {"trace": out / "small__v__s0.trace.csv", "solution": out / "small__v__s0.sol"}
+    for path in stale.values():  # left by an earlier run at the same paths
+        path.write_text("stale\n")
+    spec = ExperimentSpec([small_instance_file], [("v", _quick_config("sahid-rco"))], runs=1)
+    [record] = run_experiment(spec, out)
+    assert record.failed
+    [again] = read_records_csv(out / "records.csv")
+    for r in (record, again):
+        assert r.trace_path == (str(stale["trace"]) if "trace" in written else "")
+        assert r.solution_path == ""
+    assert {kind for kind, path in stale.items() if path.exists()} == written
+    if written:
+        assert stale["trace"].read_text().startswith("elapsed_ms,best_cost\n")
+
+
 def test_parallel_workers_match_sequential(tmp_path, small_instance_file):
     base = dict(
         instances=[small_instance_file],

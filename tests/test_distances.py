@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routecut import Edge, Instance, Solution
-from routecut.distances import _EXACT_INT
+from routecut.distances import _EXACT_INT, DistanceTable
+from routecut.generator import generate_instance
+from routecut.ranking import link_numerators
 
 from conftest import bellman_ford_all_pairs, make_instance
 
@@ -119,3 +121,67 @@ def test_table_invariants(seed, n):
     for k in range(n):
         via = m[:, k][:, None] + m[k, :][None, :]
         assert np.all(m <= via + 1e-9)
+
+
+# the largest entry of a table and the type it is stored in: the narrowest
+# signed int that holds four times the entry, or float64 unless it is
+# finite, integral and at most _EXACT_INT (in magnitude: -8193 too)
+TABLE_TYPES = [
+    (0, np.int16), (8191, np.int16), (8192, np.int32), (-8193, np.int32),
+    (2**29 - 1, np.int32), (2**29, np.int64), (_EXACT_INT, np.int64),
+    (2 * _EXACT_INT, np.float64), (0.5, np.float64), (math.inf, np.float64),
+    (math.nan, np.float64),
+]
+
+
+def _table_at(largest):
+    """A 6 x 6 symmetric table of small ints, 0 on the diagonal, whose
+    block [0:2, 2:4] holds ``largest``: the link of tasks (0, 1) and (2, 3)
+    sums four of them."""
+    m = np.random.default_rng(6).integers(0, 9, size=(6, 6)).astype(np.float64)
+    m = np.maximum(m, m.T)
+    np.fill_diagonal(m, 0.0)
+    m[0:2, 2:4] = m[2:4, 0:2] = largest
+    return m
+
+
+@pytest.mark.parametrize("largest, dtype", TABLE_TYPES)
+def test_table_type_holds_four_times_the_largest_entry(largest, dtype):
+    m = _table_at(largest)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dist = DistanceTable(m)
+        rows = dist.rows
+    assert dist.matrix.dtype == dtype
+    assert np.array_equal(dist.matrix, m, equal_nan=True)
+    assert _entry_types(rows) == ({float} if dtype is np.float64 else {int})
+    assert np.array_equal(np.array(rows), m, equal_nan=True)
+
+
+# inf sits at task endpoints in _table_at, which no valid instance has
+@pytest.mark.parametrize("largest", [x for x, _ in TABLE_TYPES if math.isfinite(x)])
+def test_link_numerators_equal_a_float_sum_at_each_type_boundary(largest):
+    m = _table_at(largest)
+    heads, tails = np.array([0, 2, 4]), np.array([1, 3, 5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = link_numerators(DistanceTable(m).matrix, heads, tails, 0, 3)
+    want = m[np.ix_(heads, heads)] + m[np.ix_(heads, tails)]
+    want += m[np.ix_(tails, heads)] + m[np.ix_(tails, tails)]
+    np.fill_diagonal(want, 0.0)
+    assert want[0, 1] == 4 * largest
+    assert got.dtype == np.int64  # every sum is whole, 0.5 four times too
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", (0, 1))
+def test_tables_of_no_and_one_vertex(n):
+    dist = DistanceTable(np.zeros((n, n)))
+    assert dist.matrix.dtype == np.int16 and dist.matrix.shape == (n, n)
+    assert dist.rows == [[0]] * n
+
+
+def test_generated_large_instance_stores_two_bytes_per_pair():
+    dist = generate_instance(1500, 2500, 60, seed=1).distances()
+    assert dist.matrix.itemsize == 2
+    assert dist.matrix.shape == (1500, 1500)

@@ -49,7 +49,7 @@ from routecut.decompose import (
     fuzzy_kmedoid,
     virtual_task_from_ids,
 )
-from routecut.distances import _EXACT_INT, _ROWS_BLOCK, DistanceTable
+from routecut.distances import _EXACT_INT, DistanceTable
 from routecut.generator import generate_instance
 from routecut.instance import DEPOT_ID, forward_id, inverse_id, task_index_of
 from routecut.ranking import (
@@ -332,11 +332,26 @@ def test_hdu_matches_reference_on_an_asymmetric_table(seed):
     # medoid distances are read from each unit's row at the medoid's
     # columns; reading the medoid's row instead holds only when symmetric
     instance = generate_instance(60, 90, 60, seed=seed)
-    matrix = instance.distances().matrix.copy()
+    matrix = instance.distances().matrix.astype(np.float64)
     upper = np.triu_indices(len(matrix), 1)
     matrix[upper] += np.random.default_rng(seed).random(len(upper[0])) / 3
     assert not np.array_equal(matrix, matrix.T)
     dist = DistanceTable(matrix)
+    elementary = elementary_virtual_tasks(instance)
+    grouped = _random_units(instance, random.Random(seed))
+    for scale in SCALES:
+        _assert_hdu_matches(elementary, instance, dist, scale, seed)
+        _assert_hdu_matches(grouped, instance, dist, scale, seed + 1)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_hdu_matches_reference_on_a_table_at_the_int16_limit(seed):
+    # the largest entry int16 stores four of: far pairs all sit at 8191
+    instance = generate_instance(60, 90, 60, seed=seed)
+    matrix = instance.distances().matrix.astype(np.float64) * 60
+    matrix[matrix > np.quantile(matrix, 0.8)] = 8191
+    dist = DistanceTable(matrix)
+    assert dist.matrix.dtype == np.int16 and dist.matrix.max() == 8191
     elementary = elementary_virtual_tasks(instance)
     grouped = _random_units(instance, random.Random(seed))
     for scale in SCALES:
@@ -500,10 +515,10 @@ def reference_rows(m):
     return m.tolist()
 
 
-@pytest.mark.parametrize("n", (1, _ROWS_BLOCK, _ROWS_BLOCK + 1, 2 * _ROWS_BLOCK + 3))
+@pytest.mark.parametrize("n", (1, 32, 33, 67))
 @pytest.mark.parametrize("last", [3.0, 0.5, math.inf, 2.0 * _EXACT_INT])
 def test_distance_rows_match_reference(n, last):
-    # the last entry, in the last block of rows, decides between ints and floats
+    # the last entry decides between ints and floats
     m = np.random.default_rng(n).integers(0, 9, size=(n, n)).astype(np.float64)
     m[-1, -1] = last
     with warnings.catch_warnings():
