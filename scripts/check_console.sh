@@ -2,7 +2,9 @@
 # End-to-end check of the installed `routecut` console script: generate an
 # instance, solve it with both search loops and validate the results, then
 # run `bench` and `stats` in one process and in a pool of two worker
-# processes, each worker keeping its last instance and rank matrix.  Every
+# processes, each worker keeping its last instance and rank matrix.  An
+# instance with decimal costs is solved and validated too: its shortest
+# paths take Dijkstra over the whole graph, with no vertex eliminated.  Every
 # trace CSV, from `solve --trace` or streamed by `bench`, must start with its
 # header, and invalid settings must exit with status 2 and name the field.
 # A broken instance file fails each of its cells, with one `.err` traceback
@@ -26,6 +28,15 @@ test "$status" -eq 2
 grep -q time_limit nan.err
 routecut solve i.dat --algorithm cluster-rco --max-cycles 1 --virtual-clock --out c.sol
 routecut validate i.dat c.sol
+
+printf '%s\n' 'NOMBRE : decimal' 'VERTICES : 5' 'ARISTAS_REQ : 3' 'ARISTAS_NOREQ : 2' \
+  'VEHICULOS : -1' 'CAPACIDAD : 5' 'LISTA_ARISTAS_REQ :' '( 1 , 2 ) coste 2.5 demanda 3' \
+  '( 2 , 3 ) coste 1.25 demanda 2' '( 3 , 4 ) coste 0.1 demanda 4' 'LISTA_ARISTAS_NOREQ :' \
+  '( 4 , 5 ) coste 0.2' '( 1 , 5 ) coste 3.7' 'DEPOSITO : 1' > f.dat
+routecut solve f.dat --max-iters 2 --virtual-clock --out f.sol
+routecut validate f.dat f.sol
+routecut solve f.dat --algorithm cluster-rco --max-cycles 1 --virtual-clock --out fc.sol
+routecut validate f.dat fc.sol
 
 printf '%s\n' 'instances = i.dat' 'variants = sahid-rco, sahid-random' 'runs = 3' \
   'max_iterations = 2' 'virtual_clock = 1' > exp.cfg

@@ -229,7 +229,7 @@ _KEY_ALIASES = {
 }
 
 _EDGE_RE = re.compile(
-    r"^\(\s*(\d+)\s*,\s*(\d+)\s*\)\s*(?:coste|cost)\s+(\d+)"
+    r"^\(\s*(\d+)\s*,\s*(\d+)\s*\)\s*(?:coste|cost)\s+(\d+(?:\.\d+)?)"
     r"(?:\s+(?:demanda|demand)\s+(\d+))?\s*$",
     re.IGNORECASE,
 )
@@ -252,7 +252,8 @@ def parse_instance(text: str, name_hint: str = "<stream>") -> Instance:
             m = _EDGE_RE.match(line)
             if not m:
                 raise InstanceFormatError(line_no, f"malformed edge line: {line!r}")
-            u, v, cost = int(m.group(1)), int(m.group(2)), int(m.group(3))
+            u, v = int(m.group(1)), int(m.group(2))
+            cost = float(m.group(3)) if "." in m.group(3) else int(m.group(3))
             demand = m.group(4)
             if block == "req_block":
                 if demand is None:

@@ -32,11 +32,12 @@ def link_numerators(
     are undefined.  An integer ``matrix`` (see ``DistanceTable``) holds four
     times its largest entry, so the sums are taken in its own type without
     overflow and returned as int64.  A float64 ``matrix`` gives int64 when
-    every sum is an exact integer, float64 otherwise: the rule reads the
-    sums, not the distances, so half-integral distances whose sums are
-    whole give int64 too.  The distance rows from the block's heads and
-    from its tails are gathered once, and the block allocates a few
-    (stop - start) x max(V, n) arrays.
+    every sum is whole and below 2**63 in magnitude, float64 otherwise
+    (inf and nan included): the rule reads the sums, not the distances, so
+    half-integral distances whose sums are whole give int64 too, and it is
+    checked before the cast, which would warn on the others.  The distance
+    rows from the block's heads and from its tails are gathered once, and
+    the block allocates a few (stop - start) x max(V, n) arrays.
     """
     from_heads = matrix[heads[start:stop]]
     from_tails = matrix[tails[start:stop]]
@@ -46,8 +47,9 @@ def link_numerators(
     block += from_tails[:, tails]
     rows = np.arange(stop - start)
     block[rows, start + rows] = 0
-    as_int = block.astype(np.int64)
-    return as_int if matrix.dtype.kind == "i" or np.array_equal(as_int, block) else block
+    if matrix.dtype.kind == "i" or np.all((np.trunc(block) == block) & (np.abs(block) < 2.0**63)):
+        return block.astype(np.int64)
+    return block
 
 
 # task rows per block of build_rank_matrix and RankMatrix.nearest; 32 ranked

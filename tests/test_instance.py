@@ -48,6 +48,15 @@ def test_minimal_instance():
     assert task.service_cost == task.deadheading_cost == 3
 
 
+def test_decimal_costs_are_floats():
+    inst = parse_instance(MINIMAL.replace("coste 3 ", "coste 2.75 "))
+    assert inst.tasks[0].deadheading_cost == inst.tasks[0].service_cost == 2.75
+    assert type(parse_instance(MINIMAL).tasks[0].deadheading_cost) is int
+    for cost in ("2.", ".5", "2.5e3", "-1"):
+        with pytest.raises(InstanceFormatError, match="malformed edge line"):
+            parse_instance(MINIMAL.replace("coste 3 ", f"coste {cost} "))
+
+
 def test_demand_above_capacity_rejected():
     text = MINIMAL.replace("demanda 5", "demanda 6")
     with pytest.raises(InvalidInstanceError, match="exceeds capacity"):

@@ -1,4 +1,5 @@
-"""`route_cost` over a route's served IDs alone, `DistanceTable.rows` and
+"""`shortest_paths` (elimination, a core Dijkstra and fill-in), `route_cost`
+over a route's served IDs alone, `DistanceTable.rows` and
 `RankMatrix.nearest` (both in row blocks), the
 numpy `hdu` level loop, `rank_rows` (both its counting and its sorting
 path), `link_numerators` (in row blocks), `path_scanning`,
@@ -10,7 +11,7 @@ kept here as references.
 Each must reproduce its reference exactly: the same routes, the same
 neighbour lists, the same rank values and dtype, the same distance matrix
 and, where the RNG is drawn, the same number and order of draws (compared
-through ``rng.getstate()``).  The instances are built to be tie-heavy:
+through ``rng.getstate()``).  Most instances are built to be tie-heavy:
 parallel required edges, zero deadheading costs and therefore off-diagonal
 zero link numerators, plus float demands whose sums land on or just past
 the capacity.
@@ -23,6 +24,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from routecut import (
     Edge,
@@ -30,6 +33,7 @@ from routecut import (
     RankMatrix,
     RcoParams,
     build_rank_matrix,
+    distances,
     elementary_virtual_tasks,
     hdu,
     local_search,
@@ -49,7 +53,7 @@ from routecut.decompose import (
     fuzzy_kmedoid,
     virtual_task_from_ids,
 )
-from routecut.distances import _EXACT_INT, DistanceTable
+from routecut.distances import _ELIMINATION_DEGREE, _EXACT_INT, DistanceTable, shortest_paths
 from routecut.generator import generate_instance
 from routecut.instance import DEPOT_ID, forward_id, inverse_id, task_index_of
 from routecut.ranking import (
@@ -73,6 +77,26 @@ def _neighbor_sizes(n):
 
 
 # --- references: the code the numpy versions replaced ----------------------
+
+
+def reference_shortest_paths(instance):
+    """Dijkstra from every vertex of the whole graph."""
+    n = instance.vertex_count
+    best = {}
+    for e in instance.edges:
+        if e.u == e.v:
+            continue
+        key = (e.u, e.v) if e.u < e.v else (e.v, e.u)
+        w = float(e.deadheading_cost)
+        if key not in best or w < best[key]:
+            best[key] = w
+    if best:
+        us, vs = zip(*best.keys())
+        data = np.fromiter(best.values(), dtype=np.float64, count=len(best))
+        graph = coo_matrix((data, (np.array(us), np.array(vs))), shape=(n, n)).tocsr()
+    else:
+        graph = coo_matrix((n, n), dtype=np.float64).tocsr()
+    return DistanceTable(dijkstra(graph, directed=False))
 
 
 def _endpoint_distance(a, b, rows):
@@ -1368,3 +1392,124 @@ def test_route_cost_of_empty_and_one_task_routes(path_instance):
         )
     assert route_cost([forward_id(0)], path_instance, dist) == 2.0
     assert route_cost([forward_id(1)], path_instance, dist) == 4.0
+
+
+# --- shortest_paths: elimination, a core Dijkstra and fill-in ---------------
+
+
+@pytest.fixture
+def eliminated(monkeypatch):
+    """How many vertices each elimination in ``shortest_paths`` removed, and
+    the degree of every vertex left in its core; no entry when a table
+    eliminated nothing because its costs were not exact."""
+    calls = []
+    real = distances._eliminate
+
+    def spy(adj):
+        removed = real(adj)
+        calls.append((len(removed), [len(nbrs) for nbrs in adj if nbrs is not None]))
+        return removed
+
+    monkeypatch.setattr(distances, "_eliminate", spy)
+    return calls
+
+
+def _assert_same_table(instance):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = shortest_paths(instance).matrix
+    expected = reference_shortest_paths(instance).matrix
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()  # bit for bit
+
+
+@pytest.mark.parametrize("vertices, tasks, seeds", [(30, 20, range(5)), (500, 800, range(2)),
+                                                     (1500, 2500, range(1))])
+def test_shortest_paths_match_reference_on_generated_instances(vertices, tasks, seeds, eliminated):
+    for seed in seeds:
+        _assert_same_table(generate_instance(vertices, tasks, 60, seed=seed))
+    assert [count > 0 for count, _ in eliminated] == [True] * len(seeds)
+    # 30 vertices go down to the one always kept; larger graphs keep a core
+    assert all((len(core) == 1) == (vertices == 30) for _, core in eliminated)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_shortest_paths_match_reference_on_tie_heavy_instances(seed, eliminated):
+    instance = _tie_heavy_instance(seed)
+    _assert_same_table(instance)
+    assert eliminated == [(instance.vertex_count - 1, [0])]
+
+
+def _multigraph_instance(seed, vertices=40):
+    """A connected graph with parallel edges, self-loops, zero-cost edges,
+    an isolated vertex and a component that the depot cannot reach."""
+    rng = random.Random(seed)
+    reach = vertices - 4  # vertices reach .. reach + 2: a path of their own
+    edges = [(rng.randrange(v), v, 1, 1, rng.randint(0, 5)) for v in range(1, reach)]
+    for _ in range(2 * reach):
+        u, v = rng.randrange(reach), rng.randrange(reach)
+        edges.append((u, v, rng.randint(0, 1), 1, rng.choice((0, 0, 1, 3, 9))))
+    edges += [(reach, reach + 1, 0, 0, 2), (reach + 1, reach + 2, 0, 0, 0),
+              (reach + 2, reach + 2, 0, 0, 1)]
+    return make_instance(vertices, edges, capacity=10)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_shortest_paths_match_reference_on_multigraphs(seed, eliminated):
+    instance = _multigraph_instance(seed)
+    assert any(e.u == e.v for e in instance.edges)
+    _assert_same_table(instance)
+    table = shortest_paths(instance).matrix
+    assert table.dtype == np.float64 and np.isinf(table[0, -1]) and np.isinf(table[0, -4])
+    assert eliminated[0][0] > 0
+
+
+def test_shortest_paths_of_one_vertex(eliminated):
+    for edges in ([], [(0, 0, 1, 1, 3)]):
+        instance = make_instance(1, edges, capacity=5)
+        _assert_same_table(instance)
+        assert shortest_paths(instance).matrix.tolist() == [[0]]
+    assert [count for count, _ in eliminated] == [0] * 4
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_shortest_paths_match_reference_where_the_degree_cap_stops_elimination(seed, eliminated):
+    # a clique whose every vertex has degree above the cap, with a sparse
+    # fringe: the fringe goes, and elimination stops at the clique
+    rng = random.Random(seed)
+    clique = _ELIMINATION_DEGREE + 6
+    edges = [(u, v, 0, 0, rng.randint(1, 30)) for u in range(clique) for v in range(u + 1, clique)]
+    vertices = 4 * clique
+    edges += [(rng.randrange(v), v, 1, 1, rng.randint(0, 30)) for v in range(clique, vertices)]
+    instance = make_instance(vertices, edges, capacity=10)
+    _assert_same_table(instance)
+    (count, core), = eliminated
+    assert count > 0 and len(core) >= clique and min(core) > _ELIMINATION_DEGREE
+
+
+@pytest.mark.parametrize("excess, eliminates", [(0, True), (1, False)])
+def test_shortest_paths_at_the_exact_cost_total(excess, eliminates, eliminated):
+    # a pendant edge lifts the cost total to _EXACT_INT (elimination runs)
+    # or one more (it does not); every path to its end carries its cost
+    base = generate_instance(60, 40, 60, seed=3)
+    n = base.vertex_count
+    total = sum(e.deadheading_cost for e in base.edges)
+    edges = base.edges + [Edge(0, n, 0, 0, _EXACT_INT + excess - total)]
+    instance = Instance("total", n + 1, edges, base.depot, base.capacity)
+    _assert_same_table(instance)
+    assert bool(eliminated) is eliminates
+    assert shortest_paths(instance).matrix[0, n] == _EXACT_INT + excess - total
+
+
+@pytest.mark.parametrize("kind", ["halves", "tenths", "one half"])
+def test_shortest_paths_of_non_integral_costs_eliminate_nothing(kind, eliminated):
+    if kind == "one half":
+        base = generate_instance(60, 40, 60, seed=4)
+        edges = list(base.edges)
+        e = edges[len(edges) // 2]
+        edges[len(edges) // 2] = Edge(e.u, e.v, e.demand, e.service_cost, e.deadheading_cost + 0.5)
+        instance = Instance("one half", base.vertex_count, edges, base.depot, base.capacity)
+    else:
+        instance = _link_instance(kind, 17, 0)
+    _assert_same_table(instance)
+    assert eliminated == []
