@@ -9,7 +9,6 @@ statistics.
 """
 
 from .decompose import (
-    ClusterConfig,
     VirtualTask,
     build_virtual_tasks,
     elementary_virtual_tasks,
@@ -35,13 +34,7 @@ from .instance import (
 from .localsearch import local_search
 from .construct import path_scanning
 from .ranking import RankMatrix, build_rank_matrix, rank_rows
-from .rco import (
-    RcoParams,
-    average_task_rank,
-    classify_links,
-    rco_split,
-    uniform_split,
-)
+from .rco import average_task_rank, classify_links, rco_split, uniform_split
 from .search import SearchConfig, SearchTrace, project_solution, solve
 from .solution import (
     Route,
@@ -58,7 +51,6 @@ from .stats import WilcoxonResult, significance_table, wilcoxon_rank_sum
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClusterConfig",
     "DEPOT_ID",
     "DistanceTable",
     "Edge",
@@ -66,7 +58,6 @@ __all__ = [
     "InstanceFormatError",
     "InvalidInstanceError",
     "RankMatrix",
-    "RcoParams",
     "Route",
     "SearchConfig",
     "SearchTrace",

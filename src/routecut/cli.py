@@ -33,12 +33,12 @@ def _build_parser() -> argparse.ArgumentParser:
     # options left out keep the SearchConfig default
     p.add_argument("--algorithm", choices=ALGORITHMS, default=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    for key, (path, kind) in PARAMETERS.items():
+    for key, (name, kind) in PARAMETERS.items():
         flags = ["--" + key.replace("_", "-")]
         if key == "max_iterations":
             flags.append("--max-iters")  # the older spelling
         typed = {"action": "store_true"} if kind is bool else {"type": kind}
-        p.add_argument(*flags, default=argparse.SUPPRESS, help=f"SearchConfig.{path}", **typed)
+        p.add_argument(*flags, default=argparse.SUPPRESS, help=f"SearchConfig.{name}", **typed)
     p.add_argument("--trace", type=Path, help="stream the convergence trace to this CSV")
     p.add_argument("--out", type=Path, help="write the best solution here")
 

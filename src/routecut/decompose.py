@@ -26,20 +26,6 @@ from .ranking import link_numerators
 from .solution import Solution
 
 
-@dataclass(frozen=True)
-class ClusterConfig:
-    """Group count and fuzziness exponent for sub-route clustering."""
-
-    group_count: int = 2
-    fuzziness: float = 5.0
-
-    def __post_init__(self):
-        if self.group_count < 1:
-            raise ValueError("group_count must be at least 1")
-        if not self.fuzziness > 0:  # NaN too
-            raise ValueError("fuzziness must be positive")
-
-
 # whole sub-routes of at least this many task rows (unless the pool runs out)
 # per block of _pairwise_distances; 32 ran fastest of 16, 32 and 64 at 2500
 _DISTANCE_BLOCK = 32
@@ -86,7 +72,8 @@ def _farthest_point_medoids(d: np.ndarray, g: int, rng: random.Random) -> list[i
 
 def fuzzy_kmedoid(
     pool: list[tuple[int, ...]],
-    config: ClusterConfig,
+    group_count: int,
+    fuzziness: float,
     instance: Instance,
     dist: DistanceTable,
     rng: random.Random,
@@ -106,7 +93,9 @@ def fuzzy_kmedoid(
     n = len(members)
     if n == 0:
         raise ValueError("cannot cluster an empty pool")
-    g = config.group_count
+    if group_count < 1:
+        raise ValueError("group_count must be at least 1")
+    g = group_count
     if g > n:
         warnings.warn(f"pool of {n} sub-routes cannot fill {g} groups; reducing to {n}")
         g = n
@@ -115,7 +104,6 @@ def fuzzy_kmedoid(
     if g == 1:
         return [members]
 
-    alpha = config.fuzziness
     medoids = _farthest_point_medoids(d, g, rng)
     assign = np.full(n, -1, dtype=np.int64)
     for _ in range(20):
@@ -123,7 +111,7 @@ def fuzzy_kmedoid(
         new_assign = np.argmin(to_medoid, axis=1)
         nearest = to_medoid.min(axis=1)
         far = np.flatnonzero(nearest != 0.0)  # the rows that draw
-        weights = (to_medoid[far] / nearest[far, None]) ** (-alpha)
+        weights = (to_medoid[far] / nearest[far, None]) ** (-fuzziness)
         cum = np.cumsum(weights, axis=1)
         x = np.array([rng.random() for _ in range(far.size)]) * cum[:, -1]
         new_assign[far] = (cum <= x[:, None]).sum(axis=1)

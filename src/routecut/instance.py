@@ -12,6 +12,7 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass
+from decimal import Decimal
 from pathlib import Path
 from typing import IO, Union
 
@@ -315,8 +316,30 @@ def load_instance(source: Union[str, Path, IO[str]]) -> Instance:
     return parse_instance(source.read())
 
 
+def _dat_cost(x: Number) -> str:
+    """``x`` in positional notation (``1e-05`` as ``0.00001``), as ``_EDGE_RE`` reads it."""
+    text = f"{x}"
+    return format(Decimal(text), "f") if "e" in text else text
+
+
+def _check_whole(x: Number, what: str) -> None:
+    if not (isinstance(x, int) or float(x).is_integer()):  # inf and nan fail too
+        raise ValueError(f"{what} {x} is not a whole number, which DAT cannot hold")
+
+
 def write_instance(instance: Instance, stream: IO[str]) -> None:
-    """Write the canonical DAT representation (parse/print round-trip safe)."""
+    """Write the DAT text that ``parse_instance`` reads back as an equal
+    instance, required edges first.  Before writing, raise ValueError naming
+    the edge or field DAT cannot hold: one ``coste`` is a required edge's
+    service and deadheading cost and another edge's deadheading cost only,
+    and demands and the capacity are whole numbers."""
+    for e in instance.edges:
+        held = e.deadheading_cost if e.required else 0
+        if e.service_cost != held:
+            raise ValueError(f"edge ({e.u + 1},{e.v + 1}) has service cost {e.service_cost}, "
+                             f"which DAT would read back as {held}")
+        _check_whole(e.demand, f"edge ({e.u + 1},{e.v + 1}) demand")
+    _check_whole(instance.capacity, "capacity")
     required = [e for e in instance.edges if e.required]
     optional = [e for e in instance.edges if not e.required]
     w = stream.write
@@ -325,13 +348,14 @@ def write_instance(instance: Instance, stream: IO[str]) -> None:
     w(f"ARISTAS_REQ : {len(required)}\n")
     w(f"ARISTAS_NOREQ : {len(optional)}\n")
     w("VEHICULOS : -1\n")
-    w(f"CAPACIDAD : {instance.capacity}\n")
+    w(f"CAPACIDAD : {int(instance.capacity)}\n")
     w("LISTA_ARISTAS_REQ :\n")
     for e in required:
-        w(f"( {e.u + 1} , {e.v + 1} ) coste {e.deadheading_cost} demanda {e.demand}\n")
+        w(f"( {e.u + 1} , {e.v + 1} ) coste {_dat_cost(e.deadheading_cost)} "
+          f"demanda {int(e.demand)}\n")
     w("LISTA_ARISTAS_NOREQ :\n")
     for e in optional:
-        w(f"( {e.u + 1} , {e.v + 1} ) coste {e.deadheading_cost}\n")
+        w(f"( {e.u + 1} , {e.v + 1} ) coste {_dat_cost(e.deadheading_cost)}\n")
     w(f"DEPOSITO : {instance.depot + 1}\n")
 
 

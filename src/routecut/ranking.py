@@ -31,13 +31,10 @@ def link_numerators(
     ``((hh + ht) + th) + tt``; entry [r, start + r] is 0, since self-links
     are undefined.  An integer ``matrix`` (see ``DistanceTable``) holds four
     times its largest entry, so the sums are taken in its own type without
-    overflow and returned as int64.  A float64 ``matrix`` gives int64 when
-    every sum is whole and below 2**63 in magnitude, float64 otherwise
-    (inf and nan included): the rule reads the sums, not the distances, so
-    half-integral distances whose sums are whole give int64 too, and it is
-    checked before the cast, which would warn on the others.  The distance
-    rows from the block's heads and from its tails are gathered once, and
-    the block allocates a few (stop - start) x max(V, n) arrays.
+    overflow and returned as int64; a float64 ``matrix`` gives float64 sums.
+    The distance rows from the block's heads and from its tails are
+    gathered once, and the block allocates a few (stop - start) x max(V, n)
+    arrays.
     """
     from_heads = matrix[heads[start:stop]]
     from_tails = matrix[tails[start:stop]]
@@ -47,9 +44,7 @@ def link_numerators(
     block += from_tails[:, tails]
     rows = np.arange(stop - start)
     block[rows, start + rows] = 0
-    if matrix.dtype.kind == "i" or np.all((np.trunc(block) == block) & (np.abs(block) < 2.0**63)):
-        return block.astype(np.int64)
-    return block
+    return block.astype(np.int64) if matrix.dtype.kind == "i" else block
 
 
 # task rows per block of build_rank_matrix and RankMatrix.nearest; 32 ranked

@@ -15,25 +15,10 @@ here too.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .instance import task_index_of
 from .ranking import RankMatrix
 from .solution import Route, Solution
-
-
-@dataclass(frozen=True)
-class RcoParams:
-    """Cutting probabilities: lam for good links, theta for poor links."""
-
-    lam: float = 0.05
-    theta: float = 0.2
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lam must be in [0,1], got {self.lam}")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError(f"theta must be in [0,1], got {self.theta}")
 
 
 def average_task_rank(solution: Solution, ranks: RankMatrix) -> float:
@@ -81,10 +66,12 @@ def _cut(ids: list[int], cuts: list[int], pool: list[tuple[int, ...]]) -> None:
 def rco_split(
     solution: Solution,
     ranks: RankMatrix,
-    params: RcoParams,
+    lam: float,
+    theta: float,
     rng: random.Random,
 ) -> list[tuple[int, ...]]:
-    """Cut each route at up to one good and one poor link.
+    """Cut each route at up to one good link, with probability ``lam``, and
+    one poor link, with probability ``theta``.
 
     The pieces come in route order, so concatenated they give back the
     routes' IDs; each non-empty route contributes one to three pieces.
@@ -96,9 +83,9 @@ def rco_split(
             continue
         good, poor = classify_links(route, ranks, avg)
         cuts: list[int] = []
-        if rng.random() < params.lam and good:
+        if rng.random() < lam and good:
             cuts.append(good[rng.randrange(len(good))])
-        if rng.random() < params.theta and poor:
+        if rng.random() < theta and poor:
             cuts.append(poor[rng.randrange(len(poor))])
         _cut(route.ids, cuts, pool)
     return pool

@@ -30,7 +30,6 @@ from typing import IO, Mapping
 
 from .construct import path_scanning
 from .decompose import (
-    ClusterConfig,
     build_virtual_tasks,
     elementary_virtual_tasks,
     fuzzy_kmedoid,
@@ -41,7 +40,7 @@ from .distances import DistanceTable
 from .instance import Instance, task_index_of
 from .localsearch import local_search
 from .ranking import RankMatrix, build_rank_matrix
-from .rco import RcoParams, rco_split, uniform_split
+from .rco import rco_split, uniform_split
 from .seeding import make_rng
 from .solution import Solution, format_number
 
@@ -53,12 +52,17 @@ ALGORITHMS = (
     "local-only",
 )
 
+_POOL_SIZE = 5  # incumbent solutions kept by the clustering loop
+_NEIGHBOR_SIZE = 20  # nearest tasks per task that local search tries moves around
+
 
 @dataclass
 class SearchConfig:
     algorithm: str = "sahid-rco"
-    rco: RcoParams = field(default_factory=RcoParams)
-    cluster: ClusterConfig = field(default_factory=ClusterConfig)
+    lam: float = 0.05  # good-link cut probability
+    theta: float = 0.2  # poor-link cut probability
+    group_count: int = 2  # fuzzy k-medoid groups
+    fuzziness: float = 5.0  # fuzzy k-medoid exponent
     scale: float = 0.1
     accept_threshold: float = 1.10
     idle_limit: int = 10000
@@ -68,13 +72,18 @@ class SearchConfig:
     sub_solver_budget: int = 50_000  # local-search move evaluations per sub-problem
     max_iterations: int | None = None  # deterministic cap for the hierarchical loop
     virtual_clock: bool = False
-    pool_size: int = 5  # incumbent solutions kept by the clustering loop
-    neighbor_size: int = 20
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        # `not x >= 1` and `not x > 0`, not `x < 1` and `x <= 0`, so that NaN fails
+        # `not 0 <= x <= 1`, `not x >= 1` and `not x > 0`, so that NaN fails
+        for name in ("lam", "theta"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be in [0, 1]")
+        if self.group_count < 1:
+            raise ValueError("group_count must be at least 1")
+        if not self.fuzziness > 0:
+            raise ValueError("fuzziness must be positive")
         if not self.accept_threshold >= 1:
             raise ValueError("accept_threshold must be at least 1")
         if not self.time_limit > 0:
@@ -83,10 +92,6 @@ class SearchConfig:
             raise ValueError("max_cycles must be non-negative")
         if self.max_iterations is not None and self.max_iterations < 0:
             raise ValueError("max_iterations must be non-negative")
-        if self.neighbor_size < 0:
-            raise ValueError("neighbor_size must be non-negative")
-        if self.pool_size < 1:
-            raise ValueError("pool_size must be at least 1")
         if not 0 < self.scale < 1:
             raise ValueError("scale must be in (0, 1)")
         if self.sub_solver_budget < 0:
@@ -95,12 +100,12 @@ class SearchConfig:
 
 # The parameters settable from `routecut solve` and experiment config files:
 # config key -> (SearchConfig field, type).  The CLI flag is the key with
-# dashes; defaults live only in the dataclasses.
+# dashes; defaults live only in SearchConfig.
 PARAMETERS: dict[str, tuple[str, type]] = {
-    "lambda": ("rco.lam", float),
-    "theta": ("rco.theta", float),
-    "groups": ("cluster.group_count", int),
-    "alpha": ("cluster.fuzziness", float),
+    "lambda": ("lam", float),
+    "theta": ("theta", float),
+    "groups": ("group_count", int),
+    "alpha": ("fuzziness", float),
     "scale": ("scale", float),
     "accept": ("accept_threshold", float),
     "idle": ("idle_limit", int),
@@ -112,26 +117,29 @@ PARAMETERS: dict[str, tuple[str, type]] = {
 }
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def build_config(values: Mapping[str, object], **fields) -> SearchConfig:
     """A SearchConfig from ``{PARAMETERS key: value}`` plus plain fields.
 
-    Values may be strings (config files) or typed (CLI); booleans are true
-    for 1/true/yes.  ``max_iterations`` 0 means no cap.
+    Values may be strings (config files) or typed (CLI); a boolean is one
+    of 1/0, true/false or yes/no, in any case.  ``max_iterations`` 0 means
+    no cap.
     """
-    nested: dict[str, dict] = {"rco": {}, "cluster": {}}
     for key, value in values.items():
         if key not in PARAMETERS:
             raise ValueError(f"unknown parameter {key!r}")
-        path, kind = PARAMETERS[key]
-        owner, _, name = path.rpartition(".")
+        name, kind = PARAMETERS[key]
         if kind is bool:
-            value = str(value).lower() in ("1", "true", "yes")
-        (nested[owner] if owner else fields)[name] = kind(value)
+            word = str(value).lower()
+            if word not in _BOOLEANS:
+                raise ValueError(f"{key} must be 1/0, true/false or yes/no, got {value!r}")
+            value = _BOOLEANS[word]
+        fields[name] = kind(value)
     if fields.get("max_iterations") == 0:
         fields["max_iterations"] = None
-    return SearchConfig(
-        rco=RcoParams(**nested["rco"]), cluster=ClusterConfig(**nested["cluster"]), **fields
-    )
+    return SearchConfig(**fields)
 
 
 @dataclass
@@ -202,7 +210,7 @@ def solve(
     trace = SearchTrace()
     if trace_sink is not None:
         trace_sink.write("elapsed_ms,best_cost\n")
-    neighbors = ranks.nearest(config.neighbor_size)
+    neighbors = ranks.nearest(_NEIGHBOR_SIZE)
 
     def deadline() -> bool:
         return clock.now() >= config.time_limit
@@ -251,7 +259,7 @@ def _hierarchical_loop(instance, dist, ranks, config, improve, record, deadline)
         if config.max_iterations is not None and iterations >= config.max_iterations:
             break
         if config.algorithm == "sahid-rco":
-            pool = rco_split(current, ranks, config.rco, rng)
+            pool = rco_split(current, ranks, config.lam, config.theta, rng)
         else:
             pool = uniform_split(current, rng)
         units = build_virtual_tasks(pool, instance)
@@ -280,10 +288,10 @@ def _hierarchical_loop(instance, dist, ranks, config, improve, record, deadline)
 
 def _cluster_loop(instance, dist, ranks, config, improve, record, deadline):
     whole_routes = config.algorithm == "cluster-whole-route"
-    split_params = RcoParams(0.0, 0.0) if whole_routes else config.rco
+    lam, theta = (0.0, 0.0) if whole_routes else (config.lam, config.theta)
 
     pool: list[Solution] = []
-    for i in range(config.pool_size):
+    for i in range(_POOL_SIZE):
         rng_i = make_rng(config.seed, 0, i)
         pool.append(improve(path_scanning(instance, dist, rng_i), rng_i))
     best = min(pool, key=lambda s: s.total_cost)
@@ -296,8 +304,8 @@ def _cluster_loop(instance, dist, ranks, config, improve, record, deadline):
     for cycle in range(config.max_cycles):
         if deadline():
             break
-        subroutes = rco_split(best, ranks, split_params, rng)
-        groups = fuzzy_kmedoid(subroutes, config.cluster, instance, dist, rng)
+        subroutes = rco_split(best, ranks, lam, theta, rng)
+        groups = fuzzy_kmedoid(subroutes, config.group_count, config.fuzziness, instance, dist, rng)
         per_group: list[list[Solution]] = []
         for gi, group in enumerate(groups):  # in group order: see _Clock
             keep = group_task_indices(group)

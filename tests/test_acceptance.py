@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from routecut import (
-    RcoParams,
     SearchConfig,
     average_task_rank,
     classify_links,
@@ -145,8 +144,8 @@ def test_criterion_04_conservation_and_feasibility():
 
     for trial in range(trials):
         sol, ranks, want = prepared[trial % len(prepared)]
-        params = RcoParams(rng.random(), rng.random())
-        pool = rco_split(sol, ranks, params, make_rng(trial))
+        lam, theta = rng.random(), rng.random()
+        pool = rco_split(sol, ranks, lam, theta, make_rng(trial))
         assert Counter((t - 1) // 2 for s in pool for t in s) == want
         # the pieces, in route order, concatenate back to the routes
         for cut in split_walk(pool, sol):
@@ -179,12 +178,12 @@ def test_criterion_05_cut_probability_calibration():
     sol = solution_from_tasks(inst, dist, [list(range(11))])
 
     good_positions = {i for i in range(10) if i % 2 == 0}
-    params = RcoParams(0.3, 0.7)
+    lam, theta = 0.3, 0.7
     rng = make_rng(20_240_817)
     trials = 100_000
     good_cut = poor_cut = 0
     for _ in range(trials):
-        pool = rco_split(sol, ranks, params, rng)
+        pool = rco_split(sol, ranks, lam, theta, rng)
         (cut,) = split_walk(pool, sol)
         for at, _ in cut[1:]:
             if at - 1 in good_positions:
@@ -194,8 +193,8 @@ def test_criterion_05_cut_probability_calibration():
     elapsed = time.monotonic() - t0
     good_rate = good_cut / trials
     poor_rate = poor_cut / trials
-    assert abs(good_rate - params.lam) < 0.01, good_rate
-    assert abs(poor_rate - params.theta) < 0.01, poor_rate
+    assert abs(good_rate - lam) < 0.01, good_rate
+    assert abs(poor_rate - theta) < 0.01, poor_rate
     assert elapsed < 10.0
     _report(5, f"cut rates {good_rate:.4f}/{poor_rate:.4f} vs 0.3/0.7 "
                f"({elapsed:.1f} s)")

@@ -246,8 +246,8 @@ workers = 2
     assert [p.name for p in spec.instances] == [small_instance_file.name]
     assert [name for name, _ in spec.variants] == ["sahid-rco", "sahid-random"]
     first = spec.variants[0][1]
-    assert first.rco.lam == 0.1 and first.rco.theta == 0.5
-    assert first.cluster.group_count == 3 and first.cluster.fuzziness == 2.0
+    assert first.lam == 0.1 and first.theta == 0.5
+    assert first.group_count == 3 and first.fuzziness == 2.0
     assert first.scale == 0.2
     assert first.accept_threshold == 1.05
     assert first.idle_limit == 500
@@ -259,7 +259,7 @@ workers = 2
     assert spec.workers == 2
     # variants only differ in the algorithm
     assert spec.variants[1][1].algorithm == "sahid-random"
-    assert spec.variants[1][1].rco == first.rco
+    assert spec.variants[1][1] == replace(first, algorithm="sahid-random")
 
 
 @pytest.mark.parametrize("key, value", [
@@ -382,10 +382,16 @@ def test_zero_iterations_means_no_cap(tmp_path, small_instance_file, monkeypatch
 
 @pytest.mark.parametrize("text, want", [
     ("1", True), ("yes", True), ("TRUE", True), ("0", False), ("no", False), ("false", False),
+    # anything else is refused, not read as false
+    ("ture", None), ("on", None), ("off", None), ("2", None), ("", None),
 ])
 def test_config_file_booleans(tmp_path, small_instance_file, text, want):
-    config = _file_config(tmp_path, small_instance_file, [f"virtual_clock = {text}\n"])
-    assert config.virtual_clock is want
+    line = f"virtual_clock = {text}\n"
+    if want is None:
+        with pytest.raises(ValueError, match="virtual_clock"):
+            _file_config(tmp_path, small_instance_file, [line])
+        return
+    assert _file_config(tmp_path, small_instance_file, [line]).virtual_clock is want
 
 
 def test_cells_build_each_rank_matrix_once_per_instance(tmp_path, monkeypatch):

@@ -1,6 +1,5 @@
 """Sub-route clustering, virtual tasks, and hierarchical construction."""
 
-import math
 import random
 import tracemalloc
 from collections import Counter
@@ -12,9 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routecut import (
-    ClusterConfig,
     DistanceTable,
-    RcoParams,
     build_rank_matrix,
     build_virtual_tasks,
     elementary_virtual_tasks,
@@ -85,21 +82,16 @@ def test_subroute_distance_symmetry(seed):
 def test_single_group_contains_everything():
     links = _linked_tasks([[0, 2, 5], [2, 0, 9], [5, 9, 0]])
     pool = _pool_of_singletons([0, 1, 2])
-    groups = fuzzy_kmedoid(pool, ClusterConfig(1, 5.0), *links, make_rng(0))
+    groups = fuzzy_kmedoid(pool, 1, 5.0, *links, make_rng(0))
     assert len(groups) == 1
     assert group_task_indices(groups[0]) == {0, 1, 2}
 
 
-@pytest.mark.parametrize("field, rejected, accepted", [
-    ("group_count", 0, 1),
-    ("fuzziness", 0.0, 0.5),
-    ("fuzziness", -1.0, 0.5),
-    ("fuzziness", math.nan, math.inf),
-])
-def test_cluster_config_validation(field, rejected, accepted):
-    with pytest.raises(ValueError, match=field):
-        ClusterConfig(**{field: rejected})
-    ClusterConfig(**{field: accepted})
+def test_no_groups_rejected():
+    # SearchConfig rejects a group_count below 1; a direct call checks its own
+    links = _linked_tasks([[0, 2], [2, 0]])
+    with pytest.raises(ValueError, match="group_count"):
+        fuzzy_kmedoid(_pool_of_singletons([0, 1]), 0, 5.0, *links, make_rng(0))
 
 
 def _two_clump_matrix():
@@ -140,7 +132,7 @@ def test_two_separated_clusters_recovered_every_seed():
     oracle = _best_two_partition(pool, links)
     assert oracle in (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
     for seed in range(20):
-        groups = fuzzy_kmedoid(pool, ClusterConfig(2, 50.0), *links, make_rng(seed))
+        groups = fuzzy_kmedoid(pool, 2, 50.0, *links, make_rng(seed))
         tasks = sorted(tuple(sorted(group_task_indices(g))) for g in groups)
         assert tasks == [(0, 1, 2), (3, 4, 5)]
 
@@ -163,7 +155,7 @@ def test_high_fuzziness_matches_hard_assignment():
     d = np.array(vals, dtype=float)
 
     for seed in range(8):
-        groups = fuzzy_kmedoid(pool, ClusterConfig(2, 50.0), *links, make_rng(seed))
+        groups = fuzzy_kmedoid(pool, 2, 50.0, *links, make_rng(seed))
 
         rng = make_rng(seed)  # replicate the farthest-point initialization
         medoids = [rng.randrange(n)]
@@ -195,9 +187,9 @@ def test_partition_property_random_pools():
         from routecut import path_scanning
 
         sol = path_scanning(inst, dist, make_rng(seed))
-        pool = rco_split(sol, ranks, RcoParams(0.3, 0.6), make_rng(seed, 1))
+        pool = rco_split(sol, ranks, 0.3, 0.6, make_rng(seed, 1))
         g = min(3, len(pool))
-        groups = fuzzy_kmedoid(pool, ClusterConfig(g, 5.0), inst, dist, make_rng(seed, 2))
+        groups = fuzzy_kmedoid(pool, g, 5.0, inst, dist, make_rng(seed, 2))
         assert len(groups) == g
         assert all(groups)
         union = Counter()
@@ -234,7 +226,7 @@ def test_degenerate_pool_reduces_groups():
     links = _linked_tasks([[0, 2], [2, 0]])
     pool = _pool_of_singletons([0, 1])
     with pytest.warns(UserWarning, match="reducing"):
-        groups = fuzzy_kmedoid(pool, ClusterConfig(5, 5.0), *links, make_rng(1))
+        groups = fuzzy_kmedoid(pool, 5, 5.0, *links, make_rng(1))
     assert len(groups) == 2
 
 
@@ -322,7 +314,7 @@ def test_hdu_from_split_pool_validates():
         from routecut import path_scanning
 
         sol = path_scanning(inst, dist, make_rng(seed))
-        pool = rco_split(sol, ranks, RcoParams(0.5, 0.8), make_rng(seed, 3))
+        pool = rco_split(sol, ranks, 0.5, 0.8, make_rng(seed, 3))
         units = build_virtual_tasks(pool, inst)
         rebuilt = hdu(units, inst, dist, 0.1, make_rng(seed, 4))
         assert validate(rebuilt, inst) == []

@@ -159,8 +159,7 @@ def test_table_type_holds_four_times_the_largest_entry(largest, dtype):
 
 
 # inf and nan sit at task endpoints in _table_at, which no valid instance
-# has, and 2**62 sums to 2**64, past int64: their numerators stay float64,
-# and the cast to int64 that would warn on them is not tried
+# has, and 2**62 sums to 2**64, past int64: no cast to int64 may warn on them
 @pytest.mark.parametrize("largest", [x for x, _ in TABLE_TYPES] + [2.0**62])
 def test_link_numerators_equal_a_float_sum_at_each_type_boundary(largest):
     m = _table_at(largest)
@@ -172,9 +171,9 @@ def test_link_numerators_equal_a_float_sum_at_each_type_boundary(largest):
     want += m[np.ix_(tails, heads)] + m[np.ix_(tails, tails)]
     np.fill_diagonal(want, 0.0)
     assert np.array_equal(want[0, 1], 4 * largest, equal_nan=True)
-    # every finite sum below is whole, 0.5 four times too
-    whole = math.isfinite(largest) and 4 * largest < 2**63
-    assert got.dtype == (np.int64 if whole else np.float64)
+    # the numerators are int64 for an integer table, float64 for a float one
+    integer = DistanceTable(m).matrix.dtype.kind == "i"
+    assert got.dtype == (np.int64 if integer else np.float64)
     assert np.array_equal(got, want, equal_nan=True)
 
 

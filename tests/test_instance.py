@@ -216,6 +216,44 @@ def test_write_parse_round_trip_on_drawn_instances(inst):
     assert again.edges == inst.edges
 
 
+@pytest.mark.parametrize("cost", [2.75, 0.1, 1e-05, 1.5e-07, 3.0, 1e16, 123456789.125])
+def test_write_parse_round_trip_of_decimal_costs(cost):
+    # repr would write 1e-05 and 1e+16, which the edge lines do not allow
+    edges = [Edge(0, 1, 2, cost, cost), Edge(1, 2, 0, 0, cost), Edge(0, 2, 1.0, 7, 7)]
+    inst = Instance("decimal", 3, edges, 0, 5.0)
+    buf = io.StringIO()
+    write_instance(inst, buf)
+    again = parse_instance(buf.getvalue())
+    assert again.edges == [edges[0], edges[2], edges[1]]  # required edges first
+    assert again.capacity == inst.capacity
+
+
+def test_write_prints_integers_as_before():
+    inst = make_instance(3, [(0, 1, 2, 3, 3), (1, 2, 0, 0, 4)], capacity=7, name="ints")
+    buf = io.StringIO()
+    write_instance(inst, buf)
+    assert buf.getvalue() == (
+        "NOMBRE : ints\nVERTICES : 3\nARISTAS_REQ : 1\nARISTAS_NOREQ : 1\nVEHICULOS : -1\n"
+        "CAPACIDAD : 7\nLISTA_ARISTAS_REQ :\n( 1 , 2 ) coste 3 demanda 2\n"
+        "LISTA_ARISTAS_NOREQ :\n( 2 , 3 ) coste 4\nDEPOSITO : 1\n"
+    )
+
+
+@pytest.mark.parametrize("edges, capacity, message", [
+    # DAT writes one cost for both on a required edge, and none on another
+    ([Edge(0, 1, 2, 5, 3)], 10, r"edge \(1,2\) has service cost 5"),
+    ([Edge(0, 1, 2, 1, 1), Edge(1, 2, 0, 4, 1)], 10, r"edge \(2,3\) has service cost 4"),
+    ([Edge(0, 1, 2.5, 1, 1)], 10, r"edge \(1,2\) demand 2.5"),
+    ([Edge(0, 1, 2, 1, 1)], 10.5, r"capacity 10.5"),
+    ([Edge(0, 1, 2, 1, 1)], math.inf, r"capacity inf"),
+], ids=["service-cost", "optional-service-cost", "demand", "capacity", "infinite-capacity"])
+def test_write_refuses_what_dat_cannot_hold(edges, capacity, message):
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=message):
+        write_instance(Instance("x", 3, edges, 0, capacity), buf)
+    assert buf.getvalue() == ""
+
+
 def test_load_instance_from_path(tmp_path):
     p = tmp_path / "tiny.dat"
     p.write_text(MINIMAL)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routecut import (
-    RcoParams,
     average_task_rank,
     classify_links,
     rco_split,
@@ -92,7 +91,7 @@ def test_single_link_average_is_its_rank(golden_instance, golden_ranks):
 
 
 def test_zero_probabilities_yield_whole_routes(golden_solution, golden_ranks):
-    pool = rco_split(golden_solution, golden_ranks, RcoParams(0.0, 0.0), make_rng(1))
+    pool = rco_split(golden_solution, golden_ranks, 0.0, 0.0, make_rng(1))
     assert pool == [tuple(r.ids) for r in golden_solution.routes]
 
 
@@ -100,13 +99,13 @@ def test_single_cut_splits_in_two(golden_instance, golden_ranks):
     dist = golden_instance.distances()
     sol = solution_from_tasks(golden_instance, dist, [[TASK_A, TASK_D, TASK_E]])
     # theta=1 forces the poor cut at <A,D> (the only poor link, position 0)
-    pool = rco_split(sol, golden_ranks, RcoParams(0.0, 1.0), make_rng(3))
+    pool = rco_split(sol, golden_ranks, 0.0, 1.0, make_rng(3))
     ids = sol.routes[0].ids
     assert pool == [tuple(ids[:1]), tuple(ids[1:])]
 
 
 def test_both_cuts_give_three_subroutes(golden_solution, golden_ranks):
-    pool = rco_split(golden_solution, golden_ranks, RcoParams(1.0, 1.0), make_rng(7))
+    pool = rco_split(golden_solution, golden_ranks, 1.0, 1.0, make_rng(7))
     # routes 1 and 2 have one good and one poor link each -> 3 pieces;
     # route 3 has only a good link -> 2 pieces
     assert [len(cut) for cut in split_walk(pool, golden_solution)] == [3, 3, 2]
@@ -125,7 +124,7 @@ def _random_solution(seed):
 @given(st.integers(0, 10_000), st.floats(0, 1), st.floats(0, 1))
 def test_split_conservation_and_slices(seed, lam, theta):
     inst, sol, ranks = _random_solution(seed)
-    pool = rco_split(sol, ranks, RcoParams(lam, theta), make_rng(seed, 1))
+    pool = rco_split(sol, ranks, lam, theta, make_rng(seed, 1))
 
     # task conservation
     assert Counter(task_index_of(t) for s in pool for t in s) == Counter(sol.task_indices())
@@ -137,9 +136,8 @@ def test_split_conservation_and_slices(seed, lam, theta):
 
 
 def test_split_determinism(golden_solution, golden_ranks):
-    params = RcoParams(0.5, 0.5)
-    a = rco_split(golden_solution, golden_ranks, params, make_rng(99))
-    b = rco_split(golden_solution, golden_ranks, params, make_rng(99))
+    a = rco_split(golden_solution, golden_ranks, 0.5, 0.5, make_rng(99))
+    b = rco_split(golden_solution, golden_ranks, 0.5, 0.5, make_rng(99))
     assert a == b
     assert split_walk(a, golden_solution) == split_walk(b, golden_solution)
 
@@ -162,13 +160,13 @@ def test_cut_rates_match_probabilities(golden_instance, golden_ranks):
     good, poor = classify_links(sol.routes[0], golden_ranks, avg)
     assert len(good) == 3 and len(poor) == 1
 
-    params = RcoParams(0.4, 0.6)
+    lam, theta = 0.4, 0.6
     rng = make_rng(1234)
     trials = 10_000
     good_cuts = Counter()
     poor_cuts = 0
     for _ in range(trials):
-        pool = rco_split(sol, golden_ranks, params, rng)
+        pool = rco_split(sol, golden_ranks, lam, theta, rng)
         (cut,) = split_walk(pool, sol)
         cuts = [at - 1 for at, _ in cut[1:]]
         for c in cuts:
@@ -178,8 +176,8 @@ def test_cut_rates_match_probabilities(golden_instance, golden_ranks):
                 poor_cuts += 1
     good_rate = sum(good_cuts.values()) / trials
     poor_rate = poor_cuts / trials
-    assert abs(good_rate - params.lam) < 0.02
-    assert abs(poor_rate - params.theta) < 0.02
+    assert abs(good_rate - lam) < 0.02
+    assert abs(poor_rate - theta) < 0.02
     # uniform conditional choice among the three good links
     expected = sum(good_cuts.values()) / 3
     for c in good:

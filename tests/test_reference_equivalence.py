@@ -31,7 +31,6 @@ from routecut import (
     Edge,
     Instance,
     RankMatrix,
-    RcoParams,
     build_rank_matrix,
     distances,
     elementary_virtual_tasks,
@@ -44,7 +43,6 @@ from routecut import (
 )
 from routecut.decompose import (
     _DISTANCE_BLOCK,
-    ClusterConfig,
     _chain_cluster,
     _farthest_point_medoids,
     _pairwise_distances,
@@ -187,10 +185,8 @@ def reference_link_numerators(instance, dist):
         + m[np.ix_(tails, tails)]
     )
     np.fill_diagonal(num, 0)
-    as_int = num.astype(np.int64)
-    if np.array_equal(as_int.astype(np.float64), num):
-        num = as_int
-    return num
+    # int64 for an integer table, float64 for a float one
+    return num.astype(np.int64) if m.dtype.kind == "i" else num
 
 
 def reference_path_scanning(instance, dist, rng):
@@ -261,15 +257,15 @@ def whole_matrix_pairwise_distances(pool, num):
     return d + d.T
 
 
-def reference_fuzzy_kmedoid(pool, config, instance, dist, rng):
+def reference_fuzzy_kmedoid(pool, group_count, fuzziness, instance, dist, rng):
     """`fuzzy_kmedoid` assigning one sub-route at a time."""
     members = list(pool)
     n = len(members)
-    g = min(config.group_count, n)
+    g = min(group_count, n)
     d = _pairwise_distances(members, instance, dist)
     if g == 1:
         return [members]
-    alpha = config.fuzziness
+    alpha = fuzziness
     medoids = _farthest_point_medoids(d, g, rng)
     assign = np.full(n, -1, dtype=np.int64)
     for _ in range(20):
@@ -585,9 +581,9 @@ def _assert_same_numerators(got, expected):
 
 def _link_instance(kind, tasks, seed):
     """An instance of ``tasks`` tasks with integer costs, with costs in
-    steps of 0.1 (sums off the integers, so float64 numerators), or on a
-    tree of 0.5-cost task edges: its distances are halves, yet every
-    four-endpoint sum is whole, so the numerators are int64."""
+    steps of 0.1 (sums off the integers), or on a tree of 0.5-cost task
+    edges: its distances are halves, yet every four-endpoint sum is whole.
+    The last two have float64 tables, hence float64 numerators."""
     if kind == "halves":
         rng = random.Random(seed)
         edges = [(rng.randrange(v), v, 1, 1, 0.5) for v in range(1, tasks + 1)]
@@ -601,14 +597,7 @@ def _link_instance(kind, tasks, seed):
     return instance
 
 
-LINK_DTYPES = {"int": np.int64, "halves": np.int64, "tenths": np.float64}
-
-
-def _reference_rows(num, start, stop):
-    """Rows start:stop of a reference matrix, int64 when all are whole."""
-    block = num[start:stop]
-    as_int = block.astype(np.int64)
-    return as_int if np.array_equal(as_int, block) else block.astype(np.float64)
+LINK_DTYPES = {"int": np.int64, "halves": np.float64, "tenths": np.float64}
 
 
 @pytest.mark.parametrize("kind", sorted(LINK_DTYPES))
@@ -630,7 +619,7 @@ def test_link_numerators_match_reference(seed, tasks, kind):
             stop = min(start + rows, tasks)
             _assert_same_numerators(
                 link_numerators(dist.matrix, heads, tails, start, stop),
-                _reference_rows(expected, start, stop),
+                expected[start:stop],
             )
 
 
@@ -756,8 +745,8 @@ def test_pairwise_distances_match_reference_on_tie_heavy_instances(seed):
     assert np.issubdtype(reference_link_numerators(instance, dist).dtype, np.integer)
     rng = make_rng(seed)
     solution = path_scanning(instance, dist, rng)
-    for params in (RcoParams(0.0, 0.0), RcoParams(0.5, 0.5), RcoParams(1.0, 1.0)):
-        pool = list(rco_split(solution, ranks, params, rng))
+    for lam_theta in ((0.0, 0.0), (0.5, 0.5), (1.0, 1.0)):
+        pool = list(rco_split(solution, ranks, *lam_theta, rng))
         _assert_pairwise_matches(pool, instance, dist)
     _assert_pairwise_matches(_random_subroutes(instance.task_count, rng), instance, dist)
 
@@ -821,7 +810,7 @@ def test_pairwise_distances_match_whole_matrix_sums_across_row_blocks(seed, task
 def test_pairwise_distances_match_reference_on_a_generated_mid_size_instance(mid_instance):
     instance, dist, ranks = mid_instance
     rng = make_rng(5)
-    pool = list(rco_split(path_scanning(instance, dist, rng), ranks, RcoParams(), rng))
+    pool = list(rco_split(path_scanning(instance, dist, rng), ranks, 0.05, 0.2, rng))
     assert len(pool) > 100
     _assert_pairwise_matches(pool, instance, dist)
 
@@ -855,20 +844,19 @@ FUZZINESS = (0.5, 5.0, 50.0)
 def _assert_fuzzy_matches(pool, instance, dist, seed, make=make_rng):
     for g in GROUP_COUNTS:
         for alpha in FUZZINESS:
-            config = ClusterConfig(g, alpha)
             ref_rng, new_rng = make(seed), make(seed)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # pools smaller than g
-                expected = reference_fuzzy_kmedoid(pool, config, instance, dist, ref_rng)
-                got = fuzzy_kmedoid(pool, config, instance, dist, new_rng)
+                expected = reference_fuzzy_kmedoid(pool, g, alpha, instance, dist, ref_rng)
+                got = fuzzy_kmedoid(pool, g, alpha, instance, dist, new_rng)
             assert got == expected
             assert new_rng.getstate() == ref_rng.getstate()
 
 
-def _rco_pools(instance, dist, ranks, params, seed):
+def _rco_pools(instance, dist, ranks, lam_thetas, seed):
     rng = make_rng(seed)
     solution = path_scanning(instance, dist, rng)
-    return [list(rco_split(solution, ranks, p, rng)) for p in params]
+    return [list(rco_split(solution, ranks, lam, theta, rng)) for lam, theta in lam_thetas]
 
 
 @pytest.mark.parametrize("seed", range(100))
@@ -876,14 +864,14 @@ def test_fuzzy_kmedoid_matches_reference_on_tie_heavy_instances(seed):
     instance = _tie_heavy_instance(seed)
     dist = instance.distances()
     ranks = build_rank_matrix(instance, dist)
-    params = (RcoParams(0.0, 0.0), RcoParams(0.5, 0.5), RcoParams(1.0, 1.0))
-    for pool in _rco_pools(instance, dist, ranks, params, seed):
+    lam_thetas = ((0.0, 0.0), (0.5, 0.5), (1.0, 1.0))
+    for pool in _rco_pools(instance, dist, ranks, lam_thetas, seed):
         _assert_fuzzy_matches(pool, instance, dist, seed)
         _assert_fuzzy_matches(pool, instance, dist, seed, make=_QuarterDraws)
 
 
 GENERATED_SIZES = ((20, 15), (60, 90), (200, 300))
-FUZZY_PARAMS = (RcoParams(0.05, 0.2), RcoParams(0.5, 0.9), RcoParams(0.0, 0.0))
+FUZZY_PARAMS = ((0.05, 0.2), (0.5, 0.9), (0.0, 0.0))  # (lam, theta)
 
 
 @pytest.mark.parametrize("vertices, tasks", GENERATED_SIZES)
@@ -904,7 +892,7 @@ def test_fuzzy_kmedoid_cases_reach_small_pools_zeros_and_exact_draws():
         instance = _tie_heavy_instance(seed)
         dist = instance.distances()
         ranks = build_rank_matrix(instance, dist)
-        for pool in _rco_pools(instance, dist, ranks, (RcoParams(0.5, 0.5),), seed):
+        for pool in _rco_pools(instance, dist, ranks, ((0.5, 0.5),), seed):
             small += len(pool) < max(GROUP_COUNTS)
             d = _pairwise_distances(pool, instance, dist)
             zero_rows += bool(np.any(d[~np.eye(len(pool), dtype=bool)] == 0))

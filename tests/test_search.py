@@ -10,8 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routecut import (
-    ClusterConfig,
-    RcoParams,
     SearchConfig,
     build_rank_matrix,
     fuzzy_kmedoid,
@@ -25,7 +23,7 @@ from routecut import (
     write_solution,
 )
 from routecut.generator import generate_instance
-from routecut.search import ALGORITHMS, concat_solutions
+from routecut.search import _NEIGHBOR_SIZE, ALGORITHMS, concat_solutions
 from routecut.seeding import make_rng
 
 from conftest import brute_force_optimum, make_instance
@@ -84,13 +82,21 @@ def tiny_instances(draw):
 @settings(max_examples=60, deadline=None)
 @given(tiny_instances(), st.integers(0, 100))
 def test_every_algorithm_solves_tiny_instances(inst, seed):
-    # neighbor_size 1 and 20 reach nearest() with k below, at and above n - 1
     for algorithm in ALGORITHMS:
-        for neighbor_size in (1, 20):
-            cfg = _deterministic_config(algorithm, seed=seed, max_iterations=3,
-                                        max_cycles=2, neighbor_size=neighbor_size)
-            best, _ = solve(inst, cfg)
-            assert validate(best, inst) == []
+        cfg = _deterministic_config(algorithm, seed=seed, max_iterations=3, max_cycles=2)
+        best, _ = solve(inst, cfg)
+        assert validate(best, inst) == []
+
+
+# the neighbours asked of nearest() are more than n - 1 on the tiny instances
+# above, and exactly n - 1 and fewer here
+@pytest.mark.parametrize("tasks", [_NEIGHBOR_SIZE + 1, _NEIGHBOR_SIZE + 2])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_every_algorithm_solves_around_the_neighbour_count(algorithm, tasks):
+    inst = generate_instance(24, tasks, 14, seed=tasks)
+    cfg = _deterministic_config(algorithm, seed=1, max_iterations=3, max_cycles=2)
+    best, _ = solve(inst, cfg)
+    assert validate(best, inst) == []
 
 
 @pytest.mark.parametrize("algorithm", ["sahid-rco", "sahid-random", "cluster-rco",
@@ -132,7 +138,7 @@ def test_small_instance_reaches_optimum():
 
 def test_cluster_single_group_degenerates_to_whole_problem():
     inst = generate_instance(14, 10, 12, seed=6)
-    cfg = _deterministic_config("cluster-rco", seed=1, cluster=ClusterConfig(1, 5.0))
+    cfg = _deterministic_config("cluster-rco", seed=1, group_count=1)
     best, trace = solve(inst, cfg)
     assert validate(best, inst) == []
     first_cost = trace.samples[0][1]
@@ -173,10 +179,10 @@ _READERS = {
     "project_solution": lambda s, inst, dist, ranks, rng: project_solution(
         s, set(range(0, inst.task_count, 2)), inst, dist),
     "concat_solutions": lambda s, inst, dist, ranks, rng: concat_solutions([s, s]),
-    "rco_split": lambda s, inst, dist, ranks, rng: rco_split(s, ranks, RcoParams(0.5, 0.9), rng),
+    "rco_split": lambda s, inst, dist, ranks, rng: rco_split(s, ranks, 0.5, 0.9, rng),
     "uniform_split": lambda s, inst, dist, ranks, rng: uniform_split(s, rng),
     "fuzzy_kmedoid": lambda s, inst, dist, ranks, rng: fuzzy_kmedoid(
-        rco_split(s, ranks, RcoParams(0.5, 0.9), rng), ClusterConfig(3, 5.0), inst, dist, rng),
+        rco_split(s, ranks, 0.5, 0.9, rng), 3, 5.0, inst, dist, rng),
 }
 
 
@@ -227,10 +233,18 @@ def test_accept_threshold_validation():
 @pytest.mark.parametrize(
     "field, rejected, accepted",
     [
-        ("neighbor_size", -1, 0),
+        ("lam", -0.1, 0.0),
+        ("lam", 1.1, 1.0),
+        ("lam", math.nan, 0.5),
+        ("theta", -0.1, 0.0),
+        ("theta", 1.1, 1.0),
+        ("theta", math.nan, 0.5),
+        ("group_count", 0, 1),
+        ("fuzziness", 0.0, 0.5),
+        ("fuzziness", -1.0, 0.5),
+        ("fuzziness", math.nan, math.inf),
         ("max_iterations", -1, 0),
         ("max_cycles", -1, 0),
-        ("pool_size", 0, 1),
         ("sub_solver_budget", -1, 0),
         ("scale", 0.0, math.nextafter(0.0, 1.0)),  # the smallest accepted value
         ("scale", 1.0, math.nextafter(1.0, 0.0)),  # the largest
