@@ -7,7 +7,8 @@
 # paths take Dijkstra over the whole graph, with no vertex eliminated.  Every
 # trace CSV, from `solve --trace` or streamed by `bench`, must start with its
 # header, and invalid settings (a value out of range, a boolean that is not
-# 1/0, true/false or yes/no) must exit with status 2 and name the field.
+# 1/0, true/false or yes/no) must exit with status 2 and name the key that
+# was written (`lambda`, not the field `lam`).
 # A broken instance file fails each of its cells, with one `.err` traceback
 # per cell, and `bench` exits with status 1.  Every trace or solution file
 # that a `records.csv` names must exist.
@@ -30,7 +31,7 @@ grep -q time_limit nan.err
 status=0
 routecut solve i.dat --lambda 1.5 2> lambda.err || status=$?
 test "$status" -eq 2
-grep -q lam lambda.err
+grep -qF 'lambda must be in [0, 1]' lambda.err
 routecut solve i.dat --algorithm cluster-rco --max-cycles 1 --virtual-clock --out c.sol
 routecut validate i.dat c.sol
 
@@ -64,7 +65,7 @@ routecut bench exp.cfg --out-dir nan --budget fixed:nan 2> budget.err || status=
 test "$status" -eq 2
 grep -q budget budget.err
 test ! -e nan
-for setting in 'groups = 0:group_count' 'virtual_clock = ture:virtual_clock'; do
+for setting in 'groups = 0:groups must be at least 1' 'virtual_clock = ture:virtual_clock'; do
   printf '%s\n' 'instances = i.dat' 'variants = cluster-rco' "${setting%%:*}" > bad.cfg
   status=0
   routecut bench bad.cfg --out-dir bad 2> bad.err || status=$?

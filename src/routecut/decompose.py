@@ -187,41 +187,42 @@ def _endpoint_distances(
 ) -> np.ndarray:
     """Distance from every unit to unit ``j`` given the units' endpoints.
 
-    Units are traversable in either direction, so take the best pairing.
-    Reads each unit's rows at unit ``j``'s columns, copied once: no symmetry.
-    Of ``matrix``'s type, which is signed so ``hdu`` can mark medoids with -1.
+    Units are traversable in either direction, so take the best pairing:
+    the nearer of unit ``j``'s two columns for every vertex, then the nearer
+    of each unit's two endpoints.  Reads each unit's rows at unit ``j``'s
+    columns: no symmetry.  Of ``matrix``'s type, which is signed so ``hdu``
+    can mark medoids with -1.
     """
-    to_h = matrix[:, heads[j]].copy()
-    to_t = matrix[:, tails[j]].copy()
-    return np.minimum(
-        np.minimum(to_h[heads], to_t[heads]),
-        np.minimum(to_h[tails], to_t[tails]),
-    )
-
-
-def _pick_min(values: list[float], rng: random.Random) -> int:
-    best = min(values)
-    ties = [i for i, v in enumerate(values) if v == best]
-    return ties[0] if len(ties) == 1 else ties[rng.randrange(len(ties))]
+    either = np.minimum(matrix[:, heads[j]], matrix[:, tails[j]])
+    return np.minimum(either[heads], either[tails])
 
 
 def _chain_cluster(
     units: list[VirtualTask], rows: Rows, rng: random.Random
 ) -> tuple[int, ...]:
     """Order one cluster by a randomized nearest-neighbor chain, orienting
-    each appended unit so its nearer endpoint joins the chain tail."""
+    each appended unit so its nearer endpoint joins the chain tail (a unit
+    whose tail is strictly nearer is appended reversed).  It draws from
+    ``rng`` as ``hdu``'s tie-break contract states."""
     remaining = list(units)
     cur = remaining.pop(rng.randrange(len(remaining)))
     ids = list(cur.ids)
     tail = cur.tail
     while remaining:
         row = rows[tail]
-        j = _pick_min([min(row[u.head], row[u.tail]) for u in remaining], rng)
+        gaps = [min(row[u.head], row[u.tail]) for u in remaining]
+        best = min(gaps)
+        j = gaps.index(best)
+        if gaps.count(best) > 1:
+            ties = [i for i, gap in enumerate(gaps) if gap == best]
+            j = ties[rng.randrange(len(ties))]
         nxt = remaining.pop(j)
         if row[nxt.tail] < row[nxt.head]:
-            nxt = nxt.reversed()
-        ids.extend(nxt.ids)
-        tail = nxt.tail
+            ids.extend(inverse_id(t) for t in reversed(nxt.ids))
+            tail = nxt.head
+        else:
+            ids.extend(nxt.ids)
+            tail = nxt.tail
     return tuple(ids)
 
 
@@ -246,7 +247,12 @@ def hdu(
     the first medoid is ``rng.randrange(m)``; each further medoid is the
     first unit, in list order, farthest from its nearest medoid so far
     (no draw); each unit then joins its nearest medoid, and ``rng`` is
-    drawn, in unit order, only for units whose nearest medoids tie.
+    drawn, in unit order, only for units whose nearest medoids tie:
+    ``rng.randrange(ties)`` picks among them in medoid order.  Then, in
+    cluster order, each non-empty cluster is chained: ``rng.randrange``
+    over its units picks the first one, and ``rng.randrange`` over the
+    units nearest the chain tail, in list order, picks the next one only
+    when more than one is nearest.
     """
     if not 0.0 < scale < 1.0:
         raise ValueError("scale must be in (0, 1)")
@@ -279,8 +285,10 @@ def hdu(
         is_min = to_medoid == to_medoid.min(axis=1, keepdims=True)
         ties = is_min.sum(axis=1)
         choice = np.argmax(is_min, axis=1)
-        for i in np.flatnonzero(ties > 1).tolist():
-            choice[i] = np.flatnonzero(is_min[i])[rng.randrange(int(ties[i]))]
+        tied = np.flatnonzero(ties > 1)
+        # each tied row takes its draw-th tied medoid, drawn in unit order
+        draws = np.array([rng.randrange(t) for t in ties[tied].tolist()], dtype=np.intp)
+        choice[tied] = np.argmax(np.cumsum(is_min[tied], axis=1) > draws[:, None], axis=1)
 
         clusters: list[list[VirtualTask]] = [[] for _ in range(k)]
         for u, c in zip(units, choice.tolist()):

@@ -12,7 +12,7 @@ highly while the central task has many closer alternatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -139,10 +139,19 @@ class RankMatrix:
     """
 
     ranks: np.ndarray
+    # nearest's lists by capped k; they depend on ``ranks`` alone
+    _nearest: dict[int, list[list[int]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def nearest(self, k: int) -> list[list[int]]:
         """Per task, the k other tasks with the cheapest links, nearest
         first and equal links in task-index order; k is capped at n - 1.
+
+        The lists are built on the first call for each capped k and the
+        same lists are returned by every later call, so every solve on
+        this matrix shares them: callers must not change them, and
+        ``ranks`` must not change once they are built.
 
         Within a row, rank order is link-cost order and equal costs share a
         rank, so the key ``rank * n + column`` is unique and sorts as
@@ -155,9 +164,15 @@ class RankMatrix:
             raise ValueError("k must be non-negative")
         n = self.ranks.shape[0]
         k = min(k, n - 1)
+        if k in self._nearest:
+            return self._nearest[k]
         if k <= 0:
-            return [[] for _ in range(n)]
+            out = self._nearest[k] = [[] for _ in range(n)]
+            return out
         columns = np.arange(n, dtype=np.int64)
+        # the lists hold one shared int object per task, not n * k ints of
+        # their own (32 bytes each): they outlive the solve that builds them
+        task_ints = np.arange(n, dtype=object)
         out: list[list[int]] = []
         for start in range(0, n, _ROW_BLOCK):
             key = self.ranks[start : start + _ROW_BLOCK].astype(np.int64)
@@ -168,7 +183,8 @@ class RankMatrix:
             key.partition(k - 1, axis=1)
             top = np.sort(key[:, :k], axis=1)
             top %= n
-            out += top.tolist()
+            out += task_ints[top].tolist()
+        self._nearest[k] = out
         return out
 
 

@@ -74,6 +74,8 @@ class SearchConfig:
     virtual_clock: bool = False
 
     def __post_init__(self):
+        # each range message starts with its field's name: build_config
+        # swaps that for the PARAMETERS key
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         # `not 0 <= x <= 1`, `not x >= 1` and `not x > 0`, so that NaN fails
@@ -125,7 +127,8 @@ def build_config(values: Mapping[str, object], **fields) -> SearchConfig:
 
     Values may be strings (config files) or typed (CLI); a boolean is one
     of 1/0, true/false or yes/no, in any case.  ``max_iterations`` 0 means
-    no cap.
+    no cap.  A value out of range raises ``ValueError`` naming its key, as
+    in ``lambda must be in [0, 1]``; a plain field's error names the field.
     """
     for key, value in values.items():
         if key not in PARAMETERS:
@@ -139,7 +142,14 @@ def build_config(values: Mapping[str, object], **fields) -> SearchConfig:
         fields[name] = kind(value)
     if fields.get("max_iterations") == 0:
         fields["max_iterations"] = None
-    return SearchConfig(**fields)
+    keys = {PARAMETERS[key][0]: key for key in values}
+    try:
+        return SearchConfig(**fields)
+    except ValueError as error:
+        name, _, rest = str(error).partition(" ")
+        if name not in keys:
+            raise
+        raise ValueError(f"{keys[name]} {rest}") from None
 
 
 @dataclass

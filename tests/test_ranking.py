@@ -133,6 +133,15 @@ def test_fewer_than_two_tasks_get_a_rank_matrix(edges, want):
         assert RankMatrix(ranks).nearest(k) == want
 
 
+def test_nearest_is_built_once_per_capped_k():
+    inst = generate_instance(30, 25, 20, seed=5)
+    ranks = build_rank_matrix(inst, inst.distances())
+    n = inst.task_count
+    assert ranks.nearest(20) is ranks.nearest(20)
+    assert ranks.nearest(n + 5) is ranks.nearest(n - 1)
+    assert ranks.nearest(n + 5) == RankMatrix(ranks.ranks.copy()).nearest(n - 1)
+
+
 def test_build_rank_matrix_holds_no_square_cost_matrix():
     # ranks take 2 bytes a pair; one n x n array of 8-byte costs, whole or
     # as a float copy, would take the peak past 4 bytes a pair

@@ -1,9 +1,9 @@
 """`shortest_paths` (elimination, a core Dijkstra and fill-in), `route_cost`
 over a route's served IDs alone, `DistanceTable.rows` and
 `RankMatrix.nearest` (both in row blocks), the
-numpy `hdu` level loop, `rank_rows` (both its counting and its sorting
-path), `link_numerators` (in row blocks), `path_scanning`,
-`_pairwise_distances` (in row blocks of whole sub-routes),
+numpy `hdu` level loop and its nearest-neighbour chain, `rank_rows` (both
+its counting and its sorting path), `link_numerators` (in row blocks),
+`path_scanning`, `_pairwise_distances` (in row blocks of whole sub-routes),
 `fuzzy_kmedoid`'s one-pass assignment, local search's touched-route
 re-indexing and its fused move scan against the versions they replaced,
 kept here as references.
@@ -43,10 +43,8 @@ from routecut import (
 )
 from routecut.decompose import (
     _DISTANCE_BLOCK,
-    _chain_cluster,
     _farthest_point_medoids,
     _pairwise_distances,
-    _pick_min,
     _repair_empty_groups,
     fuzzy_kmedoid,
     virtual_task_from_ids,
@@ -103,6 +101,28 @@ def _endpoint_distance(a, b, rows):
     return min(ra[b.head], ra[b.tail], rb[b.head], rb[b.tail])
 
 
+def _pick_min(values, rng):
+    best = min(values)
+    ties = [i for i, v in enumerate(values) if v == best]
+    return ties[0] if len(ties) == 1 else ties[rng.randrange(len(ties))]
+
+
+def reference_chain_cluster(units, rows, rng):
+    remaining = list(units)
+    cur = remaining.pop(rng.randrange(len(remaining)))
+    ids = list(cur.ids)
+    tail = cur.tail
+    while remaining:
+        row = rows[tail]
+        j = _pick_min([min(row[u.head], row[u.tail]) for u in remaining], rng)
+        nxt = remaining.pop(j)
+        if row[nxt.tail] < row[nxt.head]:
+            nxt = nxt.reversed()
+        ids.extend(nxt.ids)
+        tail = nxt.tail
+    return tuple(ids)
+
+
 def reference_hdu(units, instance, dist, scale, rng):
     rows = dist.rows
     while len(units) > 1:
@@ -125,7 +145,7 @@ def reference_hdu(units, instance, dist, scale, rng):
             clusters[_pick_min(dists, rng)].append(u)
 
         units = [
-            virtual_task_from_ids(_chain_cluster(cluster, rows, rng), instance)
+            virtual_task_from_ids(reference_chain_cluster(cluster, rows, rng), instance)
             for cluster in clusters
             if cluster
         ]

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routecut import (
+    RankMatrix,
     SearchConfig,
     build_rank_matrix,
     fuzzy_kmedoid,
@@ -23,7 +24,7 @@ from routecut import (
     write_solution,
 )
 from routecut.generator import generate_instance
-from routecut.search import _NEIGHBOR_SIZE, ALGORITHMS, concat_solutions
+from routecut.search import _NEIGHBOR_SIZE, ALGORITHMS, PARAMETERS, build_config, concat_solutions
 from routecut.seeding import make_rng
 
 from conftest import brute_force_optimum, make_instance
@@ -97,6 +98,17 @@ def test_every_algorithm_solves_around_the_neighbour_count(algorithm, tasks):
     cfg = _deterministic_config(algorithm, seed=1, max_iterations=3, max_cycles=2)
     best, _ = solve(inst, cfg)
     assert validate(best, inst) == []
+
+
+def test_solves_leave_the_shared_neighbour_lists_unchanged():
+    inst = generate_instance(40, 50, 14, seed=6)
+    dist = inst.distances()
+    ranks = build_rank_matrix(inst, dist)
+    for algorithm in ALGORITHMS:
+        cfg = _deterministic_config(algorithm, seed=1, max_iterations=3, max_cycles=2)
+        solve(inst, cfg, dist=dist, ranks=ranks)
+    fresh = RankMatrix(ranks.ranks.copy())
+    assert ranks.nearest(_NEIGHBOR_SIZE) == fresh.nearest(_NEIGHBOR_SIZE)
 
 
 @pytest.mark.parametrize("algorithm", ["sahid-rco", "sahid-random", "cluster-rco",
@@ -260,6 +272,24 @@ def test_config_field_validation(field, rejected, accepted):
     with pytest.raises(ValueError, match=field):
         SearchConfig(**{field: rejected})
     SearchConfig(**{field: accepted})
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("lambda", "1.5", "lambda must be in [0, 1]"),
+    ("groups", "0", "groups must be at least 1"),
+    ("alpha", "0", "alpha must be positive"),
+    ("accept", "0.5", "accept must be at least 1"),
+])
+def test_range_errors_name_the_key_of_a_parameter(key, value, message):
+    # the keys whose field has another name; `idle` has no range to break
+    name, kind = PARAMETERS[key]
+    assert name != key
+    with pytest.raises(ValueError) as error:
+        build_config({key: value})
+    assert str(error.value) == message
+    with pytest.raises(ValueError) as error:  # a plain field keeps its name
+        build_config({}, **{name: kind(value)})
+    assert str(error.value) == message.replace(key, name, 1)
 
 
 def test_wall_clock_budget_is_respected():
