@@ -1,6 +1,7 @@
 #!/bin/sh
 # End-to-end check of the installed `routecut` console script: generate an
-# instance, solve it with both search loops and validate the results, then
+# instance, solve it with both search loops and validate the results (a
+# route line with no pairs added to a solution file is dropped), then
 # run `bench` and `stats` in one process and in a pool of two worker
 # processes, each worker keeping its last instance and rank matrix.  An
 # instance with decimal costs is solved and validated too: its shortest
@@ -23,6 +24,9 @@ cd "$dir"
 routecut gen --vertices 12 --tasks 8 --capacity 12 --seed 2 --out i.dat
 routecut solve i.dat --max-iters 2 --virtual-clock --trace t.csv --out i.sol
 routecut validate i.dat i.sol
+{ cat i.sol; echo 'route 9:'; } > e.sol
+routecut validate i.dat e.sol > e.out
+grep -qF ', 2 routes' e.out
 test "$(head -n 1 t.csv)" = elapsed_ms,best_cost
 status=0
 routecut solve i.dat --time-limit nan 2> nan.err || status=$?

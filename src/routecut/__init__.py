@@ -9,7 +9,6 @@ statistics.
 """
 
 from .decompose import (
-    VirtualTask,
     build_virtual_tasks,
     elementary_virtual_tasks,
     fuzzy_kmedoid,
@@ -64,7 +63,6 @@ __all__ = [
     "Solution",
     "Task",
     "Violation",
-    "VirtualTask",
     "WilcoxonResult",
     "average_task_rank",
     "build_rank_matrix",

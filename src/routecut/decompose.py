@@ -4,9 +4,10 @@ A sub-route is a tuple of directed task IDs (``rco.rco_split``).  Two
 decomposition paths are supported.  The clustering path groups
 sub-routes around medoid sub-routes with a fuzziness-controlled
 probabilistic assignment, yielding task subsets that induce independent
-sub-problems.  The hierarchical path wraps sub-routes into virtual tasks
-(atomic ordered task sequences, joined to others at their two endpoints)
-and repeatedly clusters and chains them into ever coarser units until a
+sub-problems.  The hierarchical path treats each sub-route as a virtual
+task: an atomic unit, the ID tuple itself, joined to others at its two
+endpoints (its first ID's head vertex and its last ID's tail).  It
+repeatedly clusters and chains units into ever coarser ones until a
 single giant sequence remains, which is then split into capacity-feasible
 routes.
 """
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,36 +150,19 @@ def group_task_indices(group: list[tuple[int, ...]]) -> set[int]:
 # --- virtual tasks and hierarchical construction -----------------------------
 
 
-@dataclass(frozen=True)
-class VirtualTask:
-    """An ordered task sequence treated as one atomic unit, entered at
-    ``head`` and left at ``tail`` (vertices)."""
-
-    ids: tuple[int, ...]
-    head: int
-    tail: int
-
-    def reversed(self) -> "VirtualTask":
-        """Same unit traversed the other way (cost unchanged on undirected graphs)."""
-        return VirtualTask(
-            tuple(inverse_id(t) for t in reversed(self.ids)), self.tail, self.head
-        )
-
-
-def virtual_task_from_ids(ids: tuple[int, ...], instance: Instance) -> VirtualTask:
-    return VirtualTask(ids, instance.id_head[ids[0]], instance.id_tail[ids[-1]])
-
-
-def build_virtual_tasks(pool: list[tuple[int, ...]], instance: Instance) -> list[VirtualTask]:
-    """One virtual task per sub-route, order and orientation preserved."""
+# kept as named steps of the hierarchical loop because perfbench's tracer
+# times them by patching `search`; they go when that patch table does
+def build_virtual_tasks(pool: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """``hdu``'s units from a sub-route pool: the sub-routes themselves,
+    order and orientation preserved."""
     if len(pool) == 0:
         raise ValueError("cannot build virtual tasks from an empty pool")
-    return [virtual_task_from_ids(s, instance) for s in pool]
+    return pool
 
 
-def elementary_virtual_tasks(instance: Instance) -> list[VirtualTask]:
+def elementary_virtual_tasks(instance: Instance) -> list[tuple[int, ...]]:
     """One single-task unit per task, forward orientation."""
-    return [virtual_task_from_ids((t.forward_id,), instance) for t in instance.tasks]
+    return [(t.forward_id,) for t in instance.tasks]
 
 
 def _endpoint_distances(
@@ -198,36 +181,36 @@ def _endpoint_distances(
 
 
 def _chain_cluster(
-    units: list[VirtualTask], rows: Rows, rng: random.Random
+    units: list[tuple[tuple[int, ...], int, int]], rows: Rows, rng: random.Random
 ) -> tuple[int, ...]:
-    """Order one cluster by a randomized nearest-neighbor chain, orienting
-    each appended unit so its nearer endpoint joins the chain tail (a unit
-    whose tail is strictly nearer is appended reversed).  It draws from
-    ``rng`` as ``hdu``'s tie-break contract states."""
+    """Order one cluster of ``(ids, head, tail)`` units by a randomized
+    nearest-neighbor chain, orienting each appended unit so its nearer
+    endpoint joins the chain tail (a unit whose tail is strictly nearer is
+    appended reversed).  It draws from ``rng`` as ``hdu``'s tie-break
+    contract states."""
     remaining = list(units)
-    cur = remaining.pop(rng.randrange(len(remaining)))
-    ids = list(cur.ids)
-    tail = cur.tail
+    first, _, tail = remaining.pop(rng.randrange(len(remaining)))
+    ids = list(first)
     while remaining:
         row = rows[tail]
-        gaps = [min(row[u.head], row[u.tail]) for u in remaining]
+        gaps = [min(row[h], row[t]) for _, h, t in remaining]
         best = min(gaps)
         j = gaps.index(best)
         if gaps.count(best) > 1:
             ties = [i for i, gap in enumerate(gaps) if gap == best]
             j = ties[rng.randrange(len(ties))]
-        nxt = remaining.pop(j)
-        if row[nxt.tail] < row[nxt.head]:
-            ids.extend(inverse_id(t) for t in reversed(nxt.ids))
-            tail = nxt.head
+        nxt, h, t = remaining.pop(j)
+        if row[t] < row[h]:
+            ids.extend(inverse_id(x) for x in reversed(nxt))
+            tail = h
         else:
-            ids.extend(nxt.ids)
-            tail = nxt.tail
+            ids.extend(nxt)
+            tail = t
     return tuple(ids)
 
 
 def hdu(
-    units: list[VirtualTask],
+    units: list[tuple[int, ...]],
     instance: Instance,
     dist: DistanceTable,
     scale: float,
@@ -236,12 +219,15 @@ def hdu(
     """Hierarchically concatenate units into a single giant sequence, then
     split it greedily into capacity-feasible routes.
 
-    While more than one unit remains, the units are clustered to
-    ceil(scale * m) medoids chosen farthest-point style on endpoint
-    distances, each cluster is chained nearest-neighbor into one
-    higher-level unit, and the process repeats.  ``units`` must cover every
-    instance task exactly once; no units (an instance without tasks) give
-    an empty solution.
+    A unit is a non-empty tuple of directed task IDs, served in order and
+    never split; its endpoints are its first ID's head vertex and its last
+    ID's tail, and it may be traversed reversed.  While more than one unit
+    remains, the units are clustered to ceil(scale * m) medoids chosen
+    farthest-point style on endpoint distances, each cluster is chained
+    nearest-neighbor into one higher-level unit, and the process repeats.
+    ``units`` must cover every instance task exactly once, and an empty
+    unit is rejected; no units (an instance without tasks) give an empty
+    solution.
 
     Tie-break contract, which fixes the output for a given ``rng`` state:
     the first medoid is ``rng.randrange(m)``; each further medoid is the
@@ -256,7 +242,10 @@ def hdu(
     """
     if not 0.0 < scale < 1.0:
         raise ValueError("scale must be in (0, 1)")
-    covered = sorted(ti for u in units for ti in map(task_index_of, u.ids))
+    for i, u in enumerate(units):
+        if not u:
+            raise ValueError(f"unit {i} is empty")
+    covered = sorted(ti for u in units for ti in map(task_index_of, u))
     if covered != list(range(instance.task_count)):
         raise ValueError("units must cover all tasks exactly once")
     if not units:
@@ -267,8 +256,8 @@ def hdu(
     while len(units) > 1:
         m = len(units)
         k = max(1, min(math.ceil(scale * m), m - 1))
-        heads = np.fromiter((u.head for u in units), dtype=np.intp, count=m)
-        tails = np.fromiter((u.tail for u in units), dtype=np.intp, count=m)
+        heads = np.fromiter((instance.id_head[u[0]] for u in units), dtype=np.intp, count=m)
+        tails = np.fromiter((instance.id_tail[u[-1]] for u in units), dtype=np.intp, count=m)
         first = rng.randrange(m)
         columns = [_endpoint_distances(matrix, heads, tails, first)]
         # distance to the nearest medoid so far; -1 at the medoids, below
@@ -290,17 +279,13 @@ def hdu(
         draws = np.array([rng.randrange(t) for t in ties[tied].tolist()], dtype=np.intp)
         choice[tied] = np.argmax(np.cumsum(is_min[tied], axis=1) > draws[:, None], axis=1)
 
-        clusters: list[list[VirtualTask]] = [[] for _ in range(k)]
-        for u, c in zip(units, choice.tolist()):
-            clusters[c].append(u)
+        clusters: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in range(k)]
+        for unit, c in zip(zip(units, heads.tolist(), tails.tolist()), choice.tolist()):
+            clusters[c].append(unit)
 
-        units = [
-            virtual_task_from_ids(_chain_cluster(cluster, rows, rng), instance)
-            for cluster in clusters
-            if cluster
-        ]
+        units = [_chain_cluster(cluster, rows, rng) for cluster in clusters if cluster]
 
-    giant = units[0].ids
+    giant = units[0]
     demand = instance.id_demand
     capacity = instance.capacity
     routes: list[list[int]] = []
@@ -313,6 +298,5 @@ def hdu(
             load = 0.0
         current.append(t)
         load += demand[t]
-    if current:
-        routes.append(current)
+    routes.append(current)  # the giant sequence is non-empty
     return Solution.build(routes, instance, dist)

@@ -62,7 +62,7 @@ class _State:
         self.sc = instance.id_service
         self.depot = instance.depot
         self.capacity = instance.capacity
-        self.routes: list[list[int]] = [list(r.ids) for r in solution.routes if r.ids]
+        self.routes: list[list[int]] = [list(r.ids) for r in solution.routes]
         self.loads: list[float] = []
         self.costs: list[float] = []
         self.prefix: list[list[float]] = []
@@ -106,7 +106,7 @@ class _State:
         assert self.where == where, "stale position index"
 
     def to_solution(self, instance: Instance, dist: DistanceTable) -> Solution:
-        return Solution.build([r for r in self.routes if r], instance, dist)
+        return Solution.build(self.routes, instance, dist)
 
 
 def local_search(

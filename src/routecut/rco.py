@@ -74,13 +74,11 @@ def rco_split(
     one poor link, with probability ``theta``.
 
     The pieces come in route order, so concatenated they give back the
-    routes' IDs; each non-empty route contributes one to three pieces.
+    routes' IDs; each route contributes one to three pieces.
     """
     avg = average_task_rank(solution, ranks)
     pool: list[tuple[int, ...]] = []
     for route in solution.routes:
-        if not route.ids:
-            continue
         good, poor = classify_links(route, ranks, avg)
         cuts: list[int] = []
         if rng.random() < lam and good:
@@ -99,9 +97,6 @@ def uniform_split(solution: Solution, rng: random.Random) -> list[tuple[int, ...
     """
     pool: list[tuple[int, ...]] = []
     for route in solution.routes:
-        ids = route.ids
-        if not ids:
-            continue
-        cuts = [rng.randrange(len(ids) - 1)] if len(ids) >= 2 else []
-        _cut(ids, cuts, pool)
+        n = len(route.ids)
+        _cut(route.ids, [rng.randrange(n - 1)] if n >= 2 else [], pool)
     return pool

@@ -3,7 +3,7 @@
 Two divide-and-conquer shapes share the splitting/clustering machinery:
 
 * the hierarchical loop (``sahid-rco`` / ``sahid-random``): split the
-  current solution into sub-routes, wrap them as virtual tasks, rebuild a
+  current solution into sub-routes, take them as virtual tasks, rebuild a
   solution hierarchically, improve it with local search, and accept it if
   better (or slightly worse once the search has idled long enough);
 * the clustering loop (``cluster-rco`` / ``cluster-whole-route``): each
@@ -250,7 +250,6 @@ def solve(
         loop = _hierarchical_loop if config.algorithm.startswith("sahid") else _cluster_loop
         best, trace.iterations = loop(instance, dist, ranks, config, improve, record, deadline)
 
-    best = best.stripped()
     record(best)
     return best, trace
 
@@ -272,7 +271,7 @@ def _hierarchical_loop(instance, dist, ranks, config, improve, record, deadline)
             pool = rco_split(current, ranks, config.lam, config.theta, rng)
         else:
             pool = uniform_split(current, rng)
-        units = build_virtual_tasks(pool, instance)
+        units = build_virtual_tasks(pool)
         candidate = improve(hdu(units, instance, dist, config.scale, rng), rng)
         iterations += 1
 
@@ -290,9 +289,9 @@ def _hierarchical_loop(instance, dist, ranks, config, improve, record, deadline)
             current = candidate
             accepted_worse = True
         idle = 0 if (improved_best or accepted_worse) else idle + 1
-
-    if iterations == 0:
-        warnings.warn("time limit exhausted before the first improvement iteration")
+    else:  # deadline() ended the loop, not the iteration cap
+        if iterations == 0:
+            warnings.warn("time limit exhausted before the first improvement iteration")
     return best, iterations
 
 
@@ -313,6 +312,8 @@ def _cluster_loop(instance, dist, ranks, config, improve, record, deadline):
     iterations = 0
     for cycle in range(config.max_cycles):
         if deadline():
+            if cycle == 0:
+                warnings.warn("time limit exhausted before the first cycle")
             break
         subroutes = rco_split(best, ranks, lam, theta, rng)
         groups = fuzzy_kmedoid(subroutes, config.group_count, config.fuzziness, instance, dist, rng)
@@ -344,7 +345,4 @@ def _cluster_loop(instance, dist, ranks, config, improve, record, deadline):
         if cycle_best.total_cost < best.total_cost:
             best = cycle_best
             record(best)
-
-    if iterations == 0:
-        warnings.warn("time limit exhausted before the first cycle")
     return best, iterations

@@ -1,7 +1,7 @@
 """Routes, solutions, objective evaluation, and feasibility checking.
 
-A route is the sequence of directed task IDs it serves, in order; the
-tour leaves the depot before the first and returns to it after the last.
+A route is the non-empty sequence of directed task IDs it serves, in
+order; the tour leaves the depot before the first and returns after the last.
 The objective of a route is the sum over consecutive stops, depot first,
 of the service cost of the current stop plus the shortest-path cost from
 its tail vertex to the next stop's head vertex.
@@ -20,7 +20,7 @@ from .instance import DEPOT_ID, Instance, Number, task_index_of
 
 def route_cost(ids: Sequence[int], instance: Instance, dist: DistanceTable) -> float:
     """Cost of the tour that leaves the depot, serves ``ids`` in order and
-    returns; an empty route costs 0."""
+    returns.  Empty ``ids`` cost 0: the return leg is then depot to depot."""
     head = instance.id_head
     tail = instance.id_tail
     service = instance.id_service
@@ -30,9 +30,7 @@ def route_cost(ids: Sequence[int], instance: Instance, dist: DistanceTable) -> f
     for t in ids:
         total += service[prev] + rows[tail[prev]][head[t]]
         prev = t
-    if ids:
-        total += service[prev] + rows[tail[prev]][head[DEPOT_ID]]
-    return total
+    return total + (service[prev] + rows[tail[prev]][head[DEPOT_ID]])
 
 
 @dataclass
@@ -68,16 +66,12 @@ class Solution:
     ) -> "Solution":
         return cls([Route.build(ids, instance, dist) for ids in routes])
 
-    def stripped(self) -> "Solution":
-        """Drop empty routes (they cost nothing but clutter reports)."""
-        return Solution([r for r in self.routes if r.ids])
-
     def task_indices(self) -> list[int]:
         return [task_index_of(t) for r in self.routes for t in r.ids]
 
     @property
     def route_count(self) -> int:
-        return sum(1 for r in self.routes if r.ids)
+        return len(self.routes)
 
 
 @dataclass(frozen=True)
@@ -153,9 +147,8 @@ def format_number(x: float) -> str:
 
 
 def write_solution(solution: Solution, instance: Instance, stream: IO[str]) -> None:
-    reported = solution.stripped()
-    stream.write(f"cost {format_number(reported.total_cost)}\n")
-    for k, route in enumerate(reported.routes, start=1):
+    stream.write(f"cost {format_number(solution.total_cost)}\n")
+    for k, route in enumerate(solution.routes, start=1):
         pairs = " ".join(
             f"({instance.id_head[t] + 1},{instance.id_tail[t] + 1})" for t in route.ids
         )
@@ -173,7 +166,8 @@ def read_solution(
     """Reconstruct a solution from its text form.
 
     Returns the rebuilt solution (costs recomputed, not trusted from the
-    file) together with the cost stated on the first line.
+    file) together with the cost stated on the first line.  A route line
+    with no pairs is dropped, so every route is non-empty.
     """
     if dist is None:
         dist = instance.distances()
@@ -205,5 +199,6 @@ def read_solution(
             ti = pool.pop(0)
             task = instance.tasks[ti]
             ids.append(task.forward_id if task.u == u else task.reverse_id)
-        routes.append(ids)
+        if ids:
+            routes.append(ids)
     return Solution.build(routes, instance, dist), stated

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import numpy as np
@@ -74,6 +75,24 @@ def small_instances(draw):
     name = draw(st.text("abcxyz_0123456789", min_size=1, max_size=8))
     return make_instance(n, edges, depot=draw(vertex), capacity=draw(st.integers(3, 9)),
                          name=name)
+
+
+def tie_heavy_instance(seed):
+    """A random instance on up to 6 vertices built for ties: parallel
+    required edges and many zero deadheading costs."""
+    rng = random.Random(seed)
+    vertices = rng.randint(2, 6)
+    pairs = [(u, v) for u in range(vertices) for v in range(u + 1, vertices)]
+    edges = []
+    # a spanning path keeps every vertex reachable from the depot
+    for u in range(vertices - 1):
+        edges.append((u, u + 1, rng.randint(0, 2), 1, rng.choice((0, 0, 1, 2))))
+    for _ in range(rng.randint(1, 10)):
+        u, v = rng.choice(pairs)
+        edges.append((u, v, rng.randint(1, 3), rng.randint(0, 2), rng.choice((0, 1))))
+    if all(e[2] == 0 for e in edges):
+        edges[0] = (*edges[0][:2], 1, *edges[0][3:])
+    return make_instance(vertices, edges, capacity=rng.randint(3, 6))
 
 
 @pytest.fixture

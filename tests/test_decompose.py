@@ -20,7 +20,7 @@ from routecut import (
     rco_split,
     validate,
 )
-from routecut.decompose import _pairwise_distances, group_task_indices, virtual_task_from_ids
+from routecut.decompose import _pairwise_distances, group_task_indices
 from routecut.generator import generate_instance
 from routecut.instance import forward_id, inverse_id, task_index_of
 from routecut.seeding import make_rng
@@ -233,32 +233,23 @@ def test_degenerate_pool_reduces_groups():
 # --- virtual tasks ------------------------------------------------------
 
 
-def test_single_task_virtual_task(single_task_instance):
-    pool = [(1,)]
-    (vt,) = build_virtual_tasks(pool, single_task_instance)
-    assert vt.ids == (1,)
-    assert (vt.head, vt.tail) == (0, 1)
+def test_build_virtual_tasks_keeps_order_and_orientation():
+    pool = [(inverse_id(forward_id(2)), forward_id(0)), (forward_id(1),)]
+    assert build_virtual_tasks(pool) == [
+        (inverse_id(forward_id(2)), forward_id(0)),
+        (forward_id(1),),
+    ]
 
 
-def test_two_task_virtual_task(path_instance):
-    pool = [(forward_id(0), forward_id(1))]
-    (vt,) = build_virtual_tasks(pool, path_instance)
-    assert vt.ids == (forward_id(0), forward_id(1))
-    assert (vt.head, vt.tail) == (0, 2)
+def test_elementary_virtual_tasks_are_forward_ids(path_instance):
+    units = elementary_virtual_tasks(path_instance)
+    assert units == [(t.forward_id,) for t in path_instance.tasks]
+    assert units == [(forward_id(ti),) for ti in range(path_instance.task_count)]
 
 
-def test_empty_pool_is_rejected(path_instance):
+def test_empty_pool_is_rejected():
     with pytest.raises(ValueError):
-        build_virtual_tasks([], path_instance)
-
-
-def test_virtual_task_reversal_roundtrip(path_instance):
-    vt = virtual_task_from_ids((forward_id(0), forward_id(1)), path_instance)
-    rev = vt.reversed()
-    assert rev.ids == (inverse_id(forward_id(1)), inverse_id(forward_id(0)))
-    assert (rev.head, rev.tail) == (vt.tail, vt.head)
-    assert rev == virtual_task_from_ids(rev.ids, path_instance)
-    assert rev.reversed() == vt
+        build_virtual_tasks([])
 
 
 # --- hierarchical construction -------------------------------------------
@@ -315,7 +306,7 @@ def test_hdu_from_split_pool_validates():
 
         sol = path_scanning(inst, dist, make_rng(seed))
         pool = rco_split(sol, ranks, 0.5, 0.8, make_rng(seed, 3))
-        units = build_virtual_tasks(pool, inst)
+        units = build_virtual_tasks(pool)
         rebuilt = hdu(units, inst, dist, 0.1, make_rng(seed, 4))
         assert validate(rebuilt, inst) == []
 
@@ -335,6 +326,16 @@ def test_hdu_cost_above_sanity_bound():
 
 def test_hdu_rejects_partial_cover(path_instance):
     dist = path_instance.distances()
-    units = [virtual_task_from_ids((forward_id(0),), path_instance)]
+    units = [(forward_id(0),)]
     with pytest.raises(ValueError, match="cover"):
         hdu(units, path_instance, dist, 0.1, make_rng(0))
+
+
+def test_hdu_rejects_an_empty_unit(path_instance):
+    # the units cover every task, so only the empty one is wrong
+    dist = path_instance.distances()
+    units = [(forward_id(0), forward_id(1)), ()]
+    with pytest.raises(ValueError, match="unit 1 is empty"):
+        hdu(units, path_instance, dist, 0.1, make_rng(0))
+    with pytest.raises(ValueError, match="unit 1 is empty"):
+        hdu(build_virtual_tasks(units), path_instance, dist, 0.1, make_rng(0))

@@ -100,6 +100,7 @@ def test_index_checked_when_moves_empty_routes():
         out = local_search(start, inst, dist, make_rng(seed, 4),
                            neighbors=neighbors(inst, dist), debug=True)
         assert out.route_count < start.route_count
+        assert all(r.ids for r in out.routes)
         assert validate(out, inst) == []
 
 

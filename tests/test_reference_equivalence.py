@@ -21,6 +21,7 @@ import math
 import random
 import warnings
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -47,7 +48,6 @@ from routecut.decompose import (
     _pairwise_distances,
     _repair_empty_groups,
     fuzzy_kmedoid,
-    virtual_task_from_ids,
 )
 from routecut.distances import _ELIMINATION_DEGREE, _EXACT_INT, DistanceTable, shortest_paths
 from routecut.generator import generate_instance
@@ -61,7 +61,7 @@ from routecut.ranking import (
 from routecut.seeding import make_rng
 from routecut.solution import Route, Solution, route_cost
 
-from conftest import make_instance, neighbors
+from conftest import make_instance, neighbors, tie_heavy_instance
 
 SCALES = (0.1, 0.5, 0.9)
 
@@ -95,6 +95,25 @@ def reference_shortest_paths(instance):
     return DistanceTable(dijkstra(graph, directed=False))
 
 
+@dataclass(frozen=True)
+class ReferenceVirtualTask:
+    """The unit ``hdu`` chained before units became plain ID tuples: an
+    ordered task sequence entered at ``head`` and left at ``tail``."""
+
+    ids: tuple[int, ...]
+    head: int
+    tail: int
+
+    def reversed(self):
+        return ReferenceVirtualTask(
+            tuple(inverse_id(t) for t in reversed(self.ids)), self.tail, self.head
+        )
+
+
+def reference_virtual_task(ids, instance):
+    return ReferenceVirtualTask(ids, instance.id_head[ids[0]], instance.id_tail[ids[-1]])
+
+
 def _endpoint_distance(a, b, rows):
     ra = rows[a.head]
     rb = rows[a.tail]
@@ -124,6 +143,7 @@ def reference_chain_cluster(units, rows, rng):
 
 
 def reference_hdu(units, instance, dist, scale, rng):
+    units = [reference_virtual_task(u, instance) for u in units]
     rows = dist.rows
     while len(units) > 1:
         m = len(units)
@@ -145,7 +165,7 @@ def reference_hdu(units, instance, dist, scale, rng):
             clusters[_pick_min(dists, rng)].append(u)
 
         units = [
-            virtual_task_from_ids(reference_chain_cluster(cluster, rows, rng), instance)
+            reference_virtual_task(reference_chain_cluster(cluster, rows, rng), instance)
             for cluster in clusters
             if cluster
         ]
@@ -317,22 +337,6 @@ def reference_fuzzy_kmedoid(pool, group_count, fuzziness, instance, dist, rng):
 # --- tie-heavy instances -----------------------------------------------------
 
 
-def _tie_heavy_instance(seed):
-    rng = random.Random(seed)
-    vertices = rng.randint(2, 6)
-    pairs = [(u, v) for u in range(vertices) for v in range(u + 1, vertices)]
-    edges = []
-    # a spanning path keeps every vertex reachable from the depot
-    for u in range(vertices - 1):
-        edges.append((u, u + 1, rng.randint(0, 2), 1, rng.choice((0, 0, 1, 2))))
-    for _ in range(rng.randint(1, 10)):
-        u, v = rng.choice(pairs)
-        edges.append((u, v, rng.randint(1, 3), rng.randint(0, 2), rng.choice((0, 1))))
-    if all(e[2] == 0 for e in edges):
-        edges[0] = (*edges[0][:2], 1, *edges[0][3:])
-    return make_instance(vertices, edges, capacity=rng.randint(3, 6))
-
-
 def _random_units(instance, rng):
     """Cover every task once with multi-task units of random orientation."""
     ids = [forward_id(ti) for ti in range(instance.task_count)]
@@ -341,7 +345,7 @@ def _random_units(instance, rng):
     units = []
     while ids:
         size = rng.randint(1, 3)
-        units.append(virtual_task_from_ids(tuple(ids[:size]), instance))
+        units.append(tuple(ids[:size]))
         ids = ids[size:]
     return units
 
@@ -358,7 +362,7 @@ def _assert_hdu_matches(units, instance, dist, scale, seed):
 
 @pytest.mark.parametrize("seed", range(100))
 def test_hdu_matches_reference_on_tie_heavy_instances(seed):
-    instance = _tie_heavy_instance(seed)
+    instance = tie_heavy_instance(seed)
     dist = instance.distances()
     elementary = elementary_virtual_tasks(instance)
     grouped = _random_units(instance, random.Random(seed))
@@ -401,7 +405,7 @@ def test_hdu_matches_reference_on_a_table_at_the_int16_limit(seed):
 
 @pytest.mark.parametrize("seed", range(100))
 def test_nearest_matches_reference_on_tie_heavy_instances(seed):
-    instance = _tie_heavy_instance(seed)
+    instance = tie_heavy_instance(seed)
     dist = instance.distances()
     ranks = build_rank_matrix(instance, dist)
     num = reference_link_numerators(instance, dist)
@@ -438,7 +442,7 @@ def _counts(costs):
 
 @pytest.mark.parametrize("seed", range(100))
 def test_rank_rows_match_reference_on_tie_heavy_instances(seed, rank_paths):
-    instance = _tie_heavy_instance(seed)
+    instance = tie_heavy_instance(seed)
     num = reference_link_numerators(instance, instance.distances())
     rank_paths.clear()
     _assert_same_ranks(rank_rows(num), reference_rank_rows(num))
@@ -449,7 +453,7 @@ def test_tie_heavy_instances_are_tie_heavy():
     # the generator must actually produce the ties the comparisons rely on
     zero_links = parallel = counted = 0
     for seed in range(100):
-        instance = _tie_heavy_instance(seed)
+        instance = tie_heavy_instance(seed)
         ends = [tuple(sorted((t.u, t.v))) for t in instance.tasks]
         parallel += len(ends) > len(set(ends))
         num = reference_link_numerators(instance, instance.distances())
@@ -664,7 +668,7 @@ def _float_demand_instance(seed):
     rng = random.Random(seed)
     capacity = rng.choice((0.3, 0.6, 0.7, 1.0))
     demands = [d for d in (0.1, 0.2, 0.3, 0.4, 0.5) if d <= capacity]
-    base = _tie_heavy_instance(seed)
+    base = tie_heavy_instance(seed)
     edges = [
         (e.u, e.v, rng.choice(demands) if e.required else 0, e.service_cost,
          e.deadheading_cost)
@@ -685,7 +689,7 @@ def _assert_path_scanning_matches(instance, dist, seed):
 
 @pytest.mark.parametrize("seed", range(100))
 def test_path_scanning_matches_reference_on_tie_heavy_instances(seed):
-    for instance in (_tie_heavy_instance(seed), _float_demand_instance(seed)):
+    for instance in (tie_heavy_instance(seed), _float_demand_instance(seed)):
         dist = instance.distances()
         for draw in range(3):
             _assert_path_scanning_matches(instance, dist, 3 * seed + draw)
@@ -694,7 +698,7 @@ def test_path_scanning_matches_reference_on_tie_heavy_instances(seed):
 def test_path_scanning_instances_exercise_ties_and_full_routes():
     draws = full = 0
     for seed in range(100):
-        for instance in (_tie_heavy_instance(seed), _float_demand_instance(seed)):
+        for instance in (tie_heavy_instance(seed), _float_demand_instance(seed)):
             rng = make_rng(seed)
             solution = path_scanning(instance, instance.distances(), rng)
             draws += rng.getstate() != make_rng(seed).getstate()
@@ -721,7 +725,7 @@ def test_path_scanning_fit_test_is_load_plus_demand(first, second, capacity):
 @pytest.mark.parametrize("seed", range(20))
 def test_path_scanning_matches_reference_with_an_infinite_capacity(seed):
     # a served id must never fit again, however large the capacity
-    base = _tie_heavy_instance(seed)
+    base = tie_heavy_instance(seed)
     edges = [(e.u, e.v, e.demand, e.service_cost, e.deadheading_cost) for e in base.edges]
     instance = make_instance(base.vertex_count, edges, capacity=math.inf)
     dist = instance.distances()
@@ -759,7 +763,7 @@ def _assert_pairwise_matches(pool, instance, dist):
 
 @pytest.mark.parametrize("seed", range(100))
 def test_pairwise_distances_match_reference_on_tie_heavy_instances(seed):
-    instance = _tie_heavy_instance(seed)
+    instance = tie_heavy_instance(seed)
     dist = instance.distances()
     ranks = build_rank_matrix(instance, dist)
     assert np.issubdtype(reference_link_numerators(instance, dist).dtype, np.integer)
@@ -881,7 +885,7 @@ def _rco_pools(instance, dist, ranks, lam_thetas, seed):
 
 @pytest.mark.parametrize("seed", range(100))
 def test_fuzzy_kmedoid_matches_reference_on_tie_heavy_instances(seed):
-    instance = _tie_heavy_instance(seed)
+    instance = tie_heavy_instance(seed)
     dist = instance.distances()
     ranks = build_rank_matrix(instance, dist)
     lam_thetas = ((0.0, 0.0), (0.5, 0.5), (1.0, 1.0))
@@ -909,7 +913,7 @@ def test_fuzzy_kmedoid_cases_reach_small_pools_zeros_and_exact_draws():
     # and quarter draws landing exactly on a running weight sum
     small = zero_rows = exact = 0
     for seed in range(100):
-        instance = _tie_heavy_instance(seed)
+        instance = tie_heavy_instance(seed)
         dist = instance.distances()
         ranks = build_rank_matrix(instance, dist)
         for pool in _rco_pools(instance, dist, ranks, ((0.5, 0.5),), seed):
@@ -1022,7 +1026,7 @@ REINDEX_BRANCHES = {
 
 @pytest.mark.parametrize("seed", range(100))
 def test_local_search_matches_full_reindex_on_tie_heavy_instances(seed, monkeypatch):
-    instance = _tie_heavy_instance(seed)
+    instance = tie_heavy_instance(seed)
     dist = instance.distances()
     for start in _local_search_starts(instance, dist, make_rng(seed)):
         for max_evals in LOCAL_SEARCH_EVALS:
@@ -1035,7 +1039,7 @@ def test_local_search_tie_heavy_runs_reach_every_reindex_branch(monkeypatch):
     seen = Counter()
     _count_reindex_branches(monkeypatch, seen)
     for seed in range(100):
-        instance = _tie_heavy_instance(seed)
+        instance = tie_heavy_instance(seed)
         dist = instance.distances()
         for start in _local_search_starts(instance, dist, make_rng(seed)):
             local_search(start, instance, dist, make_rng(seed),
@@ -1280,7 +1284,7 @@ def _scan_runs(instance, dist, start, seed, nbrs, max_evals, deadline=_CountingD
 
 @pytest.mark.parametrize("seed", range(100))
 def test_local_search_matches_reference_scan_on_tie_heavy_instances(seed):
-    instance = _tie_heavy_instance(seed)
+    instance = tie_heavy_instance(seed)
     dist = instance.distances()
     nbrs = neighbors(instance, dist)
     for start in _local_search_starts(instance, dist, make_rng(seed)):
@@ -1371,7 +1375,7 @@ def _assert_route_costs_match(instance, seed):
 
 @pytest.mark.parametrize("seed", range(100))
 def test_route_cost_matches_reference_on_tie_heavy_instances(seed):
-    _assert_route_costs_match(_tie_heavy_instance(seed), seed)
+    _assert_route_costs_match(tie_heavy_instance(seed), seed)
 
 
 @pytest.mark.parametrize("kind", sorted(LINK_DTYPES))
@@ -1443,7 +1447,7 @@ def test_shortest_paths_match_reference_on_generated_instances(vertices, tasks, 
 
 @pytest.mark.parametrize("seed", range(100))
 def test_shortest_paths_match_reference_on_tie_heavy_instances(seed, eliminated):
-    instance = _tie_heavy_instance(seed)
+    instance = tie_heavy_instance(seed)
     _assert_same_table(instance)
     assert eliminated == [(instance.vertex_count - 1, [0])]
 

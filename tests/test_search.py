@@ -27,7 +27,7 @@ from routecut.generator import generate_instance
 from routecut.search import _NEIGHBOR_SIZE, ALGORITHMS, PARAMETERS, build_config, concat_solutions
 from routecut.seeding import make_rng
 
-from conftest import brute_force_optimum, make_instance
+from conftest import brute_force_optimum, make_instance, tie_heavy_instance
 
 
 def _deterministic_config(algorithm, seed=0, **kw):
@@ -233,6 +233,32 @@ def test_tiny_time_limit_warns():
     assert any("time limit" in str(w.message) for w in caught)
 
 
+@pytest.mark.parametrize("algorithm, cap", [
+    ("sahid-rco", dict(max_iterations=0)),
+    ("cluster-rco", dict(max_cycles=0)),
+])
+def test_zero_cap_does_not_warn(algorithm, cap):
+    # the cap stops the loop before its first round; the time limit never binds
+    inst = generate_instance(12, 8, 12, seed=4)
+    cfg = SearchConfig(algorithm=algorithm, seed=1, **cap)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        best, trace = solve(inst, cfg)
+    assert trace.iterations == 0
+    assert validate(best, inst) == []
+
+
+@pytest.mark.parametrize("algorithm", ["sahid-rco", "cluster-rco"])
+def test_binding_time_limit_warns_with_a_cap(algorithm):
+    inst = generate_instance(12, 8, 12, seed=4)
+    cfg = SearchConfig(algorithm=algorithm, seed=1, time_limit=1e-9, max_iterations=5,
+                       max_cycles=5, virtual_clock=True)
+    with pytest.warns(UserWarning, match="time limit exhausted"):
+        best, trace = solve(inst, cfg)
+    assert trace.iterations == 0
+    assert validate(best, inst) == []
+
+
 def test_accept_threshold_validation():
     with pytest.raises(ValueError):
         SearchConfig(accept_threshold=0.9)
@@ -367,3 +393,17 @@ def test_fixed_work_output_is_pinned(seed):
         payload = text.getvalue() + repr(trace.samples)
         digests[seed, algorithm] = hashlib.sha256(payload.encode()).hexdigest()
     assert digests == {key: d for key, d in FIXED_WORK_DIGESTS.items() if key[0] == seed}
+
+
+@pytest.mark.filterwarnings("ignore:pool of .* sub-routes cannot fill")
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_every_route_is_non_empty(algorithm):
+    # no step makes an empty route, so nothing strips one from the result
+    instances = [generate_instance(200, 300, 60, 1)] + [tie_heavy_instance(s) for s in range(8)]
+    for inst in instances:
+        cfg = SearchConfig(algorithm=algorithm, seed=1, time_limit=1e6, max_iterations=4,
+                           max_cycles=1, virtual_clock=True)
+        best, _ = solve(inst, cfg)
+        assert validate(best, inst) == []
+        assert all(r.ids for r in best.routes)
+        assert best.route_count == len(best.routes)

@@ -220,8 +220,13 @@ def test_read_solution_accepts_pairs_and_whitespace_only(path_instance):
     dist = path_instance.distances()
     text = "cost 4\nroute 1:(1,2)( 2 , 3 )  \nroute 2:\n"
     sol, stated = read_solution(io.StringIO(text), path_instance, dist)
-    assert [len(r.ids) for r in sol.routes] == [2, 0]
+    # a route line with no pairs is dropped: routes are never empty
+    assert [len(r.ids) for r in sol.routes] == [2]
+    assert sol.route_count == 1
     assert sol.total_cost == stated == 4
+    out = io.StringIO()
+    write_solution(sol, path_instance, out)
+    assert out.getvalue() == "cost 4\nroute 1: (1,2) (2,3)\n"
 
 
 def test_read_solution_rejects_garbage(path_instance):
