@@ -8,8 +8,9 @@
 # paths take Dijkstra over the whole graph, with no vertex eliminated.  Every
 # trace CSV, from `solve --trace` or streamed by `bench`, must start with its
 # header, and invalid settings (a value out of range, a boolean that is not
-# 1/0, true/false or yes/no) must exit with status 2 and name the key that
-# was written (`lambda`, not the field `lam`).
+# 1/0, true/false or yes/no, a significance level outside (0, 1)) must
+# exit with status 2 and name the key that was written (`lambda`, not the
+# field `lam`).
 # A broken instance file fails each of its cells, with one `.err` traceback
 # per cell, and `bench` exits with status 1.  Every trace or solution file
 # that a `records.csv` names must exist.
@@ -53,6 +54,10 @@ printf '%s\n' 'instances = i.dat' 'variants = sahid-rco, sahid-random' 'runs = 3
 routecut bench exp.cfg --out-dir runs
 routecut stats runs --reference sahid-rco
 test -f runs/wdl.csv
+status=0
+routecut stats runs --reference sahid-rco --alpha nan 2> alpha.err || status=$?
+test "$status" -eq 2
+grep -q alpha alpha.err
 
 routecut gen --vertices 14 --tasks 10 --capacity 12 --seed 3 --out j.dat
 printf '%s\n' 'instances = i.dat, j.dat' 'variants = sahid-rco, cluster-rco' 'runs = 3' \
@@ -101,4 +106,10 @@ for name in sys.argv[1:]:
         for row in csv.DictReader(fh):
             for key in ("trace_path", "solution_path"):
                 assert not row[key] or os.path.exists(row[key]), (name, key, row[key])
+
+# a row with more fields than its header gets a None key
+for name in ("runs/wdl.csv", "runs/comparisons.csv", "pool/wdl.csv", "pool/comparisons.csv"):
+    with open(name, newline="") as fh:
+        for row in csv.DictReader(fh):
+            assert None not in row, (name, row)
 EOF

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -13,6 +14,7 @@ from .bench import (
     run_experiment,
     samples_by_cell,
     summarize,
+    write_summary_csv,
 )
 from .generator import generate_instance_file
 from .instance import load_instance
@@ -131,17 +133,17 @@ def _cmd_stats(args) -> int:
     print(f"reference: {table.reference} (alpha={table.alpha})")
     print(_fmt_aligned(wdl_rows))
 
-    from .bench import write_summary_csv
-
     write_summary_csv(rows, args.dir / "summary.csv")
-    with open(args.dir / "wdl.csv", "w") as fh:
-        fh.write("variant,wins,draws,losses\n")
+    with open(args.dir / "wdl.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["variant", "wins", "draws", "losses"])
         for variant, (w, d, l) in sorted(table.wdl.items()):
-            fh.write(f"{variant},{w},{d},{l}\n")
-    with open(args.dir / "comparisons.csv", "w") as fh:
-        fh.write("instance,variant,pvalue,outcome\n")
+            writer.writerow([variant, w, d, l])
+    with open(args.dir / "comparisons.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["instance", "variant", "pvalue", "outcome"])
         for c in table.detail:
-            fh.write(f"{c.instance},{c.variant},{c.pvalue!r},{c.outcome}\n")
+            writer.writerow([c.instance, c.variant, repr(c.pvalue), c.outcome])
     return 0
 
 

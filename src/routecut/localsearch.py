@@ -24,19 +24,19 @@ applied.  The search stops once the count reaches ``max_evals``; below it,
 of this moves the point where a capped search stops, so it changes every
 fixed-work result and every virtual-clock run.
 
-Route costs and loads are cached, and so is the position index: ``where``
-(each task's route and position) and ``prefix`` (each route's running
-loads).  A move updates them only for the routes it changed: one for a
-flip, 2-opt or intra-route swap; both for a swap, a relocation (a fresh
-route is the appended index) or a tail exchange.  A route a move empties
-is dropped, and the routes after it, shifted down one index, are
-re-indexed.  ``debug=True`` rebuilds every cost, load and index entry after
+Route loads and costs are cached (only ``check()`` reads the costs), and
+so is the position index ``where``, each task's route and position.  A
+move re-indexes only the routes it changed: one for a flip, 2-opt or
+intra-route swap; both for a swap, a relocation (a fresh route is
+appended) or a tail exchange.  A route that a move empties stays in place
+as an empty list, so no other route's index changes, and the result leaves
+it out.  The tail exchange sums the loads up to its two cuts only when it
+improves.  ``debug=True`` rebuilds every cost, load and index entry after
 each applied move and asserts agreement (slow, used by the test suite).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from typing import Callable
@@ -50,7 +50,7 @@ _CHECK_EVERY = 256
 
 
 class _State:
-    """Mutable search state: routes, cached loads/costs, position index."""
+    """Mutable search state: routes, cached loads and costs, position index."""
 
     def __init__(self, solution: Solution, instance: Instance, dist: DistanceTable):
         self.instance = instance
@@ -63,50 +63,32 @@ class _State:
         self.depot = instance.depot
         self.capacity = instance.capacity
         self.routes: list[list[int]] = [list(r.ids) for r in solution.routes]
-        self.loads: list[float] = []
-        self.costs: list[float] = []
-        self.prefix: list[list[float]] = []
+        self.loads: list[float] = [sum(self.dem[t] for t in r) for r in self.routes]
+        self.costs: list[float] = [r.cost for r in solution.routes]
         self.where: list[tuple[int, int] | None] = [None] * instance.task_count
-        for k, r in enumerate(self.routes):
-            self.loads.append(sum(self.dem[t] for t in r))
-            self.costs.append(route_cost(r, instance, dist))
+        for k in range(len(self.routes)):
             self._reindex(k)
 
     def _reindex(self, k: int) -> None:
-        r = self.routes[k]
-        pre = [0.0] * (len(r) + 1)
-        for i, t in enumerate(r):
+        for i, t in enumerate(self.routes[k]):
             self.where[task_index_of(t)] = (k, i)
-            pre[i + 1] = pre[i] + self.dem[t]
-        if k < len(self.prefix):
-            self.prefix[k] = pre
-        else:
-            self.prefix.append(pre)
-
-    def drop_route(self, k: int) -> None:
-        """Remove empty route k; the routes after it move down one index."""
-        del self.routes[k], self.loads[k], self.costs[k], self.prefix[k]
-        for j in range(k, len(self.routes)):
-            self._reindex(j)
 
     def check(self) -> None:
-        """Assert every cached cost, load and index entry against a rebuild."""
+        """Assert each cached cost and load, empty routes' too, and the
+        position index against a rebuild."""
         where: list[tuple[int, int] | None] = [None] * len(self.where)
-        assert len(self.prefix) == len(self.routes), "one prefix per route"
         for k, r in enumerate(self.routes):
             exact = route_cost(r, self.instance, self.dist)
             assert abs(self.costs[k] - exact) < 1e-6, (
                 f"route {k}: cached {self.costs[k]} vs exact {exact}"
             )
             assert abs(self.loads[k] - sum(self.dem[t] for t in r)) < 1e-9
-            pre = list(itertools.accumulate((self.dem[t] for t in r), initial=0.0))
-            assert self.prefix[k] == pre, f"route {k}: stale prefix loads"
             for i, t in enumerate(r):
                 where[task_index_of(t)] = (k, i)
         assert self.where == where, "stale position index"
 
-    def to_solution(self, instance: Instance, dist: DistanceTable) -> Solution:
-        return Solution.build(self.routes, instance, dist)
+    def to_solution(self) -> Solution:
+        return Solution.build([r for r in self.routes if r], self.instance, self.dist)
 
 
 def local_search(
@@ -160,8 +142,8 @@ def local_search(
     def exchange(k1: int, c1: int, k2: int, c2: int) -> bool:
         """Apply the improving tail exchange after (k1, c1) and (k2, c2) if
         both new routes fit."""
-        pre1 = st.prefix[k1][c1 + 1]
-        pre2 = st.prefix[k2][c2 + 1]
+        pre1 = sum(dem[t] for t in routes[k1][: c1 + 1])
+        pre2 = sum(dem[t] for t in routes[k2][: c2 + 1])
         if pre1 + loads[k2] - pre2 <= capacity and pre2 + loads[k1] - pre1 <= capacity:
             _apply_tail_exchange(st, k1, c1, k2, c2, pre1, pre2)
             return True
@@ -282,18 +264,16 @@ def local_search(
     improved = True
     while improved and not out_of_budget:
         improved = False
-        order = [ti for ti in present if where[ti] is not None]
+        order = present.copy()
         rng.shuffle(order)
         for ti in order:
             if out_of_budget:
                 break
-            if where[ti] is None:
-                continue
             if try_task(ti):
                 improved = True
                 if debug:
                     st.check()
-    result = st.to_solution(instance, dist)
+    result = st.to_solution()
     if result.total_cost > solution.total_cost + 1e-6:
         raise RuntimeError(
             f"local search worsened the solution: {solution.total_cost} -> {result.total_cost}"
@@ -326,14 +306,9 @@ def _apply_relocate(st: _State, k1: int, i1: int, x: int, k2: int, j: int, gain:
         r2.insert(j, x)
         st.loads[k2] += st.dem[x]
         st.costs[k2] += st.D[p2][st.head[x]] + st.D[st.tail[x]][n2] - st.D[p2][n2] + st.sc[x]
-    if r1:
-        st._reindex(k1)
-        if k2 != k1:
-            st._reindex(k2)  # a fresh route's index is appended here
-    else:
-        st.drop_route(k1)  # re-indexes k2 too when it was above k1
-        if k2 < k1:
-            st._reindex(k2)
+    st._reindex(k1)
+    if k2 != k1:
+        st._reindex(k2)
 
 
 def _try_swap_intra(st: _State, k: int, i1: int, i2: int) -> bool:
@@ -414,11 +389,5 @@ def _apply_tail_exchange(
     st.loads[k2] = pre2 + load1 - pre1
     st.costs[k1] = route_cost(new1, st.instance, st.dist)
     st.costs[k2] = route_cost(new2, st.instance, st.dist)
-    # new1 keeps r1[: c1 + 1] with c1 >= 0, so only route k2 can empty
-    if new2:
-        st._reindex(k1)
-        st._reindex(k2)
-    else:
-        st.drop_route(k2)  # re-indexes k1 too when it was above k2
-        if k1 < k2:
-            st._reindex(k1)
+    st._reindex(k1)
+    st._reindex(k2)

@@ -105,8 +105,10 @@ def significance_table(
     ``samples`` maps (instance, variant) to final costs over the runs.
     A win on an instance means the reference is significantly better
     (two-sided p below alpha and lower mean cost); a draw means the test
-    finds no significant difference.
+    finds no significant difference.  ``alpha`` must lie in (0, 1).
     """
+    if not 0 < alpha < 1:
+        raise ValueError(f"significance level alpha must be in (0, 1), not {alpha!r}")
     instances = sorted({inst for inst, _ in samples})
     variants = sorted({var for _, var in samples})
     if reference not in variants:

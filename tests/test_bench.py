@@ -1,5 +1,6 @@
 """Experiment harness and CLI surfaces."""
 
+import csv
 import gc
 import io
 import math
@@ -591,6 +592,30 @@ virtual_clock = true
     assert "reference: sahid-rco" in out
     assert (out_dir / "wdl.csv").exists()
     assert (out_dir / "comparisons.csv").exists()
+    assert main(["stats", str(out_dir), "--reference", "sahid-rco", "--alpha", "nan"]) == 2
+    assert "alpha" in capsys.readouterr().err
+
+
+def test_cli_stats_quotes_commas_in_names(tmp_path):
+    # names from the API: a config file splits its lists on commas
+    inst_path = tmp_path / "a,b.dat"
+    generate_instance_file(inst_path, vertices=12, tasks=8, capacity=12, seed=2)
+    spec = ExperimentSpec(
+        instances=[inst_path],
+        variants=[(v, _quick_config("sahid-rco")) for v in ("ref", "other,x")],
+        runs=3,
+    )
+    out_dir = tmp_path / "runs"
+    run_experiment(spec, out_dir)
+    assert main(["stats", str(out_dir), "--reference", "ref"]) == 0
+    tables = {}
+    for name in ("wdl.csv", "comparisons.csv"):
+        with open(out_dir / name, newline="") as fh:
+            tables[name] = list(csv.DictReader(fh))
+    assert [row["variant"] for row in tables["wdl.csv"]] == ["other,x"]
+    assert [(row["instance"], row["variant"], row["outcome"])
+            for row in tables["comparisons.csv"]] == [("a,b", "other,x", "D")]
+    assert all(None not in row for rows in tables.values() for row in rows)
 
 
 def test_cli_stats_survives_a_failed_run(tmp_path, capsys):

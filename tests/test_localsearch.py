@@ -62,7 +62,7 @@ def test_worse_result_raises_even_under_optimize(path_instance, monkeypatch):
     start = solution_from_tasks(path_instance, dist, [[0, 1]])
     costlier = solution_from_tasks(path_instance, dist, [[0], [1]])
     assert costlier.total_cost > start.total_cost
-    monkeypatch.setattr(_State, "to_solution", lambda self, instance, dist: costlier)
+    monkeypatch.setattr(_State, "to_solution", lambda self: costlier)
     with pytest.raises(RuntimeError, match="worsened"):
         local_search(start, path_instance, dist, make_rng(0),
                      neighbors=neighbors(path_instance, dist))
@@ -92,7 +92,7 @@ def test_incremental_costs_match_recomputation():
 def test_index_checked_when_moves_empty_routes():
     # one task per route: relocations and tail exchanges empty routes below
     # and above the other route they touch, and debug=True then checks the
-    # position index and prefix loads of every route, the shifted ones too
+    # position index, loads and costs of every route, the emptied ones too
     for seed in range(10):
         inst = generate_instance(20, 30, 10, seed=seed)
         dist = inst.distances()

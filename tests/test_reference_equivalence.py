@@ -939,22 +939,21 @@ def test_fuzzy_kmedoid_matches_reference_on_a_generated_mid_size_instance(mid_in
         _assert_fuzzy_matches(pool, instance, dist, 9)
 
 
-# --- local search: re-indexing only the routes a move touched ---------------
+# --- local search: empty slots and re-indexing only the routes a move touched
 
 
 class _FullReindexState(localsearch._State):
-    """The index upkeep that touched-route re-indexing replaced: every
-    re-index, and every dropped route, rebuilds ``prefix`` and ``where`` for
-    every route."""
+    """The index upkeep that empty slots and touched-route re-indexing
+    replaced: every re-index drops each empty route with its load and cost,
+    which shifts the routes after it down one index, then rebuilds ``where``
+    for every route."""
 
     def _reindex(self, k):
-        self.prefix = []
+        for j in reversed(range(len(self.routes))):
+            if not self.routes[j]:
+                del self.routes[j], self.loads[j], self.costs[j]
         for j in range(len(self.routes)):
             super()._reindex(j)
-
-    def drop_route(self, k):
-        del self.routes[k], self.loads[k], self.costs[k], self.prefix[k]
-        self._reindex(k)
 
 
 # budgets that stop at once, in the middle of a pass, and never
@@ -995,8 +994,9 @@ def _assert_local_search_matches(instance, dist, start, seed, max_evals, monkeyp
 
 
 def _count_reindex_branches(monkeypatch, seen):
-    """Count, into ``seen``, the applied moves that take each branch of the
-    touched-route re-indexing."""
+    """Count, into ``seen``, the applied moves that append a fresh route or
+    empty a route below or above the other route they touch: the moves after
+    which an empty slot and a dropped route index the routes differently."""
     relocate, exchange = localsearch._apply_relocate, localsearch._apply_tail_exchange
 
     def counting_relocate(st, k1, i1, x, k2, j, gain):
@@ -1227,8 +1227,8 @@ def reference_local_search(solution, instance, dist, rng, *, max_evals=None, dea
             s2 = head[r2[c2 + 1]] if c2 + 1 < len(r2) else depot
             delta = D[e1][s2] + D[e2][s1] - D[e1][s1] - D[e2][s2]
             if delta < -EPS:
-                pre1 = st.prefix[k1][c1 + 1]
-                pre2 = st.prefix[k2][c2 + 1]
+                pre1 = sum(dem[t] for t in r1[: c1 + 1])
+                pre2 = sum(dem[t] for t in r2[: c2 + 1])
                 if (
                     pre1 + st.loads[k2] - pre2 <= capacity
                     and pre2 + st.loads[k1] - pre1 <= capacity
@@ -1251,7 +1251,7 @@ def reference_local_search(solution, instance, dist, rng, *, max_evals=None, dea
                 improved = True
                 if debug:
                     st.check()
-    return st.to_solution(instance, dist)
+    return st.to_solution()
 
 
 class _CountingDeadline:

@@ -1,5 +1,6 @@
 """Rank-sum test oracle checks and W-D-L tables."""
 
+import math
 import random
 from itertools import combinations
 
@@ -185,3 +186,10 @@ def test_mismatched_run_counts_rejected():
 def test_unknown_reference_rejected():
     with pytest.raises(ValueError, match="reference"):
         significance_table({("i0", "a"): [1, 2, 3]}, "zzz")
+
+
+@pytest.mark.parametrize("alpha", [0, 1, -0.1, 5, math.nan])
+def test_significance_level_outside_zero_one_rejected(alpha):
+    samples = {("i", "a"): [1.0, 2.0, 3.0], ("i", "b"): [4.0, 5.0, 6.0]}
+    with pytest.raises(ValueError, match="alpha"):
+        significance_table(samples, "a", alpha)
