@@ -13,7 +13,10 @@
 # field `lam`).
 # A broken instance file fails each of its cells, with one `.err` traceback
 # per cell, and `bench` exits with status 1.  Every trace or solution file
-# that a `records.csv` names must exist.
+# that a `records.csv` names must exist.  The clustering loop forks
+# processes for its pool and its groups when two or more CPUs are usable,
+# inside `bench` workers too: its traces must hold their header exactly
+# once, and every solution of the pool of two workers must validate.
 #
 # Usage: scripts/check_console.sh [WORK_DIR]
 # WORK_DIR (created if missing) defaults to a new temporary directory.
@@ -39,6 +42,10 @@ test "$status" -eq 2
 grep -qF 'lambda must be in [0, 1]' lambda.err
 routecut solve i.dat --algorithm cluster-rco --max-cycles 1 --virtual-clock --out c.sol
 routecut validate i.dat c.sol
+routecut solve i.dat --algorithm cluster-rco --max-cycles 2 --virtual-clock --trace ct.csv --out ct.sol
+routecut validate i.dat ct.sol
+test "$(grep -c '^elapsed_ms,best_cost$' ct.csv)" -eq 1
+test "$(head -n 1 ct.csv)" = elapsed_ms,best_cost
 
 printf '%s\n' 'NOMBRE : decimal' 'VERTICES : 5' 'ARISTAS_REQ : 3' 'ARISTAS_NOREQ : 2' \
   'VEHICULOS : -1' 'CAPACIDAD : 5' 'LISTA_ARISTAS_REQ :' '( 1 , 2 ) coste 2.5 demanda 3' \
@@ -63,6 +70,19 @@ routecut gen --vertices 14 --tasks 10 --capacity 12 --seed 3 --out j.dat
 printf '%s\n' 'instances = i.dat, j.dat' 'variants = sahid-rco, cluster-rco' 'runs = 3' \
   'max_iterations = 2' 'max_cycles = 1' 'virtual_clock = 1' 'workers = 2' > pool.cfg
 routecut bench pool.cfg --out-dir pool
+python3 - pool/records.csv > pool.sols <<'EOF'
+import csv
+import sys
+
+with open(sys.argv[1], newline="") as fh:
+    rows = list(csv.DictReader(fh))
+assert len(rows) == 12 and not any(row["error"] for row in rows), rows
+for row in rows:
+    print(f"{row['instance']}.dat {row['solution_path']}")
+EOF
+while read -r dat sol; do
+  routecut validate "$dat" "$sol"
+done < pool.sols
 routecut stats pool --reference sahid-rco
 test -f pool/wdl.csv
 status=0
@@ -94,6 +114,7 @@ test "$(ls broken/broken__*.err | wc -l)" -eq 4
 
 for trace in runs/*.trace.csv pool/*.trace.csv; do
   test "$(head -n 1 "$trace")" = elapsed_ms,best_cost
+  test "$(grep -c '^elapsed_ms,best_cost$' "$trace")" -eq 1
 done
 
 python3 - runs/records.csv pool/records.csv broken/records.csv <<'EOF'

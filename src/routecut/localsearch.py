@@ -22,7 +22,12 @@ applied.  The search stops once the count reaches ``max_evals``; below it,
 ``deadline`` is polled once each time the count crosses a multiple of
 ``_CHECK_EVERY``, and the search stops when it returns True.  Changing any
 of this moves the point where a capped search stops, so it changes every
-fixed-work result and every virtual-clock run.
+fixed-work result and every virtual-clock run.  A search capped at
+``max_evals`` therefore polls fewer than ceil(``max_evals`` /
+``_CHECK_EVERY``) times, and never when the cap is 0.  The clustering
+loop relies on this bound: it runs a section of searches in processes
+made by POSIX ``fork`` only when that many polls cannot reach a virtual
+time limit.
 
 Route loads and costs are cached (only ``check()`` reads the costs), and
 so is the position index ``where``, each task's route and position.  A

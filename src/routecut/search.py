@@ -9,11 +9,17 @@ Two divide-and-conquer shapes share the splitting/clustering machinery:
 * the clustering loop (``cluster-rco`` / ``cluster-whole-route``): each
   cycle splits the best-so-far solution, groups the pieces into task
   subsets by fuzzy k-medoids, solves the induced sub-problems
-  independently, one group after another, and recombines the per-group
-  winners.
+  independently, side by side, and recombines the per-group winners.
 
 ``local-only`` (construction plus one local-search descent) serves as the
 no-decomposition baseline.
+
+The clustering loop's two independent sections, its pool constructions
+and each cycle's groups, run side by side in processes made by POSIX
+``fork`` when two or more CPUs are usable (``_fan_out``).  The jobs and
+their seeds are the same in every process layout, and each child's
+virtual-clock ticks are added to the parent's clock, so the output does
+not depend on the CPU count.
 
 Wall-clock budgets cannot reproduce byte-identically; for reproducible
 runs, bound the work with ``max_iterations`` / ``max_cycles`` /
@@ -23,10 +29,15 @@ with a deterministic counter instead of real time.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import threading
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import IO, Mapping
+from functools import partial
+from typing import IO, Callable, Mapping
 
 from .construct import path_scanning
 from .decompose import (
@@ -38,7 +49,7 @@ from .decompose import (
 )
 from .distances import DistanceTable
 from .instance import Instance, task_index_of
-from .localsearch import local_search
+from .localsearch import _CHECK_EVERY, local_search
 from .ranking import RankMatrix, build_rank_matrix
 from .rco import rco_split, uniform_split
 from .seeding import make_rng
@@ -165,20 +176,23 @@ class _Clock:
     """Monotonic seconds, or with ``virtual`` a counter: each ``now()`` call
     is one 1 ms tick.  Deadline polls (once per loop iteration or cycle, and
     in ``local_search`` every ``_CHECK_EVERY`` = 256 evaluations) and trace
-    samples call it, and cluster groups run in group order, so virtual runs
-    repeat exactly even when the time limit binds.  Moving a poll or changing
-    ``_CHECK_EVERY`` or the group order changes virtual-clock results."""
+    samples call it.  A clustering-loop section runs in forked processes
+    only when no poll inside it can reach the time limit, and otherwise in
+    this process in job order, so virtual runs repeat exactly even when the
+    limit binds; a child's ticks are added to this clock when it reports.
+    Moving a poll or changing ``_CHECK_EVERY`` changes virtual-clock
+    results."""
 
     def __init__(self, virtual: bool):
         self.virtual = virtual
-        self._ticks = 0
+        self.ticks = 0
         self._t0 = time.monotonic()
 
     def now(self) -> float:
         if not self.virtual:
             return time.monotonic() - self._t0
-        self._ticks += 1
-        return self._ticks * 1e-3
+        self.ticks += 1
+        return self.ticks * 1e-3
 
     def elapsed_ms(self) -> int:
         return int(self.now() * 1000)
@@ -206,6 +220,72 @@ def concat_solutions(parts: list[Solution]) -> Solution:
     return Solution([r for part in parts for r in part.routes])
 
 
+def _fan_out(jobs: list[Callable[[], object]], clock: _Clock) -> list:
+    """The results of independent zero-argument ``jobs``, in job order.
+
+    With n = min(len(jobs), usable CPUs) of two or more, in a process with
+    no other thread, job i runs in process i % n: this one (0) and n - 1
+    children made by POSIX ``fork``.  Each child runs its jobs in order,
+    pickles back through a pipe their results and its virtual-clock ticks,
+    or the exception that stopped it, and leaves by ``os._exit``, so it
+    flushes no inherited buffer and runs no exit handler.  The ticks are
+    added to ``clock``; a job's exception is raised here, this process's
+    own first, then the children's in order.  Every child is killed if
+    still running and reaped before this returns or raises.  Otherwise the
+    jobs run here in order.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n = min(len(jobs), cpus)
+    # fork copies only the calling thread: a lock another thread holds would
+    # stay locked in the child
+    if n < 2 or threading.active_count() > 1:
+        return [job() for job in jobs]
+    children = []  # (pid, read end of its pipe)
+    try:
+        for w in range(1, n):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:  # the child: run its share, report and leave
+                status = 1
+                try:
+                    os.close(read)
+                    start = clock.ticks
+                    try:
+                        report = ([job() for job in jobs[w::n]], None)
+                    except Exception as error:
+                        report = (None, error)
+                    data = pickle.dumps((*report, clock.ticks - start))
+                    with os.fdopen(write, "wb") as pipe:
+                        pipe.write(data)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb")))
+        results = [None] * len(jobs)
+        results[::n] = [job() for job in jobs[::n]]
+        for w, (pid, pipe) in enumerate(children, 1):
+            try:
+                share, error, ticks = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"forked job process {pid} exited without a result") from None
+            clock.ticks += ticks
+            if error is not None:
+                raise error
+            results[w::n] = share
+        return results
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)  # a no-op on one that has exited
+            os.waitpid(pid, 0)
+
+
 def solve(
     instance: Instance,
     config: SearchConfig,
@@ -220,6 +300,7 @@ def solve(
     trace = SearchTrace()
     if trace_sink is not None:
         trace_sink.write("elapsed_ms,best_cost\n")
+        trace_sink.flush()
     neighbors = ranks.nearest(_NEIGHBOR_SIZE)
 
     def deadline() -> bool:
@@ -239,6 +320,16 @@ def solve(
             max_evals=max_evals, deadline=deadline, neighbors=neighbors,
         )
 
+    def side_by_side(jobs: list[Callable[[], object]], searches: int) -> list:
+        """The results of independent ``jobs`` that make ``searches`` capped
+        local searches between them.  They run in job order here when a
+        deadline poll inside them could see a virtual time limit: each
+        search polls at most ceil(budget / _CHECK_EVERY) times."""
+        polls = searches * -(-config.sub_solver_budget // _CHECK_EVERY)
+        if clock.virtual and (clock.ticks + polls) * 1e-3 >= config.time_limit:
+            return [job() for job in jobs]
+        return _fan_out(jobs, clock)
+
     if config.algorithm == "local-only":  # one uncapped descent from path scanning
         rng = make_rng(config.seed)
         best = path_scanning(instance, dist, rng)
@@ -246,9 +337,12 @@ def solve(
         best = improve(best, rng, max_evals=None)
         record(best)
         trace.iterations = 1
+    elif config.algorithm.startswith("sahid"):
+        best, trace.iterations = _hierarchical_loop(
+            instance, dist, ranks, config, improve, record, deadline)
     else:
-        loop = _hierarchical_loop if config.algorithm.startswith("sahid") else _cluster_loop
-        best, trace.iterations = loop(instance, dist, ranks, config, improve, record, deadline)
+        best, trace.iterations = _cluster_loop(
+            instance, dist, ranks, config, improve, record, deadline, side_by_side)
 
     record(best)
     return best, trace
@@ -295,14 +389,20 @@ def _hierarchical_loop(instance, dist, ranks, config, improve, record, deadline)
     return best, iterations
 
 
-def _cluster_loop(instance, dist, ranks, config, improve, record, deadline):
+def _cluster_loop(instance, dist, ranks, config, improve, record, deadline, side_by_side):
     whole_routes = config.algorithm == "cluster-whole-route"
     lam, theta = (0.0, 0.0) if whole_routes else (config.lam, config.theta)
 
-    pool: list[Solution] = []
-    for i in range(_POOL_SIZE):
+    def construct(i: int) -> Solution:
         rng_i = make_rng(config.seed, 0, i)
-        pool.append(improve(path_scanning(instance, dist, rng_i), rng_i))
+        return improve(path_scanning(instance, dist, rng_i), rng_i)
+
+    def solve_group(cycle: int, gi: int, group, pool: list[Solution]) -> list[Solution]:
+        keep = group_task_indices(group)
+        grng = make_rng(config.seed, 2, cycle, gi)  # one stream, in pool order
+        return [improve(project_solution(member, keep, instance, dist), grng) for member in pool]
+
+    pool = side_by_side([partial(construct, i) for i in range(_POOL_SIZE)], _POOL_SIZE)
     best = min(pool, key=lambda s: s.total_cost)
     record(best)
     if instance.task_count < 2:
@@ -317,13 +417,10 @@ def _cluster_loop(instance, dist, ranks, config, improve, record, deadline):
             break
         subroutes = rco_split(best, ranks, lam, theta, rng)
         groups = fuzzy_kmedoid(subroutes, config.group_count, config.fuzziness, instance, dist, rng)
-        per_group: list[list[Solution]] = []
-        for gi, group in enumerate(groups):  # in group order: see _Clock
-            keep = group_task_indices(group)
-            grng = make_rng(config.seed, 2, cycle, gi)
-            per_group.append(
-                [improve(project_solution(member, keep, instance, dist), grng) for member in pool]
-            )
+        per_group = side_by_side(
+            [partial(solve_group, cycle, gi, group, pool) for gi, group in enumerate(groups)],
+            len(groups) * len(pool),
+        )
 
         new_pool = [
             concat_solutions([per_group[g][m] for g in range(len(groups))])

@@ -130,7 +130,8 @@ def min_vehicles(instance: Instance) -> int:
     total = instance.total_demand
     if isinstance(total, int) and isinstance(instance.capacity, int):
         return -(-total // instance.capacity)
-    return math.ceil(total / instance.capacity)
+    # a positive demand needs one vehicle even when the capacity is infinite
+    return max(1, math.ceil(total / instance.capacity)) if total > 0 else 0
 
 
 # --- solution text format -----------------------------------------------

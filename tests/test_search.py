@@ -3,6 +3,7 @@
 import hashlib
 import io
 import math
+import os
 import warnings
 
 import pytest
@@ -23,9 +24,11 @@ from routecut import (
     validate,
     write_solution,
 )
+import routecut.search
 from routecut.generator import generate_instance
 from routecut.search import _NEIGHBOR_SIZE, ALGORITHMS, PARAMETERS, build_config, concat_solutions
 from routecut.seeding import make_rng
+from routecut.solution import format_number
 
 from conftest import brute_force_optimum, make_instance, tie_heavy_instance
 
@@ -380,18 +383,21 @@ FIXED_WORK_DIGESTS = {
 }
 
 
+def _fixed_work_digest(inst, seed, algorithm):
+    cfg = SearchConfig(algorithm=algorithm, seed=seed, time_limit=1e6, max_iterations=4,
+                       max_cycles=1, virtual_clock=True)
+    best, trace = solve(inst, cfg)
+    text = io.StringIO()
+    write_solution(best, inst, text)
+    payload = text.getvalue() + repr(trace.samples)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_fixed_work_output_is_pinned(seed):
     inst = generate_instance(200, 300, 60, seed)
-    digests = {}
-    for algorithm in ALGORITHMS:
-        cfg = SearchConfig(algorithm=algorithm, seed=seed, time_limit=1e6, max_iterations=4,
-                           max_cycles=1, virtual_clock=True)
-        best, trace = solve(inst, cfg)
-        text = io.StringIO()
-        write_solution(best, inst, text)
-        payload = text.getvalue() + repr(trace.samples)
-        digests[seed, algorithm] = hashlib.sha256(payload.encode()).hexdigest()
+    digests = {(seed, algorithm): _fixed_work_digest(inst, seed, algorithm)
+               for algorithm in ALGORITHMS}
     assert digests == {key: d for key, d in FIXED_WORK_DIGESTS.items() if key[0] == seed}
 
 
@@ -407,3 +413,154 @@ def test_every_route_is_non_empty(algorithm):
         assert validate(best, inst) == []
         assert all(r.ids for r in best.routes)
         assert best.route_count == len(best.routes)
+
+
+# --- side-by-side sections: forked processes, the same output -------------
+#
+# The clustering loop's pool constructions and each cycle's groups are dealt
+# to this process and up to CPUs - 1 forked children.  The CPU count is
+# patched, so these tests fork the same way on any host, and never more
+# than two children at a time.
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _fork_spy(monkeypatch):
+    """The list that each later ``os.fork`` call in this process appends to."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def _routes(solution):
+    return [r.ids for r in solution.routes]
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("algorithm", ["cluster-rco", "cluster-whole-route"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_fixed_work_output_is_pinned_in_every_process_layout(monkeypatch, seed, algorithm, cpus):
+    inst = generate_instance(200, 300, 60, seed)
+    _cpus(monkeypatch, cpus)
+    forks = _fork_spy(monkeypatch)
+    assert _fixed_work_digest(inst, seed, algorithm) == FIXED_WORK_DIGESTS[seed, algorithm]
+    assert len(forks) == (0 if cpus == 1 else 2 + 1)  # the pool: 2 children; 2 groups: 1
+
+
+@pytest.mark.filterwarnings("ignore:time limit exhausted before the first cycle")
+@pytest.mark.parametrize("section", ["pool", "group"])
+def test_a_binding_virtual_limit_keeps_its_section_in_process(monkeypatch, section):
+    # a poll that could see the limit must see it after the same ticks as in
+    # one process, so the section runs in job order here
+    inst = generate_instance(60, 80, 20, seed=4)
+    fields = dict(algorithm="cluster-rco", seed=5, max_cycles=3, sub_solver_budget=5000,
+                  virtual_clock=True)
+    _cpus(monkeypatch, 1)
+    _, free = solve(inst, SearchConfig(time_limit=1e6, **fields))
+    pool_ms = free.samples[0][0]  # stamped right after the pool section
+    # "group": the cycle's opening poll is the tick after the stamp, and the
+    # limit is reached two ticks later, inside the group searches
+    cfg = SearchConfig(time_limit=(3 if section == "pool" else pool_ms + 3) * 1e-3, **fields)
+    one_best, one_trace = solve(inst, cfg)
+    if section == "pool":
+        assert one_trace.samples[0][0] < pool_ms and one_trace.iterations == 0
+    else:
+        assert one_trace.samples[0] == free.samples[0] and one_trace.iterations == 1
+
+    _cpus(monkeypatch, 2)
+    forks = _fork_spy(monkeypatch)
+    best, trace = solve(inst, cfg)
+    assert forks == []
+    assert _routes(best) == _routes(one_best)
+    assert trace.samples == one_trace.samples and trace.iterations == one_trace.iterations
+
+
+def _fail_in(where, real):
+    """``local_search`` that raises in the parent or in a forked child only."""
+    parent = os.getpid()
+
+    def search(*args, **kwargs):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise ZeroDivisionError(f"local search failed in the {where}")
+        return real(*args, **kwargs)
+
+    return search
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_a_failing_job_reaches_the_caller_and_no_child_is_left(monkeypatch, where):
+    monkeypatch.setattr(routecut.search, "local_search",
+                        _fail_in(where, routecut.search.local_search))
+    _cpus(monkeypatch, 2)
+    forks = _fork_spy(monkeypatch)
+    inst = generate_instance(16, 12, 14, seed=3)
+    with pytest.raises(ZeroDivisionError, match=f"failed in the {where}"):
+        solve(inst, _deterministic_config("cluster-rco", seed=11))
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_child_that_dies_without_a_report_fails_the_solve(monkeypatch):
+    parent = os.getpid()
+    real = routecut.search.path_scanning
+
+    def dying(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(routecut.search, "path_scanning", dying)
+    _cpus(monkeypatch, 2)
+    inst = generate_instance(16, 12, 14, seed=3)
+    with pytest.raises(RuntimeError, match="exited without a result"):
+        solve(inst, _deterministic_config("cluster-rco", seed=11))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_trace_file_gets_each_line_once_when_sections_fork(monkeypatch, tmp_path):
+    # a child leaves by os._exit, so it never flushes the buffer it inherited
+    _cpus(monkeypatch, 2)
+    forks = _fork_spy(monkeypatch)
+    inst = generate_instance(16, 12, 14, seed=3)
+    path = tmp_path / "t.csv"
+    with open(path, "w") as fh:
+        best, trace = solve(inst, _deterministic_config("cluster-rco", seed=11), trace_sink=fh)
+    assert forks
+    assert path.read_text().splitlines() == ["elapsed_ms,best_cost"] + [
+        f"{ms},{format_number(cost)}" for ms, cost in trace.samples]
+
+
+@pytest.mark.filterwarnings("ignore:pool of .* sub-routes cannot fill")
+def test_many_groups_fork_at_most_cpus_minus_one_children(monkeypatch):
+    inst = generate_instance(40, 60, 14, seed=6)
+    cfg = _deterministic_config("cluster-rco", seed=1, group_count=40, max_cycles=2)
+    _cpus(monkeypatch, 1)
+    one_best, one_trace = solve(inst, cfg)
+
+    _cpus(monkeypatch, 3)
+    forks = _fork_spy(monkeypatch)
+    sections = []  # (jobs, children forked) of each section
+    fan_out = routecut.search._fan_out
+
+    def counted(jobs, clock):
+        before = len(forks)
+        try:
+            return fan_out(jobs, clock)
+        finally:
+            sections.append((len(jobs), len(forks) - before))
+
+    monkeypatch.setattr(routecut.search, "_fan_out", counted)
+    best, trace = solve(inst, cfg)
+    assert max(jobs for jobs, _ in sections) > 10
+    assert all(children == 2 for _, children in sections)
+    assert _routes(best) == _routes(one_best) and trace.samples == one_trace.samples

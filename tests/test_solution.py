@@ -1,6 +1,7 @@
 """Objective evaluation, feasibility checking, and the solution text format."""
 
 import io
+import math
 import random
 import re
 
@@ -89,6 +90,14 @@ def test_min_vehicles():
     assert min_vehicles(inst) == 2
     single = make_instance(2, [(0, 1, 4, 1, 1)], capacity=5)
     assert min_vehicles(single) == 1
+
+
+@pytest.mark.parametrize("demands, expected", [((3, 2), 1), ((0, 0), 0), ((0.5, 0), 1)])
+def test_min_vehicles_with_infinite_capacity(demands, expected):
+    # Instance accepts capacity=inf; a positive demand still needs a vehicle
+    inst = make_instance(3, [(0, 1, demands[0], 1, 1), (1, 2, demands[1], 1, 1)],
+                         capacity=math.inf)
+    assert min_vehicles(inst) == expected
 
 
 def test_total_cost_at_least_service_sum():
