@@ -17,6 +17,9 @@
 # processes for its pool and its groups when two or more CPUs are usable,
 # inside `bench` workers too: its traces must hold their header exactly
 # once, and every solution of the pool of two workers must validate.
+# `bench` prints the summary table that `stats` prints.  A config that lists
+# two instance files with one stem, or a value that does not parse (`groups =
+# 2.5`), exits with status 2, names the stem or the key, and runs no cell.
 #
 # Usage: scripts/check_console.sh [WORK_DIR]
 # WORK_DIR (created if missing) defaults to a new temporary directory.
@@ -58,8 +61,10 @@ routecut validate f.dat fc.sol
 
 printf '%s\n' 'instances = i.dat' 'variants = sahid-rco, sahid-random' 'runs = 3' \
   'max_iterations = 2' 'virtual_clock = 1' > exp.cfg
-routecut bench exp.cfg --out-dir runs
-routecut stats runs --reference sahid-rco
+routecut bench exp.cfg --out-dir runs > bench.out
+routecut stats runs --reference sahid-rco > stats.out
+head -n 1 stats.out | grep -q '^instance  *variant  *runs  *mean  *std  *flag'
+grep -qxF "$(head -n 1 stats.out)" bench.out
 test -f runs/wdl.csv
 status=0
 routecut stats runs --reference sahid-rco --alpha nan 2> alpha.err || status=$?
@@ -94,14 +99,23 @@ routecut bench exp.cfg --out-dir nan --budget fixed:nan 2> budget.err || status=
 test "$status" -eq 2
 grep -q budget budget.err
 test ! -e nan
-for setting in 'groups = 0:groups must be at least 1' 'virtual_clock = ture:virtual_clock'; do
+for setting in 'groups = 0:groups must be at least 1' 'virtual_clock = ture:virtual_clock' \
+    'groups = 2.5:bad.cfg:3: groups must be an integer'; do
   printf '%s\n' 'instances = i.dat' 'variants = cluster-rco' "${setting%%:*}" > bad.cfg
   status=0
   routecut bench bad.cfg --out-dir bad 2> bad.err || status=$?
   test "$status" -eq 2
-  grep -q "${setting##*:}" bad.err
+  grep -qF "${setting#*:}" bad.err
   test ! -e bad
 done
+mkdir -p twin
+cp i.dat twin/i.dat
+printf '%s\n' 'instances = i.dat, twin/i.dat' 'variants = sahid-rco' > twin.cfg
+status=0
+routecut bench twin.cfg --out-dir twin-runs 2> twin.err || status=$?
+test "$status" -eq 2
+grep -qF "share the stem 'i'" twin.err
+test ! -e twin-runs
 
 printf 'VERTICES : x\n' > broken.dat
 printf '%s\n' 'instances = broken.dat, i.dat' 'variants = sahid-rco, sahid-random' 'runs = 2' \

@@ -14,12 +14,15 @@ import csv
 import math
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
+from typing import Iterable, get_type_hints
 
 from .instance import Instance, load_instance
 from .ranking import RankMatrix, build_rank_matrix
-from .search import ALGORITHMS, PARAMETERS, SearchConfig, build_config, solve
+from .search import (
+    ALGORITHMS, PARAMETERS, SearchConfig, build_config, parse_value, share_cpus, solve,
+)
 from .solution import read_solution, validate, write_solution
 
 
@@ -42,6 +45,11 @@ class ExperimentSpec:
             raise ValueError("time_multiplier must be positive")
         if self.budget is not None:
             _parse_budget(self.budget)
+        stems = [Path(path).stem for path in self.instances]  # they name each cell's files
+        for i, stem in enumerate(stems):
+            if stem in stems[:i]:
+                first, path = self.instances[stems.index(stem)], self.instances[i]
+                raise ValueError(f"instances {first} and {path} share the stem {stem!r}")
 
 
 def _parse_budget(budget: str) -> tuple[str, float]:
@@ -153,47 +161,39 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> list[RunRecord]
         for run in range(spec.runs)
     ]
     if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as ex:
+        # each worker forks clustering-loop jobs onto its share of the CPUs only
+        with ProcessPoolExecutor(spec.workers, initializer=share_cpus,
+                                 initargs=(spec.workers,)) as ex:
             records = list(ex.map(_run_cell, cells))
     else:
         records = [_run_cell(c) for c in cells]
 
-    write_records_csv(records, out_dir / "records.csv")
-    rows = summarize(records)
-    write_summary_csv(rows, out_dir / "summary.csv")
+    write_csv(out_dir / "records.csv", RunRecord, records)
+    write_csv(out_dir / "summary.csv", SummaryRow, summarize(records))
     return records
 
 
-_RECORD_FIELDS = [
-    "instance", "variant", "seed", "final_cost", "elapsed_sec",
-    "route_count", "trace_path", "solution_path", "error",
-]
-
-
-def write_records_csv(records: list[RunRecord], path: str | Path) -> None:
+def write_csv(path: str | Path, row_type: type, rows: Iterable) -> None:
+    """Write the dataclass ``rows`` of ``row_type`` as CSV: a header of its
+    field names, then one line per row with the fields in declaration order.
+    Fields are quoted where needed, and a float is written as its ``repr``
+    (``nan`` and ``inf`` included), so it reads back exactly."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_RECORD_FIELDS)
-        for r in records:
-            writer.writerow(
-                [r.instance, r.variant, r.seed, repr(r.final_cost), repr(r.elapsed_sec),
-                 r.route_count, r.trace_path, r.solution_path, r.error]
-            )
+        writer.writerow(f.name for f in fields(row_type))
+        writer.writerows(astuple(row) for row in rows)
 
 
 def read_records_csv(path: str | Path) -> list[RunRecord]:
-    records = []
+    """The RunRecords of a ``records.csv``, each column converted by the
+    declared type of its RunRecord field; a column the file lacks keeps its
+    field default, and a column RunRecord lacks is ignored."""
+    kinds = get_type_hints(RunRecord)
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                RunRecord(
-                    row["instance"], row["variant"], int(row["seed"]),
-                    float(row["final_cost"]), float(row["elapsed_sec"]),
-                    int(row["route_count"]), row["trace_path"], row["solution_path"],
-                    row.get("error", ""),
-                )
-            )
-    return records
+        return [
+            RunRecord(**{name: kind(row[name]) for name, kind in kinds.items() if name in row})
+            for row in csv.DictReader(fh)
+        ]
 
 
 @dataclass(frozen=True)
@@ -237,14 +237,6 @@ def summarize(records: list[RunRecord]) -> list[SummaryRow]:
     return rows
 
 
-def write_summary_csv(rows: list[SummaryRow], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instance", "variant", "runs", "mean", "std", "flag"])
-        for r in rows:
-            writer.writerow([r.instance, r.variant, r.runs, repr(r.mean), repr(r.std), r.flag])
-
-
 def samples_by_cell(records: list[RunRecord]) -> dict[tuple[str, str], list[float]]:
     """Final costs per (instance, variant) in seed order, over the seeds that
     every variant of the instance completed; an instance with no such seed
@@ -269,8 +261,9 @@ def samples_by_cell(records: list[RunRecord]) -> dict[tuple[str, str], list[floa
 
 def parse_experiment_config(path: str | Path) -> ExperimentSpec:
     kinds = {"runs": int, "base_seed": int, "budget": str, "time_multiplier": float, "workers": int}
-    known = {"instances", "variants", *kinds, *PARAMETERS}
-    values: dict[str, str] = {}
+    typed = {"instances": str, "variants": str, **kinds,
+             **{key: kind for key, (_, kind) in PARAMETERS.items()}}
+    values: dict[str, object] = {}
     lines: dict[str, int] = {}
     base = Path(path).parent
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -281,12 +274,15 @@ def parse_experiment_config(path: str | Path) -> ExperimentSpec:
             raise ValueError(f"{path}:{line_no}: expected `key = value`")
         key, _, value = line.partition("=")
         key = key.strip().lower()
-        if key not in known:
+        if key not in typed:
             raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
         if key in lines:
             raise ValueError(f"{path}:{line_no}: key {key!r} repeats line {lines[key]}")
         lines[key] = line_no
-        values[key] = value.strip()
+        try:
+            values[key] = parse_value(key, typed[key], value.strip())
+        except ValueError as error:
+            raise ValueError(f"{path}:{line_no}: {error}") from None
 
     def _list(key: str) -> list[str]:
         return [item.strip() for item in values.get(key, "").split(",") if item.strip()]
@@ -303,5 +299,5 @@ def parse_experiment_config(path: str | Path) -> ExperimentSpec:
 
     params = {key: value for key, value in values.items() if key in PARAMETERS}
     variants = [(name, build_config(params, algorithm=name)) for name in variant_names]
-    given = {key: kind(values[key]) for key, kind in kinds.items() if key in values}
+    given = {key: values[key] for key in kinds if key in values}
     return ExperimentSpec(instances, variants, **given)

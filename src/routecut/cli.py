@@ -3,24 +3,24 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .bench import (
+    SummaryRow,
     parse_experiment_config,
     read_records_csv,
     run_experiment,
     samples_by_cell,
     summarize,
-    write_summary_csv,
+    write_csv,
 )
 from .generator import generate_instance_file
 from .instance import load_instance
 from .search import ALGORITHMS, PARAMETERS, build_config, solve
 from .solution import min_vehicles, read_solution, validate, write_solution
-from .stats import MIN_SAMPLE, significance_table
+from .stats import MIN_SAMPLE, Comparison, significance_table
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -99,10 +99,7 @@ def _cmd_bench(args) -> int:
     records = run_experiment(spec, args.out_dir)
     failed = [r for r in records if r.failed]
     print(f"{len(records)} runs ({len(failed)} failed) -> {args.out_dir}")
-    for row in summarize(records):
-        flag = f"  [{row.flag}]" if row.flag else ""
-        print(f"  {row.instance:24s} {row.variant:20s} mean {row.mean:14.1f} "
-              f"std {row.std:10.1f}{flag}")
+    print(_summary_table(summarize(records)))
     return 1 if failed else 0
 
 
@@ -111,39 +108,41 @@ def _fmt_aligned(rows: list[list[str]]) -> str:
     return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in rows)
 
 
+def _summary_table(rows: list[SummaryRow]) -> str:
+    return _fmt_aligned([[f.name for f in fields(SummaryRow)]] + [
+        [r.instance, r.variant, str(r.runs), f"{r.mean:.1f}", f"{r.std:.1f}", r.flag]
+        for r in rows
+    ])
+
+
+@dataclass(frozen=True)
+class WdlRow:
+    variant: str
+    wins: int
+    draws: int
+    losses: int
+
+
 def _cmd_stats(args) -> int:
     records = read_records_csv(args.dir / "records.csv")
     rows = summarize(records)
     # every variant of an instance has the same shared seeds, hence one length
     samples = {k: v for k, v in samples_by_cell(records).items() if len(v) >= MIN_SAMPLE}
     table = significance_table(samples, args.reference, args.alpha)
+    wdl = [WdlRow(variant, *counts) for variant, counts in sorted(table.wdl.items())]
 
-    summary_rows = [["instance", "variant", "runs", "mean", "std", "flag"]]
-    for r in rows:
-        summary_rows.append(
-            [r.instance, r.variant, str(r.runs), f"{r.mean:.1f}", f"{r.std:.1f}", r.flag]
-        )
-    print(_fmt_aligned(summary_rows))
+    print(_summary_table(rows))
     print()
-    wdl_rows = [["variant", "W", "D", "L"]]
-    for variant, (w, d, l) in sorted(table.wdl.items()):
-        wdl_rows.append([variant, str(w), str(d), str(l)])
     dropped = len(records) - sum(map(len, samples.values()))
     print(f"dropped {dropped} of {len(records)} runs (failed or unmatched seed)")
     print(f"reference: {table.reference} (alpha={table.alpha})")
-    print(_fmt_aligned(wdl_rows))
+    print(_fmt_aligned([["variant", "W", "D", "L"]] + [
+        [r.variant, str(r.wins), str(r.draws), str(r.losses)] for r in wdl
+    ]))
 
-    write_summary_csv(rows, args.dir / "summary.csv")
-    with open(args.dir / "wdl.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "wins", "draws", "losses"])
-        for variant, (w, d, l) in sorted(table.wdl.items()):
-            writer.writerow([variant, w, d, l])
-    with open(args.dir / "comparisons.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instance", "variant", "pvalue", "outcome"])
-        for c in table.detail:
-            writer.writerow([c.instance, c.variant, repr(c.pvalue), c.outcome])
+    write_csv(args.dir / "summary.csv", SummaryRow, rows)
+    write_csv(args.dir / "wdl.csv", WdlRow, wdl)
+    write_csv(args.dir / "comparisons.csv", Comparison, table.detail)
     return 0
 
 

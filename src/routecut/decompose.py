@@ -100,9 +100,9 @@ def fuzzy_kmedoid(
         warnings.warn(f"pool of {n} sub-routes cannot fill {g} groups; reducing to {n}")
         g = n
 
-    d = _pairwise_distances(members, instance, dist)
     if g == 1:
         return [members]
+    d = _pairwise_distances(members, instance, dist)
 
     medoids = _farthest_point_medoids(d, g, rng)
     assign = np.full(n, -1, dtype=np.int64)

@@ -131,26 +131,38 @@ PARAMETERS: dict[str, tuple[str, type]] = {
 
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_KIND_NAMES = {int: "an integer", float: "a number"}
+
+
+def parse_value(key: str, kind: type, value: object):
+    """``value``, a string or already typed, as ``kind``.  A boolean is one
+    of 1/0, true/false or yes/no, in any case.  A value that does not
+    convert raises ``ValueError`` naming ``key``, as in ``groups must be an
+    integer, got '2.5'``."""
+    if kind is bool:
+        word = str(value).lower()
+        if word not in _BOOLEANS:
+            raise ValueError(f"{key} must be 1/0, true/false or yes/no, got {value!r}")
+        return _BOOLEANS[word]
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}") from None
 
 
 def build_config(values: Mapping[str, object], **fields) -> SearchConfig:
     """A SearchConfig from ``{PARAMETERS key: value}`` plus plain fields.
 
-    Values may be strings (config files) or typed (CLI); a boolean is one
-    of 1/0, true/false or yes/no, in any case.  ``max_iterations`` 0 means
-    no cap.  A value out of range raises ``ValueError`` naming its key, as
-    in ``lambda must be in [0, 1]``; a plain field's error names the field.
+    Values may be strings (config files) or typed (CLI), converted by
+    ``parse_value``.  ``max_iterations`` 0 means no cap.  A value out of
+    range raises ``ValueError`` naming its key, as in ``lambda must be in
+    [0, 1]``; a plain field's error names the field.
     """
     for key, value in values.items():
         if key not in PARAMETERS:
             raise ValueError(f"unknown parameter {key!r}")
         name, kind = PARAMETERS[key]
-        if kind is bool:
-            word = str(value).lower()
-            if word not in _BOOLEANS:
-                raise ValueError(f"{key} must be 1/0, true/false or yes/no, got {value!r}")
-            value = _BOOLEANS[word]
-        fields[name] = kind(value)
+        fields[name] = parse_value(key, kind, value)
     if fields.get("max_iterations") == 0:
         fields["max_iterations"] = None
     keys = {PARAMETERS[key][0]: key for key in values}
@@ -220,10 +232,27 @@ def concat_solutions(parts: list[Solution]) -> Solution:
     return Solution([r for part in parts for r in part.routes])
 
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+# the CPUs that _fan_out may fill in this process; 0 for every usable one
+_cpu_share = 0
+
+
+def share_cpus(workers: int) -> None:
+    """Let ``_fan_out`` in this process fill at most its share, max(1,
+    usable CPUs // ``workers``), of the CPUs: the initializer of each of
+    ``workers`` pool processes that solve side by side."""
+    global _cpu_share
+    _cpu_share = max(1, _usable_cpus() // workers)
+
+
 def _fan_out(jobs: list[Callable[[], object]], clock: _Clock) -> list:
     """The results of independent zero-argument ``jobs``, in job order.
 
-    With n = min(len(jobs), usable CPUs) of two or more, in a process with
+    With n = min(len(jobs), usable CPUs, this process's CPU share; see
+    ``share_cpus``) of two or more, in a process with
     no other thread, job i runs in process i % n: this one (0) and n - 1
     children made by POSIX ``fork``.  Each child runs its jobs in order,
     pickles back through a pipe their results and its virtual-clock ticks,
@@ -234,8 +263,7 @@ def _fan_out(jobs: list[Callable[[], object]], clock: _Clock) -> list:
     still running and reaped before this returns or raises.  Otherwise the
     jobs run here in order.
     """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    n = min(len(jobs), cpus)
+    n = min(len(jobs), _usable_cpus(), _cpu_share or len(jobs))
     # fork copies only the calling thread: a lock another thread holds would
     # stay locked in the child
     if n < 2 or threading.active_count() > 1:
@@ -416,7 +444,9 @@ def _cluster_loop(instance, dist, ranks, config, improve, record, deadline, side
                 warnings.warn("time limit exhausted before the first cycle")
             break
         subroutes = rco_split(best, ranks, lam, theta, rng)
-        groups = fuzzy_kmedoid(subroutes, config.group_count, config.fuzziness, instance, dist, rng)
+        # at most one group per sub-route, the count fuzzy_kmedoid would warn and take
+        group_count = min(config.group_count, len(subroutes))
+        groups = fuzzy_kmedoid(subroutes, group_count, config.fuzziness, instance, dist, rng)
         per_group = side_by_side(
             [partial(solve_group, cycle, gi, group, pool) for gi, group in enumerate(groups)],
             len(groups) * len(pool),

@@ -22,12 +22,12 @@ from routecut.bench import (
     run_experiment,
     samples_by_cell,
     summarize,
-    write_records_csv,
+    write_csv,
 )
 from routecut import cli
 from routecut.cli import main
 from routecut.generator import generate_instance_file
-from routecut.search import PARAMETERS, SearchConfig, SearchTrace
+from routecut.search import PARAMETERS, SearchConfig, SearchTrace, build_config
 from routecut.solution import Solution, write_solution
 
 
@@ -142,6 +142,25 @@ def test_failures_are_recorded_not_raised(tmp_path, small_instance_file):
         assert r.error.endswith("VERTICES is not an integer: 'not-a-number'")
         text = (out / f"broken__sahid-rco__s{r.seed}.err").read_text()
         assert text.startswith("Traceback") and "in load_instance" in text
+
+
+def test_instances_must_have_distinct_stems(tmp_path, small_instance_file, capsys):
+    # a cell's files and records are named by the stem alone
+    first, second = tmp_path / "a" / "x.dat", tmp_path / "b" / "x.dat"
+    variants = [("v", _quick_config("local-only"))]
+    with pytest.raises(ValueError, match=f"instances {first} and {second} share the stem 'x'"):
+        ExperimentSpec([first, second], variants)
+    with pytest.raises(ValueError, match="share the stem 'small'"):
+        ExperimentSpec([small_instance_file, small_instance_file], variants)
+    for path in (first, second):
+        path.parent.mkdir()
+        generate_instance_file(path, vertices=12, tasks=8, capacity=12, seed=2)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("instances = a/x.dat, b/x.dat\nvariants = local-only\nruns = 1\n")
+    out_dir = tmp_path / "runs"
+    assert main(["bench", str(cfg), "--out-dir", str(out_dir)]) == 2
+    assert "share the stem 'x'" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_one_worker_parses_each_instance_once(tmp_path, small_instance_file, monkeypatch):
@@ -276,6 +295,24 @@ def test_parse_config_rejects_bad_spec_values(key, value, tmp_path, small_instan
     cfg.write_text(f"instances = {small_instance_file}\nvariants = sahid-rco\n{key} = {value}\n")
     with pytest.raises(ValueError, match=key):
         parse_experiment_config(cfg)
+
+
+@pytest.mark.parametrize("line, expected", [
+    ("groups = 2.5", "groups must be an integer, got '2.5'"),
+    ("max_iterations = abc", "max_iterations must be an integer, got 'abc'"),
+    ("runs = 2.5", "runs must be an integer, got '2.5'"),
+    ("time_multiplier = fast", "time_multiplier must be a number, got 'fast'"),
+])
+def test_parse_config_names_the_key_of_a_value_that_does_not_parse(line, expected, tmp_path,
+                                                                     small_instance_file):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"instances = {small_instance_file}\nvariants = sahid-rco\n{line}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{cfg}:3: {expected}")):
+        parse_experiment_config(cfg)
+    key, _, value = line.partition(" = ")
+    if key in PARAMETERS:  # from the library, the message has no line to name
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            build_config({key: value})
 
 
 @pytest.mark.parametrize("flag, value, field", [
@@ -585,11 +622,15 @@ virtual_clock = true
     assert main(["bench", str(cfg), "--out-dir", str(out_dir)]) == 0
     assert (out_dir / "records.csv").exists()
     assert (out_dir / "summary.csv").exists()
-    capsys.readouterr()
+    summary = (out_dir / "summary.csv").read_bytes()
+    bench_out = capsys.readouterr().out.splitlines()
     assert main(["stats", str(out_dir), "--reference", "sahid-rco",
                  "--alpha", "0.05"]) == 0
     out = capsys.readouterr().out
     assert "reference: sahid-rco" in out
+    # the same summary table, from the records in memory and as read back
+    assert out.splitlines()[:3] == bench_out[1:] and bench_out[1].startswith("instance ")
+    assert (out_dir / "summary.csv").read_bytes() == summary
     assert (out_dir / "wdl.csv").exists()
     assert (out_dir / "comparisons.csv").exists()
     assert main(["stats", str(out_dir), "--reference", "sahid-rco", "--alpha", "nan"]) == 2
@@ -627,12 +668,35 @@ def test_cli_stats_survives_a_failed_run(tmp_path, capsys):
     records[-1] = RunRecord("i", "b", 4, math.nan, 0.0, 0, "", "", "RuntimeError: boom")
     # two runs per variant are too few for the rank-sum test
     records += [RunRecord("j", v, seed, 1.0, 1.0, 1, "", "") for v in "ab" for seed in (0, 1)]
-    write_records_csv(records, tmp_path / "records.csv")
+    write_csv(tmp_path / "records.csv", RunRecord, records)
     assert main(["stats", str(tmp_path), "--reference", "a"]) == 0
     out = capsys.readouterr().out
     assert "dropped 6 of 14 runs" in out
     assert "reference: a" in out
     assert (tmp_path / "wdl.csv").read_text().splitlines()[1] == "b,1,0,0"
+
+
+def test_records_csv_round_trips_every_value(tmp_path):
+    records = [
+        RunRecord("a,b", 'say "x"', 3, 0.1 + 0.2, 1e-7, 2, "t,1.csv", "s.sol"),
+        RunRecord("i", "v", 4, math.nan, 0.0, 0, "", "", "RuntimeError: boom, twice"),
+        RunRecord("i", "v", 5, math.inf, 12.5, 1, "", ""),
+    ]
+    path = tmp_path / "records.csv"
+    write_csv(path, RunRecord, records)
+    assert path.read_text().splitlines() == [
+        "instance,variant,seed,final_cost,elapsed_sec,route_count,trace_path,solution_path,error",
+        '"a,b","say ""x""",3,0.30000000000000004,1e-07,2,"t,1.csv",s.sol,',
+        'i,v,4,nan,0.0,0,,,"RuntimeError: boom, twice"',
+        "i,v,5,inf,12.5,1,,,",
+    ]
+    again = read_records_csv(path)
+    assert [repr(r) for r in again] == [repr(r) for r in records]
+    assert {type(getattr(r, name)) for r in again for name in ("seed", "route_count")} == {int}
+    # a file without the error column reads as records of cells that did not fail
+    path.write_text("instance,variant,seed,final_cost,elapsed_sec,route_count,trace_path,"
+                    "solution_path\ni,v,1,2.5,0.5,1,t.csv,s.sol\n")
+    assert read_records_csv(path) == [RunRecord("i", "v", 1, 2.5, 0.5, 1, "t.csv", "s.sol")]
 
 
 def test_cli_clean_errors(tmp_path, capsys):

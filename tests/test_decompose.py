@@ -20,6 +20,7 @@ from routecut import (
     rco_split,
     validate,
 )
+from routecut import decompose
 from routecut.decompose import _pairwise_distances, group_task_indices
 from routecut.generator import generate_instance
 from routecut.instance import forward_id, inverse_id, task_index_of
@@ -220,6 +221,16 @@ def test_pairwise_distances_hold_no_square_cost_matrix():
     assert n >= 1000 and sum(map(len, pool)) == n
     assert d.shape == (len(pool), len(pool))
     assert peak < 4 * n * n
+
+
+def test_one_group_needs_no_distances(monkeypatch):
+    links = _linked_tasks([[0, 2], [2, 0]])
+    pool = _pool_of_singletons([0, 1])
+    monkeypatch.setattr(decompose, "_pairwise_distances", None)  # not called
+    rng = make_rng(1)
+    state = rng.getstate()
+    assert fuzzy_kmedoid(pool, 1, 5.0, *links, rng) == [pool]
+    assert rng.getstate() == state
 
 
 def test_degenerate_pool_reduces_groups():

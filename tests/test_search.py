@@ -82,7 +82,6 @@ def tiny_instances(draw):
     return make_instance(vertices, edges, capacity=capacity)
 
 
-@pytest.mark.filterwarnings("ignore:pool of .* sub-routes cannot fill")
 @settings(max_examples=60, deadline=None)
 @given(tiny_instances(), st.integers(0, 100))
 def test_every_algorithm_solves_tiny_instances(inst, seed):
@@ -149,6 +148,20 @@ def test_small_instance_reaches_optimum():
         cfg = _deterministic_config(algorithm, seed=2)
         best, _ = solve(inst, cfg)
         assert best.total_cost == pytest.approx(optimum)
+
+
+@pytest.mark.parametrize("algorithm", ["cluster-rco", "cluster-whole-route"])
+def test_clustering_loop_asks_no_more_groups_than_pieces(algorithm):
+    # under an infinite capacity one route serves every task, so a cycle may
+    # split the best solution into fewer pieces than the groups configured
+    base = generate_instance(20, 16, 14, seed=3)
+    edges = [(e.u, e.v, e.demand, e.service_cost, e.deadheading_cost) for e in base.edges]
+    inst = make_instance(base.vertex_count, edges, capacity=math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        best, trace = solve(inst, _deterministic_config(algorithm, seed=1, max_cycles=3))
+    assert trace.iterations == 3
+    assert validate(best, inst) == []
 
 
 def test_cluster_single_group_degenerates_to_whole_problem():
@@ -401,7 +414,6 @@ def test_fixed_work_output_is_pinned(seed):
     assert digests == {key: d for key, d in FIXED_WORK_DIGESTS.items() if key[0] == seed}
 
 
-@pytest.mark.filterwarnings("ignore:pool of .* sub-routes cannot fill")
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_every_route_is_non_empty(algorithm):
     # no step makes an empty route, so nothing strips one from the result
@@ -453,6 +465,18 @@ def test_fixed_work_output_is_pinned_in_every_process_layout(monkeypatch, seed, 
     forks = _fork_spy(monkeypatch)
     assert _fixed_work_digest(inst, seed, algorithm) == FIXED_WORK_DIGESTS[seed, algorithm]
     assert len(forks) == (0 if cpus == 1 else 2 + 1)  # the pool: 2 children; 2 groups: 1
+
+
+def test_a_pool_worker_forks_onto_its_cpu_share(monkeypatch):
+    # two bench workers on four CPUs: the pool section forks one child, not three
+    inst = generate_instance(200, 300, 60, 1)
+    _cpus(monkeypatch, 4)
+    monkeypatch.setattr(routecut.search, "_cpu_share", routecut.search._cpu_share)  # restored
+    routecut.search.share_cpus(2)
+    assert routecut.search._cpu_share == 2
+    forks = _fork_spy(monkeypatch)
+    assert _fixed_work_digest(inst, 1, "cluster-rco") == FIXED_WORK_DIGESTS[1, "cluster-rco"]
+    assert len(forks) == 1 + 1  # the pool: 1 child; 2 groups: 1
 
 
 @pytest.mark.filterwarnings("ignore:time limit exhausted before the first cycle")
@@ -540,7 +564,6 @@ def test_a_trace_file_gets_each_line_once_when_sections_fork(monkeypatch, tmp_pa
         f"{ms},{format_number(cost)}" for ms, cost in trace.samples]
 
 
-@pytest.mark.filterwarnings("ignore:pool of .* sub-routes cannot fill")
 def test_many_groups_fork_at_most_cpus_minus_one_children(monkeypatch):
     inst = generate_instance(40, 60, 14, seed=6)
     cfg = _deterministic_config("cluster-rco", seed=1, group_count=40, max_cycles=2)
