@@ -17,9 +17,12 @@
 # processes for its pool and its groups when two or more CPUs are usable,
 # inside `bench` workers too: its traces must hold their header exactly
 # once, and every solution of the pool of two workers must validate.
-# `bench` prints the summary table that `stats` prints.  A config that lists
-# two instance files with one stem, or a value that does not parse (`groups =
-# 2.5`), exits with status 2, names the stem or the key, and runs no cell.
+# `bench` prints the summary table that `stats` prints, and no line of
+# either's stdout ends in a space.  A config that lists two instance files
+# with one stem, one variant twice, or a value that does not parse (`groups =
+# 2.5`), exits with status 2, names the stem, the variant or the key, and
+# runs no cell.  `stats` on a `records.csv` without a `seed` column exits
+# with status 2 and names the column.
 #
 # Usage: scripts/check_console.sh [WORK_DIR]
 # WORK_DIR (created if missing) defaults to a new temporary directory.
@@ -65,6 +68,7 @@ routecut bench exp.cfg --out-dir runs > bench.out
 routecut stats runs --reference sahid-rco > stats.out
 head -n 1 stats.out | grep -q '^instance  *variant  *runs  *mean  *std  *flag'
 grep -qxF "$(head -n 1 stats.out)" bench.out
+test "$(cat bench.out stats.out | grep -c ' $')" -eq 0
 test -f runs/wdl.csv
 status=0
 routecut stats runs --reference sahid-rco --alpha nan 2> alpha.err || status=$?
@@ -116,6 +120,19 @@ routecut bench twin.cfg --out-dir twin-runs 2> twin.err || status=$?
 test "$status" -eq 2
 grep -qF "share the stem 'i'" twin.err
 test ! -e twin-runs
+printf '%s\n' 'instances = i.dat' 'variants = sahid-rco, sahid-rco' 'runs = 3' > repeat.cfg
+status=0
+routecut bench repeat.cfg --out-dir repeat-runs 2> repeat.err || status=$?
+test "$status" -eq 2
+grep -qF "variant 'sahid-rco' is listed twice" repeat.err
+test ! -e repeat-runs
+mkdir -p noseed
+printf '%s\n' 'instance,variant,final_cost,elapsed_sec,route_count,trace_path,solution_path' \
+  'i,sahid-rco,1.0,0.5,1,,' > noseed/records.csv
+status=0
+routecut stats noseed --reference sahid-rco 2> noseed.err || status=$?
+test "$status" -eq 2
+grep -qF 'lacks the column(s) seed' noseed.err
 
 printf 'VERTICES : x\n' > broken.dat
 printf '%s\n' 'instances = broken.dat, i.dat' 'variants = sahid-rco, sahid-random' 'runs = 2' \

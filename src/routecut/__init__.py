@@ -22,7 +22,6 @@ from .instance import (
     Instance,
     InstanceFormatError,
     InvalidInstanceError,
-    Task,
     inverse_id,
     load_instance,
     parse_instance,
@@ -61,7 +60,6 @@ __all__ = [
     "SearchConfig",
     "SearchTrace",
     "Solution",
-    "Task",
     "Violation",
     "WilcoxonResult",
     "average_task_rank",

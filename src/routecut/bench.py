@@ -14,7 +14,7 @@ import csv
 import math
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import MISSING, astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, get_type_hints
 
@@ -50,6 +50,10 @@ class ExperimentSpec:
             if stem in stems[:i]:
                 first, path = self.instances[stems.index(stem)], self.instances[i]
                 raise ValueError(f"instances {first} and {path} share the stem {stem!r}")
+        names = [name for name, _ in self.variants]  # they name each cell's files too
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValueError(f"variant {name!r} is listed twice")
 
 
 def _parse_budget(budget: str) -> tuple[str, float]:
@@ -186,13 +190,20 @@ def write_csv(path: str | Path, row_type: type, rows: Iterable) -> None:
 
 def read_records_csv(path: str | Path) -> list[RunRecord]:
     """The RunRecords of a ``records.csv``, each column converted by the
-    declared type of its RunRecord field; a column the file lacks keeps its
-    field default, and a column RunRecord lacks is ignored."""
+    declared type of its RunRecord field.  A column with a field default may
+    be absent and then keeps that default; a column RunRecord lacks is
+    ignored.  Raise ValueError naming the RunRecord columns the file lacks."""
     kinds = get_type_hints(RunRecord)
     with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        missing = [f.name for f in fields(RunRecord)
+                   if f.default is MISSING and f.name not in header]
+        if missing:
+            raise ValueError(f"{path} lacks the column(s) {', '.join(missing)}")
         return [
             RunRecord(**{name: kind(row[name]) for name, kind in kinds.items() if name in row})
-            for row in csv.DictReader(fh)
+            for row in reader
         ]
 
 

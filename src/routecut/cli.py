@@ -105,7 +105,7 @@ def _cmd_bench(args) -> int:
 
 def _fmt_aligned(rows: list[list[str]]) -> str:
     widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
-    return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in rows)
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in rows)
 
 
 def _summary_table(rows: list[SummaryRow]) -> str:

@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 import random
 import warnings
+from typing import Callable
 
 import numpy as np
 
 from .distances import DistanceTable, Rows
-from .instance import Instance, inverse_id, task_index_of
+from .instance import Instance, forward_id, inverse_id, task_index_of
 from .ranking import link_numerators
 from .solution import Solution
 
@@ -60,14 +61,26 @@ def _pairwise_distances(
     return d + d.T
 
 
-def _farthest_point_medoids(d: np.ndarray, g: int, rng: random.Random) -> list[int]:
-    n = d.shape[0]
-    medoids = [rng.randrange(n)]
-    while len(medoids) < g:
-        nearest = d[:, medoids].min(axis=1)
-        nearest[medoids] = -1.0
-        medoids.append(int(np.argmax(nearest)))
-    return medoids
+def _farthest_points(
+    first: int, k: int, column: Callable[[int], np.ndarray]
+) -> tuple[list[int], list[np.ndarray]]:
+    """``k`` points chosen farthest-point style from point ``first``, and
+    their distance columns.  ``column(j)`` is every point's distance to point
+    ``j``, non-negative and of a signed or float type.  Each further point is
+    the first, in index order, farthest from its nearest point so far."""
+    points = [first]
+    columns = [column(first)]
+    # distance to the nearest point so far; -1 at the points, below every
+    # distance, so argmax never picks one again
+    nearest = columns[0].copy()
+    nearest[first] = -1
+    while len(points) < k:
+        far = int(np.argmax(nearest))  # first index on ties
+        points.append(far)
+        columns.append(column(far))
+        nearest[far] = -1
+        np.minimum(nearest, columns[-1], out=nearest)
+    return points, columns
 
 
 def fuzzy_kmedoid(
@@ -104,7 +117,7 @@ def fuzzy_kmedoid(
         return [members]
     d = _pairwise_distances(members, instance, dist)
 
-    medoids = _farthest_point_medoids(d, g, rng)
+    medoids, _ = _farthest_points(rng.randrange(n), g, lambda j: d[:, j])
     assign = np.full(n, -1, dtype=np.int64)
     for _ in range(20):
         to_medoid = d[:, medoids]
@@ -162,7 +175,7 @@ def build_virtual_tasks(pool: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
 
 def elementary_virtual_tasks(instance: Instance) -> list[tuple[int, ...]]:
     """One single-task unit per task, forward orientation."""
-    return [(t.forward_id,) for t in instance.tasks]
+    return [(forward_id(ti),) for ti in range(instance.task_count)]
 
 
 def _endpoint_distances(
@@ -258,18 +271,9 @@ def hdu(
         k = max(1, min(math.ceil(scale * m), m - 1))
         heads = np.fromiter((instance.id_head[u[0]] for u in units), dtype=np.intp, count=m)
         tails = np.fromiter((instance.id_tail[u[-1]] for u in units), dtype=np.intp, count=m)
-        first = rng.randrange(m)
-        columns = [_endpoint_distances(matrix, heads, tails, first)]
-        # distance to the nearest medoid so far; -1 at the medoids, below
-        # every (non-negative) distance, so argmax never picks one again
-        nearest = columns[0].copy()
-        nearest[first] = -1.0
-        while len(columns) < k:
-            far = int(np.argmax(nearest))  # first index on ties
-            columns.append(_endpoint_distances(matrix, heads, tails, far))
-            nearest[far] = -1.0
-            np.minimum(nearest, columns[-1], out=nearest)
-
+        _, columns = _farthest_points(
+            rng.randrange(m), k, lambda j: _endpoint_distances(matrix, heads, tails, j)
+        )
         to_medoid = np.stack(columns, axis=1)
         is_min = to_medoid == to_medoid.min(axis=1, keepdims=True)
         ties = is_min.sum(axis=1)

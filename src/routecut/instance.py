@@ -62,36 +62,14 @@ class Edge:
         return self.demand > 0
 
 
-@dataclass(frozen=True)
-class Task:
-    """A required edge plus its two directed IDs.
-
-    The forward ID traverses u -> v, the reverse ID v -> u.  Head/tail
-    vertices of an ID are where the service starts/ends.
-    """
-
-    index: int
-    u: int
-    v: int
-    demand: Number
-    service_cost: Number
-    deadheading_cost: Number
-
-    @property
-    def forward_id(self) -> int:
-        return 2 * self.index + 1
-
-    @property
-    def reverse_id(self) -> int:
-        return 2 * self.index + 2
-
-
 class Instance:
     """Validated CARP instance.
 
-    Immutable after construction; safe to share across workers.  Besides the
-    task objects, per-ID lookup lists (head vertex, tail vertex, demand,
-    service cost) are exposed for hot loops, indexed by directed task ID.
+    Immutable after construction; safe to share across workers.  Task ``i``
+    is ``tasks[i]``, the i-th required edge in ``edges`` order, served u -> v
+    by ``forward_id(i)`` and v -> u by its ``inverse_id``.  Per-ID lookup
+    lists (head vertex, tail vertex, demand, service cost) are exposed for
+    hot loops, indexed by directed task ID.
     """
 
     def __init__(
@@ -123,18 +101,16 @@ class Instance:
         self.edges = list(edges)
         self.depot = depot
         self.capacity = capacity
-        self.tasks = [
-            Task(i, e.u, e.v, e.demand, e.service_cost, e.deadheading_cost)
-            for i, e in enumerate(e for e in edges if e.required)
-        ]
+        self.tasks = [e for e in self.edges if e.required]
 
         n_ids = 2 * len(self.tasks) + 1
         self.id_head = [depot] * n_ids
         self.id_tail = [depot] * n_ids
         self.id_demand: list[Number] = [0] * n_ids
         self.id_service: list[Number] = [0] * n_ids
-        for t in self.tasks:
-            f, r = t.forward_id, t.reverse_id
+        for i, t in enumerate(self.tasks):
+            f = forward_id(i)
+            r = inverse_id(f)
             self.id_head[f], self.id_tail[f] = t.u, t.v
             self.id_head[r], self.id_tail[r] = t.v, t.u
             self.id_demand[f] = self.id_demand[r] = t.demand
@@ -151,14 +127,6 @@ class Instance:
     def total_demand(self) -> Number:
         return sum(t.demand for t in self.tasks)
 
-    def adjacency(self) -> list[list[tuple[int, Number]]]:
-        """Undirected adjacency lists weighted by deadheading cost."""
-        adj: list[list[tuple[int, Number]]] = [[] for _ in range(self.vertex_count)]
-        for e in self.edges:
-            adj[e.u].append((e.v, e.deadheading_cost))
-            adj[e.v].append((e.u, e.deadheading_cost))
-        return adj
-
     def distances(self):
         """All-pairs shortest-path table, computed once and cached."""
         if self._dist is None:
@@ -171,10 +139,13 @@ class Instance:
         reached = [False] * self.vertex_count
         reached[self.depot] = True
         queue = deque([self.depot])
-        adj = self.adjacency()
+        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        for e in self.edges:
+            adj[e.u].append(e.v)
+            adj[e.v].append(e.u)
         while queue:
             u = queue.popleft()
-            for v, _ in adj[u]:
+            for v in adj[u]:
                 if not reached[v]:
                     reached[v] = True
                     queue.append(v)
@@ -239,8 +210,8 @@ _EDGE_RE = re.compile(
 def parse_instance(text: str, name_hint: str = "<stream>") -> Instance:
     """Parse the DAT instance format from a string."""
     header: dict[str, str] = {}
-    req_edges: list[tuple[int, Edge]] = []
-    noreq_edges: list[tuple[int, Edge]] = []
+    req_edges: list[Edge] = []
+    noreq_edges: list[Edge] = []
     block: str | None = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -261,11 +232,11 @@ def parse_instance(text: str, name_hint: str = "<stream>") -> Instance:
                     raise InstanceFormatError(line_no, "required edge without a demand")
                 if int(demand) <= 0:
                     raise InstanceFormatError(line_no, "required edge with non-positive demand")
-                req_edges.append((line_no, Edge(u - 1, v - 1, int(demand), cost, cost)))
+                req_edges.append(Edge(u - 1, v - 1, int(demand), cost, cost))
             else:
                 if demand is not None:
                     raise InstanceFormatError(line_no, "non-required edge with a demand")
-                noreq_edges.append((line_no, Edge(u - 1, v - 1, 0, 0, cost)))
+                noreq_edges.append(Edge(u - 1, v - 1, 0, 0, cost))
             continue
         if ":" not in line:
             raise InstanceFormatError(line_no, f"expected `KEY : VALUE`, got {line!r}")
@@ -304,8 +275,7 @@ def parse_instance(text: str, name_hint: str = "<stream>") -> Instance:
         raise InvalidInstanceError(f"depot {depot} out of range 1..{vertices}")
 
     name = header.get("name", name_hint)
-    edges = [e for _, e in req_edges] + [e for _, e in noreq_edges]
-    return Instance(name, vertices, edges, depot - 1, capacity)
+    return Instance(name, vertices, req_edges + noreq_edges, depot - 1, capacity)
 
 
 def load_instance(source: Union[str, Path, IO[str]]) -> Instance:

@@ -21,20 +21,24 @@ from .ranking import RankMatrix
 from .solution import Route, Solution
 
 
+def _link_ranks(ids: list[int], ranks: RankMatrix) -> list[int]:
+    """The rank of each link of a route's ``ids``; link i joins ids i and i+1."""
+    table = ranks.ranks
+    return [int(table[task_index_of(a), task_index_of(b)]) for a, b in zip(ids, ids[1:])]
+
+
 def average_task_rank(solution: Solution, ranks: RankMatrix) -> float:
     """Mean rank over all task-to-task links inside routes.
 
     Depot-adjacent connections are not links; routes serving fewer than
     two tasks contribute nothing.  Returns 0 for a solution with no links.
     """
-    table = ranks.ranks
     total = 0
     count = 0
     for route in solution.routes:
-        ids = route.ids
-        for i in range(len(ids) - 1):
-            total += int(table[task_index_of(ids[i]), task_index_of(ids[i + 1])])
-            count += 1
+        links = _link_ranks(route.ids, ranks)
+        total += sum(links)
+        count += len(links)
     return total / count if count else 0.0
 
 
@@ -44,12 +48,9 @@ def classify_links(route: Route, ranks: RankMatrix, avg: float) -> tuple[list[in
     Link position i joins the route's tasks i and i+1.  A link is good when
     its rank is strictly below ``avg``, poor otherwise.
     """
-    table = ranks.ranks
-    ids = route.ids
     good: list[int] = []
     poor: list[int] = []
-    for i in range(len(ids) - 1):
-        r = int(table[task_index_of(ids[i]), task_index_of(ids[i + 1])])
+    for i, r in enumerate(_link_ranks(route.ids, ranks)):
         (good if r < avg else poor).append(i)
     return good, poor
 

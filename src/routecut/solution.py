@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 from .distances import DistanceTable
-from .instance import DEPOT_ID, Instance, Number, task_index_of
+from .instance import DEPOT_ID, Instance, Number, forward_id, inverse_id, task_index_of
 
 
 def route_cost(ids: Sequence[int], instance: Instance, dist: DistanceTable) -> float:
@@ -183,8 +183,8 @@ def read_solution(
         raise ValueError(f"no number in the cost line {first!r}") from None
 
     by_endpoints: dict[tuple[int, int], list[int]] = {}
-    for t in instance.tasks:
-        by_endpoints.setdefault((min(t.u, t.v), max(t.u, t.v)), []).append(t.index)
+    for ti, t in enumerate(instance.tasks):
+        by_endpoints.setdefault((min(t.u, t.v), max(t.u, t.v)), []).append(ti)
 
     routes: list[list[int]] = []
     for ln in lines[1:]:
@@ -197,9 +197,8 @@ def read_solution(
             pool = by_endpoints.get((min(u, v), max(u, v)))
             if not pool:
                 raise ValueError(f"no unserved task with endpoints ({u + 1},{v + 1})")
-            ti = pool.pop(0)
-            task = instance.tasks[ti]
-            ids.append(task.forward_id if task.u == u else task.reverse_id)
+            f = forward_id(pool.pop(0))
+            ids.append(f if instance.id_head[f] == u else inverse_id(f))
         if ids:
             routes.append(ids)
     return Solution.build(routes, instance, dist), stated

@@ -70,7 +70,7 @@ def test_experiment_grid_and_artifacts(tmp_path, small_instance_file):
         assert validate(sol, inst) == []
         assert sol.total_cost == pytest.approx(r.final_cost)
         assert stated == pytest.approx(r.final_cost)
-        trace_lines = open(r.trace_path).read().splitlines()
+        trace_lines = Path(r.trace_path).read_text().splitlines()
         assert trace_lines[0] == "elapsed_ms,best_cost"
         costs = [float(ln.split(",")[1]) for ln in trace_lines[1:]]
         assert costs == sorted(costs, reverse=True)
@@ -160,6 +160,20 @@ def test_instances_must_have_distinct_stems(tmp_path, small_instance_file, capsy
     out_dir = tmp_path / "runs"
     assert main(["bench", str(cfg), "--out-dir", str(out_dir)]) == 2
     assert "share the stem 'x'" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_variants_must_have_distinct_names(tmp_path, small_instance_file, capsys):
+    # a cell's files and records are named by the variant too
+    config = _quick_config("sahid-rco")
+    with pytest.raises(ValueError, match="variant 'v' is listed twice"):
+        ExperimentSpec([small_instance_file], [("v", config), ("w", config), ("v", config)])
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"instances = {small_instance_file}\n"
+                   "variants = sahid-rco, sahid-rco\nruns = 3\n")
+    out_dir = tmp_path / "runs"
+    assert main(["bench", str(cfg), "--out-dir", str(out_dir)]) == 2
+    assert "variant 'sahid-rco' is listed twice" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
@@ -561,8 +575,8 @@ def test_parallel_workers_match_sequential(tmp_path, small_instance_file):
     seq = run_experiment(ExperimentSpec(**base, workers=1), tmp_path / "seq")
     par = run_experiment(ExperimentSpec(**base, workers=2), tmp_path / "par")
     assert [r.final_cost for r in seq] == [r.final_cost for r in par]
-    assert [open(r.trace_path).read() for r in seq] == [
-        open(r.trace_path).read() for r in par
+    assert [Path(r.trace_path).read_text() for r in seq] == [
+        Path(r.trace_path).read_text() for r in par
     ]
 
 
@@ -628,6 +642,7 @@ virtual_clock = true
                  "--alpha", "0.05"]) == 0
     out = capsys.readouterr().out
     assert "reference: sahid-rco" in out
+    assert [line for line in bench_out + out.splitlines() if line.endswith(" ")] == []
     # the same summary table, from the records in memory and as read back
     assert out.splitlines()[:3] == bench_out[1:] and bench_out[1].startswith("instance ")
     assert (out_dir / "summary.csv").read_bytes() == summary
@@ -697,6 +712,17 @@ def test_records_csv_round_trips_every_value(tmp_path):
     path.write_text("instance,variant,seed,final_cost,elapsed_sec,route_count,trace_path,"
                     "solution_path\ni,v,1,2.5,0.5,1,t.csv,s.sol\n")
     assert read_records_csv(path) == [RunRecord("i", "v", 1, 2.5, 0.5, 1, "t.csv", "s.sol")]
+
+
+def test_records_csv_must_hold_every_column_without_a_default(tmp_path, capsys):
+    (tmp_path / "records.csv").write_text("instance,variant,final_cost\ni,v,1.0\n")
+    columns = "seed, elapsed_sec, route_count, trace_path, solution_path"
+    with pytest.raises(ValueError, match=f"lacks the column\\(s\\) {columns}$"):
+        read_records_csv(tmp_path / "records.csv")
+    assert main(["stats", str(tmp_path), "--reference", "v"]) == 2
+    assert f"error: {tmp_path / 'records.csv'} lacks the column(s) {columns}" in (
+        capsys.readouterr().err
+    )
 
 
 def test_cli_clean_errors(tmp_path, capsys):

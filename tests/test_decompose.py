@@ -254,7 +254,6 @@ def test_build_virtual_tasks_keeps_order_and_orientation():
 
 def test_elementary_virtual_tasks_are_forward_ids(path_instance):
     units = elementary_virtual_tasks(path_instance)
-    assert units == [(t.forward_id,) for t in path_instance.tasks]
     assert units == [(forward_id(ti),) for ti in range(path_instance.task_count)]
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from routecut import Edge, Instance, Solution
 from routecut.distances import _EXACT_INT, DistanceTable
 from routecut.generator import generate_instance
+from routecut.instance import forward_id
 from routecut.ranking import link_numerators
 
 from conftest import bellman_ford_all_pairs, make_instance
@@ -60,7 +61,7 @@ def _entry_types(rows):
 
 
 def _total_cost_of_one_route(inst):
-    ids = [t.forward_id for t in inst.tasks]
+    ids = [forward_id(ti) for ti in range(inst.task_count)]
     return Solution.build([ids], inst, inst.distances()).total_cost
 
 

@@ -18,6 +18,7 @@ from routecut import (
     write_instance,
 )
 from routecut.generator import generate_instance
+from routecut.instance import forward_id
 
 from conftest import make_instance, small_instances
 
@@ -172,11 +173,16 @@ def test_self_loop_task_accepted():
 
 
 def test_directed_id_structure():
-    inst = make_instance(3, [(0, 1, 1, 1, 1), (1, 2, 2, 4, 4)], capacity=10)
-    for task in inst.tasks:
-        f, r = task.forward_id, task.reverse_id
-        assert inverse_id(f) == r and inverse_id(r) == f
-        assert task_index_of(f) == task_index_of(r) == task.index
+    inst = make_instance(
+        3, [(0, 1, 1, 1, 1), (0, 2, 0, 0, 5), (1, 2, 2, 4, 4)], capacity=10
+    )
+    assert inst.tasks == [e for e in inst.edges if e.required]
+    assert [(t.u, t.v) for t in inst.tasks] == [(0, 1), (1, 2)]
+    for i, task in enumerate(inst.tasks):
+        f = forward_id(i)
+        r = inverse_id(f)
+        assert r == f + 1 and inverse_id(r) == f
+        assert task_index_of(f) == task_index_of(r) == i
         assert inst.id_head[f] == inst.id_tail[r] == task.u
         assert inst.id_tail[f] == inst.id_head[r] == task.v
         assert inst.id_demand[f] == inst.id_demand[r] == task.demand

@@ -44,7 +44,7 @@ from routecut import (
 )
 from routecut.decompose import (
     _DISTANCE_BLOCK,
-    _farthest_point_medoids,
+    _farthest_points,
     _pairwise_distances,
     _repair_empty_groups,
     fuzzy_kmedoid,
@@ -247,7 +247,7 @@ def reference_path_scanning(instance, dist, rng):
                 task = instance.tasks[ti]
                 if load + task.demand > instance.capacity:
                     continue
-                for tid in (task.forward_id, task.reverse_id):
+                for tid in (forward_id(ti), inverse_id(forward_id(ti))):
                     d = row[head[tid]]
                     if best_d is None or d < best_d:
                         best_d = d
@@ -297,6 +297,18 @@ def whole_matrix_pairwise_distances(pool, num):
     return d + d.T
 
 
+def reference_farthest_point_medoids(d, g, rng):
+    """Farthest-point medoids from a random first one, recomputing every
+    sub-route's nearest medoid from all of ``d``'s medoid columns."""
+    n = d.shape[0]
+    medoids = [rng.randrange(n)]
+    while len(medoids) < g:
+        nearest = d[:, medoids].min(axis=1)
+        nearest[medoids] = -1.0
+        medoids.append(int(np.argmax(nearest)))
+    return medoids
+
+
 def reference_fuzzy_kmedoid(pool, group_count, fuzziness, instance, dist, rng):
     """`fuzzy_kmedoid` assigning one sub-route at a time."""
     members = list(pool)
@@ -306,7 +318,7 @@ def reference_fuzzy_kmedoid(pool, group_count, fuzziness, instance, dist, rng):
     if g == 1:
         return [members]
     alpha = fuzziness
-    medoids = _farthest_point_medoids(d, g, rng)
+    medoids = reference_farthest_point_medoids(d, g, rng)
     assign = np.full(n, -1, dtype=np.int64)
     for _ in range(20):
         new_assign = np.empty(n, dtype=np.int64)
@@ -865,6 +877,37 @@ GROUP_COUNTS = (1, 2, 3, 5)
 FUZZINESS = (0.5, 5.0, 50.0)
 
 
+def _medoid_matrix(n, kind, rng):
+    """A symmetric sub-route distance matrix with a zero diagonal, as
+    `_pairwise_distances` gives: ints 0..2 (ties everywhere), distinct
+    random floats, or all zeros."""
+    if kind == "ties":
+        d = rng.integers(0, 3, size=(n, n)).astype(float)
+    elif kind == "float":
+        d = rng.random((n, n))
+    else:
+        d = np.zeros((n, n))
+    d = np.triu(d, 1)
+    return d + d.T
+
+
+@pytest.mark.parametrize("kind", ["ties", "float", "zeros"])
+@pytest.mark.parametrize("seed", range(10))
+def test_farthest_points_match_reference_medoids(seed, kind):
+    gen = np.random.default_rng(seed)
+    for n in (1, 2, 3, 7, 20):
+        d = _medoid_matrix(n, kind, gen)
+        before = d.copy()
+        for g in range(1, n + 1):
+            ref_rng, new_rng = make_rng(seed), make_rng(seed)
+            expected = reference_farthest_point_medoids(d, g, ref_rng)
+            got, columns = _farthest_points(new_rng.randrange(n), g, lambda j: d[:, j])
+            assert got == expected
+            assert new_rng.getstate() == ref_rng.getstate()
+            assert all(np.array_equal(c, d[:, m]) for c, m in zip(columns, got))
+        assert np.array_equal(d, before)
+
+
 def _assert_fuzzy_matches(pool, instance, dist, seed, make=make_rng):
     for g in GROUP_COUNTS:
         for alpha in FUZZINESS:
@@ -921,7 +964,7 @@ def test_fuzzy_kmedoid_cases_reach_small_pools_zeros_and_exact_draws():
             d = _pairwise_distances(pool, instance, dist)
             zero_rows += bool(np.any(d[~np.eye(len(pool), dtype=bool)] == 0))
             for g in range(2, min(len(pool), max(GROUP_COUNTS)) + 1):
-                to_medoid = d[:, _farthest_point_medoids(d, g, _QuarterDraws(seed))]
+                to_medoid = d[:, reference_farthest_point_medoids(d, g, _QuarterDraws(seed))]
                 nearest = to_medoid.min(axis=1, keepdims=True)
                 far = nearest[:, 0] != 0
                 for alpha in FUZZINESS:

@@ -194,9 +194,10 @@ def test_roundtrip_with_parallel_tasks():
 @given(small_instances(), st.randoms(use_true_random=False))
 def test_solution_text_round_trip_on_drawn_instances(inst, rnd):
     dist = inst.distances()
-    ids = [t.reverse_id if rnd.random() < 0.5 else t.forward_id for t in inst.tasks]
+    ids = [forward_id(ti) for ti in range(inst.task_count)]
+    ids = [inverse_id(f) if rnd.random() < 0.5 else f for f in ids]
     # a reverse and a forward ID, both v1 -> v0 on the parallel pair
-    ids[0], ids[1] = inst.tasks[0].reverse_id, inst.tasks[1].forward_id
+    ids[0], ids[1] = inverse_id(forward_id(0)), forward_id(1)
     rnd.shuffle(ids)
     routes = [[] for _ in range(rnd.randint(1, len(ids)))]
     for t in ids:
