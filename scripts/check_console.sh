@@ -21,8 +21,11 @@
 # either's stdout ends in a space.  A config that lists two instance files
 # with one stem, one variant twice, or a value that does not parse (`groups =
 # 2.5`), exits with status 2, names the stem, the variant or the key, and
-# runs no cell.  `stats` on a `records.csv` without a `seed` column exits
-# with status 2 and names the column.
+# runs no cell, and so does `bench --time-multiplier inf`, naming
+# `time_multiplier`.  `stats` exits with status 2 on a `records.csv` without
+# a `seed` column, naming the column; on a row with fewer fields than the
+# header, naming its line; and on an experiment of two runs, naming the
+# three seeds the rank-sum test needs.
 #
 # Usage: scripts/check_console.sh [WORK_DIR]
 # WORK_DIR (created if missing) defaults to a new temporary directory.
@@ -103,6 +106,11 @@ routecut bench exp.cfg --out-dir nan --budget fixed:nan 2> budget.err || status=
 test "$status" -eq 2
 grep -q budget budget.err
 test ! -e nan
+status=0
+routecut bench exp.cfg --out-dir inf --time-multiplier inf 2> inf.err || status=$?
+test "$status" -eq 2
+grep -q time_multiplier inf.err
+test ! -e inf
 for setting in 'groups = 0:groups must be at least 1' 'virtual_clock = ture:virtual_clock' \
     'groups = 2.5:bad.cfg:3: groups must be an integer'; do
   printf '%s\n' 'instances = i.dat' 'variants = cluster-rco' "${setting%%:*}" > bad.cfg
@@ -133,6 +141,13 @@ status=0
 routecut stats noseed --reference sahid-rco 2> noseed.err || status=$?
 test "$status" -eq 2
 grep -qF 'lacks the column(s) seed' noseed.err
+mkdir -p short
+printf '%s\n' 'instance,variant,seed,final_cost,elapsed_sec,route_count,trace_path,solution_path' \
+  'i,sahid-rco,1,2.0' > short/records.csv
+status=0
+routecut stats short --reference sahid-rco 2> short.err || status=$?
+test "$status" -eq 2
+grep -qF 'short/records.csv:2: the row has fewer fields' short.err
 
 printf 'VERTICES : x\n' > broken.dat
 printf '%s\n' 'instances = broken.dat, i.dat' 'variants = sahid-rco, sahid-random' 'runs = 2' \
@@ -142,6 +157,11 @@ routecut bench broken.cfg --out-dir broken || status=$?
 test "$status" -eq 1
 test "$(ls broken/*.err | wc -l)" -eq 4
 test "$(ls broken/broken__*.err | wc -l)" -eq 4
+status=0
+routecut stats broken --reference sahid-rco 2> few.err || status=$?
+test "$status" -eq 2
+grep -qF 'no instance has 3 seeds' few.err
+test ! -e broken/wdl.csv
 
 for trace in runs/*.trace.csv pool/*.trace.csv; do
   test "$(head -n 1 "$trace")" = elapsed_ms,best_cost

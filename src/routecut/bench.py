@@ -41,8 +41,8 @@ class ExperimentSpec:
             raise ValueError("runs must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if not self.time_multiplier > 0:  # NaN too
-            raise ValueError("time_multiplier must be positive")
+        if not 0 < self.time_multiplier < math.inf:  # NaN too
+            raise ValueError("time_multiplier must be finite and positive")
         if self.budget is not None:
             _parse_budget(self.budget)
         stems = [Path(path).stem for path in self.instances]  # they name each cell's files
@@ -190,9 +190,11 @@ def write_csv(path: str | Path, row_type: type, rows: Iterable) -> None:
 
 def read_records_csv(path: str | Path) -> list[RunRecord]:
     """The RunRecords of a ``records.csv``, each column converted by the
-    declared type of its RunRecord field.  A column with a field default may
-    be absent and then keeps that default; a column RunRecord lacks is
-    ignored.  Raise ValueError naming the RunRecord columns the file lacks."""
+    declared type of its RunRecord field (``search.parse_value``).  A column
+    with a field default may be absent and then keeps that default; a column
+    RunRecord lacks is ignored.  Raise ValueError naming the RunRecord
+    columns the file lacks, or as ``<path>:<line>: ...`` for a row with fewer
+    fields than the header or a value that does not convert."""
     kinds = get_type_hints(RunRecord)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -201,10 +203,16 @@ def read_records_csv(path: str | Path) -> list[RunRecord]:
                    if f.default is MISSING and f.name not in header]
         if missing:
             raise ValueError(f"{path} lacks the column(s) {', '.join(missing)}")
-        return [
-            RunRecord(**{name: kind(row[name]) for name, kind in kinds.items() if name in row})
-            for row in reader
-        ]
+        records = []
+        for row in reader:
+            try:
+                if None in row.values():  # DictReader's filler for a short row
+                    raise ValueError(f"the row has fewer fields than the header's {len(header)}")
+                records.append(RunRecord(**{name: parse_value(name, kind, row[name])
+                                            for name, kind in kinds.items() if name in row}))
+            except ValueError as error:
+                raise ValueError(f"{path}:{reader.line_num}: {error}") from None
+        return records
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .bench import (
@@ -20,7 +20,7 @@ from .generator import generate_instance_file
 from .instance import load_instance
 from .search import ALGORITHMS, PARAMETERS, build_config, solve
 from .solution import min_vehicles, read_solution, validate, write_solution
-from .stats import MIN_SAMPLE, Comparison, significance_table
+from .stats import MIN_SAMPLE, Comparison, WdlRow, significance_table
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -115,34 +115,28 @@ def _summary_table(rows: list[SummaryRow]) -> str:
     ])
 
 
-@dataclass(frozen=True)
-class WdlRow:
-    variant: str
-    wins: int
-    draws: int
-    losses: int
-
-
 def _cmd_stats(args) -> int:
     records = read_records_csv(args.dir / "records.csv")
     rows = summarize(records)
     # every variant of an instance has the same shared seeds, hence one length
     samples = {k: v for k, v in samples_by_cell(records).items() if len(v) >= MIN_SAMPLE}
-    table = significance_table(samples, args.reference, args.alpha)
-    wdl = [WdlRow(variant, *counts) for variant, counts in sorted(table.wdl.items())]
+    if not samples:
+        raise ValueError(f"no instance has {MIN_SAMPLE} seeds that every variant completed, "
+                         "the fewest the rank-sum test takes")
+    wdl, detail = significance_table(samples, args.reference, args.alpha)
 
     print(_summary_table(rows))
     print()
     dropped = len(records) - sum(map(len, samples.values()))
     print(f"dropped {dropped} of {len(records)} runs (failed or unmatched seed)")
-    print(f"reference: {table.reference} (alpha={table.alpha})")
+    print(f"reference: {args.reference} (alpha={args.alpha})")
     print(_fmt_aligned([["variant", "W", "D", "L"]] + [
         [r.variant, str(r.wins), str(r.draws), str(r.losses)] for r in wdl
     ]))
 
     write_csv(args.dir / "summary.csv", SummaryRow, rows)
     write_csv(args.dir / "wdl.csv", WdlRow, wdl)
-    write_csv(args.dir / "comparisons.csv", Comparison, table.detail)
+    write_csv(args.dir / "comparisons.csv", Comparison, detail)
     return 0
 
 

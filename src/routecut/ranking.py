@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distances import DistanceTable
-from .instance import Instance
+from .instance import Instance, task_index_of
 
 
 def link_numerators(
@@ -134,8 +134,8 @@ class RankMatrix:
 
     ``ranks[i]`` is ``rank_rows`` of the link costs leaving task i, with
     the diagonal unset (0).  Only ranks are kept, 2 bytes per task pair:
-    ``rco`` and ``nearest`` read nothing else, and the clustering path sums
-    its link costs afresh (``link_numerators``).
+    ``link_ranks`` (for ``rco``) and ``nearest`` read nothing else, and the
+    clustering path sums its link costs afresh (``link_numerators``).
     """
 
     ranks: np.ndarray
@@ -143,6 +143,13 @@ class RankMatrix:
     _nearest: dict[int, list[list[int]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    def link_ranks(self, ids: list[int]) -> list[int]:
+        """The rank of each link of the directed task IDs ``ids``: link i
+        leaves the task of ``ids[i]`` for that of ``ids[i + 1]``, whatever
+        their orientations.  One ID or none has no link."""
+        table = self.ranks
+        return [int(table[task_index_of(a), task_index_of(b)]) for a, b in zip(ids, ids[1:])]
 
     def nearest(self, k: int) -> list[list[int]]:
         """Per task, the k other tasks with the cheapest links, nearest

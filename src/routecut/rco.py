@@ -16,15 +16,8 @@ from __future__ import annotations
 
 import random
 
-from .instance import task_index_of
 from .ranking import RankMatrix
 from .solution import Route, Solution
-
-
-def _link_ranks(ids: list[int], ranks: RankMatrix) -> list[int]:
-    """The rank of each link of a route's ``ids``; link i joins ids i and i+1."""
-    table = ranks.ranks
-    return [int(table[task_index_of(a), task_index_of(b)]) for a, b in zip(ids, ids[1:])]
 
 
 def average_task_rank(solution: Solution, ranks: RankMatrix) -> float:
@@ -36,7 +29,7 @@ def average_task_rank(solution: Solution, ranks: RankMatrix) -> float:
     total = 0
     count = 0
     for route in solution.routes:
-        links = _link_ranks(route.ids, ranks)
+        links = ranks.link_ranks(route.ids)
         total += sum(links)
         count += len(links)
     return total / count if count else 0.0
@@ -50,7 +43,7 @@ def classify_links(route: Route, ranks: RankMatrix, avg: float) -> tuple[list[in
     """
     good: list[int] = []
     poor: list[int] = []
-    for i, r in enumerate(_link_ranks(route.ids, ranks)):
+    for i, r in enumerate(ranks.link_ranks(route.ids)):
         (good if r < avg else poor).append(i)
     return good, poor
 

@@ -49,7 +49,7 @@ from .decompose import (
 )
 from .distances import DistanceTable
 from .instance import Instance, task_index_of
-from .localsearch import _CHECK_EVERY, local_search
+from .localsearch import local_search, max_polls
 from .ranking import RankMatrix, build_rank_matrix
 from .rco import rco_split, uniform_split
 from .seeding import make_rng
@@ -187,13 +187,12 @@ class SearchTrace:
 class _Clock:
     """Monotonic seconds, or with ``virtual`` a counter: each ``now()`` call
     is one 1 ms tick.  Deadline polls (once per loop iteration or cycle, and
-    in ``local_search`` every ``_CHECK_EVERY`` = 256 evaluations) and trace
-    samples call it.  A clustering-loop section runs in forked processes
-    only when no poll inside it can reach the time limit, and otherwise in
-    this process in job order, so virtual runs repeat exactly even when the
-    limit binds; a child's ticks are added to this clock when it reports.
-    Moving a poll or changing ``_CHECK_EVERY`` changes virtual-clock
-    results."""
+    in each ``local_search`` fewer than ``localsearch.max_polls`` of its
+    cap) and trace samples call it.  A clustering-loop section runs in
+    forked processes only when no poll inside it can reach the time limit,
+    and otherwise in this process in job order, so virtual runs repeat
+    exactly even when the limit binds; a child's ticks are added to this
+    clock when it reports.  Moving a poll changes virtual-clock results."""
 
     def __init__(self, virtual: bool):
         self.virtual = virtual
@@ -352,8 +351,8 @@ def solve(
         """The results of independent ``jobs`` that make ``searches`` capped
         local searches between them.  They run in job order here when a
         deadline poll inside them could see a virtual time limit: each
-        search polls at most ceil(budget / _CHECK_EVERY) times."""
-        polls = searches * -(-config.sub_solver_budget // _CHECK_EVERY)
+        search polls fewer than ``max_polls`` of its budget times."""
+        polls = searches * max_polls(config.sub_solver_budget)
         if clock.virtual and (clock.ticks + polls) * 1e-3 >= config.time_limit:
             return [job() for job in jobs]
         return _fan_out(jobs, clock)

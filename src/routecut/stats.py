@@ -87,25 +87,27 @@ class Comparison:
     outcome: str  # W | D | L from the reference variant's viewpoint
 
 
-@dataclass
-class SignificanceTable:
-    reference: str
-    alpha: float
-    wdl: dict[str, tuple[int, int, int]]
-    detail: list[Comparison]
+@dataclass(frozen=True)
+class WdlRow:
+    variant: str
+    wins: int
+    draws: int
+    losses: int
 
 
 def significance_table(
     samples: dict[tuple[str, str], list[float]],
     reference: str,
     alpha: float = 0.05,
-) -> SignificanceTable:
+) -> tuple[list[WdlRow], list[Comparison]]:
     """Win/draw/loss counts of a reference variant against every other.
 
     ``samples`` maps (instance, variant) to final costs over the runs.
     A win on an instance means the reference is significantly better
     (two-sided p below alpha and lower mean cost); a draw means the test
     finds no significant difference.  ``alpha`` must lie in (0, 1).
+    Returns one ``WdlRow`` per other variant, in name order, and the
+    ``Comparison`` of each (instance, variant) pair that both sampled.
     """
     if not 0 < alpha < 1:
         raise ValueError(f"significance level alpha must be in (0, 1), not {alpha!r}")
@@ -124,33 +126,22 @@ def significance_table(
                 f"run counts differ on instance {inst!r} (cell {inst!r}/{offender!r})"
             )
 
-    wdl: dict[str, tuple[int, int, int]] = {}
+    wdl: list[WdlRow] = []
     detail: list[Comparison] = []
     for var in variants:
         if var == reference:
             continue
-        w = d = l = 0
         for inst in instances:
             ref = samples.get((inst, reference))
             other = samples.get((inst, var))
             if ref is None or other is None:
                 continue
             res = wilcoxon_rank_sum(ref, other)
+            outcome = "D"
             if res.pvalue < alpha:
-                ref_mean = sum(ref) / len(ref)
-                other_mean = sum(other) / len(other)
-                if ref_mean < other_mean:
-                    outcome = "W"
-                    w += 1
-                elif ref_mean > other_mean:
-                    outcome = "L"
-                    l += 1
-                else:
-                    outcome = "D"
-                    d += 1
-            else:
-                outcome = "D"
-                d += 1
+                ref_mean, other_mean = sum(ref) / len(ref), sum(other) / len(other)
+                outcome = "W" if ref_mean < other_mean else "L" if ref_mean > other_mean else "D"
             detail.append(Comparison(inst, var, res.pvalue, outcome))
-        wdl[var] = (w, d, l)
-    return SignificanceTable(reference, alpha, wdl, detail)
+        outcomes = [c.outcome for c in detail if c.variant == var]
+        wdl.append(WdlRow(var, *map(outcomes.count, "WDL")))
+    return wdl, detail

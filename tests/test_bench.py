@@ -29,6 +29,7 @@ from routecut.cli import main
 from routecut.generator import generate_instance_file
 from routecut.search import PARAMETERS, SearchConfig, SearchTrace, build_config
 from routecut.solution import Solution, write_solution
+from routecut.stats import MIN_SAMPLE
 
 
 def _quick_config(algorithm, **kw):
@@ -299,6 +300,7 @@ workers = 2
 @pytest.mark.parametrize("key, value", [
     ("workers", "0"), ("workers", "-2"),
     ("time_multiplier", "0"), ("time_multiplier", "-1.5"), ("time_multiplier", "nan"),
+    ("time_multiplier", "inf"),
     ("budget", "weekly"), ("budget", "weekly:3"), ("budget", "fixed"), ("budget", "fixed:"),
     ("budget", "fixed:soon"), ("budget", "fixed:nan"), ("budget", "fixed:-1"),
     ("budget", "fixed:0"), ("budget", "fixed:inf"), ("budget", "per-knodes:-inf"),
@@ -333,6 +335,7 @@ def test_parse_config_names_the_key_of_a_value_that_does_not_parse(line, expecte
     ("--workers", "0", "workers"),
     ("--time-multiplier", "0", "time_multiplier"),
     ("--time-multiplier", "nan", "time_multiplier"),
+    ("--time-multiplier", "inf", "time_multiplier"),
     ("--budget", "fixed", "budget"),
     ("--budget", "fixed:nan", "budget"),
     ("--budget", "fixed:-1", "budget"),
@@ -723,6 +726,37 @@ def test_records_csv_must_hold_every_column_without_a_default(tmp_path, capsys):
     assert f"error: {tmp_path / 'records.csv'} lacks the column(s) {columns}" in (
         capsys.readouterr().err
     )
+
+
+RECORDS_HEADER = "instance,variant,seed,final_cost,elapsed_sec,route_count,trace_path,solution_path"
+
+
+@pytest.mark.parametrize("row, expected", [
+    ("i,v,1,2.0", "the row has fewer fields than the header's 8"),
+    ("i,v,abc,2.0,0.5,1,,", "seed must be an integer, got 'abc'"),
+    ("i,v,1,cheap,0.5,1,,", "final_cost must be a number, got 'cheap'"),
+])
+def test_records_csv_names_the_line_of_a_bad_row(row, expected, tmp_path, capsys):
+    path = tmp_path / "records.csv"
+    path.write_text(f"{RECORDS_HEADER}\ni,v,1,2.5,0.5,1,,\n{row}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:3: {expected}')}$"):
+        read_records_csv(path)
+    assert main(["stats", str(tmp_path), "--reference", "v"]) == 2
+    assert f"error: {path}:3: {expected}" in capsys.readouterr().err
+
+
+def test_cli_stats_says_when_no_instance_has_enough_seeds(tmp_path, capsys):
+    records = [RunRecord("i", v, seed, 1.0 + seed, 1.0, 1, "", "")
+               for v in ("a", "b") for seed in range(5)]
+    # seeds 2..4 failed for b, so every variant completed two seeds only
+    records[7:] = [replace(r, final_cost=math.nan, error="RuntimeError: boom")
+                   for r in records[7:]]
+    write_csv(tmp_path / "records.csv", RunRecord, records)
+    assert main(["stats", str(tmp_path), "--reference", "a"]) == 2
+    err = capsys.readouterr().err
+    assert f"no instance has {MIN_SAMPLE} seeds that every variant completed" in err
+    assert "has no samples" not in err
+    assert not (tmp_path / "wdl.csv").exists()
 
 
 def test_cli_clean_errors(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Link costs and the competition-ranked link matrix."""
 
+import random
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from routecut import RankMatrix, build_rank_matrix, rank_rows
 from routecut.generator import generate_instance
+from routecut.instance import forward_id, inverse_id
 from routecut.ranking import link_numerators
 
 from conftest import LINK_NUMERATORS, RANKS_GOLDEN, make_instance
@@ -41,6 +43,26 @@ def test_golden_rows_quoted():
     assert list(got[2]) == [1, 1, 0, 7, 5, 4, 5, 1]
     # row (v2,v3): costs (4.5, 5, 4.5, 1, 6, 7, 5.5) -> ranks (2, 4, 2, 1, 6, 7, 5)
     assert list(got[3]) == [2, 4, 2, 0, 1, 6, 7, 5]
+
+
+def test_link_ranks_look_up_each_link_in_route_order(golden_ranks):
+    rng = random.Random(5)
+    for size in [0, 1, 2, 3, 8] * 10:
+        tasks = rng.sample(range(8), size)
+        ids = [forward_id(t) if rng.random() < 0.5 else inverse_id(forward_id(t))
+               for t in tasks]
+        links = list(zip(tasks, tasks[1:]))
+        assert golden_ranks.link_ranks(ids) == [int(RANKS_GOLDEN[a, b]) for a, b in links]
+        # reversed, each link leaves the other task
+        assert golden_ranks.link_ranks(ids[::-1]) == [
+            int(RANKS_GOLDEN[b, a]) for a, b in reversed(links)
+        ]
+    assert golden_ranks.link_ranks([forward_id(3)]) == []
+    # A -> D ranks 7 and D -> A ranks 2, in either orientation of each
+    for a in (forward_id(0), inverse_id(forward_id(0))):
+        for d in (forward_id(3), inverse_id(forward_id(3))):
+            assert golden_ranks.link_ranks([a, d]) == [7]
+            assert golden_ranks.link_ranks([d, a]) == [2]
 
 
 def test_rank_matrix_is_asymmetric():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routecut import significance_table, wilcoxon_rank_sum
-from routecut.stats import _midranks_doubled
+from routecut.stats import WdlRow, _midranks_doubled
 
 
 def exact_p_by_enumeration(a, b):
@@ -149,8 +149,8 @@ def test_identical_samples_all_draws():
         "i1": {"ref": [5, 6, 7], "other": [5, 6, 7]},
         "i2": {"ref": [1, 2, 3], "other": [1, 2, 3]},
     })
-    table = significance_table(samples, "ref", alpha=0.05)
-    assert table.wdl["other"] == (0, 2, 0)
+    wdl, _ = significance_table(samples, "ref", alpha=0.05)
+    assert wdl == [WdlRow("other", 0, 2, 0)]
 
 
 def test_dominating_reference_wins():
@@ -159,8 +159,8 @@ def test_dominating_reference_wins():
     for i in range(k):
         samples[(f"i{i}", "ref")] = [10, 11, 12, 13, 11, 12]
         samples[(f"i{i}", "other")] = [20, 21, 22, 23, 21, 22]
-    table = significance_table(samples, "ref", alpha=0.05)
-    assert table.wdl["other"] == (k, 0, 0)
+    wdl, _ = significance_table(samples, "ref", alpha=0.05)
+    assert wdl == [WdlRow("other", k, 0, 0)]
     p = wilcoxon_rank_sum(samples[("i0", "ref")], samples[("i0", "other")]).pvalue
     assert p < 0.05  # rank-sum oracle agrees the separation is significant
 
@@ -170,8 +170,25 @@ def test_worse_reference_loses():
         ("i0", "ref"): [20, 21, 22, 23, 21, 22],
         ("i0", "other"): [10, 11, 12, 13, 11, 12],
     }
-    table = significance_table(samples, "ref", alpha=0.05)
-    assert table.wdl["other"] == (0, 0, 1)
+    wdl, _ = significance_table(samples, "ref", alpha=0.05)
+    assert wdl == [WdlRow("other", 0, 0, 1)]
+
+
+def test_wdl_rows_come_in_variant_name_order_without_the_reference():
+    samples = {}
+    for inst in ("i0", "i1"):
+        samples[(inst, "m")] = [10, 11, 12, 13, 11, 12]
+        samples[(inst, "z")] = [20, 21, 22, 23, 21, 22]
+        samples[(inst, "a")] = [1, 2, 3, 4, 2, 3]
+        samples[(inst, "b")] = [10, 11, 12, 13, 11, 12]
+    wdl, detail = significance_table(samples, "m", alpha=0.05)
+    assert wdl == [WdlRow("a", 0, 0, 2), WdlRow("b", 0, 2, 0), WdlRow("z", 2, 0, 0)]
+    # each row counts the outcomes of its variant's comparisons
+    assert [(c.instance, c.variant, c.outcome) for c in detail] == [
+        (inst, var, outcome)
+        for var, outcome in (("a", "L"), ("b", "D"), ("z", "W"))
+        for inst in ("i0", "i1")
+    ]
 
 
 def test_mismatched_run_counts_rejected():
