@@ -5,7 +5,9 @@
 # run `bench` and `stats` in one process and in a pool of two worker
 # processes, each worker keeping its last instance and rank matrix.  An
 # instance with decimal costs is solved and validated too: its shortest
-# paths take Dijkstra over the whole graph, with no vertex eliminated.  Every
+# paths take Dijkstra over the whole graph, with no vertex eliminated.  So
+# is a generated instance of 200 tasks, more than the 64 cheapest links kept
+# per task, on which route cutting ranks a few in-route links on demand.  Every
 # trace CSV, from `solve --trace` or streamed by `bench`, must start with its
 # header, and invalid settings (a value out of range, a boolean that is not
 # 1/0, true/false or yes/no, a significance level outside (0, 1)) must
@@ -23,8 +25,8 @@
 # 2.5`), exits with status 2, names the stem, the variant or the key, and
 # runs no cell, and so does `bench --time-multiplier inf`, naming
 # `time_multiplier`.  `stats` exits with status 2 on a `records.csv` without
-# a `seed` column, naming the column; on a row with fewer fields than the
-# header, naming its line; and on an experiment of two runs, naming the
+# a `seed` column, naming the column; on a row with fewer or more fields
+# than the header, naming its line; and on an experiment of two runs, naming the
 # three seeds the rank-sum test needs.
 #
 # Usage: scripts/check_console.sh [WORK_DIR]
@@ -64,6 +66,12 @@ routecut solve f.dat --max-iters 2 --virtual-clock --out f.sol
 routecut validate f.dat f.sol
 routecut solve f.dat --algorithm cluster-rco --max-cycles 1 --virtual-clock --out fc.sol
 routecut validate f.dat fc.sol
+
+routecut gen --vertices 100 --tasks 200 --capacity 400 --seed 4 --out g.dat
+routecut solve g.dat --max-iters 2 --virtual-clock --out g.sol
+routecut validate g.dat g.sol
+routecut solve g.dat --algorithm cluster-rco --max-cycles 1 --virtual-clock --out gc.sol
+routecut validate g.dat gc.sol
 
 printf '%s\n' 'instances = i.dat' 'variants = sahid-rco, sahid-random' 'runs = 3' \
   'max_iterations = 2' 'virtual_clock = 1' > exp.cfg
@@ -148,6 +156,13 @@ status=0
 routecut stats short --reference sahid-rco 2> short.err || status=$?
 test "$status" -eq 2
 grep -qF 'short/records.csv:2: the row has fewer fields' short.err
+mkdir -p long
+printf '%s\n' 'instance,variant,seed,final_cost,elapsed_sec,route_count,trace_path,solution_path' \
+  'i,sahid-rco,1,2.0,0.5,1,,,oops,more' > long/records.csv
+status=0
+routecut stats long --reference sahid-rco 2> long.err || status=$?
+test "$status" -eq 2
+grep -qF 'long/records.csv:2: the row has more fields' long.err
 
 printf 'VERTICES : x\n' > broken.dat
 printf '%s\n' 'instances = broken.dat, i.dat' 'variants = sahid-rco, sahid-random' 'runs = 2' \

@@ -1,7 +1,7 @@
 """Divide-and-conquer solver for capacitated arc routing.
 
-The library models CARP instances and solutions, scores every ordered
-task pair with a competition-ranked link matrix, splits routes at
+The library models CARP instances and solutions, ranks the links between
+tasks by cost (each task's cheapest kept, any other on demand), splits routes at
 rank-selected links, and embeds that splitting operator in two
 decomposition search loops (hierarchical rebuild and fuzzy k-medoid
 clustering), together with a seeded benchmark harness and rank-sum

@@ -194,7 +194,7 @@ def read_records_csv(path: str | Path) -> list[RunRecord]:
     with a field default may be absent and then keeps that default; a column
     RunRecord lacks is ignored.  Raise ValueError naming the RunRecord
     columns the file lacks, or as ``<path>:<line>: ...`` for a row with fewer
-    fields than the header or a value that does not convert."""
+    or more fields than the header or a value that does not convert."""
     kinds = get_type_hints(RunRecord)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -208,6 +208,8 @@ def read_records_csv(path: str | Path) -> list[RunRecord]:
             try:
                 if None in row.values():  # DictReader's filler for a short row
                     raise ValueError(f"the row has fewer fields than the header's {len(header)}")
+                if None in row:  # DictReader's key for the fields past the header's
+                    raise ValueError(f"the row has more fields than the header's {len(header)}")
                 records.append(RunRecord(**{name: parse_value(name, kind, row[name])
                                             for name, kind in kinds.items() if name in row}))
             except ValueError as error:

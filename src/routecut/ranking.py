@@ -1,18 +1,22 @@
-"""Link costs between tasks and the per-task rank matrix.
+"""Link costs between tasks and each task's cheapest ranked links.
 
 The cost of the link from one task to another is the mean shortest-path
 cost over the four endpoint pairings, which makes it independent of the
-traversal direction of either task.  Each row of the rank matrix orders
-all links leaving one task by competition ranking: a link's rank is one
-plus the number of strictly cheaper links in the row, so equal costs share
-a rank and the numbering skips after a tie block (1, 1, 3, ...).  The
-matrix is not symmetric: a task on the periphery may rank a central task
-highly while the central task has many closer alternatives.
+traversal direction of either task.  The links leaving one task are ordered
+by competition ranking: a link's rank is one plus the number of strictly
+cheaper links leaving the same task, so equal costs share a rank and the
+numbering skips after a tie block (1, 1, 3, ...).  Ranks are not symmetric:
+a task on the periphery may rank a central task highly while the central
+task has many closer alternatives.  Only each task's ``_KEEP`` cheapest
+links are kept with their ranks; any other link's rank is counted from its
+task's row of link costs when it is first asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
+from typing import Sequence
 
 import numpy as np
 
@@ -47,167 +51,162 @@ def link_numerators(
     return block.astype(np.int64) if matrix.dtype.kind == "i" else block
 
 
-# task rows per block of build_rank_matrix and RankMatrix.nearest; 32 ranked
-# 2500 x 2500 fastest of 16..256, nearest ran within 10% from 16 to 256, and
-# 32 rows of int64 keys are 0.6 MB at 2500
+# task rows per block of build_rank_matrix; 32 built 2500 tasks fastest of
+# 16..128, and 32 rows of int64 keys are 0.6 MB at 2500
 _ROW_BLOCK = 32
-# integer costs whose span (max - min + 1) is below this many times n are
-# ranked by counting, wider or float ones by sorting
-_COUNT_SPAN_PER_ROW = 4
-
-
-def _below_by_sorting(block: np.ndarray, out: np.ndarray) -> None:
-    """out[r, j] = |{k : block[r, k] < block[r, j]}|, by sorting each row
-    and carrying the first position of each tie block to the right."""
-    b, n = block.shape
-    order = np.argsort(block, axis=1)
-    ordered = np.take_along_axis(block, order, axis=1)
-    # first[r, p]: how many entries of row r are strictly cheaper than the
-    # one at sorted position p
-    first = np.zeros((b, n), dtype=np.intp)
-    np.multiply(ordered[:, 1:] != ordered[:, :-1], np.arange(1, n), out=first[:, 1:])
-    del ordered
-    np.maximum.accumulate(first, axis=1, out=first)
-    np.put_along_axis(out, order, first, axis=1)
-
-
-def _below_by_counting(block: np.ndarray, low: np.generic, span: int, out: np.ndarray) -> None:
-    """out[r, j] = |{k : block[r, k] < block[r, j]}| for integer values in
-    ``low .. low + span - 1``: count each value of each row, and read an
-    entry's count of strictly cheaper values off the exclusive running sum
-    of its row's counts."""
-    b = block.shape[0]
-    # offset[r, j]: the slot of block[r, j] among row r's span of values
-    offset = (block - low).astype(np.intp)
-    offset += np.arange(0, b * span, span)[:, None]
-    counts = np.bincount(offset.ravel(), minlength=b * span).reshape(b, span)
-    below = np.cumsum(counts, axis=1)
-    below -= counts
-    out[...] = below.ravel()[offset]
+# links kept per task: 2-7% of in-route links rank above 64 and are ranked
+# on demand; local search reads the 20 nearest
+_KEEP = 64
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _rank_dtype(n: int) -> type:
     return np.uint16 if n <= np.iinfo(np.uint16).max else np.uint32
 
 
-def rank_rows(costs: np.ndarray, first: int = 0) -> np.ndarray:
-    """Competition-rank rows ``first .. first + b - 1`` of a square n x n
-    cost matrix, given as their b x n block ``costs``, ignoring the diagonal.
+def _keys(costs: np.ndarray, first: int) -> np.ndarray | None:
+    """The int64 keys ``cost * n + column`` of rows ``first ..`` of an
+    n-column block of integer costs, unique and in (cost, column) order,
+    with the diagonal's past every other; None for float costs or keys
+    that could overflow."""
+    b, n = costs.shape
+    if costs.dtype.kind not in "iu" or max(-int(costs.min()), int(costs.max()) + 1) * n > _INT64_MAX:
+        return None
+    key = costs.astype(np.int64)
+    key *= n
+    key += np.arange(n)
+    key[np.arange(b), np.arange(first, first + b)] = _INT64_MAX
+    return key
 
-    rank[r, j] = 1 + |{k != i : costs[r, k] < costs[r, j]}| for row
-    i = first + r; diagonal entries [r, i] are left as 0 (unset).  The
-    result is uint16, or uint32 when n exceeds 65535.
 
-    Count the strictly cheaper entries of each row, add one and drop the
-    count for a strictly cheaper diagonal.  Integer costs whose span of
-    values is below ``_COUNT_SPAN_PER_ROW`` x n are counted per value
-    (``np.bincount``), in linear time; float costs and wide integer spans
-    are sorted.  Ranks compare values only, so either path, and an int or a
-    float copy of the same values, gives the same ranks.  The temporaries
-    are a few b x n arrays of 8-byte items (plus b x span counts), so
-    callers rank a large matrix a block of rows at a time.
+def rank_rows(costs: np.ndarray, first: int = 0, keep: int = _KEEP) -> tuple[np.ndarray, np.ndarray]:
+    """The ``keep`` cheapest links of rows ``first .. first + b - 1`` of a
+    square n x n cost matrix, given as their b x n block ``costs``, ignoring
+    the diagonal: their columns in (cost, column) order and their
+    competition ranks, both b x min(keep, n - 1), uint16 (uint32 when n
+    exceeds 65535).
+
+    rank[r, p] = 1 + |{j != i : costs[r, j] < costs[r, columns[r, p]]}| for
+    row i = first + r: every link cheaper than a kept one is kept, so this
+    counts kept links only, and is exact even when a tie block runs past
+    the last kept one.  Integer keys (``_keys``) are partitioned at keep - 1
+    and the first keep sorted; float costs, and integers whose keys could
+    overflow, take a stable argsort.  The temporaries are a few b x n
+    arrays of 8-byte items, so callers rank a block of rows at a time.
     """
     b, n = costs.shape
     if not 0 <= first <= n - b:
         raise ValueError("rows must lie within a square cost matrix")
-    ranks = np.empty((b, n), dtype=_rank_dtype(n))
-    counting = False
-    if b and np.issubdtype(costs.dtype, np.integer):
-        low = costs.min()
-        span = int(costs.max()) - int(low) + 1
-        counting = span < _COUNT_SPAN_PER_ROW * n
-    if counting:
-        _below_by_counting(costs, low, span, ranks)
+    k = max(min(keep, n - 1), 0)
+    dtype = _rank_dtype(n)
+    if not (b and k):
+        return np.zeros((b, k), dtype), np.zeros((b, k), dtype)
+    key = _keys(costs, first)
+    if key is not None:
+        key.partition(k - 1, axis=1)
+        top = np.sort(key[:, :k], axis=1)
+        columns = top % n
+        ordered = top // n
     else:
-        _below_by_sorting(costs, ranks)
-    rows = np.arange(b)
-    diagonal = costs[rows, first + rows]
-    ranks += 1
-    ranks -= costs > diagonal[:, None]
-    ranks[rows, first + rows] = 0
-    return ranks
+        order = np.argsort(costs, axis=1, kind="stable")
+        columns = order[order != np.arange(first, first + b)[:, None]].reshape(b, n - 1)[:, :k]
+        ordered = np.take_along_axis(costs, columns, axis=1)
+    # cheaper[r, p]: how many kept links of row r are strictly cheaper than
+    # the one at position p, i.e. the first position of its tie block
+    cheaper = np.zeros((b, k), dtype=np.intp)
+    np.multiply(ordered[:, 1:] != ordered[:, :-1], np.arange(1, k), out=cheaper[:, 1:])
+    np.maximum.accumulate(cheaper, axis=1, out=cheaper)
+    cheaper += 1
+    return columns.astype(dtype), cheaper.astype(dtype)
 
 
-@dataclass
+@dataclass(eq=False)
 class RankMatrix:
-    """Competition ranks of the links over all ordered task pairs.
-
-    ``ranks[i]`` is ``rank_rows`` of the link costs leaving task i, with
-    the diagonal unset (0).  Only ranks are kept, 2 bytes per task pair:
-    ``link_ranks`` (for ``rco``) and ``nearest`` read nothing else, and the
-    clustering path sums its link costs afresh (``link_numerators``).
+    """Each task's ``_KEEP`` cheapest links and their competition ranks,
+    ``columns[i]`` and ``ranks[i]`` from ``rank_rows`` of the links leaving
+    task i, whose endpoints are ``heads[i]`` and ``tails[i]`` in the
+    distance ``matrix``.  The three are kept by reference (the instance
+    caches its distance table) to rank a link that is not kept, or to list
+    more than ``_KEEP`` nearest tasks, when asked; both are cached here.
     """
 
-    ranks: np.ndarray
-    # nearest's lists by capped k; they depend on ``ranks`` alone
-    _nearest: dict[int, list[list[int]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    matrix: np.ndarray
+    heads: np.ndarray
+    tails: np.ndarray
+    columns: np.ndarray = field(init=False)
+    ranks: np.ndarray = field(init=False)
+    # nearest's lists by capped k, and the ranks of links that are not kept
+    _nearest: dict[int, list[list[int]]] = field(default_factory=dict, init=False, repr=False)
+    _unkept: dict[tuple[int, int], int] = field(default_factory=dict, init=False, repr=False)
 
-    def link_ranks(self, ids: list[int]) -> list[int]:
-        """The rank of each link of the directed task IDs ``ids``: link i
-        leaves the task of ``ids[i]`` for that of ``ids[i + 1]``, whatever
-        their orientations.  One ID or none has no link."""
-        table = self.ranks
-        return [int(table[task_index_of(a), task_index_of(b)]) for a, b in zip(ids, ids[1:])]
+    def __post_init__(self) -> None:
+        self.columns, self.ranks = self._cheapest(_KEEP)
+
+    def _cheapest(self, keep: int) -> tuple[np.ndarray, np.ndarray]:
+        """``rank_rows`` of every task's links, summed and ranked
+        ``_ROW_BLOCK`` rows at a time: no n x n cost matrix is held."""
+        n = len(self.heads)
+        k = max(min(keep, n - 1), 0)
+        columns = np.empty((n, k), dtype=_rank_dtype(n))
+        ranks = np.empty_like(columns)
+        for start in range(0, n, _ROW_BLOCK):
+            stop = min(start + _ROW_BLOCK, n)
+            block = link_numerators(self.matrix, self.heads, self.tails, start, stop)
+            columns[start:stop], ranks[start:stop] = rank_rows(block, first=start, keep=k)
+        return columns, ranks
+
+    def link_ranks(self, routes: Sequence[Sequence[int]]) -> list[list[int]]:
+        """Per sequence of directed task IDs in ``routes``, the rank of each
+        of its links: link i leaves the task of ``ids[i]`` for that of
+        ``ids[i + 1]``, whatever their orientations; one ID or none has no
+        link.  All links are looked up among the kept ones at once; one that
+        is not kept is ranked once per matrix, by summing its task's row of
+        link costs and counting the strictly cheaper entries.
+        """
+        lengths = np.fromiter(map(len, routes), np.intp, len(routes))
+        tasks = task_index_of(np.fromiter(chain.from_iterable(routes), np.intp, lengths.sum()))
+        # a route's last ID starts no link
+        linked = np.ones(len(tasks), dtype=bool)
+        linked[np.cumsum(lengths)[lengths > 0] - 1] = False
+        leave, enter = tasks[:-1][linked[:-1]], tasks[1:][linked[:-1]]
+        found = self.columns[leave] == enter[:, None]
+        got = self.ranks[leave, found.argmax(axis=1)] if len(leave) else leave
+        flat = got.tolist()
+        for p in np.flatnonzero(~found.any(axis=1)).tolist():
+            i, j = int(leave[p]), int(enter[p])
+            if (i, j) not in self._unkept:
+                row = link_numerators(self.matrix, self.heads, self.tails, i, i + 1)[0]
+                # the diagonal holds 0 and must not count
+                self._unkept[i, j] = 1 + int(np.count_nonzero(row < row[j]) - (row[i] < row[j]))
+            flat[p] = self._unkept[i, j]
+        ends = list(accumulate(max(len(ids) - 1, 0) for ids in routes))
+        return [flat[start:end] for start, end in zip([0, *ends], ends)]
 
     def nearest(self, k: int) -> list[list[int]]:
         """Per task, the k other tasks with the cheapest links, nearest
         first and equal links in task-index order; k is capped at n - 1.
 
-        The lists are built on the first call for each capped k and the
-        same lists are returned by every later call, so every solve on
-        this matrix shares them: callers must not change them, and
-        ``ranks`` must not change once they are built.
-
-        Within a row, rank order is link-cost order and equal costs share a
-        rank, so the key ``rank * n + column`` is unique and sorts as
-        (cost, column) does.  The diagonal's key is moved past every other
-        one (n * n), the keys are partitioned at k - 1, the first k sorted,
-        and ``% n`` gives back the columns.  Rows are taken in blocks of
-        ``_ROW_BLOCK``, so the keys are ``_ROW_BLOCK`` x n int64, not n x n.
+        The lists are the first k kept columns, or those of a wider table
+        for k above ``_KEEP``, built on the first call for each capped k and
+        returned by every later call, so every solve on this matrix shares
+        them: callers must not change them.
         """
         if k < 0:
             raise ValueError("k must be non-negative")
-        n = self.ranks.shape[0]
+        n = len(self.heads)
         k = min(k, n - 1)
         if k in self._nearest:
             return self._nearest[k]
-        if k <= 0:
-            out = self._nearest[k] = [[] for _ in range(n)]
-            return out
-        columns = np.arange(n, dtype=np.int64)
+        columns = self.columns if k <= self.columns.shape[1] else self._cheapest(k)[0]
         # the lists hold one shared int object per task, not n * k ints of
         # their own (32 bytes each): they outlive the solve that builds them
         task_ints = np.arange(n, dtype=object)
-        out: list[list[int]] = []
-        for start in range(0, n, _ROW_BLOCK):
-            key = self.ranks[start : start + _ROW_BLOCK].astype(np.int64)
-            key *= n
-            key += columns
-            local = np.arange(key.shape[0])
-            key[local, start + local] = n * n
-            key.partition(k - 1, axis=1)
-            top = np.sort(key[:, :k], axis=1)
-            top %= n
-            out += task_ints[top].tolist()
-        self._nearest[k] = out
+        out = self._nearest[k] = task_ints[columns[:, : max(k, 0)]].tolist()
         return out
 
 
 def build_rank_matrix(instance: Instance, dist: DistanceTable) -> RankMatrix:
-    """Rank the links of every ordered task pair.
-
-    Link numerators are summed and ranked ``_ROW_BLOCK`` rows at a time,
-    and each block is dropped once ranked: no n x n cost matrix is held.
-    With no task or one task the matrix is 0 x 0 or 1 x 1.
-    """
-    n = instance.task_count
+    """Rank the cheapest links of every task (none with fewer than two)."""
     heads = np.array([t.u for t in instance.tasks], dtype=np.intp)
     tails = np.array([t.v for t in instance.tasks], dtype=np.intp)
-    ranks = np.empty((n, n), dtype=_rank_dtype(n))
-    for start in range(0, n, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, n)
-        block = link_numerators(dist.matrix, heads, tails, start, stop)
-        ranks[start:stop] = rank_rows(block, first=start)
-    return RankMatrix(ranks)
+    return RankMatrix(dist.matrix, heads, tails)

@@ -17,33 +17,30 @@ from __future__ import annotations
 import random
 
 from .ranking import RankMatrix
-from .solution import Route, Solution
+from .solution import Solution
 
 
-def average_task_rank(solution: Solution, ranks: RankMatrix) -> float:
-    """Mean rank over all task-to-task links inside routes.
+def average_task_rank(links: list[list[int]]) -> float:
+    """Mean rank over all task-to-task links inside routes, given as each
+    route's ``RankMatrix.link_ranks``.
 
     Depot-adjacent connections are not links; routes serving fewer than
     two tasks contribute nothing.  Returns 0 for a solution with no links.
     """
-    total = 0
-    count = 0
-    for route in solution.routes:
-        links = ranks.link_ranks(route.ids)
-        total += sum(links)
-        count += len(links)
-    return total / count if count else 0.0
+    count = sum(map(len, links))
+    return sum(map(sum, links)) / count if count else 0.0
 
 
-def classify_links(route: Route, ranks: RankMatrix, avg: float) -> tuple[list[int], list[int]]:
-    """Split a route's link positions into (good, poor).
+def classify_links(links: list[int], avg: float) -> tuple[list[int], list[int]]:
+    """Split a route's link positions into (good, poor), given the ranks of
+    its links.
 
     Link position i joins the route's tasks i and i+1.  A link is good when
     its rank is strictly below ``avg``, poor otherwise.
     """
     good: list[int] = []
     poor: list[int] = []
-    for i, r in enumerate(ranks.link_ranks(route.ids)):
+    for i, r in enumerate(links):
         (good if r < avg else poor).append(i)
     return good, poor
 
@@ -68,12 +65,14 @@ def rco_split(
     one poor link, with probability ``theta``.
 
     The pieces come in route order, so concatenated they give back the
-    routes' IDs; each route contributes one to three pieces.
+    routes' IDs; each route contributes one to three pieces.  The ranks of
+    all in-route links are looked up at once.
     """
-    avg = average_task_rank(solution, ranks)
+    links = ranks.link_ranks([route.ids for route in solution.routes])
+    avg = average_task_rank(links)
     pool: list[tuple[int, ...]] = []
-    for route in solution.routes:
-        good, poor = classify_links(route, ranks, avg)
+    for route, route_links in zip(solution.routes, links):
+        good, poor = classify_links(route_links, avg)
         cuts: list[int] = []
         if rng.random() < lam and good:
             cuts.append(good[rng.randrange(len(good))])

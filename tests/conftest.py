@@ -27,6 +27,35 @@ def neighbors(instance, dist, k=20):
     return build_rank_matrix(instance, dist).nearest(k)
 
 
+def rank_matrix_of(costs):
+    """The RankMatrix of n tasks whose link costs are the n x n ``costs``
+    (the diagonal is ignored): task i runs from vertex i to vertex n + i
+    and only the distances between heads are not zero, so each link
+    numerator is its entry of ``costs`` plus three zeros, in its type."""
+    costs = np.asarray(costs)
+    n = len(costs)
+    matrix = np.zeros((2 * n, 2 * n), dtype=costs.dtype)
+    matrix[:n, :n] = costs
+    return RankMatrix(matrix, np.arange(n), np.arange(n, 2 * n))
+
+
+def all_link_ranks(ranks):
+    """The n x n matrix of the rank of every link, read through
+    ``link_ranks`` one two-task route per ordered pair; the diagonal is 0."""
+    n = len(ranks.heads)
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    got = ranks.link_ranks([[forward_id(i), forward_id(j)] for i, j in pairs])
+    out = np.zeros((n, n), dtype=ranks.ranks.dtype)
+    for (i, j), (rank,) in zip(pairs, got):
+        out[i, j] = rank
+    return out
+
+
+def route_link_ranks(solution, ranks):
+    """The ranks of each route's links, as ``rco_split`` looks them up."""
+    return ranks.link_ranks([route.ids for route in solution.routes])
+
+
 def solution_from_tasks(instance, dist, routes):
     """Build a solution from per-route task-index lists, forward orientation."""
     return Solution.build([[forward_id(ti) for ti in seq] for seq in routes], instance, dist)
@@ -166,7 +195,7 @@ def golden_instance():
 
 @pytest.fixture
 def golden_ranks():
-    return RankMatrix(RANKS_GOLDEN.copy())
+    return rank_matrix_of(LINK_NUMERATORS)
 
 
 # --- independent oracles -----------------------------------------------------

@@ -29,7 +29,6 @@ from routecut import (
 )
 from routecut.bench import ExperimentSpec, run_experiment, samples_by_cell
 from routecut.generator import generate_instance, generate_instance_file
-from routecut.ranking import RankMatrix, rank_rows
 from routecut.search import SearchTrace
 from routecut.seeding import make_rng
 from routecut.solution import write_solution
@@ -44,8 +43,11 @@ from conftest import (
     TASK_F,
     TASK_G,
     TASK_H,
+    all_link_ranks,
     brute_force_optimum,
     make_instance,
+    rank_matrix_of,
+    route_link_ranks,
     solution_from_tasks,
     split_walk,
 )
@@ -64,9 +66,9 @@ _saved_traces: list[SearchTrace] = []
 
 
 def test_criterion_01_rank_matrix_golden():
-    rank_rows(LINK_NUMERATORS)  # warm-up outside the timing window
+    all_link_ranks(rank_matrix_of(LINK_NUMERATORS))  # warm-up outside the timing window
     t0 = time.perf_counter()
-    got = rank_rows(LINK_NUMERATORS)
+    got = all_link_ranks(rank_matrix_of(LINK_NUMERATORS))
     elapsed = time.perf_counter() - t0
     assert np.array_equal(got, RANKS_GOLDEN)
     assert elapsed < 1e-3
@@ -81,8 +83,9 @@ def test_criterion_02_split_classification_golden(golden_instance, golden_ranks)
         [[TASK_A, TASK_D, TASK_E], [TASK_B, TASK_G, TASK_F], [TASK_C, TASK_H]],
     )
     t0 = time.perf_counter()
-    avg = average_task_rank(sol, golden_ranks)
-    parts = [classify_links(r, golden_ranks, avg) for r in sol.routes]
+    links = route_link_ranks(sol, golden_ranks)
+    avg = average_task_rank(links)
+    parts = [classify_links(route_links, avg) for route_links in links]
     elapsed = time.perf_counter() - t0
 
     assert avg == 3.0
@@ -170,11 +173,11 @@ def test_criterion_05_cut_probability_calibration():
     inst = make_instance(12, edges, capacity=20)
     dist = inst.distances()
     n = 11
-    ranks_arr = np.full((n, n), 5, dtype=np.uint16)
-    np.fill_diagonal(ranks_arr, 0)
+    costs = np.full((n, n), 5)
     for i in range(10):
-        ranks_arr[i, i + 1] = 1 if i % 2 == 0 else 9  # 5 good, 5 poor links
-    ranks = RankMatrix(ranks_arr)
+        # 5 good links (rank 1) and 5 poor ones (rank 10), average 5.5
+        costs[i, i + 1] = 1 if i % 2 == 0 else 9
+    ranks = rank_matrix_of(costs)
     sol = solution_from_tasks(inst, dist, [list(range(11))])
 
     good_positions = {i for i in range(10) if i % 2 == 0}

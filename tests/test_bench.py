@@ -733,6 +733,8 @@ RECORDS_HEADER = "instance,variant,seed,final_cost,elapsed_sec,route_count,trace
 
 @pytest.mark.parametrize("row, expected", [
     ("i,v,1,2.0", "the row has fewer fields than the header's 8"),
+    # csv.DictReader files the extra fields under the key None
+    ("i,v,1,2.0,0.5,1,,,oops,more", "the row has more fields than the header's 8"),
     ("i,v,abc,2.0,0.5,1,,", "seed must be an integer, got 'abc'"),
     ("i,v,1,cheap,0.5,1,,", "final_cost must be a number, got 'cheap'"),
 ])

@@ -27,6 +27,7 @@ from conftest import (
     TASK_F,
     TASK_G,
     TASK_H,
+    route_link_ranks,
     solution_from_tasks,
     split_walk,
 )
@@ -47,14 +48,12 @@ def golden_solution(golden_instance, golden_ranks):
 
 
 def test_golden_average_rank_is_three(golden_solution, golden_ranks):
-    assert average_task_rank(golden_solution, golden_ranks) == pytest.approx(3.0)
+    assert average_task_rank(route_link_ranks(golden_solution, golden_ranks)) == pytest.approx(3.0)
 
 
 def test_golden_good_poor_partition(golden_solution, golden_ranks):
-    avg = average_task_rank(golden_solution, golden_ranks)
-    parts = [
-        classify_links(route, golden_ranks, avg) for route in golden_solution.routes
-    ]
+    avg = average_task_rank(route_link_ranks(golden_solution, golden_ranks))
+    parts = [classify_links(links, avg) for links in route_link_ranks(golden_solution, golden_ranks)]
     # positions: route link i joins the route's tasks i and i+1
     assert parts[0] == ([1], [0])  # good: <D,E>; poor: <A,D>
     assert parts[1] == ([1], [0])  # good: <G,F>; poor: <B,G>
@@ -68,26 +67,26 @@ def test_rank_equal_to_average_is_poor(golden_instance, golden_ranks):
     dist = golden_instance.distances()
     # single route with links C-H (rank 1) and H-D (rank 7): average 4
     sol = solution_from_tasks(golden_instance, dist, [[TASK_C, TASK_H, TASK_D]])
-    avg = average_task_rank(sol, golden_ranks)
+    avg = average_task_rank(route_link_ranks(sol, golden_ranks))
     assert avg == pytest.approx(4.0)
     # make a route whose only link has rank exactly 4: H then F
     sol2 = solution_from_tasks(golden_instance, dist, [[TASK_H, TASK_F]])
-    good, poor = classify_links(sol2.routes[0], golden_ranks, 4.0)
+    good, poor = classify_links(route_link_ranks(sol2, golden_ranks)[0], 4.0)
     assert good == [] and poor == [0]
 
 
 def test_single_task_routes_have_no_links(golden_instance, golden_ranks):
     dist = golden_instance.distances()
     sol = solution_from_tasks(golden_instance, dist, [[ti] for ti in range(8)])
-    assert average_task_rank(sol, golden_ranks) == 0.0
-    good, poor = classify_links(sol.routes[0], golden_ranks, 0.0)
+    assert average_task_rank(route_link_ranks(sol, golden_ranks)) == 0.0
+    good, poor = classify_links(route_link_ranks(sol, golden_ranks)[0], 0.0)
     assert good == poor == []
 
 
 def test_single_link_average_is_its_rank(golden_instance, golden_ranks):
     dist = golden_instance.distances()
     sol = solution_from_tasks(golden_instance, dist, [[TASK_A, TASK_D]])
-    assert average_task_rank(sol, golden_ranks) == pytest.approx(7.0)
+    assert average_task_rank(route_link_ranks(sol, golden_ranks)) == pytest.approx(7.0)
 
 
 def test_zero_probabilities_yield_whole_routes(golden_solution, golden_ranks):
@@ -156,8 +155,8 @@ def test_cut_rates_match_probabilities(golden_instance, golden_ranks):
     sol = solution_from_tasks(
         golden_instance, dist, [[TASK_A, TASK_D, TASK_E, TASK_C, TASK_H]]
     )
-    avg = average_task_rank(sol, golden_ranks)  # (7+1+2+1)/4 = 2.75
-    good, poor = classify_links(sol.routes[0], golden_ranks, avg)
+    avg = average_task_rank(route_link_ranks(sol, golden_ranks))  # (7+1+2+1)/4 = 2.75
+    good, poor = classify_links(route_link_ranks(sol, golden_ranks)[0], avg)
     assert len(good) == 3 and len(poor) == 1
 
     lam, theta = 0.4, 0.6

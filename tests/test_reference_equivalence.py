@@ -2,7 +2,8 @@
 over a route's served IDs alone, `DistanceTable.rows` and
 `RankMatrix.nearest` (both in row blocks), the
 numpy `hdu` level loop and its nearest-neighbour chain, `rank_rows` (both
-its counting and its sorting path), `link_numerators` (in row blocks),
+its keyed and its sorting path) with `RankMatrix.link_ranks` (kept and
+on-demand ranks), `link_numerators` (in row blocks),
 `path_scanning`, `_pairwise_distances` (in row blocks of whole sub-routes),
 `fuzzy_kmedoid`'s one-pass assignment, local search's touched-route
 re-indexing and its fused move scan against the versions they replaced,
@@ -31,7 +32,6 @@ from scipy.sparse.csgraph import dijkstra
 from routecut import (
     Edge,
     Instance,
-    RankMatrix,
     build_rank_matrix,
     distances,
     elementary_virtual_tasks,
@@ -52,16 +52,11 @@ from routecut.decompose import (
 from routecut.distances import _ELIMINATION_DEGREE, _EXACT_INT, DistanceTable, shortest_paths
 from routecut.generator import generate_instance
 from routecut.instance import DEPOT_ID, forward_id, inverse_id, task_index_of
-from routecut.ranking import (
-    _COUNT_SPAN_PER_ROW,
-    _ROW_BLOCK,
-    link_numerators,
-    rank_rows,
-)
+from routecut.ranking import _ROW_BLOCK, link_numerators, rank_rows
 from routecut.seeding import make_rng
 from routecut.solution import Route, Solution, route_cost
 
-from conftest import make_instance, neighbors, tie_heavy_instance
+from conftest import all_link_ranks, make_instance, neighbors, rank_matrix_of, tie_heavy_instance
 
 SCALES = (0.1, 0.5, 0.9)
 
@@ -425,55 +420,71 @@ def test_nearest_matches_reference_on_tie_heavy_instances(seed):
         assert ranks.nearest(k) == reference_nearest(num, k)
 
 
-def _assert_same_ranks(got, expected):
-    assert got.dtype == expected.dtype
-    assert np.array_equal(got, expected)
+def _assert_kept_ranks(ranks, expected):
+    """The kept links of ``ranks`` carry ``expected``'s ranks, in its dtype."""
+    assert ranks.ranks.dtype == expected.dtype
+    kept = np.take_along_axis(expected, ranks.columns.astype(np.intp), axis=1)
+    assert np.array_equal(ranks.ranks, kept)
+
+
+def _assert_same_ranks(ranks, expected):
+    """``_assert_kept_ranks``, and every link's rank, kept or not, is
+    ``expected``'s."""
+    _assert_kept_ranks(ranks, expected)
+    assert np.array_equal(all_link_ranks(ranks), expected)
 
 
 @pytest.fixture
 def rank_paths(monkeypatch):
-    """The paths ("counting", "sorting") that `rank_rows` takes while a
-    test runs."""
+    """The paths ("keys", "sorting") that `rank_rows` takes while a test
+    runs."""
     taken = set()
-    for path in ("counting", "sorting"):
-        name = f"_below_by_{path}"
 
-        def spy(*args, path=path, below=getattr(ranking, name)):
-            taken.add(path)
-            return below(*args)
+    def spy(*args, keys=ranking._keys):
+        key = keys(*args)
+        taken.add("sorting" if key is None else "keys")
+        return key
 
-        monkeypatch.setattr(ranking, name, spy)
+    monkeypatch.setattr(ranking, "_keys", spy)
     return taken
 
 
-def _counts(costs):
-    """Whether `rank_rows` should rank ``costs`` by counting."""
-    span = int(costs.max()) - int(costs.min()) + 1
-    return np.issubdtype(costs.dtype, np.integer) and span < _COUNT_SPAN_PER_ROW * len(costs)
+def _tie_crosses(num, keep):
+    """Whether a row of ``num`` has a tie block that runs past its first
+    ``keep`` links."""
+    for i, row in enumerate(num):
+        others = np.sort(np.delete(row, i))
+        if len(others) > keep and others[keep - 1] == others[keep]:
+            return True
+    return False
 
 
 @pytest.mark.parametrize("seed", range(100))
-def test_rank_rows_match_reference_on_tie_heavy_instances(seed, rank_paths):
+def test_rank_rows_match_reference_on_tie_heavy_instances(seed, rank_paths, monkeypatch):
     instance = tie_heavy_instance(seed)
-    num = reference_link_numerators(instance, instance.distances())
+    dist = instance.distances()
+    num = reference_link_numerators(instance, dist)
     rank_paths.clear()
-    _assert_same_ranks(rank_rows(num), reference_rank_rows(num))
-    assert rank_paths == {"counting" if _counts(num) else "sorting"}
+    _assert_same_ranks(build_rank_matrix(instance, dist), reference_rank_rows(num))
+    assert rank_paths == ({"keys"} if len(num) > 1 else set())
+    # two links kept per task: ties run past them and most ranks are counted
+    monkeypatch.setattr(ranking, "_KEEP", 2)
+    _assert_same_ranks(build_rank_matrix(instance, dist), reference_rank_rows(num))
 
 
 def test_tie_heavy_instances_are_tie_heavy():
     # the generator must actually produce the ties the comparisons rely on
-    zero_links = parallel = counted = 0
+    zero_links = parallel = crossing = 0
     for seed in range(100):
         instance = tie_heavy_instance(seed)
         ends = [tuple(sorted((t.u, t.v))) for t in instance.tasks]
         parallel += len(ends) > len(set(ends))
         num = reference_link_numerators(instance, instance.distances())
         zero_links += bool(np.any(num[~np.eye(len(num), dtype=bool)] == 0))
-        counted += _counts(num)
+        crossing += _tie_crosses(num, 2)
     assert parallel >= 50
     assert zero_links >= 50
-    assert counted >= 90  # the rest span too many values for their size
+    assert crossing >= 50
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -482,23 +493,21 @@ def test_nearest_matches_reference_on_random_numerators(seed):
     n = int(rng.integers(1, 30))
     num = rng.integers(0, 4, size=(n, n))
     np.fill_diagonal(num, 0)
-    ranks = RankMatrix(rank_rows(num))
+    ranks = rank_matrix_of(num)
     for k in _neighbor_sizes(n):
         assert ranks.nearest(k) == reference_nearest(num, k)
 
 
 def _random_matrix(n, kind, rng):
-    """A square matrix of ints 0..3, of four ints spread wider than
-    `rank_rows` counts, of multiples of 0.1 (0.1 + 0.2 next to 0.3) or of
-    distinct random floats.  The diagonal is drawn like the rest, so it is
-    cheaper than, equal to or dearer than the other entries of its row."""
+    """A square matrix of ints 0..3, of four ints spread so wide that
+    `rank_rows` cannot key them without overflow, of multiples of 0.1
+    (0.1 + 0.2 next to 0.3) or of distinct random floats.  The diagonal is
+    drawn like the rest, so it is cheaper than, equal to or dearer than the
+    other entries of its row."""
     if kind == "int":
         return rng.integers(0, 4, size=(n, n))
     if kind == "wide":
-        step = _COUNT_SPAN_PER_ROW * n
-        num = rng.integers(0, 4, size=(n, n)) * step
-        num[0, 0], num[-1, -1] = 0, 3 * step  # span 3 * step + 1
-        return num
+        return rng.integers(0, 4, size=(n, n)) * 2**61
     if kind == "tenths":
         return rng.choice([0.0, 0.1, 0.2, 0.1 + 0.2, 0.3], size=(n, n))
     return rng.random((n, n))
@@ -514,25 +523,25 @@ BLOCK_SIZES = (1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 3
 @pytest.mark.parametrize("seed", range(4))
 def test_ranking_matches_reference_on_random_matrices(seed, n, kind, rank_paths):
     num = _random_matrix(n, kind, np.random.default_rng([seed, n]))
-    _assert_same_ranks(rank_rows(num), reference_rank_rows(num))
-    # a 1 x 1 matrix spans a single value
-    counted = kind == "int" or kind == "wide" and n == 1
-    assert rank_paths == {"counting" if counted else "sorting"}
-    ranks = RankMatrix(reference_rank_rows(num))
+    ranks = rank_matrix_of(num)
+    _assert_same_ranks(ranks, reference_rank_rows(num))
+    # a 1 x 1 matrix has no link to rank
+    assert rank_paths == ({"keys" if kind == "int" else "sorting"} if n > 1 else set())
     for k in _neighbor_sizes(n):
         assert ranks.nearest(k) == reference_nearest(num, k)
 
 
 def test_nearest_edge_cases():
-    empty = RankMatrix(np.zeros((0, 0), dtype=np.uint16))
+    empty = rank_matrix_of(np.zeros((0, 0), dtype=np.int64))
     assert empty.nearest(3) == reference_nearest(np.zeros((0, 0), dtype=np.int64), 3) == []
-    ranks = RankMatrix(np.zeros((3, 3), dtype=np.uint16))
+    assert empty.link_ranks([[], []]) == [[], []]
+    ranks = rank_matrix_of(np.zeros((3, 3), dtype=np.int64))
     with pytest.raises(ValueError, match="non-negative"):
         ranks.nearest(-1)
 
 
-# one row short of a RankMatrix.nearest block, a block, one row over, and a
-# partial third block
+# one row short of a build_rank_matrix block, a block, one row over, and a
+# partial third block, past the _KEEP links kept per task
 NEAREST_SIZES = (_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 3)
 
 
@@ -558,7 +567,7 @@ def test_nearest_matches_reference_across_row_blocks(seed, n):
         _random_matrix(n, "float", rng),
     ]
     for num in matrices:
-        ranks = RankMatrix(rank_rows(num))
+        ranks = rank_matrix_of(num)
         for k in _neighbor_sizes(n):
             assert ranks.nearest(k) == reference_nearest(num, k)
 
@@ -601,10 +610,18 @@ def test_matches_reference_on_a_generated_mid_size_instance(mid_instance):
 def test_ranking_matches_reference_on_a_generated_mid_size_instance(mid_instance, rank_paths):
     instance, dist, ranks = mid_instance
     num = reference_link_numerators(instance, dist)
-    _assert_same_ranks(ranks.ranks, reference_rank_rows(num))
-    _assert_same_ranks(rank_rows(num), ranks.ranks)
-    assert rank_paths == {"counting"}
+    expected = reference_rank_rows(num)
+    _assert_kept_ranks(ranks, expected)
+    columns, kept = rank_rows(num)
+    assert np.array_equal(columns, ranks.columns) and np.array_equal(kept, ranks.ranks)
+    assert rank_paths == {"keys"}
     n = instance.task_count
+    # whole random tours: about one link in twenty is not kept
+    rng = random.Random(4)
+    for _ in range(3):
+        tasks = rng.sample(range(n), n)
+        (got,) = ranks.link_ranks([[forward_id(t) for t in tasks]])
+        assert got == [int(expected[a, b]) for a, b in zip(tasks, tasks[1:])]
     _assert_same_numerators(link_numerators(dist.matrix, *_task_ends(instance), 0, n), num)
     for k in _neighbor_sizes(n):
         assert ranks.nearest(k) == reference_nearest(num, k)
@@ -668,7 +685,7 @@ def test_build_rank_matrix_matches_reference_across_row_blocks(seed, tasks, kind
     instance = _link_instance(kind, tasks, seed)
     dist = instance.distances()
     num = reference_link_numerators(instance, dist)
-    _assert_same_ranks(build_rank_matrix(instance, dist).ranks, reference_rank_rows(num))
+    _assert_same_ranks(build_rank_matrix(instance, dist), reference_rank_rows(num))
 
 
 # --- path_scanning and _pairwise_distances -----------------------------------

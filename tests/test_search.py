@@ -109,7 +109,7 @@ def test_solves_leave_the_shared_neighbour_lists_unchanged():
     for algorithm in ALGORITHMS:
         cfg = _deterministic_config(algorithm, seed=1, max_iterations=3, max_cycles=2)
         solve(inst, cfg, dist=dist, ranks=ranks)
-    fresh = RankMatrix(ranks.ranks.copy())
+    fresh = RankMatrix(ranks.matrix, ranks.heads, ranks.tails)
     assert ranks.nearest(_NEIGHBOR_SIZE) == fresh.nearest(_NEIGHBOR_SIZE)
 
 
