@@ -7,7 +7,9 @@
 # instance with decimal costs is solved and validated too: its shortest
 # paths take Dijkstra over the whole graph, with no vertex eliminated.  So
 # is a generated instance of 200 tasks, more than the 64 cheapest links kept
-# per task, on which route cutting ranks a few in-route links on demand.  Every
+# per task, on which route cutting ranks a few in-route links on demand; the
+# clustering loop with whole routes (`cluster-whole-route`) and one local-search
+# descent (`local-only`) solve and validate it too.  Every
 # trace CSV, from `solve --trace` or streamed by `bench`, must start with its
 # header, and invalid settings (a value out of range, a boolean that is not
 # 1/0, true/false or yes/no, a significance level outside (0, 1)) must
@@ -72,6 +74,10 @@ routecut solve g.dat --max-iters 2 --virtual-clock --out g.sol
 routecut validate g.dat g.sol
 routecut solve g.dat --algorithm cluster-rco --max-cycles 1 --virtual-clock --out gc.sol
 routecut validate g.dat gc.sol
+routecut solve g.dat --algorithm cluster-whole-route --max-cycles 1 --virtual-clock --out gw.sol
+routecut validate g.dat gw.sol
+routecut solve g.dat --algorithm local-only --out gl.sol
+routecut validate g.dat gl.sol
 
 printf '%s\n' 'instances = i.dat' 'variants = sahid-rco, sahid-random' 'runs = 3' \
   'max_iterations = 2' 'virtual_clock = 1' > exp.cfg

@@ -28,15 +28,16 @@ and never when the cap is 0.  The clustering loop relies on this bound:
 it runs a section of searches in processes made by POSIX ``fork`` only
 when that many polls cannot reach a virtual time limit.
 
-Route loads and costs are cached (only ``check()`` reads the costs), and
-so is the position index ``where``, each task's route and position.  A
+Route loads are cached, and so is the position index ``where``, each
+task's route and position.  The cost is a running total, changed by the
+delta that chose each applied move (only ``check()`` reads it).  A
 move re-indexes only the routes it changed: one for a flip, 2-opt or
 intra-route swap; both for a swap, a relocation (a fresh route is
 appended) or a tail exchange.  A route that a move empties stays in place
 as an empty list, so no other route's index changes, and the result leaves
 it out.  The tail exchange sums the loads up to its two cuts only when it
-improves.  ``debug=True`` rebuilds every cost, load and index entry after
-each applied move and asserts agreement (slow, used by the test suite).
+improves.  ``debug=True`` rebuilds the cost and every load and index entry
+after each applied move and asserts agreement (slow, used by the test suite).
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def max_polls(max_evals: int) -> int:
 
 
 class _State:
-    """Mutable search state: routes, cached loads and costs, position index."""
+    """Mutable search state: routes, cached loads, running cost, position index."""
 
     def __init__(self, solution: Solution, instance: Instance, dist: DistanceTable):
         self.instance = instance
@@ -69,12 +70,11 @@ class _State:
         self.head = instance.id_head
         self.tail = instance.id_tail
         self.dem = instance.id_demand
-        self.sc = instance.id_service
         self.depot = instance.depot
         self.capacity = instance.capacity
         self.routes: list[list[int]] = [list(r.ids) for r in solution.routes]
         self.loads: list[float] = [sum(self.dem[t] for t in r) for r in self.routes]
-        self.costs: list[float] = [r.cost for r in solution.routes]
+        self.cost = solution.total_cost
         self.where: list[tuple[int, int] | None] = [None] * instance.task_count
         for k in range(len(self.routes)):
             self._reindex(k)
@@ -84,14 +84,12 @@ class _State:
             self.where[task_index_of(t)] = (k, i)
 
     def check(self) -> None:
-        """Assert each cached cost and load, empty routes' too, and the
-        position index against a rebuild."""
+        """Assert the running cost, each cached load, empty routes' too, and
+        the position index against a rebuild."""
+        exact = sum(route_cost(r, self.instance, self.dist) for r in self.routes)
+        assert abs(self.cost - exact) < 1e-6, f"running cost {self.cost} vs exact {exact}"
         where: list[tuple[int, int] | None] = [None] * len(self.where)
         for k, r in enumerate(self.routes):
-            exact = route_cost(r, self.instance, self.dist)
-            assert abs(self.costs[k] - exact) < 1e-6, (
-                f"route {k}: cached {self.costs[k]} vs exact {exact}"
-            )
             assert abs(self.loads[k] - sum(self.dem[t] for t in r)) < 1e-9
             for i, t in enumerate(r):
                 where[task_index_of(t)] = (k, i)
@@ -149,13 +147,13 @@ def local_search(
             stop = min(cap, (evals // _CHECK_EVERY + 1) * _CHECK_EVERY)
         return out_of_budget
 
-    def exchange(k1: int, c1: int, k2: int, c2: int) -> bool:
-        """Apply the improving tail exchange after (k1, c1) and (k2, c2) if
-        both new routes fit."""
+    def exchange(k1: int, c1: int, k2: int, c2: int, delta: float) -> bool:
+        """Apply the improving tail exchange after (k1, c1) and (k2, c2),
+        which changes the cost by ``delta``, if both new routes fit."""
         pre1 = sum(dem[t] for t in routes[k1][: c1 + 1])
         pre2 = sum(dem[t] for t in routes[k2][: c2 + 1])
         if pre1 + loads[k2] - pre2 <= capacity and pre2 + loads[k1] - pre1 <= capacity:
-            _apply_tail_exchange(st, k1, c1, k2, c2, pre1, pre2)
+            _apply_tail_exchange(st, k1, c1, k2, c2, pre1, pre2, delta)
             return True
         return False
 
@@ -190,7 +188,7 @@ def local_search(
             if evals >= stop and over():
                 return False
             if delta < -_EPS:
-                _apply_relocate(st, k1, i1, a, len(routes), 0, gain)
+                _apply_relocate(st, k1, i1, a, len(routes), 0, delta)
                 return True
 
         for tj in neighbors[ti]:
@@ -221,14 +219,14 @@ def local_search(
                     evals += 1
                     if evals >= stop and over():
                         return False
-                    if Dp2[ha] + Dta[n2] - Dp2[n2] - gain < -_EPS:
-                        _apply_relocate(st, k1, i1, a, k2, j, gain)
+                    if (delta := Dp2[ha] + Dta[n2] - Dp2[n2] - gain) < -_EPS:
+                        _apply_relocate(st, k1, i1, a, k2, j, delta)
                         return True
                     evals += 1
                     if evals >= stop and over():
                         return False
-                    if Dp2[ta] + Dha[n2] - Dp2[n2] - gain < -_EPS:
-                        _apply_relocate(st, k1, i1, ia, k2, j, gain)
+                    if (delta := Dp2[ta] + Dha[n2] - Dp2[n2] - gain) < -_EPS:
+                        _apply_relocate(st, k1, i1, ia, k2, j, delta)
                         return True
 
             if same:
@@ -252,7 +250,7 @@ def local_search(
                     for y, e1 in ((b, d1), (inverse_id(b), d1i)):
                         for x, e2 in ((a, d2), (ia, d2i)):
                             if e1 + e2 < -_EPS:
-                                _apply_swap(st, k1, i1, y, k2, i2, x, e1, e2)
+                                _apply_swap(st, k1, i1, y, k2, i2, x, e1 + e2)
                                 return True
             evals += 4
             if evals >= stop and over():
@@ -261,10 +259,10 @@ def local_search(
             # tail exchange: cut after a, and after b or before it
             if i1 < last1 or i2 + 1 < len(r2):
                 delta = Dta[nb] + Dtb[n1] - Dta[n1] - Dtb[nb]
-                if delta < -_EPS and exchange(k1, i1, k2, i2):
+                if delta < -_EPS and exchange(k1, i1, k2, i2, delta):
                     return True
             delta = Dta[hb] + Dpb[n1] - Dta[n1] - Dpb[hb]
-            if delta < -_EPS and exchange(k1, i1, k2, i2 - 1):
+            if delta < -_EPS and exchange(k1, i1, k2, i2 - 1, delta):
                 return True
             evals += 2
             if evals >= stop and over():
@@ -294,28 +292,21 @@ def local_search(
 # --- move application ---------------------------------------------------
 
 
-def _apply_relocate(st: _State, k1: int, i1: int, x: int, k2: int, j: int, gain: float) -> None:
-    """Move the task at (k1, i1) to (k2, j) as ``x``; ``gain`` is what removal saves."""
+def _apply_relocate(st: _State, k1: int, i1: int, x: int, k2: int, j: int, delta: float) -> None:
+    """Move the task at (k1, i1) to (k2, j) as ``x``, which changes the cost by ``delta``."""
     r1 = st.routes[k1]
     a = r1[i1]
     del r1[i1]
     st.loads[k1] -= st.dem[a]
-    st.costs[k1] -= gain + st.sc[a]
     if k2 == len(st.routes):  # fresh route
         st.routes.append([x])
         st.loads.append(st.dem[x])
-        st.costs.append(
-            st.D[st.depot][st.head[x]] + st.sc[x] + st.D[st.tail[x]][st.depot]
-        )
     else:
-        r2 = st.routes[k2]
         if k2 == k1 and j > i1:
             j -= 1
-        p2 = st.tail[r2[j - 1]] if j > 0 else st.depot
-        n2 = st.head[r2[j]] if j < len(r2) else st.depot
-        r2.insert(j, x)
+        st.routes[k2].insert(j, x)
         st.loads[k2] += st.dem[x]
-        st.costs[k2] += st.D[p2][st.head[x]] + st.D[st.tail[x]][n2] - st.D[p2][n2] + st.sc[x]
+    st.cost += delta
     st._reindex(k1)
     if k2 != k1:
         st._reindex(k2)
@@ -353,21 +344,20 @@ def _try_swap_intra(st: _State, k: int, i1: int, i2: int) -> bool:
 def _apply_swap_intra(st: _State, k: int, i1: int, y: int, i2: int, x: int, delta: float) -> None:
     st.routes[k][i1] = y
     st.routes[k][i2] = x
-    st.costs[k] += delta
+    st.cost += delta
     st._reindex(k)
 
 
 def _apply_swap(
-    st: _State, k1: int, i1: int, y: int, k2: int, i2: int, x: int, d1: float, d2: float
+    st: _State, k1: int, i1: int, y: int, k2: int, i2: int, x: int, delta: float
 ) -> None:
-    a = st.routes[k1][i1]
-    b = st.routes[k2][i2]
+    """Put ``y`` at (k1, i1) and ``x`` at (k2, i2); the swapped tasks keep
+    their service costs, so ``delta`` is the change in deadheading."""
+    st.loads[k1] += st.dem[y] - st.dem[st.routes[k1][i1]]
+    st.loads[k2] += st.dem[x] - st.dem[st.routes[k2][i2]]
     st.routes[k1][i1] = y
     st.routes[k2][i2] = x
-    st.costs[k1] += d1 + st.sc[y] - st.sc[a]
-    st.costs[k2] += d2 + st.sc[x] - st.sc[b]
-    st.loads[k1] += st.dem[y] - st.dem[a]
-    st.loads[k2] += st.dem[x] - st.dem[b]
+    st.cost += delta
     st._reindex(k1)
     st._reindex(k2)
 
@@ -381,23 +371,20 @@ def _try_reverse(st: _State, k: int, i: int, j: int) -> bool:
     if delta >= -_EPS:
         return False
     r[i : j + 1] = [inverse_id(t) for t in reversed(r[i : j + 1])]
-    st.costs[k] += delta
+    st.cost += delta
     st._reindex(k)
     return True
 
 
 def _apply_tail_exchange(
-    st: _State, k1: int, c1: int, k2: int, c2: int, pre1: float, pre2: float
+    st: _State, k1: int, c1: int, k2: int, c2: int, pre1: float, pre2: float, delta: float
 ) -> None:
     r1, r2 = st.routes[k1], st.routes[k2]
     load1, load2 = st.loads[k1], st.loads[k2]
-    new1 = r1[: c1 + 1] + r2[c2 + 1 :]
-    new2 = r2[: c2 + 1] + r1[c1 + 1 :]
-    st.routes[k1] = new1
-    st.routes[k2] = new2
+    st.routes[k1] = r1[: c1 + 1] + r2[c2 + 1 :]
+    st.routes[k2] = r2[: c2 + 1] + r1[c1 + 1 :]
     st.loads[k1] = pre1 + load2 - pre2
     st.loads[k2] = pre2 + load1 - pre1
-    st.costs[k1] = route_cost(new1, st.instance, st.dist)
-    st.costs[k2] = route_cost(new2, st.instance, st.dist)
+    st.cost += delta
     st._reindex(k1)
     st._reindex(k2)

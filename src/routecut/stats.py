@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 EXACT_LIMIT = 12
 MIN_SAMPLE = 3  # smallest sample the rank-sum test accepts
 
@@ -24,20 +26,13 @@ class WilcoxonResult(NamedTuple):
     degenerate: bool = False
 
 
-def _midranks_doubled(values: Sequence[float]) -> list[int]:
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    doubled = [0] * len(values)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        # ranks i+1..j+1 share the midrank; doubled to keep halves integral
-        shared = (i + 1) + (j + 1)
-        for k in range(i, j + 1):
-            doubled[order[k]] = shared
-        i = j + 1
-    return doubled
+def _midranks_doubled(values: Sequence[float]) -> tuple[list[int], list[int]]:
+    """Each value's midrank, doubled to keep halves integral, and the size
+    of each group of equal values."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    # the group ending at rank e shares the midrank of ranks e-c+1..e
+    doubled = 2 * np.cumsum(counts) - counts + 1
+    return doubled[inverse].tolist(), counts.tolist()
 
 
 def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float]) -> WilcoxonResult:
@@ -50,7 +45,7 @@ def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float]) -> WilcoxonResult:
         expected = n * (n + m + 1) / 2.0
         return WilcoxonResult(expected, 1.0, degenerate=True)
 
-    doubled = _midranks_doubled(combined)
+    doubled, ties = _midranks_doubled(combined)
     w2 = sum(doubled[:n])  # doubled rank sum of sample a
     total = n + m
     mean2 = n * (total + 1)  # doubled expectation
@@ -67,10 +62,7 @@ def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float]) -> WilcoxonResult:
         return WilcoxonResult(w2 / 2.0, hits / count)
 
     # normal approximation with tie correction and continuity correction
-    tie_sum = 0
-    for v in set(combined):
-        t = combined.count(v)
-        tie_sum += t * t * t - t
+    tie_sum = sum(t * t * t - t for t in ties)
     variance = (n * m / 12.0) * ((total + 1) - tie_sum / (total * (total - 1)))
     if variance <= 0:
         return WilcoxonResult(w2 / 2.0, 1.0, degenerate=True)

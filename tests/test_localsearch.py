@@ -4,6 +4,7 @@ import pytest
 
 from routecut import local_search, path_scanning, validate
 from routecut.generator import generate_instance
+from routecut import localsearch
 from routecut.localsearch import _State
 from routecut.seeding import make_rng
 
@@ -80,7 +81,8 @@ def test_cost_never_increases_and_stays_feasible():
 
 
 def test_incremental_costs_match_recomputation():
-    # debug=True asserts cached-vs-exact equality after every applied move
+    # debug=True asserts that the running cost, changed by each applied
+    # move's delta, equals the routes' recomputed cost after every move
     for seed in range(12):
         inst = generate_instance(16, 12, 14, seed=seed)
         dist = inst.distances()
@@ -92,7 +94,8 @@ def test_incremental_costs_match_recomputation():
 def test_index_checked_when_moves_empty_routes():
     # one task per route: relocations and tail exchanges empty routes below
     # and above the other route they touch, and debug=True then checks the
-    # position index, loads and costs of every route, the emptied ones too
+    # running cost, and the position index and loads of every route, the
+    # emptied ones too
     for seed in range(10):
         inst = generate_instance(20, 30, 10, seed=seed)
         dist = inst.distances()
@@ -103,6 +106,20 @@ def test_index_checked_when_moves_empty_routes():
         assert all(r.ids for r in out.routes)
         assert validate(out, inst) == []
 
+
+
+@pytest.mark.parametrize("name", ["_apply_relocate", "_apply_tail_exchange"])
+def test_wrong_move_delta_fails_the_debug_check(name, monkeypatch):
+    # the running cost adds the delta that the scan chose a move by, so a
+    # delta that is off by one fails the first check after such a move
+    apply = getattr(localsearch, name)
+    monkeypatch.setattr(localsearch, name, lambda *args: apply(*args[:-1], args[-1] + 1))
+    inst = generate_instance(20, 30, 10, seed=0)
+    dist = inst.distances()
+    start = solution_from_tasks(inst, dist, [[ti] for ti in range(inst.task_count)])
+    with pytest.raises(AssertionError, match="running cost"):
+        local_search(start, inst, dist, make_rng(0, 4),
+                     neighbors=neighbors(inst, dist), debug=True)
 
 def test_reaches_small_optimum_often():
     hits = 0

@@ -1004,14 +1004,14 @@ def test_fuzzy_kmedoid_matches_reference_on_a_generated_mid_size_instance(mid_in
 
 class _FullReindexState(localsearch._State):
     """The index upkeep that empty slots and touched-route re-indexing
-    replaced: every re-index drops each empty route with its load and cost,
+    replaced: every re-index drops each empty route with its load,
     which shifts the routes after it down one index, then rebuilds ``where``
     for every route."""
 
     def _reindex(self, k):
         for j in reversed(range(len(self.routes))):
             if not self.routes[j]:
-                del self.routes[j], self.loads[j], self.costs[j]
+                del self.routes[j], self.loads[j]
         for j in range(len(self.routes)):
             super()._reindex(j)
 
@@ -1059,17 +1059,17 @@ def _count_reindex_branches(monkeypatch, seen):
     which an empty slot and a dropped route index the routes differently."""
     relocate, exchange = localsearch._apply_relocate, localsearch._apply_tail_exchange
 
-    def counting_relocate(st, k1, i1, x, k2, j, gain):
+    def counting_relocate(st, k1, i1, x, k2, j, delta):
         if k2 == len(st.routes):
             seen["relocate into a fresh route"] += 1
         elif len(st.routes[k1]) == 1:
             seen["relocate empties k1, k2 < k1" if k2 < k1 else "relocate empties k1, k2 > k1"] += 1
-        relocate(st, k1, i1, x, k2, j, gain)
+        relocate(st, k1, i1, x, k2, j, delta)
 
-    def counting_exchange(st, k1, c1, k2, c2, pre1, pre2):
+    def counting_exchange(st, k1, c1, k2, c2, pre1, pre2, delta):
         if c2 == -1 and c1 == len(st.routes[k1]) - 1:
             seen["exchange empties k2, k1 < k2" if k1 < k2 else "exchange empties k2, k1 > k2"] += 1
-        exchange(st, k1, c1, k2, c2, pre1, pre2)
+        exchange(st, k1, c1, k2, c2, pre1, pre2, delta)
 
     monkeypatch.setattr(localsearch, "_apply_relocate", counting_relocate)
     monkeypatch.setattr(localsearch, "_apply_tail_exchange", counting_exchange)
@@ -1175,7 +1175,7 @@ def reference_local_search(solution, instance, dist, rng, *, max_evals=None, dea
             if spent(1):
                 return False
             if delta < -EPS:
-                localsearch._apply_relocate(st, k1, i1, a, len(st.routes), 0, gain)
+                localsearch._apply_relocate(st, k1, i1, a, len(st.routes), 0, delta)
                 return True
         for tj in neighbors[ti]:
             loc = st.where[tj]
@@ -1229,7 +1229,7 @@ def reference_local_search(solution, instance, dist, rng, *, max_evals=None, dea
                 if spent(1):
                     return False
                 if cost - gain < -EPS:
-                    localsearch._apply_relocate(st, k1, i1, x, k2, j, gain)
+                    localsearch._apply_relocate(st, k1, i1, x, k2, j, cost - gain)
                     return True
         return False
 
@@ -1248,7 +1248,7 @@ def reference_local_search(solution, instance, dist, rng, *, max_evals=None, dea
             for x in (a, inverse_id(a)):
                 d2 = D[p2][head[x]] + D[tail[x]][n2] - base2
                 if d1 + d2 < -EPS:
-                    localsearch._apply_swap(st, k1, i1, y, k2, i2, x, d1, d2)
+                    localsearch._apply_swap(st, k1, i1, y, k2, i2, x, d1 + d2)
                     return True
         return False
 
@@ -1293,7 +1293,7 @@ def reference_local_search(solution, instance, dist, rng, *, max_evals=None, dea
                     pre1 + st.loads[k2] - pre2 <= capacity
                     and pre2 + st.loads[k1] - pre1 <= capacity
                 ):
-                    localsearch._apply_tail_exchange(st, k1, c1, k2, c2, pre1, pre2)
+                    localsearch._apply_tail_exchange(st, k1, c1, k2, c2, pre1, pre2, delta)
                     return True
         return False
 

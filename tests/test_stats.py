@@ -9,13 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routecut import significance_table, wilcoxon_rank_sum
-from routecut.stats import WdlRow, _midranks_doubled
+from routecut.stats import WdlRow
 
 
 def exact_p_by_enumeration(a, b):
     """Independent oracle: enumerate every assignment of combined ranks."""
     combined = list(a) + list(b)
-    doubled = _midranks_doubled(combined)
+    # a value's doubled midrank: twice the smaller values, plus its equals
+    # (itself included), plus one
+    doubled = [
+        2 * sum(w < v for w in combined) + sum(w == v for w in combined) + 1
+        for v in combined
+    ]
     n, total = len(a), len(combined)
     mean2 = n * (total + 1)
     observed = abs(sum(doubled[:n]) - mean2)
