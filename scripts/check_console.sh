@@ -6,9 +6,11 @@
 # processes, each worker keeping its last instance and rank matrix.  An
 # instance with decimal costs is solved and validated too: its shortest
 # paths take Dijkstra over the whole graph, with no vertex eliminated.  So
-# is a generated instance of 200 tasks, more than the 64 cheapest links kept
-# per task, on which route cutting ranks a few in-route links on demand; the
-# clustering loop with whole routes (`cluster-whole-route`) and one local-search
+# is one with a 20,000-cost edge to a pendant vertex, whose distances fill
+# in as int32, not the int16 of generated instances.  So is a generated
+# instance of 200 tasks, more than the 64 cheapest links kept per task, on
+# which route cutting ranks a few in-route links on demand; the clustering
+# loop with whole routes (`cluster-whole-route`) and one local-search
 # descent (`local-only`) solve and validate it too.  Every
 # trace CSV, from `solve --trace` or streamed by `bench`, must start with its
 # header, and invalid settings (a value out of range, a boolean that is not
@@ -68,6 +70,13 @@ routecut solve f.dat --max-iters 2 --virtual-clock --out f.sol
 routecut validate f.dat f.sol
 routecut solve f.dat --algorithm cluster-rco --max-cycles 1 --virtual-clock --out fc.sol
 routecut validate f.dat fc.sol
+
+printf '%s\n' 'NOMBRE : wide' 'VERTICES : 5' 'ARISTAS_REQ : 4' 'ARISTAS_NOREQ : 1' \
+  'VEHICULOS : -1' 'CAPACIDAD : 6' 'LISTA_ARISTAS_REQ :' '( 1 , 2 ) coste 3 demanda 2' \
+  '( 2 , 3 ) coste 4 demanda 3' '( 3 , 4 ) coste 2 demanda 2' '( 4 , 5 ) coste 20000 demanda 1' \
+  'LISTA_ARISTAS_NOREQ :' '( 1 , 3 ) coste 6' 'DEPOSITO : 1' > w.dat
+routecut solve w.dat --algorithm sahid-rco --max-iterations 2 --virtual-clock --out w.sol
+routecut validate w.dat w.sol
 
 routecut gen --vertices 100 --tasks 200 --capacity 400 --seed 4 --out g.dat
 routecut solve g.dat --max-iters 2 --virtual-clock --out g.sol

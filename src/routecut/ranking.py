@@ -33,9 +33,11 @@ def link_numerators(
     Entry [r, j] is the plain sum of the four ``matrix`` distances between
     the endpoints of tasks ``start + r`` and ``j``, added as
     ``((hh + ht) + th) + tt``; entry [r, start + r] is 0, since self-links
-    are undefined.  An integer ``matrix`` (see ``DistanceTable``) holds four
-    times its largest entry, so the sums are taken in its own type without
-    overflow and returned as int64; a float64 ``matrix`` gives float64 sums.
+    are undefined.  An integer ``matrix`` (see ``DistanceTable``; generated
+    instances fill theirs in as int16) holds four times its largest entry,
+    so the sums are taken in its own type without overflow and returned as
+    int64, which callers sum over many links; ``rank_rows`` keys them in
+    int32 when the keys fit.  A float64 ``matrix`` gives float64 sums.
     The distance rows from the block's heads and from its tails are
     gathered once, and the block allocates a few (stop - start) x max(V, n)
     arrays.
@@ -52,12 +54,12 @@ def link_numerators(
 
 
 # task rows per block of build_rank_matrix; 32 built 2500 tasks fastest of
-# 16..128, and 32 rows of int64 keys are 0.6 MB at 2500
+# 16..128, and 32 rows of int64 numerators are 0.6 MB at 2500
 _ROW_BLOCK = 32
 # links kept per task: 2-7% of in-route links rank above 64 and are ranked
 # on demand; local search reads the 20 nearest
 _KEEP = 64
-_INT64_MAX = np.iinfo(np.int64).max
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 def _rank_dtype(n: int) -> type:
@@ -65,17 +67,27 @@ def _rank_dtype(n: int) -> type:
 
 
 def _keys(costs: np.ndarray, first: int) -> np.ndarray | None:
-    """The int64 keys ``cost * n + column`` of rows ``first ..`` of an
-    n-column block of integer costs, unique and in (cost, column) order,
-    with the diagonal's past every other; None for float costs or keys
-    that could overflow."""
+    """The keys ``cost * n + column`` of rows ``first ..`` of an n-column
+    block of integer costs, unique and in (cost, column) order, with the
+    diagonal's the largest value of their type, past every other: int32
+    when the largest key stays below that, as it does for every generated
+    instance, and int64 otherwise; None for float costs or keys that could
+    overflow int64."""
     b, n = costs.shape
-    if costs.dtype.kind not in "iu" or max(-int(costs.min()), int(costs.max()) + 1) * n > _INT64_MAX:
+    if costs.dtype.kind not in "iu":
         return None
-    key = costs.astype(np.int64)
+    low, high = int(costs.min()), int(costs.max())
+    largest = high * n + n - 1
+    if high * n < _INT32_MAX <= largest:  # then high's last column decides
+        largest = high * n + int(np.flatnonzero((costs == high).any(axis=0))[-1])
+    dtype = next((t for t in (np.int32, np.int64)
+                  if np.iinfo(t).min <= low * n and largest < np.iinfo(t).max), None)
+    if dtype is None:
+        return None
+    key = costs.astype(dtype)
     key *= n
-    key += np.arange(n)
-    key[np.arange(b), np.arange(first, first + b)] = _INT64_MAX
+    key += np.arange(n, dtype=dtype)
+    key[np.arange(b), np.arange(first, first + b)] = np.iinfo(dtype).max
     return key
 
 
@@ -91,8 +103,8 @@ def rank_rows(costs: np.ndarray, first: int = 0, keep: int = _KEEP) -> tuple[np.
     counts kept links only, and is exact even when a tie block runs past
     the last kept one.  Integer keys (``_keys``) are partitioned at keep - 1
     and the first keep sorted; float costs, and integers whose keys could
-    overflow, take a stable argsort.  The temporaries are a few b x n
-    arrays of 8-byte items, so callers rank a block of rows at a time.
+    overflow int64, take a stable argsort.  The temporaries are a few b x n
+    arrays of 4- or 8-byte items, so callers rank a block of rows at a time.
     """
     b, n = costs.shape
     if not 0 <= first <= n - b:

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from routecut import Edge, Instance, RankMatrix, Solution, build_rank_matrix
 from routecut.instance import forward_id
@@ -224,6 +226,27 @@ def bellman_ford_all_pairs(instance):
                 break
         table.append(d)
     return table
+
+
+def whole_graph_dijkstra(instance):
+    """Dijkstra from every vertex over the whole graph, as a float64 table:
+    no vertex eliminated, parallel edges at their cheapest, no self-loop."""
+    n = instance.vertex_count
+    best = {}
+    for e in instance.edges:
+        if e.u == e.v:
+            continue
+        key = (e.u, e.v) if e.u < e.v else (e.v, e.u)
+        w = float(e.deadheading_cost)
+        if key not in best or w < best[key]:
+            best[key] = w
+    if best:
+        us, vs = zip(*best.keys())
+        data = np.fromiter(best.values(), dtype=np.float64, count=len(best))
+        graph = coo_matrix((data, (np.array(us), np.array(vs))), shape=(n, n)).tocsr()
+    else:
+        graph = coo_matrix((n, n), dtype=np.float64).tocsr()
+    return dijkstra(graph, directed=False)
 
 
 def brute_force_optimum(instance, dist):

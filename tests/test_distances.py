@@ -1,7 +1,9 @@
-"""Shortest-path table invariants against a Bellman-Ford oracle."""
+"""Shortest-path table invariants against a Bellman-Ford oracle, and the
+types the table is filled in and stored in."""
 
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from routecut import Edge, Instance, Solution
-from routecut.distances import _EXACT_INT, DistanceTable
+from routecut import Edge, Instance, Solution, distances
+from routecut.distances import _EXACT_INT, DistanceTable, shortest_paths
 from routecut.generator import generate_instance
 from routecut.instance import forward_id
 from routecut.ranking import link_numerators
 
-from conftest import bellman_ford_all_pairs, make_instance
+from conftest import bellman_ford_all_pairs, make_instance, whole_graph_dijkstra
 
 
 def test_depot_self_distance_zero():
@@ -146,17 +148,31 @@ def _table_at(largest):
     return m
 
 
-@pytest.mark.parametrize("largest, dtype", TABLE_TYPES)
-def test_table_type_holds_four_times_the_largest_entry(largest, dtype):
-    m = _table_at(largest)
+def _table_inputs():
+    """Each TABLE_TYPES row as a float table and, when its entry is finite
+    and integral, as a table of each integer type that holds it."""
+    for largest, dtype in TABLE_TYPES:
+        yield pytest.param(largest, dtype, np.float64, id=f"{largest}-{dtype.__name__}")
+        for given in (np.int16, np.int32, np.int64):
+            if math.isfinite(largest) and largest == int(largest) \
+                    and abs(largest) <= np.iinfo(given).max:
+                yield pytest.param(largest, dtype, given,
+                                   id=f"{largest}-{dtype.__name__}-from-{given.__name__}")
+
+
+@pytest.mark.parametrize("largest, dtype, given", _table_inputs())
+def test_table_type_holds_four_times_the_largest_entry(largest, dtype, given):
+    m = _table_at(largest).astype(given)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         dist = DistanceTable(m)
         rows = dist.rows
     assert dist.matrix.dtype == dtype
-    assert np.array_equal(dist.matrix, m, equal_nan=True)
+    assert np.array_equal(dist.matrix, m, equal_nan=given is np.float64)
     assert _entry_types(rows) == ({float} if dtype is np.float64 else {int})
-    assert np.array_equal(np.array(rows), m, equal_nan=True)
+    assert np.array_equal(np.array(rows), m, equal_nan=given is np.float64)
+    # an integer table of the type the rule gives is kept, not copied
+    assert (dist.matrix is m) == (given is dtype)
 
 
 # inf and nan sit at task endpoints in _table_at, which no valid instance
@@ -186,6 +202,76 @@ def test_tables_of_no_and_one_vertex(n):
 
 
 def test_generated_large_instance_stores_two_bytes_per_pair():
-    dist = generate_instance(1500, 2500, 60, seed=1).distances()
+    instance = generate_instance(1500, 2500, 60, seed=1)
+    tracemalloc.start()
+    try:
+        dist = shortest_paths(instance)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert dist.matrix.itemsize == 2
     assert dist.matrix.shape == (1500, 1500)
+    # the fill-in writes int16 too: no 8-byte-per-pair table is made
+    assert peak < 4 * 1500 * 1500
+
+
+@pytest.fixture
+def fill_in(monkeypatch):
+    """What each ``shortest_paths`` call eliminated (its removal records)
+    and the type ``_fill_type`` gave its fill-in."""
+    seen = {"removed": [], "types": []}
+    eliminate, fill_type = distances._eliminate, distances._fill_type
+
+    def eliminate_spy(adj):
+        seen["removed"].append(eliminate(adj))
+        return seen["removed"][-1]
+
+    def fill_type_spy(*args):
+        seen["types"].append(fill_type(*args))
+        return seen["types"][-1]
+
+    monkeypatch.setattr(distances, "_eliminate", eliminate_spy)
+    monkeypatch.setattr(distances, "_fill_type", fill_type_spy)
+    return seen
+
+
+def _assert_table_of_the_float_rule(instance):
+    """The table equals whole-graph Dijkstra's, in the type the float rule
+    gives the same values."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = shortest_paths(instance).matrix
+    want = whole_graph_dijkstra(instance)
+    assert got.dtype == DistanceTable(want).matrix.dtype
+    assert np.array_equal(got, want)
+    return got
+
+
+@pytest.mark.parametrize("bridge, dtype", [(3, np.int16), (9000, np.int32)])
+def test_fill_in_holds_an_edge_far_costlier_than_any_path(bridge, dtype, fill_in):
+    # vertex 0 is removed while it keeps its 40000 edge to vertex 1, which
+    # it reaches for 2 through the core vertex 2: the fill-in adds 40000 to
+    # row 1, past int16 whatever the table's entries.  The pendant edge
+    # (2, 3) costs ``bridge``: 3 leaves the table int16, 9000 makes it int32
+    instance = make_instance(4, [(0, 1, 1, 1, 40_000), (0, 2, 1, 1, 1), (1, 2, 1, 1, 1),
+                                 (2, 3, 1, 1, bridge)], capacity=10)
+    table = _assert_table_of_the_float_rule(instance)
+    assert table.dtype == dtype and table[0, 1] == 2
+    (removed,) = fill_in["removed"]
+    assert [(v, dict(zip(nbrs.tolist(), w.tolist()))) for v, nbrs, w in removed] == [
+        (3, {2: bridge}), (0, {1: 40_000, 2: 1}), (1, {2: 1})]
+    assert fill_in["types"] == [np.int32]
+
+
+@pytest.mark.parametrize("near", [191, 192])
+def test_fill_type_holds_four_times_a_path_across_the_core(near, fill_in):
+    # pendants 0 and 1 of the core vertex 2 lie 8000 + near apart, further
+    # than either lies from the core: 8191 fits int16 four times over, 8192
+    # does not.  The fill-in's type is never narrower than the table's, so
+    # DistanceTable only keeps or narrows it
+    instance = make_instance(3, [(0, 2, 1, 1, 8000), (1, 2, 1, 1, near)], depot=2, capacity=10)
+    table = _assert_table_of_the_float_rule(instance)
+    assert table[0, 1] == 8000 + near
+    assert table.dtype == (np.int16 if near == 191 else np.int32)
+    (fill_type,) = fill_in["types"]
+    assert np.iinfo(fill_type).max >= np.iinfo(table.dtype).max

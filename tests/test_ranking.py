@@ -4,6 +4,7 @@ import importlib.util
 import random
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest.mock import patch
 
@@ -132,6 +133,40 @@ def test_counted_ranks_equal_sorted_ranks(dtype):
         got = rank_rows(costs, keep=keep)
         expected = rank_rows(costs.astype(np.float64), keep=keep)
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+@pytest.mark.parametrize("largest, dtype", [(2**31 - 2, np.int32), (2**31 - 1, np.int64),
+                                            (2**31, np.int64)])
+def test_keys_at_the_int32_limit_rank_as_a_stable_argsort(largest, dtype, monkeypatch):
+    # costs near the top whose largest key cost * n + column is ``largest``:
+    # int32 keys hold it only below int32's largest value, which the
+    # diagonal's key takes
+    n = 4
+    high, column = divmod(largest, n)
+    costs = np.random.default_rng(largest).integers(high - 3, high + 1, size=(n, n))
+    costs[:, column + 1:] = np.minimum(costs[:, column + 1:], high - 1)
+    costs[1 if column == 0 else 0, column] = high
+    costs[2] -= high  # a row of small costs, some negative
+    np.fill_diagonal(costs, 0)
+    assert max(costs[i, j] * n + j for i in range(n) for j in range(n) if i != j) == largest
+    key_types = []
+    keys = ranking._keys
+
+    def spy(*args):
+        key = keys(*args)
+        key_types.append(key.dtype)
+        return key
+
+    monkeypatch.setattr(ranking, "_keys", spy)
+    for keep in (1, 2, 3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rank_rows(costs, keep=keep)
+        with monkeypatch.context() as sorting:
+            sorting.setattr(ranking, "_keys", lambda *a: None)
+            expected = rank_rows(costs, keep=keep)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+    assert key_types == [dtype] * 3
 
 
 def test_link_cost_shared_depot_tasks():

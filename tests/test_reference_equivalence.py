@@ -1,6 +1,7 @@
-"""`shortest_paths` (elimination, a core Dijkstra and fill-in), `route_cost`
-over a route's served IDs alone, `DistanceTable.rows` and
-`RankMatrix.nearest` (both in row blocks), the
+"""`shortest_paths` (elimination, a core Dijkstra and a fill-in in the
+table's own integer type, against both Dijkstra over the whole graph and
+the float64 fill-in), `route_cost` over a route's served IDs alone,
+`DistanceTable.rows` and `RankMatrix.nearest` (both in row blocks), the
 numpy `hdu` level loop and its nearest-neighbour chain, `rank_rows` (both
 its keyed and its sorting path) with `RankMatrix.link_ranks` (kept and
 on-demand ranks), `link_numerators` (in row blocks),
@@ -49,14 +50,27 @@ from routecut.decompose import (
     _repair_empty_groups,
     fuzzy_kmedoid,
 )
-from routecut.distances import _ELIMINATION_DEGREE, _EXACT_INT, DistanceTable, shortest_paths
+from routecut.distances import (
+    _ELIMINATION_DEGREE,
+    _EXACT_INT,
+    DistanceTable,
+    _eliminate,
+    shortest_paths,
+)
 from routecut.generator import generate_instance
 from routecut.instance import DEPOT_ID, forward_id, inverse_id, task_index_of
 from routecut.ranking import _ROW_BLOCK, link_numerators, rank_rows
 from routecut.seeding import make_rng
 from routecut.solution import Route, Solution, route_cost
 
-from conftest import all_link_ranks, make_instance, neighbors, rank_matrix_of, tie_heavy_instance
+from conftest import (
+    all_link_ranks,
+    make_instance,
+    neighbors,
+    rank_matrix_of,
+    tie_heavy_instance,
+    whole_graph_dijkstra,
+)
 
 SCALES = (0.1, 0.5, 0.9)
 
@@ -71,23 +85,37 @@ def _neighbor_sizes(n):
 
 
 def reference_shortest_paths(instance):
-    """Dijkstra from every vertex of the whole graph."""
+    """Elimination, a core Dijkstra and a fill-in into a V x V float64,
+    which ``DistanceTable`` then narrows: the fill-in that the one in the
+    table's own integer type replaced."""
     n = instance.vertex_count
-    best = {}
+    adj = [{} for _ in range(n)]
     for e in instance.edges:
-        if e.u == e.v:
-            continue
-        key = (e.u, e.v) if e.u < e.v else (e.v, e.u)
         w = float(e.deadheading_cost)
-        if key not in best or w < best[key]:
-            best[key] = w
-    if best:
-        us, vs = zip(*best.keys())
-        data = np.fromiter(best.values(), dtype=np.float64, count=len(best))
-        graph = coo_matrix((data, (np.array(us), np.array(vs))), shape=(n, n)).tocsr()
-    else:
-        graph = coo_matrix((n, n), dtype=np.float64).tocsr()
-    return DistanceTable(dijkstra(graph, directed=False))
+        if e.u != e.v and w < adj[e.u].get(e.v, math.inf):
+            adj[e.u][e.v] = adj[e.v][e.u] = w
+    costs = [w for u, nbrs in enumerate(adj) for v, w in nbrs.items() if u < v]
+    exact = all(w.is_integer() for w in costs) and math.fsum(costs) <= _EXACT_INT
+    removed = _eliminate(adj) if exact else []
+    core = [v for v, nbrs in enumerate(adj) if nbrs is not None]
+    index = {v: i for i, v in enumerate(core)}
+    edges = [(index[u], index[v], w) for u in core for v, w in adj[u].items() if u < v]
+    us, vs, ws = zip(*edges) if edges else ((), (), ())
+    graph = coo_matrix((np.array(ws, dtype=np.float64),
+                        (np.array(us, dtype=np.intp), np.array(vs, dtype=np.intp))),
+                       shape=(len(core), len(core))).tocsr()
+    matrix = dijkstra(graph, directed=False)
+    if removed:
+        core_matrix, matrix = matrix, np.zeros((n, n))
+        matrix[np.ix_(core, core)] = core_matrix
+    for v, nbrs, w in reversed(removed):
+        block = matrix[nbrs]
+        block += w[:, None]
+        row = matrix[v]
+        block.min(axis=0, initial=math.inf, out=row)
+        row[v] = 0
+        matrix[:, v] = row
+    return DistanceTable(matrix)
 
 
 @dataclass(frozen=True)
@@ -1490,30 +1518,85 @@ def eliminated(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def fill_types(monkeypatch):
+    """The type of each ``shortest_paths`` fill-in while a test runs."""
+    types = []
+    real = distances._fill_type
+
+    def spy(*args):
+        types.append(real(*args))
+        return types[-1]
+
+    monkeypatch.setattr(distances, "_fill_type", spy)
+    return types
+
+
 def _assert_same_table(instance):
+    """The table equals Dijkstra's over the whole graph and the float64
+    fill-in's, bit for bit and in the same type."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = shortest_paths(instance).matrix
-    expected = reference_shortest_paths(instance).matrix
-    assert got.dtype == expected.dtype
-    assert got.tobytes() == expected.tobytes()  # bit for bit
+    for expected in (DistanceTable(whole_graph_dijkstra(instance)).matrix,
+                     reference_shortest_paths(instance).matrix):
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()  # bit for bit
 
 
 @pytest.mark.parametrize("vertices, tasks, seeds", [(30, 20, range(5)), (500, 800, range(2)),
                                                      (1500, 2500, range(1))])
-def test_shortest_paths_match_reference_on_generated_instances(vertices, tasks, seeds, eliminated):
+def test_shortest_paths_match_reference_on_generated_instances(vertices, tasks, seeds, eliminated,
+                                                              fill_types):
     for seed in seeds:
         _assert_same_table(generate_instance(vertices, tasks, 60, seed=seed))
     assert [count > 0 for count, _ in eliminated] == [True] * len(seeds)
     # 30 vertices go down to the one always kept; larger graphs keep a core
     assert all((len(core) == 1) == (vertices == 30) for _, core in eliminated)
+    assert fill_types == [np.int16] * len(seeds)
 
 
 @pytest.mark.parametrize("seed", range(100))
-def test_shortest_paths_match_reference_on_tie_heavy_instances(seed, eliminated):
+def test_shortest_paths_match_reference_on_tie_heavy_instances(seed, eliminated, fill_types):
     instance = tie_heavy_instance(seed)
     _assert_same_table(instance)
     assert eliminated == [(instance.vertex_count - 1, [0])]
+    assert fill_types == [np.int16]
+
+
+def _two_cliques(clique, seed):
+    """Two cliques of vertices of degree above the elimination cap, with no
+    edge between them, each with a sparse fringe: elimination leaves both
+    in the core, whose Dijkstra holds infinity.  The tasks lie in the
+    depot's half."""
+    rng = random.Random(seed)
+    edges = []
+    for first, demand in ((0, 1), (2 * clique, 0)):
+        edges += [(u, v, 0, 0, rng.randint(1, 30)) for u in range(first, first + clique)
+                  for v in range(u + 1, first + clique)]
+        edges += [(rng.randrange(first, v), v, demand, 1, rng.randint(0, 30))
+                  for v in range(first + clique, first + 2 * clique)]
+    return make_instance(4 * clique, edges, capacity=10)
+
+
+@pytest.mark.parametrize("kind", ["isolated vertex", "two cliques"])
+def test_shortest_paths_fill_in_float64_where_a_pair_is_unreachable(kind, eliminated, fill_types):
+    if kind == "isolated vertex":
+        # a non-task vertex with no edge is removed with no neighbour
+        base = generate_instance(500, 800, 60, seed=5)
+        n = base.vertex_count
+        instance = Instance("isolated", n + 1, base.edges, base.depot, base.capacity)
+    else:
+        clique = _ELIMINATION_DEGREE + 6
+        instance = _two_cliques(clique, seed=1)
+        n = instance.vertex_count - 1
+    _assert_same_table(instance)
+    (count, core), = eliminated
+    # the isolated vertex goes first; both cliques stay in the core
+    assert count > 0 and (kind == "isolated vertex" or len(core) == 2 * clique)
+    assert fill_types == [np.float64]
+    table = shortest_paths(instance).matrix
+    assert table.dtype == np.float64 and np.isinf(table[0, n])
 
 
 def _multigraph_instance(seed, vertices=40):
