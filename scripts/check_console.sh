@@ -11,7 +11,9 @@
 # instance of 200 tasks, more than the 64 cheapest links kept per task, on
 # which route cutting ranks a few in-route links on demand; the clustering
 # loop with whole routes (`cluster-whole-route`) and one local-search
-# descent (`local-only`) solve and validate it too.  Every
+# descent (`local-only`) solve and validate it too.  A file whose edge
+# ( 2 , 3 ) exceeds the capacity makes `solve` exit with status 2 and name
+# the edge as the file does, `(2,3)`.  Every
 # trace CSV, from `solve --trace` or streamed by `bench`, must start with its
 # header, and invalid settings (a value out of range, a boolean that is not
 # 1/0, true/false or yes/no, a significance level outside (0, 1)) must
@@ -77,6 +79,14 @@ printf '%s\n' 'NOMBRE : wide' 'VERTICES : 5' 'ARISTAS_REQ : 4' 'ARISTAS_NOREQ : 
   'LISTA_ARISTAS_NOREQ :' '( 1 , 3 ) coste 6' 'DEPOSITO : 1' > w.dat
 routecut solve w.dat --algorithm sahid-rco --max-iterations 2 --virtual-clock --out w.sol
 routecut validate w.dat w.sol
+
+printf '%s\n' 'NOMBRE : heavy' 'VERTICES : 3' 'ARISTAS_REQ : 2' 'ARISTAS_NOREQ : 0' \
+  'VEHICULOS : -1' 'CAPACIDAD : 5' 'LISTA_ARISTAS_REQ :' '( 1 , 2 ) coste 1 demanda 1' \
+  '( 2 , 3 ) coste 1 demanda 9' 'LISTA_ARISTAS_NOREQ :' 'DEPOSITO : 1' > heavy.dat
+status=0
+routecut solve heavy.dat --max-iters 2 --virtual-clock 2> heavy.err || status=$?
+test "$status" -eq 2
+grep -qF 'edge (2,3) demand 9 exceeds capacity 5' heavy.err
 
 routecut gen --vertices 100 --tasks 200 --capacity 400 --seed 4 --out g.dat
 routecut solve g.dat --max-iters 2 --virtual-clock --out g.sol

@@ -38,9 +38,10 @@ def _pairwise_distances(
     """Mean link cost over all task pairs of every two sub-routes, 0 on the
     diagonal.  The link numerators of the pool's tasks, in pool order, are
     summed over each sub-route's rows and then its columns, a block of whole
-    sub-routes at a time.  Sums are exact int64 with integer costs; float
-    sums add in the same order whatever the block size, but may differ from
-    a per-pair ``np.mean`` in the last bits."""
+    sub-routes at a time.  Sums are exact int64 with integer costs, whose
+    numerators come in the table's narrow type; float sums add in the same
+    order whatever the block size, but may differ from a per-pair
+    ``np.mean`` in the last bits."""
     tasks = [instance.tasks[task_index_of(t)] for s in pool for t in s]
     heads = np.array([t.u for t in tasks], dtype=np.intp)
     tails = np.array([t.v for t in tasks], dtype=np.intp)
@@ -48,12 +49,14 @@ def _pairwise_distances(
     ends = np.cumsum(sizes)
     starts = ends - sizes
     sums = np.empty((len(pool), len(pool)))
+    total = np.float64 if dist.matrix.dtype.kind == "f" else np.int64
     first = 0  # the block's first sub-route
     for last in range(len(pool)):
         if last + 1 < len(pool) and ends[last] - starts[first] < _DISTANCE_BLOCK:
             continue
         block = link_numerators(dist.matrix, heads, tails, starts[first], ends[last])
-        by_row = np.add.reduceat(block, starts[first : last + 1] - starts[first], axis=0)
+        by_row = np.add.reduceat(block, starts[first : last + 1] - starts[first], axis=0,
+                                 dtype=total)
         sums[first : last + 1] = np.add.reduceat(by_row, starts, axis=1)
         first = last + 1
     # mirror the upper triangle: float sums of a block and its transpose may differ
@@ -274,14 +277,22 @@ def hdu(
         _, columns = _farthest_points(
             rng.randrange(m), k, lambda j: _endpoint_distances(matrix, heads, tails, j)
         )
-        to_medoid = np.stack(columns, axis=1)
-        is_min = to_medoid == to_medoid.min(axis=1, keepdims=True)
-        ties = is_min.sum(axis=1)
-        choice = np.argmax(is_min, axis=1)
+        # each unit's distance to its nearest medoid, the first such medoid
+        # and how many tie with it, one medoid column at a time: no m x k array
+        nearest = columns[0].copy()
+        for column in columns[1:]:
+            np.minimum(nearest, column, out=nearest)
+        choice = np.zeros(m, dtype=np.intp)
+        ties = np.zeros(m, dtype=np.intp)
+        for c, column in enumerate(columns):
+            same = column == nearest
+            ties += same
+            np.copyto(choice, c, where=same)  # final unless the row is tied
         tied = np.flatnonzero(ties > 1)
         # each tied row takes its draw-th tied medoid, drawn in unit order
         draws = np.array([rng.randrange(t) for t in ties[tied].tolist()], dtype=np.intp)
-        choice[tied] = np.argmax(np.cumsum(is_min[tied], axis=1) > draws[:, None], axis=1)
+        is_min = np.stack([column[tied] for column in columns], axis=1) == nearest[tied, None]
+        choice[tied] = np.argmax(np.cumsum(is_min, axis=1) > draws[:, None], axis=1)
 
         clusters: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in range(k)]
         for unit, c in zip(zip(units, heads.tolist(), tails.tolist()), choice.tolist()):

@@ -86,14 +86,17 @@ class Instance:
             raise InvalidInstanceError(f"depot {depot} out of range")
         if not capacity > 0:  # NaN fails too; +inf is allowed
             raise InvalidInstanceError("capacity must be positive")
-        for e in edges:
+        for e in edges:  # named by the 1-based vertices of the file format
             if not (0 <= e.u < vertex_count and 0 <= e.v < vertex_count):
-                raise InvalidInstanceError(f"edge ({e.u},{e.v}) has a dangling vertex")
-            if not all(0 <= x < math.inf for x in (e.demand, e.service_cost, e.deadheading_cost)):
-                raise InvalidInstanceError(f"edge ({e.u},{e.v}) needs finite non-negative numbers")
+                raise InvalidInstanceError(f"edge ({e.u + 1},{e.v + 1}) has a dangling vertex")
+            if not (0 <= e.demand < math.inf and 0 <= e.service_cost < math.inf
+                    and 0 <= e.deadheading_cost < math.inf):  # NaN fails too
+                raise InvalidInstanceError(
+                    f"edge ({e.u + 1},{e.v + 1}) needs finite non-negative numbers"
+                )
             if e.demand > capacity:
                 raise InvalidInstanceError(
-                    f"edge ({e.u},{e.v}) demand {e.demand} exceeds capacity {capacity}"
+                    f"edge ({e.u + 1},{e.v + 1}) demand {e.demand} exceeds capacity {capacity}"
                 )
 
         self.name = name
@@ -224,19 +227,19 @@ def parse_instance(text: str, name_hint: str = "<stream>") -> Instance:
             m = _EDGE_RE.match(line)
             if not m:
                 raise InstanceFormatError(line_no, f"malformed edge line: {line!r}")
-            u, v = int(m.group(1)), int(m.group(2))
-            cost = float(m.group(3)) if "." in m.group(3) else int(m.group(3))
-            demand = m.group(4)
+            u, v, coste, demanda = m.groups()
+            cost = float(coste) if "." in coste else int(coste)
             if block == "req_block":
-                if demand is None:
+                if demanda is None:
                     raise InstanceFormatError(line_no, "required edge without a demand")
-                if int(demand) <= 0:
+                demand = int(demanda)
+                if demand <= 0:
                     raise InstanceFormatError(line_no, "required edge with non-positive demand")
-                req_edges.append(Edge(u - 1, v - 1, int(demand), cost, cost))
+                req_edges.append(Edge(int(u) - 1, int(v) - 1, demand, cost, cost))
             else:
-                if demand is not None:
+                if demanda is not None:
                     raise InstanceFormatError(line_no, "non-required edge with a demand")
-                noreq_edges.append(Edge(u - 1, v - 1, 0, 0, cost))
+                noreq_edges.append(Edge(int(u) - 1, int(v) - 1, 0, 0, cost))
             continue
         if ":" not in line:
             raise InstanceFormatError(line_no, f"expected `KEY : VALUE`, got {line!r}")

@@ -7,9 +7,12 @@ by competition ranking: a link's rank is one plus the number of strictly
 cheaper links leaving the same task, so equal costs share a rank and the
 numbering skips after a tie block (1, 1, 3, ...).  Ranks are not symmetric:
 a task on the periphery may rank a central task highly while the central
-task has many closer alternatives.  Only each task's ``_KEEP`` cheapest
-links are kept with their ranks; any other link's rank is counted from its
-task's row of link costs when it is first asked for.
+task has many closer alternatives.  Links are ranked by their numerators,
+four times their costs, summed in the distance table's own type (int16 on
+generated instances, float64 for a table that is not integral).  Only each
+task's ``_KEEP`` cheapest links are kept with their ranks; any other link's
+rank is counted from its task's row of link costs when it is first asked
+for.
 """
 
 from __future__ import annotations
@@ -28,33 +31,40 @@ def link_numerators(
     matrix: np.ndarray, heads: np.ndarray, tails: np.ndarray, start: int, stop: int
 ) -> np.ndarray:
     """Rows ``start:stop`` of four times the link cost between the tasks
-    whose endpoints are ``heads`` and ``tails``.
+    whose endpoints are ``heads`` and ``tails``, in ``matrix``'s type.
 
     Entry [r, j] is the plain sum of the four ``matrix`` distances between
-    the endpoints of tasks ``start + r`` and ``j``, added as
-    ``((hh + ht) + th) + tt``; entry [r, start + r] is 0, since self-links
-    are undefined.  An integer ``matrix`` (see ``DistanceTable``; generated
-    instances fill theirs in as int16) holds four times its largest entry,
-    so the sums are taken in its own type without overflow and returned as
-    int64, which callers sum over many links; ``rank_rows`` keys them in
-    int32 when the keys fit.  A float64 ``matrix`` gives float64 sums.
-    The distance rows from the block's heads and from its tails are
-    gathered once, and the block allocates a few (stop - start) x max(V, n)
-    arrays.
+    the endpoints of tasks ``start + r`` and ``j``; entry [r, start + r] is
+    0, since self-links are undefined.  An integer ``matrix`` (see
+    ``DistanceTable``; generated instances fill theirs in as int16) holds
+    four times its largest entry, so the sums stay in its own type without
+    overflow: each block row first sums its task's two distance rows into
+    one vertex-pair row P, and entry j is then ``P[heads[j]] + P[tails[j]]``,
+    two gathers instead of four.  Callers that sum many numerators widen
+    them (``_pairwise_distances``); ``rank_rows`` keys them in int32 when
+    the keys fit.  A float64 ``matrix`` gives float64 sums added as
+    ``((hh + ht) + th) + tt``.  The block allocates a few
+    (stop - start) x max(V, n) arrays.
     """
     from_heads = matrix[heads[start:stop]]
     from_tails = matrix[tails[start:stop]]
-    block = from_heads[:, heads]
-    block += from_heads[:, tails]
-    block += from_tails[:, heads]
-    block += from_tails[:, tails]
+    if matrix.dtype.kind == "f":
+        block = from_heads[:, heads]
+        block += from_heads[:, tails]
+        block += from_tails[:, heads]
+        block += from_tails[:, tails]
+    else:
+        pair = from_heads  # P: each row's head and tail rows, summed in place
+        pair += from_tails
+        block = pair[:, heads]
+        block += pair[:, tails]
     rows = np.arange(stop - start)
     block[rows, start + rows] = 0
-    return block.astype(np.int64) if matrix.dtype.kind == "i" else block
+    return block
 
 
 # task rows per block of build_rank_matrix; 32 built 2500 tasks fastest of
-# 16..128, and 32 rows of int64 numerators are 0.6 MB at 2500
+# 16..128, and 32 rows of int16 numerators are 160 KB at 2500
 _ROW_BLOCK = 32
 # links kept per task: 2-7% of in-route links rank above 64 and are ranked
 # on demand; local search reads the 20 nearest

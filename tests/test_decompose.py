@@ -223,6 +223,23 @@ def test_pairwise_distances_hold_no_square_cost_matrix():
     assert peak < 4 * n * n
 
 
+def test_hdu_holds_no_unit_by_medoid_array():
+    # 2500 elementary units and 250 medoids: an m x k stack of int16
+    # distances alone is 1.25 MB, and its comparison and cumsum more
+    inst = generate_instance(1500, 2500, 60, seed=11)
+    dist = inst.distances()
+    dist.rows  # built before tracing: every solve shares them
+    units = decompose.elementary_virtual_tasks(inst)
+    tracemalloc.start()
+    try:
+        solution = decompose.hdu(units, inst, dist, 0.1, make_rng(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(solution.task_indices()) == list(range(2500))
+    assert peak < 3.5e6
+
+
 def test_one_group_needs_no_distances(monkeypatch):
     links = _linked_tasks([[0, 2], [2, 0]])
     pool = _pool_of_singletons([0, 1])

@@ -76,6 +76,49 @@ def test_required_edge_without_demand_rejected():
         parse_instance(text)
 
 
+# (edit of MINIMAL, line it names, message): each InstanceFormatError of parse_instance
+FORMAT_ERRORS = {
+    "outside a block": (("CAPACIDAD : 5\n", "CAPACIDAD : 5\n\n( 1 , 2 ) coste 3 demanda 5\n"),
+                        8, "edge line outside an edge block"),
+    "malformed": (("coste 3 demanda 5", "coste demanda 5"), 8, "malformed edge line"),
+    "no demand": (("coste 3 demanda 5", "coste 3"), 8, "required edge without a demand"),
+    "zero demand": (("demanda 5", "demanda 0"), 8, "required edge with non-positive demand"),
+    "optional demand": (("LISTA_ARISTAS_NOREQ :\n", "LISTA_ARISTAS_NOREQ :\n\n( 1 , 2 ) coste 3 "
+                         "demanda 1\n"), 11, "non-required edge with a demand"),
+    "no colon": (("VEHICULOS : -1", "VEHICULOS -1"), 5, "expected `KEY : VALUE`"),
+}
+
+
+@pytest.mark.parametrize("edit, line_no, message", FORMAT_ERRORS.values(), ids=FORMAT_ERRORS)
+def test_each_format_error_names_its_line(edit, line_no, message):
+    text = MINIMAL.replace(*edit)
+    assert text != MINIMAL
+    with pytest.raises(InstanceFormatError) as info:
+        parse_instance(text)
+    assert info.value.line_no == line_no
+    assert str(info.value).startswith(f"line {line_no}: {message}")
+
+
+def _two_task_dat(edge):
+    """A three-vertex DAT of capacity 5 whose second required edge is ``edge``."""
+    return (f"NOMBRE : two\nVERTICES : 3\nARISTAS_REQ : 2\nARISTAS_NOREQ : 0\n"
+            f"CAPACIDAD : 5\nLISTA_ARISTAS_REQ :\n( 1 , 2 ) coste 1 demanda 1\n{edge}\n"
+            f"LISTA_ARISTAS_NOREQ :\nDEPOSITO : 1\n")
+
+
+@pytest.mark.parametrize("edge, message", [
+    ("( 2 , 3 ) coste 1 demanda 9", r"^edge \(2,3\) demand 9 exceeds capacity 5$"),
+    ("( 2 , 4 ) coste 1 demanda 1", r"^edge \(2,4\) has a dangling vertex$"),
+    ("( 3 , 0 ) coste 1 demanda 1", r"^edge \(3,0\) has a dangling vertex$"),
+    # 400 digits read as a float overflow to infinity
+    (f"( 2 , 3 ) coste {'9' * 400}.0 demanda 1", r"^edge \(2,3\) needs finite non-negative"),
+], ids=["demand", "dangling", "vertex 0", "infinite cost"])
+def test_edge_errors_name_the_vertices_of_the_file(edge, message):
+    assert parse_instance(_two_task_dat("( 2 , 3 ) coste 1 demanda 1")).task_count == 2
+    with pytest.raises(InvalidInstanceError, match=message):
+        parse_instance(_two_task_dat(edge))
+
+
 def test_count_mismatch_rejected():
     text = MINIMAL.replace("ARISTAS_REQ : 1", "ARISTAS_REQ : 2")
     with pytest.raises(InvalidInstanceError, match="ARISTAS_REQ"):
@@ -144,7 +187,7 @@ def test_non_finite_edge_numbers_rejected(field, demand, value):
     # give an infinite solution that validates
     numbers = {"demand": demand, "service_cost": 1, "deadheading_cost": 1, field: value}
     edges = [Edge(0, 1, 1, 1, 1), Edge(1, 2, **numbers)]
-    with pytest.raises(InvalidInstanceError, match=r"edge \(1,2\) needs finite non-negative"):
+    with pytest.raises(InvalidInstanceError, match=r"edge \(2,3\) needs finite non-negative"):
         Instance("x", 3, edges, 0, 5)
 
 

@@ -208,7 +208,8 @@ def test_build_matches_link_cost():
             if t1 != t2:
                 assert num[t1, t2] / 4 == link_cost(t1, t2, inst, dist)
     assert not num.diagonal().any()  # self-links are undefined
-    assert num.dtype == np.int64  # integer costs stay exact
+    # integer costs stay exact, in the table's own type
+    assert num.dtype == dist.matrix.dtype == np.int16
     ranks = build_rank_matrix(inst, dist)
     columns, kept = rank_rows(num)
     assert np.array_equal(ranks.columns, columns)

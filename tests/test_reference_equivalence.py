@@ -248,8 +248,8 @@ def reference_link_numerators(instance, dist):
         + m[np.ix_(tails, tails)]
     )
     np.fill_diagonal(num, 0)
-    # int64 for an integer table, float64 for a float one
-    return num.astype(np.int64) if m.dtype.kind == "i" else num
+    # in the table's own type: int16 for a generated instance's table
+    return num
 
 
 def reference_path_scanning(instance, dist, rng):
@@ -315,7 +315,9 @@ def whole_matrix_pairwise_distances(pool, num):
     order = [task_index_of(t) for s in pool for t in s]
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     block = num[np.ix_(order, order)]
-    sums = np.add.reduceat(np.add.reduceat(block, starts, axis=0), starts, axis=1)
+    # integer numerators come in the table's narrow type: sum them as int64
+    total = np.float64 if num.dtype.kind == "f" else np.int64
+    sums = np.add.reduceat(np.add.reduceat(block, starts, axis=0, dtype=total), starts, axis=1)
     d = np.triu(sums / np.outer(sizes, sizes) / 4.0, 1)
     return d + d.T
 
@@ -638,6 +640,7 @@ def test_matches_reference_on_a_generated_mid_size_instance(mid_instance):
 def test_ranking_matches_reference_on_a_generated_mid_size_instance(mid_instance, rank_paths):
     instance, dist, ranks = mid_instance
     num = reference_link_numerators(instance, dist)
+    assert num.dtype == dist.matrix.dtype == np.int16
     expected = reference_rank_rows(num)
     _assert_kept_ranks(ranks, expected)
     columns, kept = rank_rows(num)
@@ -678,7 +681,7 @@ def _link_instance(kind, tasks, seed):
     return instance
 
 
-LINK_DTYPES = {"int": np.int64, "halves": np.float64, "tenths": np.float64}
+LINK_DTYPES = {"int": np.int16, "halves": np.float64, "tenths": np.float64}
 
 
 @pytest.mark.parametrize("kind", sorted(LINK_DTYPES))
@@ -708,7 +711,7 @@ def test_link_numerators_match_reference(seed, tasks, kind):
 @pytest.mark.parametrize("tasks", BLOCK_SIZES[1:])
 @pytest.mark.parametrize("seed", range(2))
 def test_build_rank_matrix_matches_reference_across_row_blocks(seed, tasks, kind):
-    # each block of rows is summed, typed (int64 or float64) and ranked on
+    # each block of rows is summed in the table's type and ranked on
     # its own; the ranks must be the whole matrix's
     instance = _link_instance(kind, tasks, seed)
     dist = instance.distances()
