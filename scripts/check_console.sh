@@ -18,7 +18,7 @@
 # header, and invalid settings (a value out of range, a boolean that is not
 # 1/0, true/false or yes/no, a significance level outside (0, 1)) must
 # exit with status 2 and name the key that was written (`lambda`, not the
-# field `lam`).
+# field `lam`), and so must `gen` with a negative task count.
 # A broken instance file fails each of its cells, with one `.err` traceback
 # per cell, and `bench` exits with status 1.  Every trace or solution file
 # that a `records.csv` names must exist.  The clustering loop forks
@@ -57,6 +57,10 @@ status=0
 routecut solve i.dat --lambda 1.5 2> lambda.err || status=$?
 test "$status" -eq 2
 grep -qF 'lambda must be in [0, 1]' lambda.err
+status=0
+routecut gen --vertices 12 --tasks -1 --capacity 12 --out n.dat 2> tasks.err || status=$?
+test "$status" -eq 2
+grep -qF 'tasks must be non-negative' tasks.err
 routecut solve i.dat --algorithm cluster-rco --max-cycles 1 --virtual-clock --out c.sol
 routecut validate i.dat c.sol
 routecut solve i.dat --algorithm cluster-rco --max-cycles 2 --virtual-clock --trace ct.csv --out ct.sol

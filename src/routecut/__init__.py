@@ -35,7 +35,6 @@ from .ranking import RankMatrix, build_rank_matrix, rank_rows
 from .rco import average_task_rank, classify_links, rco_split, uniform_split
 from .search import SearchConfig, SearchTrace, project_solution, solve
 from .solution import (
-    Route,
     Solution,
     Violation,
     min_vehicles,
@@ -56,7 +55,6 @@ __all__ = [
     "InstanceFormatError",
     "InvalidInstanceError",
     "RankMatrix",
-    "Route",
     "SearchConfig",
     "SearchTrace",
     "Solution",

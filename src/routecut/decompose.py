@@ -1,10 +1,10 @@
 """Turning sub-route pools into sub-problems.
 
-A sub-route is a tuple of directed task IDs (``rco.rco_split``).  Two
-decomposition paths are supported.  The clustering path groups
-sub-routes around medoid sub-routes with a fuzziness-controlled
-probabilistic assignment, yielding task subsets that induce independent
-sub-problems.  The hierarchical path treats each sub-route as a virtual
+A sub-route is a slice of a route (``rco.rco_split``), so a tuple of
+directed task IDs too.  Two decomposition paths are supported.  The
+clustering path groups sub-routes around medoid sub-routes with a
+fuzziness-controlled probabilistic assignment, yielding task subsets that
+induce independent sub-problems.  The hierarchical path treats each sub-route as a virtual
 task: an atomic unit, the ID tuple itself, joined to others at its two
 endpoints (its first ID's head vertex and its last ID's tail).  It
 repeatedly clusters and chains units into ever coarser ones until a
@@ -265,7 +265,7 @@ def hdu(
     if covered != list(range(instance.task_count)):
         raise ValueError("units must cover all tasks exactly once")
     if not units:
-        return Solution([])
+        return Solution.build([], instance, dist)
 
     rows = dist.rows
     matrix = dist.matrix

@@ -35,6 +35,8 @@ def generate_instance(
         raise ValueError("need at least 2 vertices")
     if capacity < 1:
         raise ValueError("capacity must be positive")
+    if tasks < 0:
+        raise ValueError("tasks must be non-negative")
     rng = random.Random(seed)
     points = [(rng.random(), rng.random()) for _ in range(vertices)]
 

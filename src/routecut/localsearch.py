@@ -72,7 +72,7 @@ class _State:
         self.dem = instance.id_demand
         self.depot = instance.depot
         self.capacity = instance.capacity
-        self.routes: list[list[int]] = [list(r.ids) for r in solution.routes]
+        self.routes: list[list[int]] = [list(r) for r in solution.routes]
         self.loads: list[float] = [sum(self.dem[t] for t in r) for r in self.routes]
         self.cost = solution.total_cost
         self.where: list[tuple[int, int] | None] = [None] * instance.task_count

@@ -4,9 +4,9 @@ Links inside a route are classified as good (rank strictly below the
 solution's average task rank) or poor (everything else).  Per route, one
 good link is cut with probability lam and one poor link with probability
 theta, producing up to three contiguous sub-routes per route.  A sub-route
-is the tuple of directed task IDs it serves, in route order.  Cutting
-poor links more aggressively than good ones tends to hand downstream
-clustering task subsets that keep promising connections intact.
+is a slice of its route, so a tuple of directed task IDs in route order.
+Cutting poor links more aggressively than good ones tends to hand
+downstream clustering task subsets that keep promising connections intact.
 
 The uniform single-cut splitter used by the random-split baseline lives
 here too.
@@ -45,13 +45,13 @@ def classify_links(links: list[int], avg: float) -> tuple[list[int], list[int]]:
     return good, poor
 
 
-def _cut(ids: list[int], cuts: list[int], pool: list[tuple[int, ...]]) -> None:
-    """Append the pieces of ``ids`` cut after each link position in ``cuts``."""
+def _cut(route: tuple[int, ...], cuts: list[int], pool: list[tuple[int, ...]]) -> None:
+    """Append the pieces of ``route`` cut after each link position in ``cuts``."""
     start = 0
     for c in sorted(cuts):
-        pool.append(tuple(ids[start : c + 1]))
+        pool.append(route[start : c + 1])
         start = c + 1
-    pool.append(tuple(ids[start:]))
+    pool.append(route[start:])
 
 
 def rco_split(
@@ -65,10 +65,10 @@ def rco_split(
     one poor link, with probability ``theta``.
 
     The pieces come in route order, so concatenated they give back the
-    routes' IDs; each route contributes one to three pieces.  The ranks of
+    routes; each route contributes one to three pieces.  The ranks of
     all in-route links are looked up at once.
     """
-    links = ranks.link_ranks([route.ids for route in solution.routes])
+    links = ranks.link_ranks(solution.routes)
     avg = average_task_rank(links)
     pool: list[tuple[int, ...]] = []
     for route, route_links in zip(solution.routes, links):
@@ -78,7 +78,7 @@ def rco_split(
             cuts.append(good[rng.randrange(len(good))])
         if rng.random() < theta and poor:
             cuts.append(poor[rng.randrange(len(poor))])
-        _cut(route.ids, cuts, pool)
+        _cut(route, cuts, pool)
     return pool
 
 
@@ -90,6 +90,6 @@ def uniform_split(solution: Solution, rng: random.Random) -> list[tuple[int, ...
     """
     pool: list[tuple[int, ...]] = []
     for route in solution.routes:
-        n = len(route.ids)
-        _cut(route.ids, [rng.randrange(n - 1)] if n >= 2 else [], pool)
+        n = len(route)
+        _cut(route, [rng.randrange(n - 1)] if n >= 2 else [], pool)
     return pool

@@ -219,16 +219,19 @@ def project_solution(
     """
     routes = []
     for route in solution.routes:
-        kept = [t for t in route.ids if task_index_of(t) in keep]
+        kept = [t for t in route if task_index_of(t) in keep]
         if kept:
             routes.append(kept)
     return Solution.build(routes, instance, dist)
 
 
-def concat_solutions(parts: list[Solution]) -> Solution:
-    """Concatenate route sets of per-group solutions (subpop2pop); the
-    routes are shared, since no solution is changed once built."""
-    return Solution([r for part in parts for r in part.routes])
+def concat_solutions(
+    parts: list[Solution], instance: Instance, dist: DistanceTable
+) -> Solution:
+    """Concatenate route sets of per-group solutions (subpop2pop).  The
+    routes are shared; the total is summed over them in order, not over the
+    parts' totals, which could round otherwise with decimal costs."""
+    return Solution.build([r for part in parts for r in part.routes], instance, dist)
 
 
 def _usable_cpus() -> int:
@@ -452,11 +455,12 @@ def _cluster_loop(instance, dist, ranks, config, improve, record, deadline, side
         )
 
         new_pool = [
-            concat_solutions([per_group[g][m] for g in range(len(groups))])
+            concat_solutions([per_group[g][m] for g in range(len(groups))], instance, dist)
             for m in range(len(pool))
         ]
         champions = concat_solutions(
-            [min(per_group[g], key=lambda s: s.total_cost) for g in range(len(groups))]
+            [min(per_group[g], key=lambda s: s.total_cost) for g in range(len(groups))],
+            instance, dist,
         )
         # the recombined winner mixes routes that never saw each other, so a
         # whole-problem polish often repairs the group boundaries

@@ -1,7 +1,8 @@
 """Routes, solutions, objective evaluation, and feasibility checking.
 
-A route is the non-empty sequence of directed task IDs it serves, in
-order; the tour leaves the depot before the first and returns after the last.
+A route is the non-empty tuple of directed task IDs it serves, in order,
+the type of a sub-route too; the tour leaves the depot before the first
+and returns after the last.  A solution is its routes and their total.
 The objective of a route is the sum over consecutive stops, depot first,
 of the service cost of the current stop plus the shortest-path cost from
 its tail vertex to the next stop's head vertex.
@@ -34,40 +35,27 @@ def route_cost(ids: Sequence[int], instance: Instance, dist: DistanceTable) -> f
 
 
 @dataclass
-class Route:
-    """The directed task IDs one vehicle serves, in order, and their cost."""
-
-    ids: list[int]
-    cost: float
-
-    @classmethod
-    def build(cls, ids: Iterable[int], instance: Instance, dist: DistanceTable) -> "Route":
-        ids = list(ids)
-        return cls(ids, route_cost(ids, instance, dist))
-
-
-@dataclass
 class Solution:
-    """A set of routes and their total cost.
+    """Routes and their total cost.
 
-    No code changes a solution or its routes once built (local search works
-    on copies of the ID lists), so solutions and routes are shared, not
-    copied.
+    Each route is a tuple, so no code can change it once built (local search
+    works on list copies), and solutions share routes instead of copying them.
     """
 
-    routes: list[Route]
-
-    def __post_init__(self):
-        self.total_cost = sum(r.cost for r in self.routes)
+    routes: list[tuple[int, ...]]
+    total_cost: float
 
     @classmethod
     def build(
         cls, routes: Iterable[Iterable[int]], instance: Instance, dist: DistanceTable
     ) -> "Solution":
-        return cls([Route.build(ids, instance, dist) for ids in routes])
+        """The solution of ``routes``, each stored as a tuple, with its cost
+        summed over the routes in order."""
+        routes = [tuple(r) for r in routes]
+        return cls(routes, sum(route_cost(r, instance, dist) for r in routes))
 
     def task_indices(self) -> list[int]:
-        return [task_index_of(t) for r in self.routes for t in r.ids]
+        return [task_index_of(t) for r in self.routes for t in r]
 
     @property
     def route_count(self) -> int:
@@ -101,7 +89,7 @@ def validate(
 
     for k, route in enumerate(solution.routes):
         load: Number = 0
-        for t in route.ids:
+        for t in route:
             if not 1 <= t <= n_ids:
                 violations.append(Violation("unknown-id", f"route {k} uses unknown ID {t}", k))
                 continue
@@ -151,7 +139,7 @@ def write_solution(solution: Solution, instance: Instance, stream: IO[str]) -> N
     stream.write(f"cost {format_number(solution.total_cost)}\n")
     for k, route in enumerate(solution.routes, start=1):
         pairs = " ".join(
-            f"({instance.id_head[t] + 1},{instance.id_tail[t] + 1})" for t in route.ids
+            f"({instance.id_head[t] + 1},{instance.id_tail[t] + 1})" for t in route
         )
         stream.write(f"route {k}: {pairs}\n")
 

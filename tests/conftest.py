@@ -55,7 +55,7 @@ def all_link_ranks(ranks):
 
 def route_link_ranks(solution, ranks):
     """The ranks of each route's links, as ``rco_split`` looks them up."""
-    return ranks.link_ranks([route.ids for route in solution.routes])
+    return ranks.link_ranks(solution.routes)
 
 
 def solution_from_tasks(instance, dist, routes):
@@ -75,10 +75,10 @@ def split_walk(pool, solution):
     walk = []
     for route in solution.routes:
         at, cut = 0, []
-        while at < len(route.ids):
+        while at < len(route):
             piece = next(pieces, None)
             assert piece, f"route {len(walk)} is not covered by non-empty pieces"
-            assert piece == tuple(route.ids[at : at + len(piece)])
+            assert piece == route[at : at + len(piece)]
             cut.append((at, piece))
             at += len(piece)
         walk.append(cut)
@@ -311,7 +311,7 @@ def feasibility_oracle_kinds(solution, instance):
     """Direct transcription of the feasibility constraints; returns the set
     of violated constraint kinds using the same vocabulary as validate()."""
     kinds = set()
-    routes = [list(r.ids) for r in solution.routes]
+    routes = solution.routes
 
     n_ids = 2 * instance.task_count
     if any(not 1 <= t <= n_ids for r in routes for t in r):

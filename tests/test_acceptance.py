@@ -91,11 +91,10 @@ def test_criterion_02_split_classification_golden(golden_instance, golden_ranks)
     assert avg == 3.0
     link_tasks = []
     for route, (good, poor) in zip(sol.routes, parts):
-        ids = route.ids
         for pos in good:
-            link_tasks.append(("good", (ids[pos] - 1) // 2, (ids[pos + 1] - 1) // 2))
+            link_tasks.append(("good", (route[pos] - 1) // 2, (route[pos + 1] - 1) // 2))
         for pos in poor:
-            link_tasks.append(("poor", (ids[pos] - 1) // 2, (ids[pos + 1] - 1) // 2))
+            link_tasks.append(("poor", (route[pos] - 1) // 2, (route[pos + 1] - 1) // 2))
     good_links = {(a, b) for kind, a, b in link_tasks if kind == "good"}
     poor_links = {(a, b) for kind, a, b in link_tasks if kind == "poor"}
     assert good_links == {(TASK_D, TASK_E), (TASK_G, TASK_F), (TASK_C, TASK_H)}

@@ -390,7 +390,7 @@ def _cli_config(monkeypatch, instance_file, options):
 
     def fake_solve(instance, config, trace_sink=None):
         seen.append(config)
-        return Solution([]), SearchTrace()
+        return Solution([], 0.0), SearchTrace()
 
     monkeypatch.setattr(cli, "solve", fake_solve)
     assert main(["solve", str(instance_file), *options]) == 0

@@ -210,7 +210,7 @@ def test_pairwise_distances_hold_no_square_cost_matrix():
     from routecut import path_scanning
 
     solution = path_scanning(inst, dist, make_rng(1))
-    pool = [tuple(route.ids) for route in solution.routes]
+    pool = solution.routes
     n = inst.task_count
     tracemalloc.start()
     try:
@@ -312,7 +312,7 @@ def test_hdu_greedy_split_arithmetic():
         sol = hdu(units, inst, dist, 0.1, make_rng(seed))
         assert validate(sol, inst) == []
         assert sol.route_count == 3
-        assert all(sum(inst.id_demand[t] for t in r.ids) == 2 for r in sol.routes)
+        assert all(sum(inst.id_demand[t] for t in r) == 2 for r in sol.routes)
 
 
 def test_hdu_deterministic_under_seed():
@@ -321,7 +321,7 @@ def test_hdu_deterministic_under_seed():
     units = elementary_virtual_tasks(inst)
     a = hdu(units, inst, dist, 0.1, make_rng(77))
     b = hdu(units, inst, dist, 0.1, make_rng(77))
-    assert [r.ids for r in a.routes] == [r.ids for r in b.routes]
+    assert a.routes == b.routes
 
 
 def test_hdu_from_split_pool_validates():

@@ -39,9 +39,14 @@ def test_demands_track_capacity():
     assert all(1 <= t.demand <= 20 for t in inst.tasks)
 
 
-def test_infeasible_task_count_rejected():
-    with pytest.raises(ValueError, match="edges"):
-        generate_instance(5, 50, capacity=10, seed=0)
+@pytest.mark.parametrize(
+    "tasks, message",
+    [(50, "edges"), (-1, "tasks must be non-negative")],
+    ids=["edges", "negative"],
+)
+def test_infeasible_task_count_rejected(tasks, message):
+    with pytest.raises(ValueError, match=message):
+        generate_instance(5, tasks, capacity=10, seed=0)
 
 
 def test_tiny_vertex_counts():

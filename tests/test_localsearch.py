@@ -54,7 +54,7 @@ def test_local_optimum_returned_unchanged():
     start = solution_from_tasks(inst, dist, [[0, 1]])
     assert start.total_cost == pytest.approx(opt_cost)
     out = local_search(start, inst, dist, make_rng(4), neighbors=neighbors(inst, dist), debug=True)
-    assert [r.ids for r in out.routes] == [r.ids for r in start.routes]
+    assert out.routes == start.routes
 
 
 def test_worse_result_raises_even_under_optimize(path_instance, monkeypatch):
@@ -103,7 +103,7 @@ def test_index_checked_when_moves_empty_routes():
         out = local_search(start, inst, dist, make_rng(seed, 4),
                            neighbors=neighbors(inst, dist), debug=True)
         assert out.route_count < start.route_count
-        assert all(r.ids for r in out.routes)
+        assert all(out.routes)
         assert validate(out, inst) == []
 
 
@@ -160,7 +160,7 @@ def test_determinism_under_seed():
     start = path_scanning(inst, dist, make_rng(9))
     a = local_search(start, inst, dist, make_rng(10), neighbors=neighbors(inst, dist))
     b = local_search(start, inst, dist, make_rng(10), neighbors=neighbors(inst, dist))
-    assert [r.ids for r in a.routes] == [r.ids for r in b.routes]
+    assert a.routes == b.routes
 
 
 def test_subproblem_tasks_untouched():

@@ -91,7 +91,7 @@ def test_single_link_average_is_its_rank(golden_instance, golden_ranks):
 
 def test_zero_probabilities_yield_whole_routes(golden_solution, golden_ranks):
     pool = rco_split(golden_solution, golden_ranks, 0.0, 0.0, make_rng(1))
-    assert pool == [tuple(r.ids) for r in golden_solution.routes]
+    assert pool == golden_solution.routes
 
 
 def test_single_cut_splits_in_two(golden_instance, golden_ranks):
@@ -99,8 +99,8 @@ def test_single_cut_splits_in_two(golden_instance, golden_ranks):
     sol = solution_from_tasks(golden_instance, dist, [[TASK_A, TASK_D, TASK_E]])
     # theta=1 forces the poor cut at <A,D> (the only poor link, position 0)
     pool = rco_split(sol, golden_ranks, 0.0, 1.0, make_rng(3))
-    ids = sol.routes[0].ids
-    assert pool == [tuple(ids[:1]), tuple(ids[1:])]
+    route = sol.routes[0]
+    assert pool == [route[:1], route[1:]]
 
 
 def test_both_cuts_give_three_subroutes(golden_solution, golden_ranks):
@@ -131,7 +131,7 @@ def test_split_conservation_and_slices(seed, lam, theta):
     # slice property: the pieces, in route order, concatenate back to the
     # routes (split_walk checks it), at most 3 pieces per non-empty route
     for route, cut in zip(sol.routes, split_walk(pool, sol)):
-        assert 1 <= len(cut) <= 3 if route.ids else cut == []
+        assert 1 <= len(cut) <= 3 if route else cut == []
 
 
 def test_split_determinism(golden_solution, golden_ranks):

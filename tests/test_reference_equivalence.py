@@ -60,8 +60,9 @@ from routecut.distances import (
 from routecut.generator import generate_instance
 from routecut.instance import DEPOT_ID, forward_id, inverse_id, task_index_of
 from routecut.ranking import _ROW_BLOCK, link_numerators, rank_rows
+from routecut.search import ALGORITHMS, SearchConfig, concat_solutions, project_solution, solve
 from routecut.seeding import make_rng
-from routecut.solution import Route, Solution, route_cost
+from routecut.solution import Solution, route_cost
 
 from conftest import (
     all_link_ranks,
@@ -392,7 +393,7 @@ def _assert_hdu_matches(units, instance, dist, scale, seed):
     new_rng = make_rng(seed)
     expected = reference_hdu(list(units), instance, dist, scale, ref_rng)
     got = hdu(list(units), instance, dist, scale, new_rng)
-    assert [r.ids for r in got.routes] == [r.ids for r in expected.routes]
+    assert got.routes == expected.routes
     assert got.total_cost == expected.total_cost
     assert new_rng.getstate() == ref_rng.getstate()
 
@@ -742,7 +743,7 @@ def _assert_path_scanning_matches(instance, dist, seed):
     new_rng = make_rng(seed)
     expected = reference_path_scanning(instance, dist, ref_rng)
     got = path_scanning(instance, dist, new_rng)
-    assert [r.ids for r in got.routes] == [r.ids for r in expected.routes]
+    assert got.routes == expected.routes
     assert got.total_cost == expected.total_cost
     assert new_rng.getstate() == ref_rng.getstate()
 
@@ -763,7 +764,7 @@ def test_path_scanning_instances_exercise_ties_and_full_routes():
             solution = path_scanning(instance, instance.distances(), rng)
             draws += rng.getstate() != make_rng(seed).getstate()
             full += any(
-                sum(instance.id_demand[t] for t in r.ids) == instance.capacity
+                sum(instance.id_demand[t] for t in r) == instance.capacity
                 for r in solution.routes
             )
     assert draws >= 50
@@ -871,7 +872,7 @@ def _straddling_pools(instance, dist, rng):
     cut = min(n - 1, _DISTANCE_BLOCK + 3)
     return [
         _random_subroutes(n, rng),
-        [tuple(r.ids) for r in path_scanning(instance, dist, make_rng(rng.randrange(1000))).routes],
+        path_scanning(instance, dist, make_rng(rng.randrange(1000))).routes,
         [tuple(long[:cut])] + [(t,) for t in long[cut:]],
     ]
 
@@ -1056,7 +1057,7 @@ def _local_search_starts(instance, dist, rng):
     tasks, which moves empty; and tasks in random order and orientation
     filled into routes up to the capacity, whose detours fresh routes fix."""
     scanned = path_scanning(instance, dist, rng)
-    pieces = [r.ids[i : i + 2] for r in scanned.routes for i in range(0, len(r.ids), 2)]
+    pieces = [r[i : i + 2] for r in scanned.routes for i in range(0, len(r), 2)]
     ids = [forward_id(ti) for ti in range(instance.task_count)]
     ids = [inverse_id(t) if rng.random() < 0.5 else t for t in ids]
     rng.shuffle(ids)
@@ -1080,7 +1081,7 @@ def _assert_local_search_matches(instance, dist, start, seed, max_evals, monkeyp
                 start, instance, dist, rng,
                 max_evals=max_evals, neighbors=neighbors(instance, dist), **kw,
             )
-        runs.append(([r.ids for r in out.routes], out.total_cost, rng.getstate()))
+        runs.append((out.routes, out.total_cost, rng.getstate()))
     assert runs[0] == runs[1]
 
 
@@ -1370,7 +1371,7 @@ def _scan_runs(instance, dist, start, seed, nbrs, max_evals, deadline=_CountingD
         out = search(start, instance, dist, rng, max_evals=max_evals, deadline=poll,
                      neighbors=nbrs, **kw)
         polls = poll.polls if poll else None
-        runs.append(([r.ids for r in out.routes], out.total_cost, rng.getstate(), polls))
+        runs.append((out.routes, out.total_cost, rng.getstate(), polls))
     if runs[0][3] is not None and max_evals is not None:
         # the bound that the clustering loop's side_by_side relies on
         assert runs[0][3] < localsearch.max_polls(max_evals)
@@ -1444,7 +1445,7 @@ def _routes_to_cost(instance, dist, rng):
     scanning's routes forward and reversed, and every task in one route of
     random order and orientation."""
     ids = [forward_id(ti) for ti in range(instance.task_count)]
-    scanned = [r.ids for r in path_scanning(instance, dist, rng).routes]
+    scanned = path_scanning(instance, dist, rng).routes
     mixed = [inverse_id(t) if rng.random() < 0.5 else t for t in ids]
     rng.shuffle(mixed)
     return (
@@ -1463,7 +1464,7 @@ def _assert_route_costs_match(instance, seed):
     for ids in routes:
         expected = reference_route_cost(ids, instance, dist)
         assert route_cost(ids, instance, dist) == expected
-        assert Route.build(ids, instance, dist) == Route(list(ids), expected)
+        assert Solution.build([ids], instance, dist) == Solution([tuple(ids)], expected)
     solution = Solution.build(routes, instance, dist)
     assert solution.total_cost == sum(reference_route_cost(r, instance, dist) for r in routes)
 
@@ -1485,6 +1486,30 @@ def test_route_cost_matches_reference_on_float_cost_instances(seed, kind):
     tenths = Instance("service-tenths", instance.vertex_count, edges,
                       instance.depot, instance.capacity)
     _assert_route_costs_match(tenths, seed)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_solver_totals_sum_their_routes_in_order_on_float_costs(algorithm):
+    # a total summed another way, say over the parts' totals, would round
+    # differently on these costs
+    instance = _float_cost_instance(60, 3)
+    dist = instance.distances()
+    config = SearchConfig(algorithm=algorithm, seed=1, time_limit=1e6, max_iterations=4,
+                          max_cycles=1, virtual_clock=True)
+    best, _ = solve(instance, config, dist=dist)
+    assert best.total_cost == Solution.build(best.routes, instance, dist).total_cost
+
+
+def test_concatenated_projections_sum_their_routes_in_order_on_float_costs():
+    instance = _float_cost_instance(60, 3)
+    dist = instance.distances()
+    solution = path_scanning(instance, dist, make_rng(1))
+    parts = [project_solution(solution, set(range(i, instance.task_count, 2)), instance, dist)
+             for i in (0, 1)]
+    merged = concat_solutions(parts, instance, dist)
+    assert merged == Solution.build([r for p in parts for r in p.routes], instance, dist)
+    # on this instance the sum of the parts' totals rounds otherwise
+    assert merged.total_cost != sum(p.total_cost for p in parts)
 
 
 def test_route_cost_of_empty_and_one_task_routes(path_instance):

@@ -120,7 +120,7 @@ def test_determinism_and_monotone_trace(algorithm):
     cfg = _deterministic_config(algorithm, seed=11)
     best1, trace1 = solve(inst, cfg)
     best2, trace2 = solve(inst, cfg)
-    assert [r.ids for r in best1.routes] == [r.ids for r in best2.routes]
+    assert best1.routes == best2.routes
     assert trace1.samples == trace2.samples
     assert validate(best1, inst) == []
     costs = [c for _, c in trace1.samples]
@@ -188,16 +188,12 @@ def test_recombination_serves_every_task_once():
     sol = path_scanning(inst, dist, make_rng(3))
     left = project_solution(sol, set(range(5)), inst, dist)
     right = project_solution(sol, set(range(5, 10)), inst, dist)
-    merged = concat_solutions([left, right])
+    merged = concat_solutions([left, right], inst, dist)
     assert validate(merged, inst) == []
 
 
 def _snapshot(solution):
-    return (
-        [list(r.ids) for r in solution.routes],
-        [r.cost for r in solution.routes],
-        solution.total_cost,
-    )
+    return list(solution.routes), solution.total_cost
 
 
 # every operation the search loops apply to a solution they keep using
@@ -206,7 +202,7 @@ _READERS = {
         s, inst, dist, rng, neighbors=ranks.nearest(20)),
     "project_solution": lambda s, inst, dist, ranks, rng: project_solution(
         s, set(range(0, inst.task_count, 2)), inst, dist),
-    "concat_solutions": lambda s, inst, dist, ranks, rng: concat_solutions([s, s]),
+    "concat_solutions": lambda s, inst, dist, ranks, rng: concat_solutions([s, s], inst, dist),
     "rco_split": lambda s, inst, dist, ranks, rng: rco_split(s, ranks, 0.5, 0.9, rng),
     "uniform_split": lambda s, inst, dist, ranks, rng: uniform_split(s, rng),
     "fuzzy_kmedoid": lambda s, inst, dist, ranks, rng: fuzzy_kmedoid(
@@ -357,7 +353,7 @@ def test_virtual_clock_binding_limit_is_deterministic():
     best2, trace2 = solve(inst, cfg)
     assert 0 < trace1.iterations < cfg.max_cycles  # the limit, not the cap, stopped it
     assert trace1.samples[-1][0] >= 250
-    assert [r.ids for r in best1.routes] == [r.ids for r in best2.routes]
+    assert best1.routes == best2.routes
     assert trace1.samples == trace2.samples
 
 
@@ -423,7 +419,8 @@ def test_every_route_is_non_empty(algorithm):
                            max_cycles=1, virtual_clock=True)
         best, _ = solve(inst, cfg)
         assert validate(best, inst) == []
-        assert all(r.ids for r in best.routes)
+        assert all(best.routes)
+        assert all(type(r) is tuple for r in best.routes)
         assert best.route_count == len(best.routes)
 
 
@@ -450,10 +447,6 @@ def _fork_spy(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counted)
     return calls
-
-
-def _routes(solution):
-    return [r.ids for r in solution.routes]
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
@@ -503,7 +496,7 @@ def test_a_binding_virtual_limit_keeps_its_section_in_process(monkeypatch, secti
     forks = _fork_spy(monkeypatch)
     best, trace = solve(inst, cfg)
     assert forks == []
-    assert _routes(best) == _routes(one_best)
+    assert best.routes == one_best.routes
     assert trace.samples == one_trace.samples and trace.iterations == one_trace.iterations
 
 
@@ -586,4 +579,4 @@ def test_many_groups_fork_at_most_cpus_minus_one_children(monkeypatch):
     best, trace = solve(inst, cfg)
     assert max(jobs for jobs, _ in sections) > 10
     assert all(children == 2 for _, children in sections)
-    assert _routes(best) == _routes(one_best) and trace.samples == one_trace.samples
+    assert best.routes == one_best.routes and trace.samples == one_trace.samples

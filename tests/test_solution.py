@@ -18,7 +18,7 @@ from routecut import (
 )
 from routecut.generator import generate_instance
 from routecut.instance import forward_id, inverse_id
-from routecut.solution import Route, write_solution
+from routecut.solution import write_solution
 
 from conftest import (
     feasibility_oracle_kinds,
@@ -78,7 +78,7 @@ def test_capacity_violation_names_route():
 def test_interior_depot_reported(path_instance):
     dist = path_instance.distances()
     # ID 0 is the depot, which no route lists: it is an unknown task ID
-    sol = Solution([Route([forward_id(0), 0, forward_id(1)], 0.0)])
+    sol = Solution([(forward_id(0), 0, forward_id(1))], 0.0)
     report = validate(sol, path_instance)
     assert [(v.kind, v.route) for v in report] == [("unknown-id", 0)]
 
@@ -125,7 +125,7 @@ def test_route_reversal_preserves_cost_and_feasibility():
         dist = inst.distances()
         sol = solution_from_tasks(inst, dist, [[0, 1, 2], [3, 4, 5]])
         flipped = Solution.build(
-            [[inverse_id(t) for t in reversed(r.ids)] for r in sol.routes], inst, dist
+            [[inverse_id(t) for t in reversed(r)] for r in sol.routes], inst, dist
         )
         assert validate(flipped, inst) == []
         assert flipped.total_cost == pytest.approx(sol.total_cost)
@@ -231,7 +231,7 @@ def test_read_solution_accepts_pairs_and_whitespace_only(path_instance):
     text = "cost 4\nroute 1:(1,2)( 2 , 3 )  \nroute 2:\n"
     sol, stated = read_solution(io.StringIO(text), path_instance, dist)
     # a route line with no pairs is dropped: routes are never empty
-    assert [len(r.ids) for r in sol.routes] == [2]
+    assert [len(r) for r in sol.routes] == [2]
     assert sol.route_count == 1
     assert sol.total_cost == stated == 4
     out = io.StringIO()
