@@ -33,7 +33,10 @@
 # `time_multiplier`.  `stats` exits with status 2 on a `records.csv` without
 # a `seed` column, naming the column; on a row with fewer or more fields
 # than the header, naming its line; and on an experiment of two runs, naming the
-# three seeds the rank-sum test needs.
+# three seeds the rank-sum test needs.  A `cluster-rco` solve under a virtual
+# `--time-limit` that binds inside the first cycle's group searches writes
+# the same solution and trace pinned to one CPU by `taskset` as on every
+# usable CPU; without `taskset` or a second CPU that check is skipped.
 #
 # Usage: scripts/check_console.sh [WORK_DIR]
 # WORK_DIR (created if missing) defaults to a new temporary directory.
@@ -101,6 +104,24 @@ routecut solve g.dat --algorithm cluster-whole-route --max-cycles 1 --virtual-cl
 routecut validate g.dat gw.sol
 routecut solve g.dat --algorithm local-only --out gl.sol
 routecut validate g.dat gl.sol
+
+if command -v taskset > /dev/null && [ "$(nproc)" -ge 2 ]; then
+  routecut gen --vertices 60 --tasks 80 --capacity 20 --seed 4 --out b.dat
+  set -- b.dat --algorithm cluster-rco --max-cycles 3 --virtual-clock
+  routecut solve "$@" --trace free.csv
+  # the first stamp follows the pool section, the cycle's opening poll is the
+  # next tick, and the limit falls two ticks later, inside the group searches
+  limit=$(awk -F, 'NR == 2 { print ($1 + 3) / 1000 }' free.csv)
+  cpu=$(python3 -c 'import os; print(min(os.sched_getaffinity(0)))')
+  taskset -c "$cpu" routecut solve "$@" --time-limit "$limit" --trace one.csv --out one.sol
+  routecut solve "$@" --time-limit "$limit" --trace all.csv --out all.sol
+  cmp one.sol all.sol
+  cmp one.csv all.csv
+  routecut validate b.dat all.sol
+  test "$(tail -n 1 all.csv | cut -d, -f1)" -lt "$(tail -n 1 free.csv | cut -d, -f1)"
+else
+  echo 'skipped the CPU-layout check: it needs taskset and two usable CPUs'
+fi
 
 printf '%s\n' 'instances = i.dat' 'variants = sahid-rco, sahid-random' 'runs = 3' \
   'max_iterations = 2' 'virtual_clock = 1' > exp.cfg

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
 from typing import Callable
 
 import numpy as np
@@ -94,7 +93,9 @@ def fuzzy_kmedoid(
     dist: DistanceTable,
     rng: random.Random,
 ) -> list[list[tuple[int, ...]]]:
-    """Partition sub-routes into ``group_count`` non-empty groups.
+    """Partition sub-routes into min(``group_count``, sub-routes) non-empty
+    groups: a pool of fewer sub-routes than ``group_count`` gets one group
+    per sub-route, without a warning.
 
     Medoids start by farthest-point selection from a random sub-route.
     Each iteration assigns every sub-route to a medoid with probability
@@ -111,10 +112,7 @@ def fuzzy_kmedoid(
         raise ValueError("cannot cluster an empty pool")
     if group_count < 1:
         raise ValueError("group_count must be at least 1")
-    g = group_count
-    if g > n:
-        warnings.warn(f"pool of {n} sub-routes cannot fill {g} groups; reducing to {n}")
-        g = n
+    g = min(group_count, n)
 
     if g == 1:
         return [members]

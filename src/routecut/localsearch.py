@@ -22,11 +22,7 @@ applied.  The search stops once the count reaches ``max_evals``; below it,
 ``deadline`` is polled once each time the count crosses a multiple of
 ``_CHECK_EVERY``, and the search stops when it returns True.  Changing any
 of this moves the point where a capped search stops, so it changes every
-fixed-work result and every virtual-clock run.  A search capped at
-``max_evals`` therefore polls fewer than ``max_polls(max_evals)`` times,
-and never when the cap is 0.  The clustering loop relies on this bound:
-it runs a section of searches in processes made by POSIX ``fork`` only
-when that many polls cannot reach a virtual time limit.
+fixed-work result and every virtual-clock run.
 
 Route loads are cached, and so is the position index ``where``, each
 task's route and position.  The cost is a running total, changed by the
@@ -52,12 +48,6 @@ from .solution import Solution, route_cost
 
 _EPS = 1e-9
 _CHECK_EVERY = 256
-
-
-def max_polls(max_evals: int) -> int:
-    """ceil(``max_evals`` / ``_CHECK_EVERY``): a search capped at
-    ``max_evals`` polls its deadline fewer times than this, or never."""
-    return -(-max_evals // _CHECK_EVERY)
 
 
 class _State:

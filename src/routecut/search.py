@@ -17,9 +17,9 @@ no-decomposition baseline.
 The clustering loop's two independent sections, its pool constructions
 and each cycle's groups, run side by side in processes made by POSIX
 ``fork`` when two or more CPUs are usable (``_fan_out``).  The jobs and
-their seeds are the same in every process layout, and each child's
-virtual-clock ticks are added to the parent's clock, so the output does
-not depend on the CPU count.
+their seeds are the same in every process layout, and each job starts at
+its section's virtual-clock tick, so the output does not depend on the
+CPU count.
 
 Wall-clock budgets cannot reproduce byte-identically; for reproducible
 runs, bound the work with ``max_iterations`` / ``max_cycles`` /
@@ -49,7 +49,7 @@ from .decompose import (
 )
 from .distances import DistanceTable
 from .instance import Instance, task_index_of
-from .localsearch import local_search, max_polls
+from .localsearch import local_search
 from .ranking import RankMatrix, build_rank_matrix
 from .rco import rco_split, uniform_split
 from .seeding import make_rng
@@ -187,12 +187,10 @@ class SearchTrace:
 class _Clock:
     """Monotonic seconds, or with ``virtual`` a counter: each ``now()`` call
     is one 1 ms tick.  Deadline polls (once per loop iteration or cycle, and
-    in each ``local_search`` fewer than ``localsearch.max_polls`` of its
-    cap) and trace samples call it.  A clustering-loop section runs in
-    forked processes only when no poll inside it can reach the time limit,
-    and otherwise in this process in job order, so virtual runs repeat
-    exactly even when the limit binds; a child's ticks are added to this
-    clock when it reports.  Moving a poll changes virtual-clock results."""
+    in ``local_search``) and trace samples call it.  Each job of a
+    clustering-loop section starts at the tick its section started at, and
+    the section ends at that tick plus all its jobs' ticks (``_run``), in
+    any process layout.  Moving a poll changes virtual-clock results."""
 
     def __init__(self, virtual: bool):
         self.virtual = virtual
@@ -250,26 +248,40 @@ def share_cpus(workers: int) -> None:
     _cpu_share = max(1, _usable_cpus() // workers)
 
 
+def _run(jobs: list[Callable[[], object]], clock: _Clock) -> list:
+    """The results of ``jobs`` run in order, each from the tick ``clock``
+    has on entry; ``clock`` is left at that tick plus every job's ticks."""
+    start = end = clock.ticks
+    results = []
+    for job in jobs:
+        clock.ticks = start
+        results.append(job())
+        end += clock.ticks - start
+    clock.ticks = end
+    return results
+
+
 def _fan_out(jobs: list[Callable[[], object]], clock: _Clock) -> list:
     """The results of independent zero-argument ``jobs``, in job order.
 
     With n = min(len(jobs), usable CPUs, this process's CPU share; see
     ``share_cpus``) of two or more, in a process with
     no other thread, job i runs in process i % n: this one (0) and n - 1
-    children made by POSIX ``fork``.  Each child runs its jobs in order,
-    pickles back through a pipe their results and its virtual-clock ticks,
-    or the exception that stopped it, and leaves by ``os._exit``, so it
-    flushes no inherited buffer and runs no exit handler.  The ticks are
+    children made by POSIX ``fork``.  Each process runs its jobs by
+    ``_run``, so every job starts at the tick ``clock`` has here.  Each
+    child pickles back through a pipe their results and its virtual-clock
+    ticks, or the exception that stopped it, and leaves by ``os._exit``, so
+    it flushes no inherited buffer and runs no exit handler.  The ticks are
     added to ``clock``; a job's exception is raised here, this process's
     own first, then the children's in order.  Every child is killed if
     still running and reaped before this returns or raises.  Otherwise the
-    jobs run here in order.
+    jobs run here by ``_run``.
     """
     n = min(len(jobs), _usable_cpus(), _cpu_share or len(jobs))
     # fork copies only the calling thread: a lock another thread holds would
     # stay locked in the child
     if n < 2 or threading.active_count() > 1:
-        return [job() for job in jobs]
+        return _run(jobs, clock)
     children = []  # (pid, read end of its pipe)
     try:
         for w in range(1, n):
@@ -286,7 +298,7 @@ def _fan_out(jobs: list[Callable[[], object]], clock: _Clock) -> list:
                     os.close(read)
                     start = clock.ticks
                     try:
-                        report = ([job() for job in jobs[w::n]], None)
+                        report = (_run(jobs[w::n], clock), None)
                     except Exception as error:
                         report = (None, error)
                     data = pickle.dumps((*report, clock.ticks - start))
@@ -298,7 +310,7 @@ def _fan_out(jobs: list[Callable[[], object]], clock: _Clock) -> list:
             os.close(write)
             children.append((pid, os.fdopen(read, "rb")))
         results = [None] * len(jobs)
-        results[::n] = [job() for job in jobs[::n]]
+        results[::n] = _run(jobs[::n], clock)
         for w, (pid, pipe) in enumerate(children, 1):
             try:
                 share, error, ticks = pickle.load(pipe)
@@ -350,16 +362,6 @@ def solve(
             max_evals=max_evals, deadline=deadline, neighbors=neighbors,
         )
 
-    def side_by_side(jobs: list[Callable[[], object]], searches: int) -> list:
-        """The results of independent ``jobs`` that make ``searches`` capped
-        local searches between them.  They run in job order here when a
-        deadline poll inside them could see a virtual time limit: each
-        search polls fewer than ``max_polls`` of its budget times."""
-        polls = searches * max_polls(config.sub_solver_budget)
-        if clock.virtual and (clock.ticks + polls) * 1e-3 >= config.time_limit:
-            return [job() for job in jobs]
-        return _fan_out(jobs, clock)
-
     if config.algorithm == "local-only":  # one uncapped descent from path scanning
         rng = make_rng(config.seed)
         best = path_scanning(instance, dist, rng)
@@ -372,7 +374,7 @@ def solve(
             instance, dist, ranks, config, improve, record, deadline)
     else:
         best, trace.iterations = _cluster_loop(
-            instance, dist, ranks, config, improve, record, deadline, side_by_side)
+            instance, dist, ranks, config, improve, record, deadline, clock)
 
     record(best)
     return best, trace
@@ -419,7 +421,7 @@ def _hierarchical_loop(instance, dist, ranks, config, improve, record, deadline)
     return best, iterations
 
 
-def _cluster_loop(instance, dist, ranks, config, improve, record, deadline, side_by_side):
+def _cluster_loop(instance, dist, ranks, config, improve, record, deadline, clock):
     whole_routes = config.algorithm == "cluster-whole-route"
     lam, theta = (0.0, 0.0) if whole_routes else (config.lam, config.theta)
 
@@ -432,7 +434,7 @@ def _cluster_loop(instance, dist, ranks, config, improve, record, deadline, side
         grng = make_rng(config.seed, 2, cycle, gi)  # one stream, in pool order
         return [improve(project_solution(member, keep, instance, dist), grng) for member in pool]
 
-    pool = side_by_side([partial(construct, i) for i in range(_POOL_SIZE)], _POOL_SIZE)
+    pool = _fan_out([partial(construct, i) for i in range(_POOL_SIZE)], clock)
     best = min(pool, key=lambda s: s.total_cost)
     record(best)
     if instance.task_count < 2:
@@ -446,13 +448,9 @@ def _cluster_loop(instance, dist, ranks, config, improve, record, deadline, side
                 warnings.warn("time limit exhausted before the first cycle")
             break
         subroutes = rco_split(best, ranks, lam, theta, rng)
-        # at most one group per sub-route, the count fuzzy_kmedoid would warn and take
-        group_count = min(config.group_count, len(subroutes))
-        groups = fuzzy_kmedoid(subroutes, group_count, config.fuzziness, instance, dist, rng)
-        per_group = side_by_side(
-            [partial(solve_group, cycle, gi, group, pool) for gi, group in enumerate(groups)],
-            len(groups) * len(pool),
-        )
+        groups = fuzzy_kmedoid(subroutes, config.group_count, config.fuzziness, instance, dist, rng)
+        jobs = [partial(solve_group, cycle, gi, group, pool) for gi, group in enumerate(groups)]
+        per_group = _fan_out(jobs, clock)
 
         new_pool = [
             concat_solutions([per_group[g][m] for g in range(len(groups))], instance, dist)

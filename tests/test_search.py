@@ -5,6 +5,7 @@ import io
 import math
 import os
 import warnings
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -342,7 +343,7 @@ def test_wall_clock_budget_is_respected():
     assert elapsed < 5.0  # generous slack over the 1s budget
 
 
-# --- virtual-clock contract: one 1 ms tick per clock query, groups in order --
+# --- virtual-clock contract: one 1 ms tick per clock query ------------------
 
 
 def test_virtual_clock_binding_limit_is_deterministic():
@@ -472,11 +473,32 @@ def test_a_pool_worker_forks_onto_its_cpu_share(monkeypatch):
     assert len(forks) == 1 + 1  # the pool: 1 child; 2 groups: 1
 
 
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_every_job_of_a_section_starts_at_the_section_tick(monkeypatch, cpus):
+    _cpus(monkeypatch, cpus)
+    forks = _fork_spy(monkeypatch)
+    clock = routecut.search._Clock(virtual=True)
+    clock.ticks = 7
+
+    def job(ticks):
+        entry = clock.ticks
+        for _ in range(ticks):
+            clock.now()
+        return entry
+
+    ticks = [1, 4, 0, 2, 3]
+    entries = routecut.search._fan_out([partial(job, k) for k in ticks], clock)
+    assert len(forks) == cpus - 1
+    assert entries == [7] * len(ticks)
+    assert clock.ticks == 7 + sum(ticks)
+
+
 @pytest.mark.filterwarnings("ignore:time limit exhausted before the first cycle")
 @pytest.mark.parametrize("section", ["pool", "group"])
-def test_a_binding_virtual_limit_keeps_its_section_in_process(monkeypatch, section):
-    # a poll that could see the limit must see it after the same ticks as in
-    # one process, so the section runs in job order here
+def test_a_binding_virtual_limit_gives_the_same_output_in_every_process_layout(
+        monkeypatch, section):
+    # a poll inside a section sees the limit after the same ticks in every
+    # layout, so the section still forks
     inst = generate_instance(60, 80, 20, seed=4)
     fields = dict(algorithm="cluster-rco", seed=5, max_cycles=3, sub_solver_budget=5000,
                   virtual_clock=True)
@@ -492,12 +514,14 @@ def test_a_binding_virtual_limit_keeps_its_section_in_process(monkeypatch, secti
     else:
         assert one_trace.samples[0] == free.samples[0] and one_trace.iterations == 1
 
-    _cpus(monkeypatch, 2)
-    forks = _fork_spy(monkeypatch)
-    best, trace = solve(inst, cfg)
-    assert forks == []
-    assert best.routes == one_best.routes
-    assert trace.samples == one_trace.samples and trace.iterations == one_trace.iterations
+    for cpus in (2, 3):
+        _cpus(monkeypatch, cpus)
+        forks = _fork_spy(monkeypatch)
+        best, trace = solve(inst, cfg)
+        # the pool: cpus - 1 children; the cycle's 2 groups, if it runs: 1
+        assert len(forks) == cpus - 1 + one_trace.iterations
+        assert best.routes == one_best.routes
+        assert trace.samples == one_trace.samples and trace.iterations == one_trace.iterations
 
 
 def _fail_in(where, real):
