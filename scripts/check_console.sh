@@ -7,7 +7,9 @@
 # instance with decimal costs is solved and validated too: its shortest
 # paths take Dijkstra over the whole graph, with no vertex eliminated.  So
 # is one with a 20,000-cost edge to a pendant vertex, whose distances fill
-# in as int32, not the int16 of generated instances.  So is a generated
+# in as int32, not the int16 of generated instances.  So is a complete graph
+# on 30 vertices, which keeps every vertex in the core, with one edge costlier
+# than any path, which the core's Floyd-Warshall clips.  So is a generated
 # instance of 200 tasks, more than the 64 cheapest links kept per task, on
 # which route cutting ranks a few in-route links on demand; the clustering
 # loop with whole routes (`cluster-whole-route`) and one local-search
@@ -86,6 +88,26 @@ printf '%s\n' 'NOMBRE : wide' 'VERTICES : 5' 'ARISTAS_REQ : 4' 'ARISTAS_NOREQ : 
   'LISTA_ARISTAS_NOREQ :' '( 1 , 3 ) coste 6' 'DEPOSITO : 1' > w.dat
 routecut solve w.dat --algorithm sahid-rco --max-iterations 2 --virtual-clock --out w.sol
 routecut validate w.dat w.sol
+
+# a complete graph on 30 vertices: no vertex is eliminated, so Floyd-Warshall
+# fills the whole table, and the edge (1,2) of 50000 lies past any path
+python3 - > k.dat <<'EOF'
+from itertools import combinations
+
+pairs = list(combinations(range(1, 31), 2))
+req, noreq = pairs[:40], pairs[40:]
+print('NOMBRE : dense', 'VERTICES : 30', f'ARISTAS_REQ : {len(req)}',
+      f'ARISTAS_NOREQ : {len(noreq)}', 'VEHICULOS : -1', 'CAPACIDAD : 10',
+      'LISTA_ARISTAS_REQ :', sep='\n')
+for u, v in req:
+    print(f'( {u} , {v} ) coste {50000 if (u, v) == (1, 2) else 3 + u * v % 7} demanda 2')
+print('LISTA_ARISTAS_NOREQ :')
+for u, v in noreq:
+    print(f'( {u} , {v} ) coste {3 + u * v % 7}')
+print('DEPOSITO : 1')
+EOF
+routecut solve k.dat --algorithm sahid-rco --max-iterations 2 --virtual-clock --out k.sol
+routecut validate k.dat k.sol
 
 printf '%s\n' 'NOMBRE : heavy' 'VERTICES : 3' 'ARISTAS_REQ : 2' 'ARISTAS_NOREQ : 0' \
   'VEHICULOS : -1' 'CAPACIDAD : 5' 'LISTA_ARISTAS_REQ :' '( 1 , 2 ) coste 1 demanda 1' \

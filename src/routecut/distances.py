@@ -1,27 +1,35 @@
 """All-pairs shortest-path distances over deadheading costs.
 
-``shortest_paths`` shrinks the graph that Dijkstra runs on, in three steps:
+``shortest_paths`` solves a small core of the graph and fills in the rest,
+in three steps:
 
 1. Eliminate: remove vertices of degree at most ``_ELIMINATION_DEGREE`` in
    min-degree order.  Each removal joins every pair of the vertex's
    neighbours by a shortcut through it, as contraction hierarchies do
    (Geisberger, Sanders, Schultes and Delling, WEA 2008).
-2. Solve the core: one ``dijkstra`` over the vertices left.
+2. Solve the core: Floyd-Warshall over the vertices left, vectorised one
+   intermediate vertex at a time, in the narrowest integer type that holds
+   twice a bound on the core's entries.  One single-source ``dijkstra``
+   from core vertex 0 gives that bound: no entry exceeds twice its largest
+   distance.  Edges costlier than the bound are clipped to it, since no
+   shortest path takes them.
 3. Fill in: in reverse order of removal, a removed vertex's row is the
    cheapest of its neighbours' rows plus the edge to each, as in all-pairs
    shortest paths over an elimination ordering (Planken, de Weerdt and
    van der Krogt, JAIR 2012).
 
-Elimination runs only when every edge cost is integral and their total is
-at most ``_EXACT_INT``.  Then every sum is an exact integer, and the table
-equals Dijkstra's over the whole graph bit for bit, whatever the order of
-the additions.  The fill-in then runs in the narrowest integer type that a
-bound on the table's entries and on the fill-in's sums allows
+Elimination and Floyd-Warshall run only when every edge cost is integral
+and their total is at most ``_EXACT_INT``.  Then every sum is an exact
+integer, and the table equals Dijkstra's over the whole graph bit for bit,
+whatever the order of the additions.  A core with an unreachable pair
+(the single source reaches infinity) is solved by an all-pairs
+``dijkstra`` instead.  The fill-in runs in the narrowest integer type that
+a bound on the table's entries and on the fill-in's sums allows
 (``_fill_type``), int16 on generated instances, so no V x V float64 is
 made; it runs in float64 when the core holds infinity, a removed vertex
 has no neighbour or that bound exceeds ``_EXACT_INT``.  Other costs
-eliminate nothing: the core is the whole graph, and Dijkstra's rounding
-stays as it was.
+eliminate nothing: the core is the whole graph, solved by an all-pairs
+``dijkstra``, and Dijkstra's rounding stays as it was.
 """
 
 from __future__ import annotations
@@ -40,15 +48,18 @@ from .instance import Instance
 # ints and as floats (a float's significand holds 53 bits)
 _EXACT_INT = 2**50
 
-# vertices of at most this degree are eliminated before Dijkstra runs.  A
-# higher cap leaves a smaller core, but its shortcuts make the core denser
+# vertices of at most this degree are eliminated before the core is solved.
+# A higher cap leaves a smaller core, but its shortcuts make the core denser
 # and give each fill-in row more neighbours to read.  Median all-pairs time
-# per generated instance, with the int16 fill-in (seeds 1, 7, 11, caps
-# interleaved, 9 runs each; one core of a 2-vCPU x86 host) at caps none / 8
-# / 12 / 16 / 24 / 32 / 48: 1500 vertices 613 / 247 / 200 / 185 / 169 / 162
-# / 169 ms, with cores of about 1500 / 690 / 500 / 410 / 290 / 200 / 95
-# vertices; 500 vertices 59 / 28 / 29 / 24 / 23 / 24 / 25 ms.  32 was faster
-# at 1500 vertices only, so the cap stays at 24.
+# per generated instance, with the Floyd-Warshall core and the int16 fill-in
+# (seeds 1, 7, 11, caps interleaved, 9 runs each; one core of a 2-vCPU x86
+# host; each range spans the medians of two sweeps) at caps 8 / 12 / 16 /
+# 24 / 32 / 48: 1500 vertices 97-110 / 59-66 / 51-57 / 48-54 / 51-56 /
+# 62-68 ms, with cores of about 690 / 500 / 410 / 290 / 200 / 95 vertices;
+# 500 vertices 9.2-9.9 / 9.3-9.9 / 9.8-10.6 / 11.2-12.3 / 13.2-14.3 /
+# 14.6-15.7 ms.  Lower caps gain about 2 ms at 500 vertices and lose 3 ms or
+# more at 1500, so the cap stays at 24.  It changes speed only: the table is
+# the same at any cap.
 _ELIMINATION_DEGREE = 24
 
 # a distance table as nested lists: all ints or all floats (see DistanceTable)
@@ -57,7 +68,7 @@ Rows = list[list[int]] | list[list[float]]
 
 def _int_type(limit: float) -> type:
     """The narrowest of int16, int32 and int64 that holds ``limit``, at most
-    4 * ``_EXACT_INT``."""
+    4 * ``_EXACT_INT`` + 2."""
     return next(t for t in (np.int16, np.int32, np.int64) if limit <= np.iinfo(t).max)
 
 
@@ -109,7 +120,7 @@ class DistanceTable:
 def _eliminate(adj: list[dict[int, float] | None]) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """Remove vertices from ``adj`` in min-degree order while the lowest
     degree is at most ``_ELIMINATION_DEGREE``.  One vertex is always kept,
-    so the core Dijkstra never gets an empty graph.
+    so the core is never empty.
 
     Each removal joins every pair of the vertex's neighbours by a shortcut
     costing the path through it, or lowers their edge to that cost, so the
@@ -179,8 +190,33 @@ def _fill_type(core_matrix: np.ndarray, removed: list[tuple[int, np.ndarray, np.
     return _int_type(max(4 * bound, step + farthest + core_largest))
 
 
+def _floyd_warshall(n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
+                    absent: int) -> np.ndarray:
+    """All-pairs shortest-path costs over ``n`` vertices joined by the
+    undirected edges ``(us, vs)`` of integral costs ``ws``, when ``absent``
+    exceeds every shortest-path cost between them.
+
+    A pair with no edge starts at ``absent``, and so does an edge that costs
+    more; a path through either costs at least ``absent``, so the minimum
+    is the path that uses neither.  Every entry stays at most ``absent``,
+    so the sums fit the type that holds twice it.  The matrix stays
+    symmetric, so row k serves as column k too.
+    """
+    m = np.full((n, n), absent, _int_type(2 * absent))
+    w = np.minimum(ws, absent).astype(m.dtype)
+    m[us, vs] = w
+    m[vs, us] = w
+    np.fill_diagonal(m, 0)
+    via = np.empty_like(m)
+    for k in range(n):
+        row = m[k]
+        np.add(row[:, None], row, out=via)
+        np.minimum(m, via, out=m)
+    return m
+
+
 def shortest_paths(instance: Instance) -> DistanceTable:
-    """All-pairs shortest-path costs by elimination, a core Dijkstra and
+    """All-pairs shortest-path costs by elimination, a solved core and
     fill-in (see the module docstring for the method and when it runs).
 
     Parallel edges collapse to their cheapest copy; self-loops contribute
@@ -207,11 +243,15 @@ def shortest_paths(instance: Instance) -> DistanceTable:
     core = [v for v, nbrs in enumerate(adj) if nbrs is not None]
     index = {v: i for i, v in enumerate(core)}
     edges = [(index[u], index[v], w) for u in core for v, w in adj[u].items() if u < v]
-    us, vs, ws = zip(*edges) if edges else ((), (), ())
-    graph = coo_matrix((np.array(ws, dtype=np.float64),
-                        (np.array(us, dtype=np.intp), np.array(vs, dtype=np.intp))),
-                       shape=(len(core), len(core))).tocsr()
-    matrix = dijkstra(graph, directed=False)
+    uvw = np.array(edges, dtype=np.float64).reshape(-1, 3)
+    us, vs = uvw[:, :2].astype(np.intp).T
+    ws = uvw[:, 2]
+    graph = coo_matrix((ws, (us, vs)), shape=(len(core), len(core))).tocsr()
+    ecc = dijkstra(graph, directed=False, indices=0).max() if exact else math.inf
+    if math.isfinite(ecc):
+        matrix = _floyd_warshall(len(core), us, vs, ws, 2 * int(ecc) + 1)
+    else:
+        matrix = dijkstra(graph, directed=False)
     if removed:
         core_matrix, matrix = matrix, np.zeros((n, n), _fill_type(matrix, removed))
         matrix[np.ix_(core, core)] = core_matrix

@@ -5,6 +5,7 @@ import math
 import random
 import tracemalloc
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -274,3 +275,83 @@ def test_fill_type_holds_four_times_a_path_across_the_core(near, fill_in):
     assert table.dtype == (np.int16 if near == 191 else np.int32)
     (fill_type,) = fill_in["types"]
     assert np.iinfo(fill_type).max >= np.iinfo(table.dtype).max
+
+
+@pytest.fixture
+def dijkstra_sources(monkeypatch):
+    """The ``indices`` of each ``distances.dijkstra`` call: a source's
+    index, or None for the all-pairs call."""
+    seen = []
+    dijkstra = distances.dijkstra
+
+    def dijkstra_spy(*args, **kwargs):
+        seen.append(kwargs.get("indices"))
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(distances, "dijkstra", dijkstra_spy)
+    return seen
+
+
+# more vertices than the elimination cap: a clique on them keeps them all
+_CLIQUE = distances._ELIMINATION_DEGREE + 6
+
+
+def _clique(cost, missing=(), first=0):
+    """The edges of a complete graph on ``_CLIQUE`` vertices numbered from
+    ``first``, less the pairs in ``missing``, each (u, v) costing ``cost(u, v)``."""
+    pairs = combinations(range(first, first + _CLIQUE), 2)
+    return [(u, v, 0, 0, cost(u, v)) for u, v in pairs if (u, v) not in missing]
+
+
+def _hub_and_path(u, v):
+    # vertex 0 lies 15 from every vertex, the rest lie along a path of unit
+    # edges, 28 from end to end: past vertex 0's eccentricity, not twice it
+    return 15 if u == 0 else 1 if v == u + 1 else 40_000
+
+
+DENSE_CORES = {
+    # the pair (0, 1) lies 2 apart through any vertex; its edge exceeds the
+    # bound of 2 * 1 + 1 that every work entry starts at or below
+    "edge-of-40000": (_clique(lambda u, v: 40_000 if (u, v) == (0, 1) else 1), np.int16),
+    # vertex 0 lies 9000 from every vertex and 1 has no edge to 2 or 3, so
+    # the bound is 18001, which int16 holds, and 2 -> 1 -> 3 sums it twice
+    "work-type-int32": (_clique(lambda u, v: 9000, missing={(1, 2), (1, 3)}), np.int32),
+    # vertices of one parity lie 0 apart: a zero-cost edge is an edge
+    "zero-cost-edges": (_clique(lambda u, v: 5 * ((u ^ v) & 1)), np.int16),
+    "hub-and-path": (_clique(_hub_and_path), np.int16),
+}
+
+
+@pytest.mark.parametrize("edges, dtype", DENSE_CORES.values(), ids=DENSE_CORES.keys())
+def test_floyd_warshall_on_a_core_that_elimination_keeps(edges, dtype, fill_in,
+                                                          dijkstra_sources):
+    table = _assert_table_of_the_float_rule(make_instance(_CLIQUE, edges))
+    assert table.dtype == dtype
+    assert fill_in["removed"] == [[]]
+    # one Dijkstra from core vertex 0 bounds the table; Floyd-Warshall fills it
+    assert dijkstra_sources == [0]
+
+
+def test_generated_instance_runs_dijkstra_from_one_source_only(dijkstra_sources):
+    _assert_table_of_the_float_rule(generate_instance(500, 800, 60, seed=11))
+    assert dijkstra_sources == [0]
+
+
+def test_a_core_with_unreachable_pairs_runs_all_pairs_dijkstra(dijkstra_sources):
+    edges = _clique(lambda u, v: 1) + _clique(lambda u, v: 2, first=_CLIQUE)
+    table = _assert_table_of_the_float_rule(make_instance(2 * _CLIQUE, edges))
+    assert table.dtype == np.float64 and math.isinf(table[0, _CLIQUE])
+    assert dijkstra_sources == [0, None]
+
+
+def test_fractional_costs_run_all_pairs_dijkstra_only(dijkstra_sources):
+    edges = _clique(lambda u, v: 0.5 + (u + v) % 3)
+    assert _assert_table_of_the_float_rule(make_instance(_CLIQUE, edges)).dtype == np.float64
+    assert dijkstra_sources == [None]
+
+
+def test_generated_costs_at_scale_10000_fill_an_int32_table(dijkstra_sources):
+    instance = generate_instance(300, 400, 60, seed=11, cost_scale=10_000)
+    assert max(e.deadheading_cost for e in instance.edges) > 1000
+    assert _assert_table_of_the_float_rule(instance).dtype == np.int32
+    assert dijkstra_sources == [0]
