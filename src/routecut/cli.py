@@ -61,8 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tasks", type=int, required=True)
     p.add_argument("--capacity", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cost-scale", type=int, default=100,
-                   help="edge costs are Euclidean lengths in the unit square times this")
     p.add_argument("--out", type=Path, required=True)
 
     p = sub.add_parser("validate", help="check a solution file against an instance")
@@ -144,7 +142,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_gen(args) -> int:
     instance = generate_instance_file(
-        args.out, args.vertices, args.tasks, args.capacity, args.seed, args.cost_scale
+        args.out, args.vertices, args.tasks, args.capacity, args.seed
     )
     print(f"wrote {args.out}: |V|={instance.vertex_count} |T|={instance.task_count} "
           f"Q={instance.capacity} min-vehicles={min_vehicles(instance)}")

@@ -201,6 +201,15 @@ def _floyd_warshall(n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
     is the path that uses neither.  Every entry stays at most ``absent``,
     so the sums fit the type that holds twice it.  The matrix stays
     symmetric, so row k serves as column k too.
+
+    The work is O(n^3) against all-pairs Dijkstra's O(n * edges log n), and
+    it holds two n x n arrays of the work type (4 bytes per pair in int16,
+    where Dijkstra's table takes 8 in float64).  On cores that elimination
+    cannot shrink (circulant graphs of degree 26, costs 1-100, one core of a
+    2-vCPU x86 host) it is faster up to about 1,100 core vertices (900:
+    260 against 391 ms) and slower beyond (1,300: 863 against 716 ms;
+    1,500: 1.20 against 0.94 s).  A generated instance of 1,500 vertices
+    leaves a core of about 290.
     """
     m = np.full((n, n), absent, _int_type(2 * absent))
     w = np.minimum(ws, absent).astype(m.dtype)

@@ -2,11 +2,11 @@
 
 Instances are built on a random geometric graph: vertices are points in
 the unit square, edges come from their Delaunay triangulation (connected
-and planar), deadheading costs are Euclidean lengths times ``cost_scale``
-(100 by default), rounded and at least 1, the service cost equals the
-deadheading cost, and a random subset of edges receives uniform demands.
-The depot is the vertex nearest the centroid.  Everything is a pure
-function of the seed, so regenerated files are byte-identical.
+and planar), deadheading costs are rounded scaled Euclidean lengths, the
+service cost equals the deadheading cost, and a random subset of edges
+receives uniform demands.  The depot is the vertex nearest the centroid.
+Everything is a pure function of the seed, so regenerated files are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from scipy.spatial import Delaunay
 
 from .instance import Edge, Instance, save_instance
 
+_COST_SCALE = 100
+
 
 def generate_instance(
     vertices: int,
@@ -28,7 +30,6 @@ def generate_instance(
     capacity: int,
     seed: int,
     name: str | None = None,
-    cost_scale: float = 100,
 ) -> Instance:
     if vertices < 2:
         raise ValueError("need at least 2 vertices")
@@ -36,8 +37,6 @@ def generate_instance(
         raise ValueError("capacity must be positive")
     if tasks < 0:
         raise ValueError("tasks must be non-negative")
-    if not 0 < cost_scale < math.inf:
-        raise ValueError("cost_scale must be positive and finite")
     rng = random.Random(seed)
     points = [(rng.random(), rng.random()) for _ in range(vertices)]
 
@@ -64,7 +63,7 @@ def generate_instance(
     for idx, (u, v) in enumerate(pairs):
         du = points[u][0] - points[v][0]
         dv = points[u][1] - points[v][1]
-        cost = max(1, round(math.hypot(du, dv) * cost_scale))
+        cost = max(1, round(math.hypot(du, dv) * _COST_SCALE))
         if idx in required:
             edges.append(Edge(u, v, rng.randint(1, max_demand), cost, cost))
         else:
@@ -80,9 +79,8 @@ def generate_instance(
 
 
 def generate_instance_file(
-    path: str | Path, vertices: int, tasks: int, capacity: int, seed: int,
-    cost_scale: float = 100,
+    path: str | Path, vertices: int, tasks: int, capacity: int, seed: int
 ) -> Instance:
-    instance = generate_instance(vertices, tasks, capacity, seed, cost_scale=cost_scale)
+    instance = generate_instance(vertices, tasks, capacity, seed)
     save_instance(instance, path)
     return instance

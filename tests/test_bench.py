@@ -604,18 +604,6 @@ def test_cli_gen_solve_validate(tmp_path, capsys):
     assert "feasible" in capsys.readouterr().out
 
 
-def test_cli_gen_scales_costs(tmp_path, capsys):
-    path = tmp_path / "w.dat"
-    assert main(["gen", "--vertices", "30", "--tasks", "25", "--capacity", "20",
-                 "--seed", "11", "--cost-scale", "10000", "--out", str(path)]) == 0
-    want = tmp_path / "want.dat"
-    generate_instance_file(want, vertices=30, tasks=25, capacity=20, seed=11, cost_scale=10_000)
-    assert path.read_bytes() == want.read_bytes()
-    assert main(["gen", "--vertices", "30", "--tasks", "25", "--capacity", "20",
-                 "--cost-scale", "0", "--out", str(tmp_path / "z.dat")]) == 2
-    assert "cost_scale must be positive" in capsys.readouterr().err
-
-
 def test_cli_solve_rejects_a_nan_time_limit(small_instance_file, capsys):
     assert main(["solve", str(small_instance_file), "--time-limit", "nan"]) == 2
     assert "time_limit" in capsys.readouterr().err

@@ -348,10 +348,3 @@ def test_fractional_costs_run_all_pairs_dijkstra_only(dijkstra_sources):
     edges = _clique(lambda u, v: 0.5 + (u + v) % 3)
     assert _assert_table_of_the_float_rule(make_instance(_CLIQUE, edges)).dtype == np.float64
     assert dijkstra_sources == [None]
-
-
-def test_generated_costs_at_scale_10000_fill_an_int32_table(dijkstra_sources):
-    instance = generate_instance(300, 400, 60, seed=11, cost_scale=10_000)
-    assert max(e.deadheading_cost for e in instance.edges) > 1000
-    assert _assert_table_of_the_float_rule(instance).dtype == np.int32
-    assert dijkstra_sources == [0]

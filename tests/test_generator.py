@@ -34,30 +34,6 @@ def test_different_seed_differs(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
-def test_default_cost_scale_is_100(tmp_path):
-    a, b = tmp_path / "a.dat", tmp_path / "b.dat"
-    generate_instance_file(a, vertices=30, tasks=25, capacity=20, seed=11)
-    generate_instance_file(b, vertices=30, tasks=25, capacity=20, seed=11, cost_scale=100)
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_cost_scale_scales_costs_only():
-    base = generate_instance(30, 25, capacity=20, seed=11)
-    wide = generate_instance(30, 25, capacity=20, seed=11, cost_scale=10_000)
-    assert wide.depot == base.depot
-    assert [(e.u, e.v, e.demand) for e in wide.edges] == [(e.u, e.v, e.demand) for e in base.edges]
-    for b, w in zip(base.edges, wide.edges):
-        # each cost is one length times the scale, rounded
-        assert w.service_cost == (w.deadheading_cost if w.demand else 0)
-        assert abs(w.deadheading_cost - 100 * b.deadheading_cost) <= 100
-
-
-@pytest.mark.parametrize("scale", [0, -1, float("nan"), float("inf")])
-def test_cost_scale_must_be_positive_and_finite(scale):
-    with pytest.raises(ValueError, match="cost_scale must be positive and finite"):
-        generate_instance(10, 5, capacity=12, seed=3, cost_scale=scale)
-
-
 def test_demands_track_capacity():
     inst = generate_instance(20, 15, capacity=60, seed=5)
     assert all(1 <= t.demand <= 20 for t in inst.tasks)
