@@ -13,7 +13,10 @@
 # instance of 200 tasks, more than the 64 cheapest links kept per task, on
 # which route cutting ranks a few in-route links on demand; the clustering
 # loop with whole routes (`cluster-whole-route`) and one local-search
-# descent (`local-only`) solve and validate it too.  A file whose edge
+# descent (`local-only`) solve and validate it too.  So do `local-only`,
+# a multi-pass descent over a float64 table, and `sahid-rco` on a copy of
+# it whose costs are decimals (each `coste N` made `coste N.25`), where
+# every move's delta is a float sum.  A file whose edge
 # ( 2 , 3 ) exceeds the capacity makes `solve` exit with status 2 and name
 # the edge as the file does, `(2,3)`.  Every
 # trace CSV, from `solve --trace` or streamed by `bench`, must start with its
@@ -126,6 +129,17 @@ routecut solve g.dat --algorithm cluster-whole-route --max-cycles 1 --virtual-cl
 routecut validate g.dat gw.sol
 routecut solve g.dat --algorithm local-only --out gl.sol
 routecut validate g.dat gl.sol
+python3 - g.dat > gf.dat <<'EOF'
+import re
+import sys
+
+with open(sys.argv[1]) as fh:
+    print(re.sub(r'coste (\d+)', r'coste \1.25', fh.read()), end='')
+EOF
+routecut solve gf.dat --algorithm local-only --out gfl.sol
+routecut validate gf.dat gfl.sol
+routecut solve gf.dat --algorithm sahid-rco --max-iters 2 --virtual-clock --out gf.sol
+routecut validate gf.dat gf.sol
 
 if command -v taskset > /dev/null && [ "$(nproc)" -ge 2 ]; then
   routecut gen --vertices 60 --tasks 80 --capacity 20 --seed 4 --out b.dat

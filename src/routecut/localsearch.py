@@ -24,16 +24,21 @@ applied.  The search stops once the count reaches ``max_evals``; below it,
 of this moves the point where a capped search stops, so it changes every
 fixed-work result and every virtual-clock run.
 
-Route loads are cached, and so is the position index ``where``, each
-task's route and position.  The cost is a running total, changed by the
-delta that chose each applied move (only ``check()`` reads it).  A
-move re-indexes only the routes it changed: one for a flip, 2-opt or
-intra-route swap; both for a swap, a relocation (a fresh route is
-appended) or a tail exchange.  A route that a move empties stays in place
+Route loads are cached, and so is the position index ``where``: per
+task, its route, its position, its directed ID, the vertex before it and
+the vertex after it (the depot at either end of the route) and whether it
+is the route's last task, so the scan reads a task's context from one
+entry.  The cost is a running total, changed by the delta that chose each
+applied move (only ``check()`` reads it).  A move re-indexes only the
+routes it changed: one for a flip, 2-opt or intra-route swap (a flip
+changes its task's ID and its neighbours' vertices, so it re-indexes its
+route too); both for a swap, a relocation (a fresh route is appended) or
+a tail exchange.  A route that a move empties stays in place
 as an empty list, so no other route's index changes, and the result leaves
 it out.  The tail exchange sums the loads up to its two cuts only when it
 improves.  ``debug=True`` rebuilds the cost and every load and index entry
-after each applied move and asserts agreement (slow, used by the test suite).
+after each applied move and asserts agreement (slow, used by the test suite);
+it builds the index entries from the routes alone, not with ``_reindex``.
 """
 
 from __future__ import annotations
@@ -48,6 +53,10 @@ from .solution import Solution, route_cost
 
 _EPS = 1e-9
 _CHECK_EVERY = 256
+
+# a task's index entry: route, position, directed ID, the vertex before it
+# and the vertex after it (the depot at either end of the route), is last
+_Entry = tuple[int, int, int, int, int, bool]
 
 
 class _State:
@@ -65,24 +74,33 @@ class _State:
         self.routes: list[list[int]] = [list(r) for r in solution.routes]
         self.loads: list[float] = [sum(self.dem[t] for t in r) for r in self.routes]
         self.cost = solution.total_cost
-        self.where: list[tuple[int, int] | None] = [None] * instance.task_count
+        self.where: list[_Entry | None] = [None] * instance.task_count
         for k in range(len(self.routes)):
             self._reindex(k)
 
     def _reindex(self, k: int) -> None:
-        for i, t in enumerate(self.routes[k]):
-            self.where[task_index_of(t)] = (k, i)
+        """Rebuild the index entries of every task in route k."""
+        r, head, tail, where = self.routes[k], self.head, self.tail, self.where
+        last = len(r) - 1
+        before = self.depot
+        for i, t in enumerate(r):
+            after = head[r[i + 1]] if i < last else self.depot
+            where[task_index_of(t)] = (k, i, t, before, after, i == last)
+            before = tail[t]
 
     def check(self) -> None:
         """Assert the running cost, each cached load, empty routes' too, and
-        the position index against a rebuild."""
+        the position index against a rebuild from the routes."""
         exact = sum(route_cost(r, self.instance, self.dist) for r in self.routes)
         assert abs(self.cost - exact) < 1e-6, f"running cost {self.cost} vs exact {exact}"
-        where: list[tuple[int, int] | None] = [None] * len(self.where)
+        where: list[_Entry | None] = [None] * len(self.where)
         for k, r in enumerate(self.routes):
             assert abs(self.loads[k] - sum(self.dem[t] for t in r)) < 1e-9
+            # the vertices a route passes between its tasks, depot to depot
+            tails = [self.depot, *(self.tail[t] for t in r)]
+            heads = [*(self.head[t] for t in r), self.depot]
             for i, t in enumerate(r):
-                where[task_index_of(t)] = (k, i)
+                where[task_index_of(t)] = (k, i, t, tails[i], heads[i + 1], i + 1 == len(r))
         assert self.where == where, "stale position index"
 
     def to_solution(self) -> Solution:
@@ -150,29 +168,26 @@ def local_search(
     def try_task(ti: int) -> bool:
         """Scan moves around task ti; apply the first improving one."""
         nonlocal evals
-        k1, i1 = where[ti]  # type: ignore[misc]
-        r1 = routes[k1]
-        a = r1[i1]
+        # a in either orientation is (ha, ta) or (ta, ha); p1 and n1 are the
+        # vertices before and after it, and gain is what removing it saves
+        k1, i1, a, p1, n1, end1 = where[ti]  # type: ignore[misc]
+        ha, ta, da = head[a], tail[a], dem[a]
+        Dp1, Dha, Dta = D[p1], D[ha], D[ta]
 
         # orientation flip in place (segment reversal of length 1)
-        if _try_reverse(st, k1, i1, i1):
+        delta = Dp1[ta] + Dha[n1] - Dp1[ha] - Dta[n1]
+        if delta < -_EPS:
+            _apply_reverse(st, k1, i1, i1, delta)
             return True
         evals += 1
         if evals >= stop and over():
             return False
 
-        # a in either orientation is (ha, ta) or (ta, ha); p1 and n1 are the
-        # vertices before and after it, and gain is what removing it saves
-        ha, ta, ia, da = head[a], tail[a], inverse_id(a), dem[a]
-        last1 = len(r1) - 1
-        p1 = tail[r1[i1 - 1]] if i1 > 0 else depot
-        n1 = head[r1[i1 + 1]] if i1 < last1 else depot
-        Dp1, Dha, Dta = D[p1], D[ha], D[ta]
         base1 = Dp1[ha] + Dta[n1]
         gain = base1 - Dp1[n1]
 
         # relocation into a route of its own
-        if last1:
+        if not (end1 and i1 == 0):
             delta = D[depot][ha] + Dta[depot] - gain
             evals += 1
             if evals >= stop and over():
@@ -181,20 +196,25 @@ def local_search(
                 _apply_relocate(st, k1, i1, a, len(routes), 0, delta)
                 return True
 
+        ia = inverse_id(a)
         for tj in neighbors[ti]:
             loc = where[tj]
             if loc is None:
                 continue
-            k2, i2 = loc
-            r2 = routes[k2]
-            b = r2[i2]
+            k2, i2, b, pb, nb, end2 = loc
             hb, tb = head[b], tail[b]
-            pb = tail[r2[i2 - 1]] if i2 > 0 else depot
-            nb = head[r2[i2 + 1]] if i2 + 1 < len(r2) else depot
+            Dpb, Dtb = D[pb], D[tb]
             same = k2 == k1
             if same:
-                lo, hi = (i1, i2) if i1 < i2 else (i2, i1)
-                if hi > lo and _try_reverse(st, k1, lo, hi):
+                # 2-opt: reverse the segment from a to b, or from b to a
+                if i1 < i2:
+                    lo, hi = i1, i2
+                    delta = Dp1[tb] + Dha[nb] - Dp1[ha] - Dtb[nb]
+                else:
+                    lo, hi = i2, i1
+                    delta = Dpb[ta] + D[hb][n1] - Dpb[hb] - Dta[n1]
+                if hi > lo and delta < -_EPS:
+                    _apply_reverse(st, k1, lo, hi, delta)
                     return True
                 evals += 1
                 if evals >= stop and over():
@@ -202,21 +222,31 @@ def local_search(
 
             # relocation of a before b, then after b
             if same or not loads[k2] + da > capacity:
-                for j, p2, n2 in ((i2, pb, hb), (i2 + 1, tb, nb)):
-                    if same and (j == i1 or j == i1 + 1):
-                        continue
-                    Dp2 = D[p2]
+                if not (same and (i2 == i1 or i2 == i1 + 1)):
                     evals += 1
                     if evals >= stop and over():
                         return False
-                    if (delta := Dp2[ha] + Dta[n2] - Dp2[n2] - gain) < -_EPS:
-                        _apply_relocate(st, k1, i1, a, k2, j, delta)
+                    if (delta := Dpb[ha] + Dta[hb] - Dpb[hb] - gain) < -_EPS:
+                        _apply_relocate(st, k1, i1, a, k2, i2, delta)
                         return True
                     evals += 1
                     if evals >= stop and over():
                         return False
-                    if (delta := Dp2[ta] + Dha[n2] - Dp2[n2] - gain) < -_EPS:
-                        _apply_relocate(st, k1, i1, ia, k2, j, delta)
+                    if (delta := Dpb[ta] + Dha[hb] - Dpb[hb] - gain) < -_EPS:
+                        _apply_relocate(st, k1, i1, ia, k2, i2, delta)
+                        return True
+                if not (same and (i2 + 1 == i1 or i2 == i1)):
+                    evals += 1
+                    if evals >= stop and over():
+                        return False
+                    if (delta := Dtb[ha] + Dta[nb] - Dtb[nb] - gain) < -_EPS:
+                        _apply_relocate(st, k1, i1, a, k2, i2 + 1, delta)
+                        return True
+                    evals += 1
+                    if evals >= stop and over():
+                        return False
+                    if (delta := Dtb[ta] + Dha[nb] - Dtb[nb] - gain) < -_EPS:
+                        _apply_relocate(st, k1, i1, ia, k2, i2 + 1, delta)
                         return True
 
             if same:
@@ -228,7 +258,6 @@ def local_search(
                 continue
 
             # swap a and b, each in either orientation
-            Dpb, Dtb = D[pb], D[tb]
             db = dem[b]
             if not (loads[k1] - da + db > capacity or loads[k2] - db + da > capacity):
                 base2 = Dpb[hb] + Dtb[nb]
@@ -247,7 +276,7 @@ def local_search(
                 return False
 
             # tail exchange: cut after a, and after b or before it
-            if i1 < last1 or i2 + 1 < len(r2):
+            if not (end1 and end2):
                 delta = Dta[nb] + Dtb[n1] - Dta[n1] - Dtb[nb]
                 if delta < -_EPS and exchange(k1, i1, k2, i2, delta):
                     return True
@@ -352,18 +381,13 @@ def _apply_swap(
     st._reindex(k2)
 
 
-def _try_reverse(st: _State, k: int, i: int, j: int) -> bool:
-    D, head, tail, depot = st.D, st.head, st.tail, st.depot
+def _apply_reverse(st: _State, k: int, i: int, j: int, delta: float) -> None:
+    """Reverse positions i..j of route k, each task flipped, which changes
+    the cost by ``delta``; i == j flips one task's orientation."""
     r = st.routes[k]
-    p = tail[r[i - 1]] if i > 0 else depot
-    n = head[r[j + 1]] if j + 1 < len(r) else depot
-    delta = D[p][tail[r[j]]] + D[head[r[i]]][n] - D[p][head[r[i]]] - D[tail[r[j]]][n]
-    if delta >= -_EPS:
-        return False
     r[i : j + 1] = [inverse_id(t) for t in reversed(r[i : j + 1])]
     st.cost += delta
     st._reindex(k)
-    return True
 
 
 def _apply_tail_exchange(

@@ -1164,9 +1164,11 @@ def reference_local_search(solution, instance, dist, rng, *, max_evals=None, dea
                            neighbors, debug=False):
     """Local search with one evaluator per move kind and a ``spent(n)`` that
     counts evaluations and polls ``deadline`` whenever the count crosses a
-    multiple of ``_CHECK_EVERY``.  It applies moves with the module's own
-    functions, so it differs from ``local_search`` only in how the scan is
-    written."""
+    multiple of ``_CHECK_EVERY``.  It reads only each task's route and
+    position from the index and looks up the vertices around a task in its
+    route.  It evaluates and applies the segment reversal (2-opt, or a
+    flip) itself, and applies the other moves with the module's own
+    functions."""
     C, EPS = localsearch._CHECK_EVERY, localsearch._EPS
     st = localsearch._State(solution, instance, dist)
     present = [ti for ti in range(instance.task_count) if st.where[ti] is not None]
@@ -1193,10 +1195,10 @@ def reference_local_search(solution, instance, dist, rng, *, max_evals=None, dea
         return out_of_budget
 
     def try_task(ti):
-        k1, i1 = st.where[ti]
+        k1, i1 = st.where[ti][:2]
         r1 = st.routes[k1]
         a = r1[i1]
-        if localsearch._try_reverse(st, k1, i1, i1):
+        if try_reverse(k1, i1, i1):
             return True
         if spent(1):
             return False
@@ -1213,10 +1215,10 @@ def reference_local_search(solution, instance, dist, rng, *, max_evals=None, dea
             loc = st.where[tj]
             if loc is None:
                 continue
-            k2, i2 = loc
+            k2, i2 = loc[:2]
             if k2 == k1:
                 lo, hi = (i1, i2) if i1 < i2 else (i2, i1)
-                if hi > lo and localsearch._try_reverse(st, k1, lo, hi):
+                if hi > lo and try_reverse(k1, lo, hi):
                     return True
                 if spent(1):
                     return False
@@ -1242,6 +1244,17 @@ def reference_local_search(solution, instance, dist, rng, *, max_evals=None, dea
                 if spent(2):
                     return False
         return False
+
+    def try_reverse(k, i, j):
+        r = st.routes[k]
+        p, n = prev_v(r, i), next_v(r, j)
+        delta = D[p][tail[r[j]]] + D[head[r[i]]][n] - D[p][head[r[i]]] - D[tail[r[j]]][n]
+        if delta >= -EPS:
+            return False
+        r[i : j + 1] = [inverse_id(t) for t in reversed(r[i : j + 1])]
+        st.cost += delta
+        st._reindex(k)
+        return True
 
     def relocate_near(k1, i1, k2, i2):
         r1, r2 = st.routes[k1], st.routes[k2]
@@ -1374,17 +1387,55 @@ def _scan_runs(instance, dist, start, seed, nbrs, max_evals, deadline=_CountingD
     return runs
 
 
+def _spy_on_tail_exchanges(monkeypatch):
+    """A list that gets the instance of every tail exchange applied from
+    now on, by either scan."""
+    applied = []
+    exchange = localsearch._apply_tail_exchange
+
+    def spy(st, *args):
+        applied.append(st.instance)
+        exchange(st, *args)
+
+    monkeypatch.setattr(localsearch, "_apply_tail_exchange", spy)
+    return applied
+
+
+# seeds that also run the float-cost instance, whose full descents over 60
+# tasks take most of a seed's time
+FLOAT_COST_SEEDS = 40
+
+
 @pytest.mark.parametrize("seed", range(100))
-def test_local_search_matches_reference_scan_on_tie_heavy_instances(seed):
-    instance = tie_heavy_instance(seed)
-    dist = instance.distances()
-    nbrs = neighbors(instance, dist)
-    for start in _local_search_starts(instance, dist, make_rng(seed)):
-        for max_evals in LOCAL_SEARCH_EVALS:
-            for deadline in (None, _CountingDeadline):
-                runs = _scan_runs(instance, dist, start, seed, nbrs, max_evals, deadline,
-                                  debug=True)
-                assert runs[0] == runs[1]
+def test_local_search_matches_reference_scan_on_tie_heavy_instances(seed, monkeypatch):
+    # float demands and float costs put the moves' deltas and the tail
+    # exchange's prefix sums in floating point
+    applied = _spy_on_tail_exchanges(monkeypatch)
+    instances = [tie_heavy_instance(seed), _float_demand_instance(seed)]
+    if seed < FLOAT_COST_SEEDS:
+        instances.append(_float_cost_instance(60, seed))
+    for instance in instances:
+        dist = instance.distances()
+        nbrs = neighbors(instance, dist)
+        for start in _local_search_starts(instance, dist, make_rng(seed)):
+            for max_evals in LOCAL_SEARCH_EVALS:
+                for deadline in (None, _CountingDeadline):
+                    runs = _scan_runs(instance, dist, start, seed, nbrs, max_evals, deadline,
+                                      debug=True)
+                    assert runs[0] == runs[1]
+    if seed < FLOAT_COST_SEEDS:
+        assert any(x is instances[2] for x in applied)
+
+
+def test_local_search_float_demand_runs_apply_tail_exchanges(monkeypatch):
+    applied = _spy_on_tail_exchanges(monkeypatch)
+    for seed in range(100):
+        instance = _float_demand_instance(seed)
+        dist = instance.distances()
+        for start in _local_search_starts(instance, dist, make_rng(seed)):
+            local_search(start, instance, dist, make_rng(seed),
+                         neighbors=neighbors(instance, dist), debug=True)
+    assert applied
 
 
 # caps just below, at and just past a poll boundary, and none
