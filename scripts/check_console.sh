@@ -5,9 +5,10 @@
 # run `bench` and `stats` in one process and in a pool of two worker
 # processes, each worker keeping its last instance and rank matrix.  An
 # instance with decimal costs is solved and validated too: its shortest
-# paths take Dijkstra over the whole graph, with no vertex eliminated.  So
-# is one with a 20,000-cost edge to a pendant vertex, whose distances fill
-# in as int32, not the int16 of generated instances.  So is a complete graph
+# paths take all-pairs Dijkstra over the whole graph, with no vertex
+# eliminated.  So is one with a 20,000-cost edge to a pendant vertex, whose
+# distances fill in as int32 (four times twice the first vertex's largest
+# distance), not the int16 of generated instances.  So is a complete graph
 # on 30 vertices, which keeps every vertex in the core, with one edge costlier
 # than any path, which the core's Floyd-Warshall clips.  So is a generated
 # instance of 200 tasks, more than the 64 cheapest links kept per task, on

@@ -1,35 +1,30 @@
 """All-pairs shortest-path distances over deadheading costs.
 
-``shortest_paths`` solves a small core of the graph and fills in the rest,
-in three steps:
+``shortest_paths`` takes one of two paths.  When every edge cost is
+integral, their total is at most ``_EXACT_INT`` and one ``dijkstra`` from
+vertex 0 reaches every vertex, every sum is an exact integer and no entry
+exceeds twice vertex 0's eccentricity (a path through it).  Twice that plus
+one, ``bound``, then sets the work type, and the table is built in three
+steps:
 
 1. Eliminate: remove vertices of degree at most ``_ELIMINATION_DEGREE`` in
    min-degree order.  Each removal joins every pair of the vertex's
    neighbours by a shortcut through it, as contraction hierarchies do
    (Geisberger, Sanders, Schultes and Delling, WEA 2008).
 2. Solve the core: Floyd-Warshall over the vertices left, vectorised one
-   intermediate vertex at a time, in the narrowest integer type that holds
-   twice a bound on the core's entries.  One single-source ``dijkstra``
-   from core vertex 0 gives that bound: no entry exceeds twice its largest
-   distance.  Edges costlier than the bound are clipped to it, since no
-   shortest path takes them.
+   intermediate vertex at a time, with pairs that have no edge, and edges
+   costlier than ``bound``, starting at ``bound``.
 3. Fill in: in reverse order of removal, a removed vertex's row is the
-   cheapest of its neighbours' rows plus the edge to each, as in all-pairs
-   shortest paths over an elimination ordering (Planken, de Weerdt and
-   van der Krogt, JAIR 2012).
+   cheapest of its neighbours' rows plus the edge to each, clipped to
+   ``bound``, as in all-pairs shortest paths over an elimination ordering
+   (Planken, de Weerdt and van der Krogt, JAIR 2012).  It runs in the
+   narrowest integer type that holds four times ``bound`` (int16 on
+   generated instances), so no V x V float64 is made.
 
-Elimination and Floyd-Warshall run only when every edge cost is integral
-and their total is at most ``_EXACT_INT``.  Then every sum is an exact
-integer, and the table equals Dijkstra's over the whole graph bit for bit,
-whatever the order of the additions.  A core with an unreachable pair
-(the single source reaches infinity) is solved by an all-pairs
-``dijkstra`` instead.  The fill-in runs in the narrowest integer type that
-a bound on the table's entries and on the fill-in's sums allows
-(``_fill_type``), int16 on generated instances, so no V x V float64 is
-made; it runs in float64 when the core holds infinity, a removed vertex
-has no neighbour or that bound exceeds ``_EXACT_INT``.  Other costs
-eliminate nothing: the core is the whole graph, solved by an all-pairs
-``dijkstra``, and Dijkstra's rounding stays as it was.
+The table equals Dijkstra's over the whole graph bit for bit, whatever the
+order of the additions.  Every other graph (a fractional or too large
+cost, or a vertex that vertex 0 does not reach) is solved by an all-pairs
+``dijkstra`` over the whole graph, and Dijkstra's rounding stays as it was.
 """
 
 from __future__ import annotations
@@ -68,7 +63,7 @@ Rows = list[list[int]] | list[list[float]]
 
 def _int_type(limit: float) -> type:
     """The narrowest of int16, int32 and int64 that holds ``limit``, at most
-    4 * ``_EXACT_INT`` + 2."""
+    4 * (2 * ``_EXACT_INT`` + 1)."""
     return next(t for t in (np.int16, np.int32, np.int64) if limit <= np.iinfo(t).max)
 
 
@@ -85,8 +80,9 @@ class DistanceTable:
     Unreachable pairs hold infinity, so such a table is float64 (only
     between non-task vertices; task endpoints are reachable at load time).
     An integer ``matrix`` is read for its extremes only and kept as it is
-    when it has that type already, as ``shortest_paths`` fills it in, or
-    cast to it; a float one is cast and compared with its cast.
+    when it has that type already, as ``shortest_paths``'s fill-in has on
+    generated instances, or cast to it; a float one is cast and compared
+    with its cast.
 
     ``rows`` exposes the table as nested lists for tight scalar loops:
     Python ``int``s under an integer type, ``float``s under float64.
@@ -155,41 +151,6 @@ def _eliminate(adj: list[dict[int, float] | None]) -> list[tuple[int, np.ndarray
     return removed
 
 
-def _fill_type(core_matrix: np.ndarray, removed: list[tuple[int, np.ndarray, np.ndarray]]) -> type:
-    """The type to fill in the distance table in: the narrowest of
-    int16, int32 and int64 that holds four times a bound on every entry, so
-    that ``DistanceTable`` keeps the type or narrows it, and a bound on
-    every sum that a fill-in step forms; float64 when the core holds
-    infinity, a removed vertex has no neighbour or the entry bound exceeds
-    ``_EXACT_INT``.
-
-    In fill-in order, ``reach[v]`` bounds the cost from v to the core: 0 in
-    the core, else the least ``reach[a] + w`` over v's neighbours a.  An
-    entry is a path from x to the core, across it and on to y, so at most
-    ``2 * max(reach) + core maximum``; a core row's maximum bounds no
-    removed vertex's row, since two pendants of one core vertex lie the sum
-    of their edges apart.  A step adds ``w`` to row a, whose entries are
-    such costs, at most ``reach[a] + max(reach) + core maximum``, or
-    placeholders of columns not filled in yet, at most ``reach[a]``.  An
-    edge far costlier than any path survives elimination as a ``w``, so the
-    largest ``reach[a] + w`` bounds the sums, not the entries.
-    """
-    core_largest = float(core_matrix.max(initial=0))
-    reach: dict[int, float] = {}  # of removed vertices; a core vertex's is 0
-    step = 0.0  # the largest reach[a] + w of a fill-in step
-    for v, nbrs, w in reversed(removed):
-        sums = [reach.get(a, 0.0) + wa for a, wa in zip(nbrs.tolist(), w.tolist())]
-        if not sums:
-            return np.float64
-        reach[v] = min(sums)
-        step = max(step, max(sums))
-    farthest = max(reach.values())
-    bound = 2 * farthest + core_largest
-    if not bound <= _EXACT_INT:  # inf too
-        return np.float64
-    return _int_type(max(4 * bound, step + farthest + core_largest))
-
-
 def _floyd_warshall(n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
                     absent: int) -> np.ndarray:
     """All-pairs shortest-path costs over ``n`` vertices joined by the
@@ -224,9 +185,21 @@ def _floyd_warshall(n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
     return m
 
 
+def _edge_arrays(adj: list[dict[int, float] | None],
+                 keep: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges of ``adj`` between the vertices ``keep``, each once and
+    numbered by its position there: end arrays ``us``, ``vs`` and costs ``ws``."""
+    index = {v: i for i, v in enumerate(keep)}
+    edges = [(index[u], index[v], w) for u in keep for v, w in adj[u].items() if u < v]
+    uvw = np.array(edges, dtype=np.float64).reshape(-1, 3)
+    us, vs = uvw[:, :2].astype(np.intp).T
+    return us, vs, uvw[:, 2]
+
+
 def shortest_paths(instance: Instance) -> DistanceTable:
     """All-pairs shortest-path costs by elimination, a solved core and
-    fill-in (see the module docstring for the method and when it runs).
+    fill-in, or by Dijkstra over the whole graph (see the module docstring
+    for the method and when each runs).
 
     Parallel edges collapse to their cheapest copy; self-loops contribute
     nothing to shortest paths.  Explicit zero-cost edges are kept as edges.
@@ -235,9 +208,12 @@ def shortest_paths(instance: Instance) -> DistanceTable:
     so their rows are filled in before its own; its row is written into its
     column too.  Until then, its column holds zeros, and any row filled in
     before it reads them but is overwritten there by that column write.
-    The fill-in runs in the type ``_fill_type`` picks; the degree cap
-    trades a smaller core against denser shortcuts and wider fill-ins, and
-    ``_ELIMINATION_DEGREE`` records how its value was measured.
+    Each step clips its edges to ``bound``: a shortcut can sum edges
+    costlier than any path, and a path through a clipped one costs at least
+    ``bound``, more than the entry it competes for.  Every sum is below
+    twice ``bound`` and every entry below ``bound``, so the work type holds
+    the sums and four times every entry: ``DistanceTable`` keeps it or
+    narrows it.
     """
     n = instance.vertex_count
     adj: list[dict[int, float] | None] = [{} for _ in range(n)]
@@ -245,32 +221,24 @@ def shortest_paths(instance: Instance) -> DistanceTable:
         w = float(e.deadheading_cost)
         if e.u != e.v and w < adj[e.u].get(e.v, math.inf):
             adj[e.u][e.v] = adj[e.v][e.u] = w
-    costs = [w for u, nbrs in enumerate(adj) for v, w in nbrs.items() if u < v]
+    us, vs, ws = _edge_arrays(adj, list(range(n)))
+    graph = coo_matrix((ws, (us, vs)), shape=(n, n)).tocsr()
+    costs = ws.tolist()
     exact = all(w.is_integer() for w in costs) and math.fsum(costs) <= _EXACT_INT
-    removed = _eliminate(adj) if exact else []
-
-    core = [v for v, nbrs in enumerate(adj) if nbrs is not None]
-    index = {v: i for i, v in enumerate(core)}
-    edges = [(index[u], index[v], w) for u in core for v, w in adj[u].items() if u < v]
-    uvw = np.array(edges, dtype=np.float64).reshape(-1, 3)
-    us, vs = uvw[:, :2].astype(np.intp).T
-    ws = uvw[:, 2]
-    graph = coo_matrix((ws, (us, vs)), shape=(len(core), len(core))).tocsr()
     ecc = dijkstra(graph, directed=False, indices=0).max() if exact else math.inf
-    if math.isfinite(ecc):
-        matrix = _floyd_warshall(len(core), us, vs, ws, 2 * int(ecc) + 1)
-    else:
-        matrix = dijkstra(graph, directed=False)
-    if removed:
-        core_matrix, matrix = matrix, np.zeros((n, n), _fill_type(matrix, removed))
-        matrix[np.ix_(core, core)] = core_matrix
-    # the row of a removed vertex with no neighbour: inf (only a float fill-in has one)
-    top = np.inf if matrix.dtype == np.float64 else np.iinfo(matrix.dtype).max
+    if not math.isfinite(ecc):
+        return DistanceTable(dijkstra(graph, directed=False))
+    # no entry exceeds twice vertex 0's eccentricity (a path through it)
+    bound = 2 * int(ecc) + 1
+    removed = _eliminate(adj)
+    core = [v for v, nbrs in enumerate(adj) if nbrs is not None]
+    matrix = np.zeros((n, n), _int_type(4 * bound))
+    matrix[np.ix_(core, core)] = _floyd_warshall(len(core), *_edge_arrays(adj, core), bound)
     for v, nbrs, w in reversed(removed):
         block = matrix[nbrs]
-        block += w.astype(matrix.dtype, copy=False)[:, None]
+        block += np.minimum(w, bound).astype(matrix.dtype)[:, None]
         row = matrix[v]
-        block.min(axis=0, initial=top, out=row)
+        block.min(axis=0, out=row)
         row[v] = 0
         matrix[:, v] = row
     return DistanceTable(matrix)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from routecut import Edge, Instance, RankMatrix, Solution, build_rank_matrix
+from routecut import Edge, Instance, RankMatrix, Solution, build_rank_matrix, distances
 from routecut.instance import forward_id
 
 settings.register_profile("repeatable", derandomize=True)
@@ -247,6 +247,37 @@ def whole_graph_dijkstra(instance):
     else:
         graph = coo_matrix((n, n), dtype=np.float64).tocsr()
     return dijkstra(graph, directed=False)
+
+
+@pytest.fixture
+def fill_types(monkeypatch):
+    """The type of each matrix that ``shortest_paths`` hands to
+    ``DistanceTable`` while a test runs: its fill-in's type, or float64
+    from Dijkstra over the whole graph."""
+    types = []
+    real = distances.DistanceTable
+
+    def spy(matrix):
+        types.append(matrix.dtype.type)
+        return real(matrix)
+
+    monkeypatch.setattr(distances, "DistanceTable", spy)
+    return types
+
+
+@pytest.fixture
+def dijkstra_sources(monkeypatch):
+    """The ``indices`` of each ``distances.dijkstra`` call: a source's
+    index, or None for the all-pairs call."""
+    seen = []
+    real = distances.dijkstra
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("indices"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(distances, "dijkstra", spy)
+    return seen
 
 
 def brute_force_optimum(instance, dist):

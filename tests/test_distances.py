@@ -216,22 +216,17 @@ def test_generated_large_instance_stores_two_bytes_per_pair():
 
 
 @pytest.fixture
-def fill_in(monkeypatch):
+def fill_in(monkeypatch, fill_types):
     """What each ``shortest_paths`` call eliminated (its removal records)
-    and the type ``_fill_type`` gave its fill-in."""
-    seen = {"removed": [], "types": []}
-    eliminate, fill_type = distances._eliminate, distances._fill_type
+    and the type of the matrix it handed to ``DistanceTable``."""
+    seen = {"removed": [], "types": fill_types}
+    eliminate = distances._eliminate
 
     def eliminate_spy(adj):
         seen["removed"].append(eliminate(adj))
         return seen["removed"][-1]
 
-    def fill_type_spy(*args):
-        seen["types"].append(fill_type(*args))
-        return seen["types"][-1]
-
     monkeypatch.setattr(distances, "_eliminate", eliminate_spy)
-    monkeypatch.setattr(distances, "_fill_type", fill_type_spy)
     return seen
 
 
@@ -250,9 +245,11 @@ def _assert_table_of_the_float_rule(instance):
 @pytest.mark.parametrize("bridge, dtype", [(3, np.int16), (9000, np.int32)])
 def test_fill_in_holds_an_edge_far_costlier_than_any_path(bridge, dtype, fill_in):
     # vertex 0 is removed while it keeps its 40000 edge to vertex 1, which
-    # it reaches for 2 through the core vertex 2: the fill-in adds 40000 to
-    # row 1, past int16 whatever the table's entries.  The pendant edge
-    # (2, 3) costs ``bridge``: 3 leaves the table int16, 9000 makes it int32
+    # it reaches for 2 through the core vertex 2: the fill-in clips 40000 to
+    # the bound, twice vertex 0's eccentricity plus one, before it adds it
+    # to row 1.  The pendant edge (2, 3) costs ``bridge``: 3 makes the bound
+    # 9 and leaves the fill-in and the table int16, past which 40000 would
+    # wrap; 9000 makes the bound 18003 and both int32
     instance = make_instance(4, [(0, 1, 1, 1, 40_000), (0, 2, 1, 1, 1), (1, 2, 1, 1, 1),
                                  (2, 3, 1, 1, bridge)], capacity=10)
     table = _assert_table_of_the_float_rule(instance)
@@ -260,36 +257,20 @@ def test_fill_in_holds_an_edge_far_costlier_than_any_path(bridge, dtype, fill_in
     (removed,) = fill_in["removed"]
     assert [(v, dict(zip(nbrs.tolist(), w.tolist()))) for v, nbrs, w in removed] == [
         (3, {2: bridge}), (0, {1: 40_000, 2: 1}), (1, {2: 1})]
-    assert fill_in["types"] == [np.int32]
+    assert fill_in["types"] == [dtype]
 
 
 @pytest.mark.parametrize("near", [191, 192])
 def test_fill_type_holds_four_times_a_path_across_the_core(near, fill_in):
     # pendants 0 and 1 of the core vertex 2 lie 8000 + near apart, further
     # than either lies from the core: 8191 fits int16 four times over, 8192
-    # does not.  The fill-in's type is never narrower than the table's, so
-    # DistanceTable only keeps or narrows it
+    # does not.  The fill-in holds four times the bound, 2 * (8000 + near)
+    # + 1, in int32 either way, and DistanceTable keeps it or narrows it
     instance = make_instance(3, [(0, 2, 1, 1, 8000), (1, 2, 1, 1, near)], depot=2, capacity=10)
     table = _assert_table_of_the_float_rule(instance)
     assert table[0, 1] == 8000 + near
     assert table.dtype == (np.int16 if near == 191 else np.int32)
-    (fill_type,) = fill_in["types"]
-    assert np.iinfo(fill_type).max >= np.iinfo(table.dtype).max
-
-
-@pytest.fixture
-def dijkstra_sources(monkeypatch):
-    """The ``indices`` of each ``distances.dijkstra`` call: a source's
-    index, or None for the all-pairs call."""
-    seen = []
-    dijkstra = distances.dijkstra
-
-    def dijkstra_spy(*args, **kwargs):
-        seen.append(kwargs.get("indices"))
-        return dijkstra(*args, **kwargs)
-
-    monkeypatch.setattr(distances, "dijkstra", dijkstra_spy)
-    return seen
+    assert fill_in["types"] == [np.int32]
 
 
 # more vertices than the elimination cap: a clique on them keeps them all
@@ -337,10 +318,14 @@ def test_generated_instance_runs_dijkstra_from_one_source_only(dijkstra_sources)
     assert dijkstra_sources == [0]
 
 
-def test_a_core_with_unreachable_pairs_runs_all_pairs_dijkstra(dijkstra_sources):
+def test_a_graph_that_vertex_0_does_not_reach_runs_all_pairs_dijkstra(fill_in,
+                                                                      dijkstra_sources):
     edges = _clique(lambda u, v: 1) + _clique(lambda u, v: 2, first=_CLIQUE)
     table = _assert_table_of_the_float_rule(make_instance(2 * _CLIQUE, edges))
     assert table.dtype == np.float64 and math.isinf(table[0, _CLIQUE])
+    # the source vertex 0 reaches infinity: nothing is eliminated, and
+    # Dijkstra over the whole graph makes the table
+    assert fill_in == {"removed": [], "types": [np.float64]}
     assert dijkstra_sources == [0, None]
 
 

@@ -836,6 +836,16 @@ def test_pairwise_distances_match_reference_on_tie_heavy_instances(seed):
     _assert_pairwise_matches(_random_subroutes(instance.task_count, rng), instance, dist)
 
 
+def _tenths(instance):
+    """``instance`` with its costs, demands and capacity in tenths: sums
+    such as 0.1 + 0.2 miss 0.3, so an addition made in another order shows
+    in the last bits of a running cost or a load."""
+    edges = [Edge(e.u, e.v, e.demand / 10, e.service_cost / 10, e.deadheading_cost / 10)
+             for e in instance.edges]
+    return Instance("tenths", instance.vertex_count, edges, instance.depot,
+                    instance.capacity / 10)
+
+
 def _float_cost_instance(n, seed):
     """A generated instance of ``n`` tasks whose costs are scaled by random
     floats, so that link numerators are float64 sums."""
@@ -1373,17 +1383,29 @@ class _CountingDeadline:
 
 
 def _scan_runs(instance, dist, start, seed, nbrs, max_evals, deadline=_CountingDeadline, **kw):
-    """(route ids, cost, RNG state, deadline polls) of ``local_search`` and
-    of ``reference_local_search`` from one start, each given a fresh
-    ``deadline()``, or no deadline when ``deadline`` is None."""
+    """(route ids, cost, RNG state, deadline polls, final states) of
+    ``local_search`` and of ``reference_local_search`` from one start, each
+    given a fresh ``deadline()``, or no deadline when ``deadline`` is None.
+    The final states are the running cost and the loads of each
+    ``_State.to_solution`` call, in hex: bit for bit, and -0.0 apart from
+    0.0."""
     runs = []
+    real = localsearch._State.to_solution
     for search in (local_search, reference_local_search):
+        states = []
+
+        def to_solution(st):
+            states.append([float(x).hex() for x in (st.cost, *st.loads)])
+            return real(st)
+
         rng = make_rng(seed)
         poll = deadline and deadline()
-        out = search(start, instance, dist, rng, max_evals=max_evals, deadline=poll,
-                     neighbors=nbrs, **kw)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(localsearch._State, "to_solution", to_solution)
+            out = search(start, instance, dist, rng, max_evals=max_evals, deadline=poll,
+                         neighbors=nbrs, **kw)
         polls = poll.polls if poll else None
-        runs.append((out.routes, out.total_cost, rng.getstate(), polls))
+        runs.append((out.routes, out.total_cost, rng.getstate(), polls, states))
     return runs
 
 
@@ -1409,11 +1431,14 @@ FLOAT_COST_SEEDS = 40
 @pytest.mark.parametrize("seed", range(100))
 def test_local_search_matches_reference_scan_on_tie_heavy_instances(seed, monkeypatch):
     # float demands and float costs put the moves' deltas and the tail
-    # exchange's prefix sums in floating point
+    # exchange's prefix sums in floating point; the running cost and the
+    # loads are compared bit for bit, so on tenths a sum taken in another
+    # order fails even where no comparison turns on it
     applied = _spy_on_tail_exchanges(monkeypatch)
-    instances = [tie_heavy_instance(seed), _float_demand_instance(seed)]
+    instances = [tie_heavy_instance(seed), _float_demand_instance(seed),
+                 _tenths(tie_heavy_instance(seed))]
     if seed < FLOAT_COST_SEEDS:
-        instances.append(_float_cost_instance(60, seed))
+        instances += [_float_cost_instance(60, seed), _tenths(generate_instance(30, 30, 60, seed))]
     for instance in instances:
         dist = instance.distances()
         nbrs = neighbors(instance, dist)
@@ -1424,7 +1449,7 @@ def test_local_search_matches_reference_scan_on_tie_heavy_instances(seed, monkey
                                       debug=True)
                     assert runs[0] == runs[1]
     if seed < FLOAT_COST_SEEDS:
-        assert any(x is instances[2] for x in applied)
+        assert any(x is instances[3] for x in applied)
 
 
 def test_local_search_float_demand_runs_apply_tail_exchanges(monkeypatch):
@@ -1580,7 +1605,8 @@ def test_route_cost_of_empty_and_one_task_routes(path_instance):
 def eliminated(monkeypatch):
     """How many vertices each elimination in ``shortest_paths`` removed, and
     the degree of every vertex left in its core; no entry when a table
-    eliminated nothing because its costs were not exact."""
+    eliminated nothing because its costs were not exact or vertex 0 did
+    not reach every vertex."""
     calls = []
     real = distances._eliminate
 
@@ -1591,20 +1617,6 @@ def eliminated(monkeypatch):
 
     monkeypatch.setattr(distances, "_eliminate", spy)
     return calls
-
-
-@pytest.fixture
-def fill_types(monkeypatch):
-    """The type of each ``shortest_paths`` fill-in while a test runs."""
-    types = []
-    real = distances._fill_type
-
-    def spy(*args):
-        types.append(real(*args))
-        return types[-1]
-
-    monkeypatch.setattr(distances, "_fill_type", spy)
-    return types
 
 
 def _assert_same_table(instance):
@@ -1641,9 +1653,8 @@ def test_shortest_paths_match_reference_on_tie_heavy_instances(seed, eliminated,
 
 def _two_cliques(clique, seed):
     """Two cliques of vertices of degree above the elimination cap, with no
-    edge between them, each with a sparse fringe: elimination leaves both
-    in the core, whose Dijkstra holds infinity.  The tasks lie in the
-    depot's half."""
+    edge between them, each with a sparse fringe: vertex 0 does not reach
+    the second.  The tasks lie in the depot's half."""
     rng = random.Random(seed)
     edges = []
     for first, demand in ((0, 1), (2 * clique, 0)):
@@ -1654,24 +1665,51 @@ def _two_cliques(clique, seed):
     return make_instance(4 * clique, edges, capacity=10)
 
 
-@pytest.mark.parametrize("kind", ["isolated vertex", "two cliques"])
-def test_shortest_paths_fill_in_float64_where_a_pair_is_unreachable(kind, eliminated, fill_types):
+def _shifted(base, name, extra=()):
+    """``base`` with every vertex numbered one higher, a new vertex 0 and
+    the edges ``extra`` (given with the new numbers)."""
+    edges = [Edge(e.u + 1, e.v + 1, e.demand, e.service_cost, e.deadheading_cost)
+             for e in base.edges]
+    return Instance(name, base.vertex_count + 1, edges + list(extra), base.depot + 1, base.capacity)
+
+
+@pytest.mark.parametrize("kind", ["isolated vertex", "two cliques", "isolated vertex 0"])
+def test_shortest_paths_fill_in_float64_where_a_pair_is_unreachable(kind, eliminated, fill_types,
+                                                                    dijkstra_sources):
+    base = generate_instance(500, 800, 60, seed=5)
     if kind == "isolated vertex":
-        # a non-task vertex with no edge is removed with no neighbour
-        base = generate_instance(500, 800, 60, seed=5)
+        # a non-task vertex with no edge
         n = base.vertex_count
         instance = Instance("isolated", n + 1, base.edges, base.depot, base.capacity)
-    else:
-        clique = _ELIMINATION_DEGREE + 6
-        instance = _two_cliques(clique, seed=1)
+    elif kind == "two cliques":
+        instance = _two_cliques(_ELIMINATION_DEGREE + 6, seed=1)
         n = instance.vertex_count - 1
+    else:
+        # vertex 0 has no edge and the depot lies elsewhere
+        instance, n = _shifted(base, "isolated 0"), 1
     _assert_same_table(instance)
-    (count, core), = eliminated
-    # the isolated vertex goes first; both cliques stay in the core
-    assert count > 0 and (kind == "isolated vertex" or len(core) == 2 * clique)
+    # vertex 0 does not reach vertex n: nothing is eliminated, and Dijkstra
+    # over the whole graph makes the table
+    assert eliminated == []
     assert fill_types == [np.float64]
+    assert dijkstra_sources == [0, None]
     table = shortest_paths(instance).matrix
     assert table.dtype == np.float64 and np.isinf(table[0, n])
+
+
+def test_shortest_paths_where_vertex_0_is_a_far_pendant(eliminated, fill_types, dijkstra_sources):
+    # vertex 0 hangs 4500 off the depot, so its eccentricity bounds the
+    # table far above the distances between the other vertices: the bound,
+    # 2 * eccentricity + 1, widens the fill-in to int32 while the table's
+    # entries, below 8192, keep it int16
+    base = generate_instance(500, 800, 60, seed=5)
+    instance = _shifted(base, "far pendant", [Edge(0, base.depot + 1, 0, 0, 4500)])
+    _assert_same_table(instance)
+    assert eliminated[0][0] > 0
+    assert fill_types == [np.int32]
+    assert dijkstra_sources == [0]
+    table = shortest_paths(instance).matrix
+    assert table.dtype == np.int16 and table[0].max() > 4500
 
 
 def _multigraph_instance(seed, vertices=40):
@@ -1689,13 +1727,16 @@ def _multigraph_instance(seed, vertices=40):
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_shortest_paths_match_reference_on_multigraphs(seed, eliminated):
+def test_shortest_paths_match_reference_on_multigraphs(seed, eliminated, dijkstra_sources):
     instance = _multigraph_instance(seed)
     assert any(e.u == e.v for e in instance.edges)
     _assert_same_table(instance)
+    # vertex 0 does not reach the isolated vertex or the path of their own:
+    # nothing is eliminated, and Dijkstra over the whole graph makes the table
+    assert eliminated == []
+    assert dijkstra_sources == [0, None]
     table = shortest_paths(instance).matrix
     assert table.dtype == np.float64 and np.isinf(table[0, -1]) and np.isinf(table[0, -4])
-    assert eliminated[0][0] > 0
 
 
 def test_shortest_paths_of_one_vertex(eliminated):
