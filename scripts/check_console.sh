@@ -17,7 +17,10 @@
 # descent (`local-only`) solve and validate it too.  So do `local-only`,
 # a multi-pass descent over a float64 table, and `sahid-rco` on a copy of
 # it whose costs are decimals (each `coste N` made `coste N.25`), where
-# every move's delta is a float sum.  A file whose edge
+# every move's delta is a float sum.  So do `local-only` and `cluster-rco`
+# on a copy whose cost-1 edges cost 0 (each `coste 1` made `coste 0`), where
+# zero-cost edges put tasks that start at other vertices in a vertex's
+# distance-0 list in path scanning.  A file whose edge
 # ( 2 , 3 ) exceeds the capacity makes `solve` exit with status 2 and name
 # the edge as the file does, `(2,3)`.  Every
 # trace CSV, from `solve --trace` or streamed by `bench`, must start with its
@@ -141,6 +144,18 @@ routecut solve gf.dat --algorithm local-only --out gfl.sol
 routecut validate gf.dat gfl.sol
 routecut solve gf.dat --algorithm sahid-rco --max-iters 2 --virtual-clock --out gf.sol
 routecut validate gf.dat gf.sol
+python3 - g.dat > gz.dat <<'EOF'
+import re
+import sys
+
+with open(sys.argv[1]) as fh:
+    print(re.sub(r'coste 1\b', 'coste 0', fh.read()), end='')
+EOF
+grep -q 'coste 0' gz.dat
+routecut solve gz.dat --algorithm local-only --out gzl.sol
+routecut validate gz.dat gzl.sol
+routecut solve gz.dat --algorithm cluster-rco --max-cycles 1 --virtual-clock --out gzc.sol
+routecut validate gz.dat gzc.sol
 
 if command -v taskset > /dev/null && [ "$(nproc)" -ge 2 ]; then
   routecut gen --vertices 60 --tasks 80 --capacity 20 --seed 4 --out b.dat

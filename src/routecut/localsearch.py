@@ -26,25 +26,28 @@ fixed-work result and every virtual-clock run.
 
 Route loads are cached, and so is the position index ``where``: per
 task, its route, its position, its directed ID, the vertex before it and
-the vertex after it (the depot at either end of the route) and whether it
-is the route's last task, so the scan reads a task's context from one
-entry.  The cost is a running total, changed by the delta that chose each
-applied move (only ``check()`` reads it).  A move re-indexes only the
-routes it changed: one for a flip, 2-opt or intra-route swap (a flip
-changes its task's ID and its neighbours' vertices, so it re-indexes its
-route too); both for a swap, a relocation (a fresh route is appended) or
-a tail exchange.  A route that a move empties stays in place
-as an empty list, so no other route's index changes, and the result leaves
-it out.  The tail exchange sums the loads up to its two cuts only when it
-improves.  ``debug=True`` rebuilds the cost and every load and index entry
-after each applied move and asserts agreement (slow, used by the test suite);
-it builds the index entries from the routes alone, not with ``_reindex``.
+the vertex after it (the depot at either end of the route), whether it
+is the route's last task and the route's load before it, so the scan
+reads a task's context from one entry.  The cost is a running total,
+changed by the delta that chose each applied move (only ``check()`` reads
+it).  A move re-indexes only the routes it changed: one for a flip, 2-opt
+or intra-route swap (a flip changes its task's ID and its neighbours'
+vertices, so it re-indexes its route too); both for a swap, a relocation
+(a fresh route is appended) or a tail exchange.  A route that a move
+empties stays in place as an empty list, so no other route's index
+changes, and the result leaves it out.  The tail exchange reads the loads
+up to its two cuts from the index; loads before and starting loads are
+summed left to right from 0.  ``debug=True`` rebuilds the cost and every
+load and index entry after each applied move and asserts agreement (slow,
+used by the test suite); it builds the index entries from the routes
+alone, not with ``_reindex``.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from itertools import accumulate
 from typing import Callable
 
 from .distances import DistanceTable
@@ -54,9 +57,9 @@ from .solution import Solution, route_cost
 _EPS = 1e-9
 _CHECK_EVERY = 256
 
-# a task's index entry: route, position, directed ID, the vertex before it
-# and the vertex after it (the depot at either end of the route), is last
-_Entry = tuple[int, int, int, int, int, bool]
+# a task's index entry: route, position, directed ID, the vertices before and
+# after it (the depot at either end of the route), is last, load before it
+_Entry = tuple[int, int, int, int, int, bool, float]
 
 
 class _State:
@@ -72,21 +75,22 @@ class _State:
         self.depot = instance.depot
         self.capacity = instance.capacity
         self.routes: list[list[int]] = [list(r) for r in solution.routes]
-        self.loads: list[float] = [sum(self.dem[t] for t in r) for r in self.routes]
         self.cost = solution.total_cost
         self.where: list[_Entry | None] = [None] * instance.task_count
-        for k in range(len(self.routes)):
-            self._reindex(k)
+        self.loads: list[float] = [self._reindex(k) for k in range(len(self.routes))]
 
-    def _reindex(self, k: int) -> None:
-        """Rebuild the index entries of every task in route k."""
-        r, head, tail, where = self.routes[k], self.head, self.tail, self.where
+    def _reindex(self, k: int) -> float:
+        """Rebuild the index entries of every task in route k; return the
+        route's load, folded from 0 like each entry's load before."""
+        r, head, tail, dem, where = self.routes[k], self.head, self.tail, self.dem, self.where
         last = len(r) - 1
-        before = self.depot
+        before, pre = self.depot, 0
         for i, t in enumerate(r):
             after = head[r[i + 1]] if i < last else self.depot
-            where[task_index_of(t)] = (k, i, t, before, after, i == last)
+            where[task_index_of(t)] = (k, i, t, before, after, i == last, pre)
             before = tail[t]
+            pre += dem[t]
+        return pre
 
     def check(self) -> None:
         """Assert the running cost, each cached load, empty routes' too, and
@@ -95,12 +99,14 @@ class _State:
         assert abs(self.cost - exact) < 1e-6, f"running cost {self.cost} vs exact {exact}"
         where: list[_Entry | None] = [None] * len(self.where)
         for k, r in enumerate(self.routes):
-            assert abs(self.loads[k] - sum(self.dem[t] for t in r)) < 1e-9
+            # a left fold from 0, as ``sum`` is not from Python 3.12 on
+            pre = list(accumulate((self.dem[t] for t in r), initial=0))
+            assert abs(self.loads[k] - pre[-1]) < 1e-9
             # the vertices a route passes between its tasks, depot to depot
             tails = [self.depot, *(self.tail[t] for t in r)]
             heads = [*(self.head[t] for t in r), self.depot]
             for i, t in enumerate(r):
-                where[task_index_of(t)] = (k, i, t, tails[i], heads[i + 1], i + 1 == len(r))
+                where[task_index_of(t)] = (k, i, t, tails[i], heads[i + 1], i + 1 == len(r), pre[i])
         assert self.where == where, "stale position index"
 
     def to_solution(self) -> Solution:
@@ -155,23 +161,14 @@ def local_search(
             stop = min(cap, (evals // _CHECK_EVERY + 1) * _CHECK_EVERY)
         return out_of_budget
 
-    def exchange(k1: int, c1: int, k2: int, c2: int, delta: float) -> bool:
-        """Apply the improving tail exchange after (k1, c1) and (k2, c2),
-        which changes the cost by ``delta``, if both new routes fit."""
-        pre1 = sum(dem[t] for t in routes[k1][: c1 + 1])
-        pre2 = sum(dem[t] for t in routes[k2][: c2 + 1])
-        if pre1 + loads[k2] - pre2 <= capacity and pre2 + loads[k1] - pre1 <= capacity:
-            _apply_tail_exchange(st, k1, c1, k2, c2, pre1, pre2, delta)
-            return True
-        return False
-
     def try_task(ti: int) -> bool:
         """Scan moves around task ti; apply the first improving one."""
         nonlocal evals
         # a in either orientation is (ha, ta) or (ta, ha); p1 and n1 are the
         # vertices before and after it, and gain is what removing it saves
-        k1, i1, a, p1, n1, end1 = where[ti]  # type: ignore[misc]
+        k1, i1, a, p1, n1, end1, pre_a = where[ti]  # type: ignore[misc]
         ha, ta, da = head[a], tail[a], dem[a]
+        pre1 = pre_a + da  # its route's load up to and including it
         Dp1, Dha, Dta = D[p1], D[ha], D[ta]
 
         # orientation flip in place (segment reversal of length 1)
@@ -201,7 +198,7 @@ def local_search(
             loc = where[tj]
             if loc is None:
                 continue
-            k2, i2, b, pb, nb, end2 = loc
+            k2, i2, b, pb, nb, end2, pre_b = loc
             hb, tb = head[b], tail[b]
             Dpb, Dtb = D[pb], D[tb]
             same = k2 == k1
@@ -275,13 +272,19 @@ def local_search(
             if evals >= stop and over():
                 return False
 
-            # tail exchange: cut after a, and after b or before it
+            # tail exchange: cut after a, and after b or before it, if both routes fit
             if not (end1 and end2):
                 delta = Dta[nb] + Dtb[n1] - Dta[n1] - Dtb[nb]
-                if delta < -_EPS and exchange(k1, i1, k2, i2, delta):
-                    return True
+                if delta < -_EPS:
+                    pre2 = pre_b + db
+                    if (pre1 + loads[k2] - pre2 <= capacity
+                            and pre2 + loads[k1] - pre1 <= capacity):
+                        _apply_tail_exchange(st, k1, i1, k2, i2, pre1, pre2, delta)
+                        return True
             delta = Dta[hb] + Dpb[n1] - Dta[n1] - Dpb[hb]
-            if delta < -_EPS and exchange(k1, i1, k2, i2 - 1, delta):
+            if delta < -_EPS and (pre1 + loads[k2] - pre_b <= capacity
+                                  and pre_b + loads[k1] - pre1 <= capacity):
+                _apply_tail_exchange(st, k1, i1, k2, i2 - 1, pre1, pre_b, delta)
                 return True
             evals += 2
             if evals >= stop and over():

@@ -800,6 +800,37 @@ def test_path_scanning_matches_reference_on_a_generated_mid_size_instance(mid_in
         _assert_path_scanning_matches(instance, dist, seed)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_path_scanning_matches_reference_on_multigraphs(seed):
+    # zero-cost edges put other vertices' ids at distance 0, self-loops
+    # start and end at one vertex, and the task-free component that the
+    # depot cannot reach leaves infinities in a float64 table
+    instance = _multigraph_instance(seed)
+    dist = instance.distances()
+    assert dist.matrix.dtype == np.float64 and np.isinf(dist.matrix).any()
+    for draw in range(3):
+        _assert_path_scanning_matches(instance, dist, 3 * seed + draw)
+
+
+@pytest.mark.parametrize("own_demand, tied", [(7, {5, 7}), (3, {3, 5, 7})])
+def test_path_scanning_draws_among_ids_across_zero_cost_edges(own_demand, tied):
+    # zero-cost edges join vertex 1 to 2 and 3, so every id that starts at
+    # 1, 2 or 3 is at distance 0 from 1.  The first task ends at 1 with a
+    # load of 4; the id that starts there (3) does not fit or does, and
+    # those that start at 3 (5) and at 2 (7) fit: the step draws among ids
+    # of other vertices only, or of 1 and the others, in ascending order
+    edges = [(0, 1, 4, 1, 1), (1, 4, own_demand, 2, 2), (3, 4, 3, 2, 2), (2, 4, 3, 2, 2),
+             (1, 2, 0, 0, 0), (1, 3, 0, 0, 0)]
+    instance = make_instance(5, edges, capacity=10)
+    dist = instance.distances()
+    assert dist.matrix[1, 2] == dist.matrix[1, 3] == 0
+    second = set()
+    for seed in range(20):
+        _assert_path_scanning_matches(instance, dist, seed)
+        second.add(path_scanning(instance, dist, make_rng(seed)).routes[0][1])
+    assert second == tied
+
+
 def _random_subroutes(task_count, rng):
     ids = [forward_id(ti) for ti in range(task_count)]
     ids = [inverse_id(t) if rng.random() < 0.5 else t for t in ids]
@@ -1048,14 +1079,16 @@ class _FullReindexState(localsearch._State):
     """The index upkeep that empty slots and touched-route re-indexing
     replaced: every re-index drops each empty route with its load,
     which shifts the routes after it down one index, then rebuilds ``where``
-    for every route."""
+    for every route.  It returns route k's load, which only ``__init__``
+    reads, where no route is empty yet."""
 
     def _reindex(self, k):
         for j in reversed(range(len(self.routes))):
             if not self.routes[j]:
                 del self.routes[j], self.loads[j]
-        for j in range(len(self.routes)):
-            super()._reindex(j)
+        reindex = super()._reindex
+        loads = [reindex(j) for j in range(len(self.routes))]
+        return loads[k] if k < len(loads) else None
 
 
 # budgets that stop at once, in the middle of a pass, and never
@@ -1170,15 +1203,24 @@ def test_local_search_matches_full_reindex_on_a_generated_mid_size_instance(
 # --- local search: the move evaluators the fused scan replaced --------------
 
 
+def _fold(values):
+    """The sum of ``values`` added left to right from 0, as local search sums
+    its loads; ``sum`` compensates float sums from Python 3.12 on."""
+    total = 0
+    for x in values:
+        total = total + x
+    return total
+
+
 def reference_local_search(solution, instance, dist, rng, *, max_evals=None, deadline=None,
                            neighbors, debug=False):
     """Local search with one evaluator per move kind and a ``spent(n)`` that
     counts evaluations and polls ``deadline`` whenever the count crosses a
     multiple of ``_CHECK_EVERY``.  It reads only each task's route and
-    position from the index and looks up the vertices around a task in its
-    route.  It evaluates and applies the segment reversal (2-opt, or a
-    flip) itself, and applies the other moves with the module's own
-    functions."""
+    position from the index, looks up the vertices around a task in its
+    route and folds the tail exchange's cut loads from the route slices.
+    It evaluates and applies the segment reversal (2-opt, or a flip)
+    itself, and applies the other moves with the module's own functions."""
     C, EPS = localsearch._CHECK_EVERY, localsearch._EPS
     st = localsearch._State(solution, instance, dist)
     present = [ti for ti in range(instance.task_count) if st.where[ti] is not None]
@@ -1342,8 +1384,8 @@ def reference_local_search(solution, instance, dist, rng, *, max_evals=None, dea
             s2 = head[r2[c2 + 1]] if c2 + 1 < len(r2) else depot
             delta = D[e1][s2] + D[e2][s1] - D[e1][s1] - D[e2][s2]
             if delta < -EPS:
-                pre1 = sum(dem[t] for t in r1[: c1 + 1])
-                pre2 = sum(dem[t] for t in r2[: c2 + 1])
+                pre1 = _fold(dem[t] for t in r1[: c1 + 1])
+                pre2 = _fold(dem[t] for t in r2[: c2 + 1])
                 if (
                     pre1 + st.loads[k2] - pre2 <= capacity
                     and pre2 + st.loads[k1] - pre1 <= capacity
@@ -1461,6 +1503,31 @@ def test_local_search_float_demand_runs_apply_tail_exchanges(monkeypatch):
             local_search(start, instance, dist, make_rng(seed),
                          neighbors=neighbors(instance, dist), debug=True)
     assert applied
+
+
+def test_local_search_applies_a_tail_exchange_that_fills_both_routes_exactly(monkeypatch):
+    # two corridors of unit-cost tasks leave the depot, A along vertices
+    # 1-4 and B along 5-8; each route serves half of one corridor, crosses
+    # the depot and serves the far half of the other, and holds 1.4, the
+    # capacity, so no relocation or swap fits.  Cut after each route's second
+    # task, the loads before the cuts fold to 0.1 + 0.3 = 0.4 and 0.2 + 0.2 =
+    # 0.4, and both new routes to 0.4 + 1.4 - 0.4 = 1.4 exactly.  A load
+    # before taken as the route's load less the loads from its task on puts
+    # a new route past the capacity, from either route and either cut
+    corridors = [(0, 1, 0.1), (1, 2, 0.3), (2, 3, 0.4), (3, 4, 0.6),
+                 (0, 5, 0.2), (5, 6, 0.2), (6, 7, 0.3), (7, 8, 0.7)]
+    instance = make_instance(9, [(u, v, d, 1, 1) for u, v, d in corridors], capacity=1.4)
+    dist = instance.distances()
+    a1, a2, a3, a4, b1, b2, b3, b4 = (forward_id(ti) for ti in range(8))
+    start = Solution.build([[a1, a2, b3, b4], [b1, b2, a3, a4]], instance, dist)
+    applied = _spy_on_tail_exchanges(monkeypatch)
+    nbrs = neighbors(instance, dist)
+    for seed in range(4):
+        got, expected = _scan_runs(instance, dist, start, seed, nbrs, None, debug=True)
+        assert got == expected
+        assert got[0] == [(a1, a2, a3, a4), (b1, b2, b3, b4)]
+        assert got[4][0][1:] == [(1.4).hex(), (1.4).hex()]
+    assert len(applied) == 8  # the one exchange, by each scan in each run
 
 
 # caps just below, at and just past a poll boundary, and none
