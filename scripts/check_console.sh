@@ -1,9 +1,11 @@
 #!/bin/sh
 # End-to-end check of the installed `routecut` console script: generate an
 # instance, solve it with both search loops and validate the results (a
-# route line with no pairs added to a solution file is dropped), then
-# run `bench` and `stats` in one process and in a pool of two worker
-# processes, each worker keeping its last instance and rank matrix.  An
+# route line with no pairs added to a solution file is dropped); both
+# loops solve and validate it with `--sub-solver-budget 0` too, where each
+# local search returns its input as it is.  Then run `bench` and `stats`
+# in one process and in a pool of two worker processes, each worker
+# keeping its last instance and rank matrix.  An
 # instance with decimal costs is solved and validated too: its shortest
 # paths take all-pairs Dijkstra over the whole graph, with no vertex
 # eliminated.  So is one with a 20,000-cost edge to a pendant vertex, whose
@@ -75,6 +77,12 @@ test "$status" -eq 2
 grep -qF 'tasks must be non-negative' tasks.err
 routecut solve i.dat --algorithm cluster-rco --max-cycles 1 --virtual-clock --out c.sol
 routecut validate i.dat c.sol
+routecut solve i.dat --algorithm sahid-rco --max-iters 2 --virtual-clock --sub-solver-budget 0 \
+  --out z.sol
+routecut validate i.dat z.sol
+routecut solve i.dat --algorithm cluster-rco --max-cycles 1 --virtual-clock --sub-solver-budget 0 \
+  --out zc.sol
+routecut validate i.dat zc.sol
 routecut solve i.dat --algorithm cluster-rco --max-cycles 2 --virtual-clock --trace ct.csv --out ct.sol
 routecut validate i.dat ct.sol
 test "$(grep -c '^elapsed_ms,best_cost$' ct.csv)" -eq 1

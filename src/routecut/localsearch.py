@@ -22,25 +22,26 @@ applied.  The search stops once the count reaches ``max_evals``; below it,
 ``deadline`` is polled once each time the count crosses a multiple of
 ``_CHECK_EVERY``, and the search stops when it returns True.  Changing any
 of this moves the point where a capped search stops, so it changes every
-fixed-work result and every virtual-clock run.
+fixed-work result and every virtual-clock run.  A ``max_evals`` of 0
+returns the input as it is: nothing is evaluated, ``deadline`` is not
+polled and ``rng`` is not drawn from.
 
 Route loads are cached, and so is the position index ``where``: per
 task, its route, its position, its directed ID, the vertex before it and
 the vertex after it (the depot at either end of the route), whether it
 is the route's last task and the route's load before it, so the scan
-reads a task's context from one entry.  The cost is a running total,
-changed by the delta that chose each applied move (only ``check()`` reads
-it).  A move re-indexes only the routes it changed: one for a flip, 2-opt
-or intra-route swap (a flip changes its task's ID and its neighbours'
-vertices, so it re-indexes its route too); both for a swap, a relocation
-(a fresh route is appended) or a tail exchange.  A route that a move
-empties stays in place as an empty list, so no other route's index
-changes, and the result leaves it out.  The tail exchange reads the loads
-up to its two cuts from the index; loads before and starting loads are
-summed left to right from 0.  ``debug=True`` rebuilds the cost and every
-load and index entry after each applied move and asserts agreement (slow,
-used by the test suite); it builds the index entries from the routes
-alone, not with ``_reindex``.
+reads a task's context from one entry.  Only ``_reindex`` writes a load:
+the fold of the route's demands from 0 in route order, like each load
+before; no move adjusts it.  The cost is a running total, changed by the
+delta that chose each applied move (only ``check()`` reads it).  A move
+edits route lists, adds its delta and re-indexes the routes it changed:
+one for a flip, 2-opt or intra-route swap; both for a swap, a relocation
+(a fresh route is appended empty first) or a tail exchange.  A route that
+a move empties stays in place as an empty list, so no other route's index
+changes, and the result leaves it out.  ``debug=True`` rebuilds the cost
+and every load and index entry from the routes alone after each applied
+move and asserts agreement, exact but for the cost (slow, used by the
+test suite).
 """
 
 from __future__ import annotations
@@ -77,11 +78,13 @@ class _State:
         self.routes: list[list[int]] = [list(r) for r in solution.routes]
         self.cost = solution.total_cost
         self.where: list[_Entry | None] = [None] * instance.task_count
-        self.loads: list[float] = [self._reindex(k) for k in range(len(self.routes))]
+        self.loads: list[float] = [0] * len(self.routes)
+        for k in range(len(self.routes)):
+            self._reindex(k)
 
-    def _reindex(self, k: int) -> float:
-        """Rebuild the index entries of every task in route k; return the
-        route's load, folded from 0 like each entry's load before."""
+    def _reindex(self, k: int) -> None:
+        """Rebuild the index entries of every task in route k and its load,
+        folded from 0 like each entry's load before."""
         r, head, tail, dem, where = self.routes[k], self.head, self.tail, self.dem, self.where
         last = len(r) - 1
         before, pre = self.depot, 0
@@ -90,7 +93,7 @@ class _State:
             where[task_index_of(t)] = (k, i, t, before, after, i == last, pre)
             before = tail[t]
             pre += dem[t]
-        return pre
+        self.loads[k] = pre
 
     def check(self) -> None:
         """Assert the running cost, each cached load, empty routes' too, and
@@ -101,7 +104,7 @@ class _State:
         for k, r in enumerate(self.routes):
             # a left fold from 0, as ``sum`` is not from Python 3.12 on
             pre = list(accumulate((self.dem[t] for t in r), initial=0))
-            assert abs(self.loads[k] - pre[-1]) < 1e-9
+            assert self.loads[k] == pre[-1], f"load {self.loads[k]} of route {k} vs {pre[-1]}"
             # the vertices a route passes between its tasks, depot to depot
             tails = [self.depot, *(self.tail[t] for t in r)]
             heads = [*(self.head[t] for t in r), self.depot]
@@ -136,7 +139,7 @@ def local_search(
     """
     st = _State(solution, instance, dist)
     present = [ti for ti in range(instance.task_count) if st.where[ti] is not None]
-    if len(present) <= 1:
+    if len(present) <= 1 or max_evals == 0:
         return solution
 
     D = st.D
@@ -166,7 +169,7 @@ def local_search(
         nonlocal evals
         # a in either orientation is (ha, ta) or (ta, ha); p1 and n1 are the
         # vertices before and after it, and gain is what removing it saves
-        k1, i1, a, p1, n1, end1, pre_a = where[ti]  # type: ignore[misc]
+        k1, i1, a, p1, n1, end1, pre_a = e1 = where[ti]  # type: ignore[misc]
         ha, ta, da = head[a], tail[a], dem[a]
         pre1 = pre_a + da  # its route's load up to and including it
         Dp1, Dha, Dta = D[p1], D[ha], D[ta]
@@ -247,7 +250,7 @@ def local_search(
                         return True
 
             if same:
-                if _try_swap_intra(st, k1, lo, hi):
+                if _try_swap_intra(st, *((e1, loc) if i1 < i2 else (loc, e1))):
                     return True
                 evals += 4
                 if evals >= stop and over():
@@ -279,12 +282,12 @@ def local_search(
                     pre2 = pre_b + db
                     if (pre1 + loads[k2] - pre2 <= capacity
                             and pre2 + loads[k1] - pre1 <= capacity):
-                        _apply_tail_exchange(st, k1, i1, k2, i2, pre1, pre2, delta)
+                        _apply_tail_exchange(st, k1, i1, k2, i2, delta)
                         return True
             delta = Dta[hb] + Dpb[n1] - Dta[n1] - Dpb[hb]
             if delta < -_EPS and (pre1 + loads[k2] - pre_b <= capacity
                                   and pre_b + loads[k1] - pre1 <= capacity):
-                _apply_tail_exchange(st, k1, i1, k2, i2 - 1, pre1, pre_b, delta)
+                _apply_tail_exchange(st, k1, i1, k2, i2 - 1, delta)
                 return True
             evals += 2
             if evals >= stop and over():
@@ -315,73 +318,58 @@ def local_search(
 
 
 def _apply_relocate(st: _State, k1: int, i1: int, x: int, k2: int, j: int, delta: float) -> None:
-    """Move the task at (k1, i1) to (k2, j) as ``x``, which changes the cost by ``delta``."""
-    r1 = st.routes[k1]
-    a = r1[i1]
-    del r1[i1]
-    st.loads[k1] -= st.dem[a]
-    if k2 == len(st.routes):  # fresh route
-        st.routes.append([x])
-        st.loads.append(st.dem[x])
-    else:
-        if k2 == k1 and j > i1:
-            j -= 1
-        st.routes[k2].insert(j, x)
-        st.loads[k2] += st.dem[x]
+    """Move the task at (k1, i1) to (k2, j) as ``x``, which changes the cost by
+    ``delta``; k2 == len(st.routes) is a fresh route."""
+    if k2 == len(st.routes):
+        st.routes.append([])
+        st.loads.append(0)
+    elif k2 == k1 and j > i1:
+        j -= 1
+    del st.routes[k1][i1]
+    st.routes[k2].insert(j, x)
     st.cost += delta
     st._reindex(k1)
     if k2 != k1:
         st._reindex(k2)
 
 
-def _try_swap_intra(st: _State, k: int, i1: int, i2: int) -> bool:
-    """Swap two tasks of one route (i1 < i2); adjacency needs its own delta."""
-    D, head, tail, depot = st.D, st.head, st.tail, st.depot
-    r = st.routes[k]
-    a, b = r[i1], r[i2]
+def _try_swap_intra(st: _State, e1: _Entry, e2: _Entry) -> bool:
+    """Swap two tasks of one route, given their index entries in position
+    order; adjacency needs its own delta."""
+    D, head, tail = st.D, st.head, st.tail
+    k, i1, a, p, n1, _, _ = e1
+    _, i2, b, p2, n, _, _ = e2
     ia, ib = inverse_id(a), inverse_id(b)
-    p = tail[r[i1 - 1]] if i1 > 0 else depot
-    n = head[r[i2 + 1]] if i2 + 1 < len(r) else depot
     if i2 == i1 + 1:
         base = D[p][head[a]] + D[tail[a]][head[b]] + D[tail[b]][n]
         for y in (b, ib):
             for x in (a, ia):
                 delta = D[p][head[y]] + D[tail[y]][head[x]] + D[tail[x]][n] - base
                 if delta < -_EPS:
-                    _apply_swap_intra(st, k, i1, y, i2, x, delta)
+                    _apply_swap(st, k, i1, y, k, i2, x, delta)
                     return True
         return False
-    n1 = head[r[i1 + 1]] if i1 + 1 < len(r) else depot
-    p2 = tail[r[i2 - 1]] if i2 > 0 else depot
     base = D[p][head[a]] + D[tail[a]][n1] + D[p2][head[b]] + D[tail[b]][n]
     for y in (b, ib):
         for x in (a, ia):
             delta = D[p][head[y]] + D[tail[y]][n1] + D[p2][head[x]] + D[tail[x]][n] - base
             if delta < -_EPS:
-                _apply_swap_intra(st, k, i1, y, i2, x, delta)
+                _apply_swap(st, k, i1, y, k, i2, x, delta)
                 return True
     return False
-
-
-def _apply_swap_intra(st: _State, k: int, i1: int, y: int, i2: int, x: int, delta: float) -> None:
-    st.routes[k][i1] = y
-    st.routes[k][i2] = x
-    st.cost += delta
-    st._reindex(k)
 
 
 def _apply_swap(
     st: _State, k1: int, i1: int, y: int, k2: int, i2: int, x: int, delta: float
 ) -> None:
-    """Put ``y`` at (k1, i1) and ``x`` at (k2, i2); the swapped tasks keep
-    their service costs, so ``delta`` is the change in deadheading."""
-    st.loads[k1] += st.dem[y] - st.dem[st.routes[k1][i1]]
-    st.loads[k2] += st.dem[x] - st.dem[st.routes[k2][i2]]
+    """Put ``y`` at (k1, i1) and ``x`` at (k2, i2), one route or two; swapped
+    tasks keep their service costs, so ``delta`` is the change in deadheading."""
     st.routes[k1][i1] = y
     st.routes[k2][i2] = x
     st.cost += delta
     st._reindex(k1)
-    st._reindex(k2)
+    if k2 != k1:
+        st._reindex(k2)
 
 
 def _apply_reverse(st: _State, k: int, i: int, j: int, delta: float) -> None:
@@ -393,15 +381,12 @@ def _apply_reverse(st: _State, k: int, i: int, j: int, delta: float) -> None:
     st._reindex(k)
 
 
-def _apply_tail_exchange(
-    st: _State, k1: int, c1: int, k2: int, c2: int, pre1: float, pre2: float, delta: float
-) -> None:
+def _apply_tail_exchange(st: _State, k1: int, c1: int, k2: int, c2: int, delta: float) -> None:
+    """Swap the tails of routes k1 and k2 after positions c1 and c2 (-1 for
+    a whole route), which changes the cost by ``delta``."""
     r1, r2 = st.routes[k1], st.routes[k2]
-    load1, load2 = st.loads[k1], st.loads[k2]
     st.routes[k1] = r1[: c1 + 1] + r2[c2 + 1 :]
     st.routes[k2] = r2[: c2 + 1] + r1[c1 + 1 :]
-    st.loads[k1] = pre1 + load2 - pre2
-    st.loads[k2] = pre2 + load1 - pre1
     st.cost += delta
     st._reindex(k1)
     st._reindex(k2)

@@ -1,12 +1,16 @@
 """Construction heuristic and local-search contracts."""
 
+import math
+
 import pytest
 
 from routecut import local_search, path_scanning, validate
 from routecut.generator import generate_instance
+from routecut.instance import forward_id, inverse_id
 from routecut import localsearch
 from routecut.localsearch import _State
 from routecut.seeding import make_rng
+from routecut.solution import Solution
 
 from conftest import brute_force_optimum, make_instance, neighbors, solution_from_tasks
 
@@ -120,6 +124,45 @@ def test_wrong_move_delta_fails_the_debug_check(name, monkeypatch):
     with pytest.raises(AssertionError, match="running cost"):
         local_search(start, inst, dist, make_rng(0, 4),
                      neighbors=neighbors(inst, dist), debug=True)
+
+
+def test_load_off_by_one_ulp_fails_the_debug_check(monkeypatch):
+    # the debug check compares each cached load with the routes' fold
+    # exactly, so one ulp added to the load of the route a relocation left
+    # fails the check that follows the move
+    apply = localsearch._apply_relocate
+
+    def nudged(st, k1, *args):
+        apply(st, k1, *args)
+        st.loads[k1] = math.nextafter(st.loads[k1], math.inf)
+
+    monkeypatch.setattr(localsearch, "_apply_relocate", nudged)
+    inst = generate_instance(20, 30, 10, seed=0)
+    dist = inst.distances()
+    start = solution_from_tasks(inst, dist, [[ti] for ti in range(inst.task_count)])
+    with pytest.raises(AssertionError, match="load"):
+        local_search(start, inst, dist, make_rng(0, 4),
+                     neighbors=neighbors(inst, dist), debug=True)
+
+
+def test_zero_budget_returns_the_input_untouched():
+    # routes of three consecutive tasks, each served backwards: the flip
+    # alone improves many of them, and a budget of 0 must not apply it
+    inst = generate_instance(20, 30, 10, seed=0)
+    dist = inst.distances()
+    ids = [inverse_id(forward_id(ti)) for ti in range(inst.task_count)]
+    start = Solution.build([ids[i : i + 3] for i in range(0, len(ids), 3)], inst, dist)
+    polls = []
+    for seed in range(50):
+        rng = make_rng(seed)
+        out = local_search(start, inst, dist, rng, max_evals=0,
+                           deadline=lambda: polls.append(1) or False,
+                           neighbors=neighbors(inst, dist), debug=True)
+        assert out.routes == start.routes
+        assert out.total_cost == start.total_cost
+        assert rng.getstate() == make_rng(seed).getstate()
+    assert polls == []
+
 
 def test_reaches_small_optimum_often():
     hits = 0

@@ -42,6 +42,7 @@ from routecut import (
     path_scanning,
     ranking,
     rco_split,
+    validate,
 )
 from routecut.decompose import (
     _DISTANCE_BLOCK,
@@ -1079,16 +1080,14 @@ class _FullReindexState(localsearch._State):
     """The index upkeep that empty slots and touched-route re-indexing
     replaced: every re-index drops each empty route with its load,
     which shifts the routes after it down one index, then rebuilds ``where``
-    for every route.  It returns route k's load, which only ``__init__``
-    reads, where no route is empty yet."""
+    and the load of every route."""
 
     def _reindex(self, k):
         for j in reversed(range(len(self.routes))):
             if not self.routes[j]:
                 del self.routes[j], self.loads[j]
-        reindex = super()._reindex
-        loads = [reindex(j) for j in range(len(self.routes))]
-        return loads[k] if k < len(loads) else None
+        for j in range(len(self.routes)):
+            super()._reindex(j)
 
 
 # budgets that stop at once, in the middle of a pass, and never
@@ -1141,10 +1140,10 @@ def _count_reindex_branches(monkeypatch, seen):
             seen["relocate empties k1, k2 < k1" if k2 < k1 else "relocate empties k1, k2 > k1"] += 1
         relocate(st, k1, i1, x, k2, j, delta)
 
-    def counting_exchange(st, k1, c1, k2, c2, pre1, pre2, delta):
+    def counting_exchange(st, k1, c1, k2, c2, delta):
         if c2 == -1 and c1 == len(st.routes[k1]) - 1:
             seen["exchange empties k2, k1 < k2" if k1 < k2 else "exchange empties k2, k1 > k2"] += 1
-        exchange(st, k1, c1, k2, c2, pre1, pre2, delta)
+        exchange(st, k1, c1, k2, c2, delta)
 
     monkeypatch.setattr(localsearch, "_apply_relocate", counting_relocate)
     monkeypatch.setattr(localsearch, "_apply_tail_exchange", counting_exchange)
@@ -1359,7 +1358,7 @@ def reference_local_search(solution, instance, dist, rng, *, max_evals=None, dea
                 for x in (a, inverse_id(a)):
                     delta = D[p][head[y]] + D[tail[y]][head[x]] + D[tail[x]][n] - base
                     if delta < -EPS:
-                        localsearch._apply_swap_intra(st, k, i1, y, i2, x, delta)
+                        localsearch._apply_swap(st, k, i1, y, k, i2, x, delta)
                         return True
             return False
         n1 = next_v(r, i1)
@@ -1369,7 +1368,7 @@ def reference_local_search(solution, instance, dist, rng, *, max_evals=None, dea
             for x in (a, inverse_id(a)):
                 delta = D[p][head[y]] + D[tail[y]][n1] + D[p2][head[x]] + D[tail[x]][n] - base
                 if delta < -EPS:
-                    localsearch._apply_swap_intra(st, k, i1, y, i2, x, delta)
+                    localsearch._apply_swap(st, k, i1, y, k, i2, x, delta)
                     return True
         return False
 
@@ -1390,7 +1389,7 @@ def reference_local_search(solution, instance, dist, rng, *, max_evals=None, dea
                     pre1 + st.loads[k2] - pre2 <= capacity
                     and pre2 + st.loads[k1] - pre1 <= capacity
                 ):
-                    localsearch._apply_tail_exchange(st, k1, c1, k2, c2, pre1, pre2, delta)
+                    localsearch._apply_tail_exchange(st, k1, c1, k2, c2, delta)
                     return True
         return False
 
@@ -1503,6 +1502,19 @@ def test_local_search_float_demand_runs_apply_tail_exchanges(monkeypatch):
             local_search(start, instance, dist, make_rng(seed),
                          neighbors=neighbors(instance, dist), debug=True)
     assert applied
+
+
+@pytest.mark.xfail(strict=True, reason="capacity checks sum a new load in another order")
+def test_local_search_float_demand_result_stays_within_capacity():
+    # the capacity checks predict a move's new loads from the cached ones
+    # (loads[k2] + da, loads[k1] - da + db, pre1 + loads[k2] - pre2), not in
+    # the route-order fold that validate takes; on this start a route folds
+    # to 0.7000000000000001 over a capacity of 0.7
+    instance = _float_demand_instance(584)
+    dist = instance.distances()
+    start = _local_search_starts(instance, dist, make_rng(584))[1]
+    out = local_search(start, instance, dist, make_rng(584), neighbors=neighbors(instance, dist))
+    assert validate(out, instance) == []
 
 
 def test_local_search_applies_a_tail_exchange_that_fills_both_routes_exactly(monkeypatch):
