@@ -1,108 +1,77 @@
 #!/bin/sh
-# End-to-end check of the installed `routecut` console script: generate an
-# instance, solve it with both search loops and validate the results (a
-# route line with no pairs added to a solution file is dropped); both
-# loops solve and validate it with `--sub-solver-budget 0` too, where each
-# local search returns its input as it is.  Then run `bench` and `stats`
-# in one process and in a pool of two worker processes, each worker
-# keeping its last instance and rank matrix.  An
-# instance with decimal costs is solved and validated too: its shortest
-# paths take all-pairs Dijkstra over the whole graph, with no vertex
-# eliminated.  So is one with a 20,000-cost edge to a pendant vertex, whose
-# distances fill in as int32 (four times twice the first vertex's largest
-# distance), not the int16 of generated instances.  So is a complete graph
-# on 30 vertices, which keeps every vertex in the core, with one edge costlier
-# than any path, which the core's Floyd-Warshall clips.  So is a generated
-# instance of 200 tasks, more than the 64 cheapest links kept per task, on
-# which route cutting ranks a few in-route links on demand; the clustering
-# loop with whole routes (`cluster-whole-route`) and one local-search
-# descent (`local-only`) solve and validate it too.  So do `local-only`,
-# a multi-pass descent over a float64 table, and `sahid-rco` on a copy of
-# it whose costs are decimals (each `coste N` made `coste N.25`), where
-# every move's delta is a float sum.  So do `local-only` and `cluster-rco`
-# on a copy whose cost-1 edges cost 0 (each `coste 1` made `coste 0`), where
-# zero-cost edges put tasks that start at other vertices in a vertex's
-# distance-0 list in path scanning.  A file whose edge
-# ( 2 , 3 ) exceeds the capacity makes `solve` exit with status 2 and name
-# the edge as the file does, `(2,3)`.  Every
-# trace CSV, from `solve --trace` or streamed by `bench`, must start with its
-# header, and invalid settings (a value out of range, a boolean that is not
-# 1/0, true/false or yes/no, a significance level outside (0, 1)) must
-# exit with status 2 and name the key that was written (`lambda`, not the
-# field `lam`), and so must `gen` with a negative task count.
-# A broken instance file fails each of its cells, with one `.err` traceback
-# per cell, and `bench` exits with status 1.  Every trace or solution file
-# that a `records.csv` names must exist.  The clustering loop forks
-# processes for its pool and its groups when two or more CPUs are usable,
-# inside `bench` workers too: its traces must hold their header exactly
-# once, and every solution of the pool of two workers must validate.
-# `bench` prints the summary table that `stats` prints, and no line of
-# either's stdout ends in a space.  A config that lists two instance files
-# with one stem, one variant twice, or a value that does not parse (`groups =
-# 2.5`), exits with status 2, names the stem, the variant or the key, and
-# runs no cell, and so does `bench --time-multiplier inf`, naming
-# `time_multiplier`.  `stats` exits with status 2 on a `records.csv` without
-# a `seed` column, naming the column; on a row with fewer or more fields
-# than the header, naming its line; and on an experiment of two runs, naming the
-# three seeds the rank-sum test needs.  A `cluster-rco` solve under a virtual
-# `--time-limit` that binds inside the first cycle's group searches writes
-# the same solution and trace pinned to one CPU by `taskset` as on every
-# usable CPU; without `taskset` or a second CPU that check is skipped.
+# End-to-end check of the `routecut` console script: generate instances and
+# write some by hand, solve them with every search loop and validate each
+# solution, run `bench` and `stats` in one process and in a pool of two
+# workers, and require every invalid input to exit with its status and name
+# what is wrong.
 #
 # Usage: scripts/check_console.sh [WORK_DIR]
 # WORK_DIR (created if missing) defaults to a new temporary directory.
+#
+# Without an install, put first on PATH an executable `routecut` that runs
+# the checkout's sources, such as:
+#   #!/bin/sh
+#   PYTHONPATH=CHECKOUT/src exec python3 -c \
+#     'import sys; from routecut.cli import main; sys.exit(main())' "$@"
 set -eux
 dir=${1:-$(mktemp -d)}
 mkdir -p "$dir"
 cd "$dir"
 
+# solved FILE OUT [OPTION...]: solve FILE with the options into OUT, then validate OUT
+solved() {
+  file=$1 out=$2
+  shift 2
+  routecut solve "$file" "$@" --out "$out"
+  routecut validate "$file" "$out"
+}
+
+# fails STATUS TEXT COMMAND...: COMMAND exits with STATUS and writes TEXT to stderr
+fails() {
+  want=$1 text=$2
+  shift 2
+  status=0
+  "$@" 2> fails.err || status=$?
+  test "$status" -eq "$want"
+  grep -qF -- "$text" fails.err
+}
+
 routecut gen --vertices 12 --tasks 8 --capacity 12 --seed 2 --out i.dat
-routecut solve i.dat --max-iters 2 --virtual-clock --trace t.csv --out i.sol
-routecut validate i.dat i.sol
+solved i.dat i.sol --max-iters 2 --virtual-clock --trace t.csv
+# a route line with no pairs is dropped
 { cat i.sol; echo 'route 9:'; } > e.sol
 routecut validate i.dat e.sol > e.out
 grep -qF ', 2 routes' e.out
 test "$(head -n 1 t.csv)" = elapsed_ms,best_cost
-status=0
-routecut solve i.dat --time-limit nan 2> nan.err || status=$?
-test "$status" -eq 2
-grep -q time_limit nan.err
-status=0
-routecut solve i.dat --lambda 1.5 2> lambda.err || status=$?
-test "$status" -eq 2
-grep -qF 'lambda must be in [0, 1]' lambda.err
-status=0
-routecut gen --vertices 12 --tasks -1 --capacity 12 --out n.dat 2> tasks.err || status=$?
-test "$status" -eq 2
-grep -qF 'tasks must be non-negative' tasks.err
-routecut solve i.dat --algorithm cluster-rco --max-cycles 1 --virtual-clock --out c.sol
-routecut validate i.dat c.sol
-routecut solve i.dat --algorithm sahid-rco --max-iters 2 --virtual-clock --sub-solver-budget 0 \
-  --out z.sol
-routecut validate i.dat z.sol
-routecut solve i.dat --algorithm cluster-rco --max-cycles 1 --virtual-clock --sub-solver-budget 0 \
-  --out zc.sol
-routecut validate i.dat zc.sol
-routecut solve i.dat --algorithm cluster-rco --max-cycles 2 --virtual-clock --trace ct.csv --out ct.sol
-routecut validate i.dat ct.sol
+fails 2 time_limit routecut solve i.dat --time-limit nan
+# the key as it is written, not the field `lam`
+fails 2 'lambda must be in [0, 1]' routecut solve i.dat --lambda 1.5
+fails 2 'tasks must be non-negative' routecut gen --vertices 12 --tasks -1 --capacity 12 --out n.dat
+solved i.dat c.sol --algorithm cluster-rco --max-cycles 1 --virtual-clock
+# with no sub-solver budget each local search returns its input as it is
+solved i.dat z.sol --algorithm sahid-rco --max-iters 2 --virtual-clock --sub-solver-budget 0
+solved i.dat zc.sol --algorithm cluster-rco --max-cycles 1 --virtual-clock --sub-solver-budget 0
+# the clustering loop forks its pool and groups on two or more usable CPUs,
+# and its trace must still hold the header once
+solved i.dat ct.sol --algorithm cluster-rco --max-cycles 2 --virtual-clock --trace ct.csv
 test "$(grep -c '^elapsed_ms,best_cost$' ct.csv)" -eq 1
 test "$(head -n 1 ct.csv)" = elapsed_ms,best_cost
 
+# decimal costs: shortest paths by all-pairs Dijkstra, no vertex eliminated
 printf '%s\n' 'NOMBRE : decimal' 'VERTICES : 5' 'ARISTAS_REQ : 3' 'ARISTAS_NOREQ : 2' \
   'VEHICULOS : -1' 'CAPACIDAD : 5' 'LISTA_ARISTAS_REQ :' '( 1 , 2 ) coste 2.5 demanda 3' \
   '( 2 , 3 ) coste 1.25 demanda 2' '( 3 , 4 ) coste 0.1 demanda 4' 'LISTA_ARISTAS_NOREQ :' \
   '( 4 , 5 ) coste 0.2' '( 1 , 5 ) coste 3.7' 'DEPOSITO : 1' > f.dat
-routecut solve f.dat --max-iters 2 --virtual-clock --out f.sol
-routecut validate f.dat f.sol
-routecut solve f.dat --algorithm cluster-rco --max-cycles 1 --virtual-clock --out fc.sol
-routecut validate f.dat fc.sol
+solved f.dat f.sol --max-iters 2 --virtual-clock
+solved f.dat fc.sol --algorithm cluster-rco --max-cycles 1 --virtual-clock
 
+# a 20,000-cost edge to a pendant vertex: the distances fill in as int32
+# (four times twice the first vertex's largest distance), not int16
 printf '%s\n' 'NOMBRE : wide' 'VERTICES : 5' 'ARISTAS_REQ : 4' 'ARISTAS_NOREQ : 1' \
   'VEHICULOS : -1' 'CAPACIDAD : 6' 'LISTA_ARISTAS_REQ :' '( 1 , 2 ) coste 3 demanda 2' \
   '( 2 , 3 ) coste 4 demanda 3' '( 3 , 4 ) coste 2 demanda 2' '( 4 , 5 ) coste 20000 demanda 1' \
   'LISTA_ARISTAS_NOREQ :' '( 1 , 3 ) coste 6' 'DEPOSITO : 1' > w.dat
-routecut solve w.dat --algorithm sahid-rco --max-iterations 2 --virtual-clock --out w.sol
-routecut validate w.dat w.sol
+solved w.dat w.sol --algorithm sahid-rco --max-iterations 2 --virtual-clock
 
 # a complete graph on 30 vertices: no vertex is eliminated, so Floyd-Warshall
 # fills the whole table, and the edge (1,2) of 50000 lies past any path
@@ -121,26 +90,22 @@ for u, v in noreq:
     print(f'( {u} , {v} ) coste {3 + u * v % 7}')
 print('DEPOSITO : 1')
 EOF
-routecut solve k.dat --algorithm sahid-rco --max-iterations 2 --virtual-clock --out k.sol
-routecut validate k.dat k.sol
+solved k.dat k.sol --algorithm sahid-rco --max-iterations 2 --virtual-clock
 
+# an edge whose demand exceeds the capacity is named as the file writes it
 printf '%s\n' 'NOMBRE : heavy' 'VERTICES : 3' 'ARISTAS_REQ : 2' 'ARISTAS_NOREQ : 0' \
   'VEHICULOS : -1' 'CAPACIDAD : 5' 'LISTA_ARISTAS_REQ :' '( 1 , 2 ) coste 1 demanda 1' \
   '( 2 , 3 ) coste 1 demanda 9' 'LISTA_ARISTAS_NOREQ :' 'DEPOSITO : 1' > heavy.dat
-status=0
-routecut solve heavy.dat --max-iters 2 --virtual-clock 2> heavy.err || status=$?
-test "$status" -eq 2
-grep -qF 'edge (2,3) demand 9 exceeds capacity 5' heavy.err
+fails 2 'edge (2,3) demand 9 exceeds capacity 5' routecut solve heavy.dat --max-iters 2 --virtual-clock
 
+# 200 tasks, more than the 64 cheapest links kept per task, so route cutting
+# ranks a few in-route links on demand
 routecut gen --vertices 100 --tasks 200 --capacity 400 --seed 4 --out g.dat
-routecut solve g.dat --max-iters 2 --virtual-clock --out g.sol
-routecut validate g.dat g.sol
-routecut solve g.dat --algorithm cluster-rco --max-cycles 1 --virtual-clock --out gc.sol
-routecut validate g.dat gc.sol
-routecut solve g.dat --algorithm cluster-whole-route --max-cycles 1 --virtual-clock --out gw.sol
-routecut validate g.dat gw.sol
-routecut solve g.dat --algorithm local-only --out gl.sol
-routecut validate g.dat gl.sol
+solved g.dat g.sol --max-iters 2 --virtual-clock
+solved g.dat gc.sol --algorithm cluster-rco --max-cycles 1 --virtual-clock
+solved g.dat gw.sol --algorithm cluster-whole-route --max-cycles 1 --virtual-clock
+solved g.dat gl.sol --algorithm local-only
+# decimal costs, so every move's delta is a float sum
 python3 - g.dat > gf.dat <<'EOF'
 import re
 import sys
@@ -148,10 +113,10 @@ import sys
 with open(sys.argv[1]) as fh:
     print(re.sub(r'coste (\d+)', r'coste \1.25', fh.read()), end='')
 EOF
-routecut solve gf.dat --algorithm local-only --out gfl.sol
-routecut validate gf.dat gfl.sol
-routecut solve gf.dat --algorithm sahid-rco --max-iters 2 --virtual-clock --out gf.sol
-routecut validate gf.dat gf.sol
+solved gf.dat gfl.sol --algorithm local-only
+solved gf.dat gf.sol --algorithm sahid-rco --max-iters 2 --virtual-clock
+# zero-cost edges put tasks that start at other vertices in a vertex's
+# distance-0 list in path scanning
 python3 - g.dat > gz.dat <<'EOF'
 import re
 import sys
@@ -160,11 +125,11 @@ with open(sys.argv[1]) as fh:
     print(re.sub(r'coste 1\b', 'coste 0', fh.read()), end='')
 EOF
 grep -q 'coste 0' gz.dat
-routecut solve gz.dat --algorithm local-only --out gzl.sol
-routecut validate gz.dat gzl.sol
-routecut solve gz.dat --algorithm cluster-rco --max-cycles 1 --virtual-clock --out gzc.sol
-routecut validate gz.dat gzc.sol
+solved gz.dat gzl.sol --algorithm local-only
+solved gz.dat gzc.sol --algorithm cluster-rco --max-cycles 1 --virtual-clock
 
+# a virtual time limit that binds inside the first cycle's group searches
+# gives the same solution and trace on one CPU as on every usable CPU
 if command -v taskset > /dev/null && [ "$(nproc)" -ge 2 ]; then
   routecut gen --vertices 60 --tasks 80 --capacity 20 --seed 4 --out b.dat
   set -- b.dat --algorithm cluster-rco --max-cycles 3 --virtual-clock
@@ -187,15 +152,14 @@ printf '%s\n' 'instances = i.dat' 'variants = sahid-rco, sahid-random' 'runs = 3
   'max_iterations = 2' 'virtual_clock = 1' > exp.cfg
 routecut bench exp.cfg --out-dir runs > bench.out
 routecut stats runs --reference sahid-rco > stats.out
+# bench prints the table stats prints, and no line of either ends in a space
 head -n 1 stats.out | grep -q '^instance  *variant  *runs  *mean  *std  *flag'
 grep -qxF "$(head -n 1 stats.out)" bench.out
 test "$(cat bench.out stats.out | grep -c ' $')" -eq 0
 test -f runs/wdl.csv
-status=0
-routecut stats runs --reference sahid-rco --alpha nan 2> alpha.err || status=$?
-test "$status" -eq 2
-grep -q alpha alpha.err
+fails 2 alpha routecut stats runs --reference sahid-rco --alpha nan
 
+# a pool of two worker processes, each keeping its last instance and rank matrix
 routecut gen --vertices 14 --tasks 10 --capacity 12 --seed 3 --out j.dat
 printf '%s\n' 'instances = i.dat, j.dat' 'variants = sahid-rco, cluster-rco' 'runs = 3' \
   'max_iterations = 2' 'max_cycles = 1' 'virtual_clock = 1' 'workers = 2' > pool.cfg
@@ -215,65 +179,40 @@ while read -r dat sol; do
 done < pool.sols
 routecut stats pool --reference sahid-rco
 test -f pool/wdl.csv
-status=0
-routecut bench pool.cfg --out-dir zero --workers 0 2> zero.err || status=$?
-test "$status" -eq 2
-grep -q workers zero.err
-status=0
-routecut bench exp.cfg --out-dir nan --budget fixed:nan 2> budget.err || status=$?
-test "$status" -eq 2
-grep -q budget budget.err
+# a refused setting or config runs no cell and leaves no output directory
+fails 2 workers routecut bench pool.cfg --out-dir zero --workers 0
+fails 2 budget routecut bench exp.cfg --out-dir nan --budget fixed:nan
 test ! -e nan
-status=0
-routecut bench exp.cfg --out-dir inf --time-multiplier inf 2> inf.err || status=$?
-test "$status" -eq 2
-grep -q time_multiplier inf.err
+fails 2 time_multiplier routecut bench exp.cfg --out-dir inf --time-multiplier inf
 test ! -e inf
 for setting in 'groups = 0:groups must be at least 1' 'virtual_clock = ture:virtual_clock' \
     'groups = 2.5:bad.cfg:3: groups must be an integer'; do
   printf '%s\n' 'instances = i.dat' 'variants = cluster-rco' "${setting%%:*}" > bad.cfg
-  status=0
-  routecut bench bad.cfg --out-dir bad 2> bad.err || status=$?
-  test "$status" -eq 2
-  grep -qF "${setting#*:}" bad.err
+  fails 2 "${setting#*:}" routecut bench bad.cfg --out-dir bad
   test ! -e bad
 done
 mkdir -p twin
 cp i.dat twin/i.dat
 printf '%s\n' 'instances = i.dat, twin/i.dat' 'variants = sahid-rco' > twin.cfg
-status=0
-routecut bench twin.cfg --out-dir twin-runs 2> twin.err || status=$?
-test "$status" -eq 2
-grep -qF "share the stem 'i'" twin.err
+fails 2 "share the stem 'i'" routecut bench twin.cfg --out-dir twin-runs
 test ! -e twin-runs
 printf '%s\n' 'instances = i.dat' 'variants = sahid-rco, sahid-rco' 'runs = 3' > repeat.cfg
-status=0
-routecut bench repeat.cfg --out-dir repeat-runs 2> repeat.err || status=$?
-test "$status" -eq 2
-grep -qF "variant 'sahid-rco' is listed twice" repeat.err
+fails 2 "variant 'sahid-rco' is listed twice" routecut bench repeat.cfg --out-dir repeat-runs
 test ! -e repeat-runs
 mkdir -p noseed
 printf '%s\n' 'instance,variant,final_cost,elapsed_sec,route_count,trace_path,solution_path' \
   'i,sahid-rco,1.0,0.5,1,,' > noseed/records.csv
-status=0
-routecut stats noseed --reference sahid-rco 2> noseed.err || status=$?
-test "$status" -eq 2
-grep -qF 'lacks the column(s) seed' noseed.err
+fails 2 'lacks the column(s) seed' routecut stats noseed --reference sahid-rco
 mkdir -p short
 printf '%s\n' 'instance,variant,seed,final_cost,elapsed_sec,route_count,trace_path,solution_path' \
   'i,sahid-rco,1,2.0' > short/records.csv
-status=0
-routecut stats short --reference sahid-rco 2> short.err || status=$?
-test "$status" -eq 2
-grep -qF 'short/records.csv:2: the row has fewer fields' short.err
+fails 2 'short/records.csv:2: the row has fewer fields' routecut stats short --reference sahid-rco
 mkdir -p long
 printf '%s\n' 'instance,variant,seed,final_cost,elapsed_sec,route_count,trace_path,solution_path' \
   'i,sahid-rco,1,2.0,0.5,1,,,oops,more' > long/records.csv
-status=0
-routecut stats long --reference sahid-rco 2> long.err || status=$?
-test "$status" -eq 2
-grep -qF 'long/records.csv:2: the row has more fields' long.err
+fails 2 'long/records.csv:2: the row has more fields' routecut stats long --reference sahid-rco
 
+# a broken instance file fails each of its cells, with one traceback per cell
 printf 'VERTICES : x\n' > broken.dat
 printf '%s\n' 'instances = broken.dat, i.dat' 'variants = sahid-rco, sahid-random' 'runs = 2' \
   'max_iterations = 2' 'virtual_clock = 1' > broken.cfg
@@ -282,17 +221,17 @@ routecut bench broken.cfg --out-dir broken || status=$?
 test "$status" -eq 1
 test "$(ls broken/*.err | wc -l)" -eq 4
 test "$(ls broken/broken__*.err | wc -l)" -eq 4
-status=0
-routecut stats broken --reference sahid-rco 2> few.err || status=$?
-test "$status" -eq 2
-grep -qF 'no instance has 3 seeds' few.err
+# the rank-sum test needs three seeds
+fails 2 'no instance has 3 seeds' routecut stats broken --reference sahid-rco
 test ! -e broken/wdl.csv
 
+# every trace, streamed by `bench` workers too, holds its header once, first
 for trace in runs/*.trace.csv pool/*.trace.csv; do
   test "$(head -n 1 "$trace")" = elapsed_ms,best_cost
   test "$(grep -c '^elapsed_ms,best_cost$' "$trace")" -eq 1
 done
 
+# every trace or solution file that a records.csv names exists
 python3 - runs/records.csv pool/records.csv broken/records.csv <<'EOF'
 import csv
 import os

@@ -18,7 +18,7 @@ from dataclasses import MISSING, astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, get_type_hints
 
-from .instance import Instance, load_instance
+from .instance import Instance, left_sum, load_instance
 from .ranking import RankMatrix, build_rank_matrix
 from .search import (
     ALGORITHMS, PARAMETERS, SearchConfig, build_config, parse_value, share_cpus, solve,
@@ -248,12 +248,12 @@ def summarize(records: list[RunRecord]) -> list[SummaryRow]:
         if not costs:
             rows.append(SummaryRow(instance, variant, 0, math.nan, math.nan, ";".join(flags)))
             continue
-        mean = sum(costs) / len(costs)
+        mean = left_sum(costs) / len(costs)
         if len(costs) == 1:
             flags.append("single-run")
             std = 0.0
         else:
-            std = math.sqrt(sum((c - mean) ** 2 for c in costs) / (len(costs) - 1))
+            std = math.sqrt(left_sum((c - mean) ** 2 for c in costs) / (len(costs) - 1))
         rows.append(SummaryRow(instance, variant, len(costs), mean, std, ";".join(flags)))
     return rows
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import Delaunay
 
-from .instance import Edge, Instance, save_instance
+from .instance import Edge, Instance, left_sum, save_instance
 
 _COST_SCALE = 100
 
@@ -69,8 +69,8 @@ def generate_instance(
         else:
             edges.append(Edge(u, v, 0, 0, cost))
 
-    cx = sum(p[0] for p in points) / vertices
-    cy = sum(p[1] for p in points) / vertices
+    cx = left_sum(p[0] for p in points) / vertices
+    cy = left_sum(p[1] for p in points) / vertices
     depot = min(range(vertices), key=lambda i: (points[i][0] - cx) ** 2 + (points[i][1] - cy) ** 2)
 
     if name is None:

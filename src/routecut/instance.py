@@ -13,12 +13,21 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import reduce
+from operator import add
 from pathlib import Path
-from typing import IO, Union
+from typing import IO, Iterable, Union
 
 DEPOT_ID = 0
 
 Number = Union[int, float]
+
+
+def left_sum(values: Iterable[Number]) -> Number:
+    """``values`` folded left to right from 0, as ``sum`` folds them before
+    Python 3.12; from 3.12 on it compensates float sums, which would change
+    totals, and the depot of generated instances, with the Python version."""
+    return reduce(add, values, 0)
 
 
 def task_index_of(task_id: int) -> int:
@@ -128,7 +137,7 @@ class Instance:
 
     @property
     def total_demand(self) -> Number:
-        return sum(t.demand for t in self.tasks)
+        return left_sum(t.demand for t in self.tasks)
 
     def distances(self):
         """All-pairs shortest-path table, computed once and cached."""

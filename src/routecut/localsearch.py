@@ -266,10 +266,10 @@ def local_search(
                 # the terms are finite and rounded addition is monotone, so
                 # the smallest of the four sums is that of the two smallest terms
                 if (d1 if d1 < d1i else d1i) + (d2 if d2 < d2i else d2i) < -_EPS:
-                    for y, e1 in ((b, d1), (inverse_id(b), d1i)):
-                        for x, e2 in ((a, d2), (ia, d2i)):
-                            if e1 + e2 < -_EPS:
-                                _apply_swap(st, k1, i1, y, k2, i2, x, e1 + e2)
+                    for y, dy in ((b, d1), (inverse_id(b), d1i)):
+                        for x, dx in ((a, d2), (ia, d2i)):
+                            if dy + dx < -_EPS:
+                                _apply_swap(st, k1, i1, y, k2, i2, x, dy + dx)
                                 return True
             evals += 4
             if evals >= stop and over():

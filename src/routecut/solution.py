@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 from .distances import DistanceTable
-from .instance import DEPOT_ID, Instance, Number, forward_id, inverse_id, task_index_of
+from .instance import DEPOT_ID, Instance, Number, forward_id, inverse_id, left_sum, task_index_of
 
 
 def route_cost(ids: Sequence[int], instance: Instance, dist: DistanceTable) -> float:
@@ -52,7 +52,7 @@ class Solution:
         """The solution of ``routes``, each stored as a tuple, with its cost
         summed over the routes in order."""
         routes = [tuple(r) for r in routes]
-        return cls(routes, sum(route_cost(r, instance, dist) for r in routes))
+        return cls(routes, left_sum(route_cost(r, instance, dist) for r in routes))
 
     def task_indices(self) -> list[int]:
         return [task_index_of(t) for r in self.routes for t in r]

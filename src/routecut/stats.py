@@ -16,6 +16,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .instance import left_sum
+
 EXACT_LIMIT = 12
 MIN_SAMPLE = 3  # smallest sample the rank-sum test accepts
 
@@ -131,7 +133,7 @@ def significance_table(
             res = wilcoxon_rank_sum(ref, other)
             outcome = "D"
             if res.pvalue < alpha:
-                ref_mean, other_mean = sum(ref) / len(ref), sum(other) / len(other)
+                ref_mean, other_mean = left_sum(ref) / len(ref), left_sum(other) / len(other)
                 outcome = "W" if ref_mean < other_mean else "L" if ref_mean > other_mean else "D"
             detail.append(Comparison(inst, var, res.pvalue, outcome))
         outcomes = [c.outcome for c in detail if c.variant == var]

@@ -24,6 +24,8 @@ import random
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -1617,7 +1619,9 @@ def _assert_route_costs_match(instance, seed):
         assert route_cost(ids, instance, dist) == expected
         assert Solution.build([ids], instance, dist) == Solution([tuple(ids)], expected)
     solution = Solution.build(routes, instance, dist)
-    assert solution.total_cost == sum(reference_route_cost(r, instance, dist) for r in routes)
+    # a left fold from 0, as ``sum`` is not from Python 3.12 on
+    expected = reduce(add, (reference_route_cost(r, instance, dist) for r in routes), 0)
+    assert solution.total_cost == expected
 
 
 @pytest.mark.parametrize("seed", range(100))

@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import os
+import random
 import warnings
 from functools import partial
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from routecut import (
     RankMatrix,
     SearchConfig,
+    Solution,
     build_rank_matrix,
     fuzzy_kmedoid,
     local_search,
@@ -90,6 +92,38 @@ def test_every_algorithm_solves_tiny_instances(inst, seed):
         cfg = _deterministic_config(algorithm, seed=seed, max_iterations=3, max_cycles=2)
         best, _ = solve(inst, cfg)
         assert validate(best, inst) == []
+
+
+def _mixed_instance(seed):
+    """A small instance with integer demands that holds decimal and zero
+    costs, a task parallel to another and a self-loop task, and one or two
+    vertices that no task touches and the depot does not reach; on odd seeds
+    the capacity is infinite."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)  # vertices n and n + 1 lie outside the depot's part
+    costs = (0, 0.1, 0.25, 1, 2.5, 3)
+    edges = [(u, u + 1, 0, 0, rng.choice(costs)) for u in range(n - 1)]
+    ends = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 5))]
+    v = rng.randrange(n)
+    for u, w in [*ends, ends[0], (v, v)]:
+        edges.append((u, w, rng.randint(1, 3), rng.choice(costs), rng.choice(costs)))
+    edges += [(rng.randrange(n), rng.randrange(n), 0, 0, 0),
+              (rng.randrange(n), rng.randrange(n), 0, 0, 0.3)]
+    if rng.random() < 0.5:
+        edges.append((n, n + 1, 0, 0, 1))
+    capacity = math.inf if seed % 2 else rng.randint(3, 6)
+    return make_instance(n + 2, edges, depot=rng.randrange(n), capacity=capacity)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_every_algorithm_returns_valid_routes_and_their_total_on_mixed_instances(algorithm):
+    for seed in range(150):
+        inst = _mixed_instance(seed)
+        dist = inst.distances()
+        cfg = _deterministic_config(algorithm, seed=seed, max_iterations=3, max_cycles=2)
+        best, _ = solve(inst, cfg, dist=dist)
+        assert validate(best, inst) == [], seed
+        assert best.total_cost == Solution.build(best.routes, inst, dist).total_cost, seed
 
 
 # the neighbours asked of nearest() are more than n - 1 on the tiny instances

@@ -83,6 +83,17 @@ def test_interior_depot_reported(path_instance):
     assert [(v.kind, v.route) for v in report] == [("unknown-id", 0)]
 
 
+def test_total_cost_folds_route_costs_left_to_right():
+    # ten self-loop tasks at the depot, each served alone at cost 0.1: the
+    # left fold gives 0.9999999999999999, where ``sum`` from Python 3.12 on
+    # gives 1.0
+    inst = make_instance(1, [(0, 0, 1, 0.1, 0.1)] * 10)
+    dist = inst.distances()
+    routes = [[forward_id(i)] for i in range(10)]
+    assert [route_cost(r, inst, dist) for r in routes] == [0.1] * 10
+    assert Solution.build(routes, inst, dist).total_cost == 0.9999999999999999
+
+
 def test_min_vehicles():
     inst = make_instance(
         4, [(0, 1, 3, 1, 1), (1, 2, 3, 1, 1), (2, 3, 3, 1, 1)], capacity=5
