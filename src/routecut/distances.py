@@ -7,10 +7,13 @@ exceeds twice vertex 0's eccentricity (a path through it).  Twice that plus
 one, ``bound``, then sets the work type, and the table is built in three
 steps:
 
-1. Eliminate: remove vertices of degree at most ``_ELIMINATION_DEGREE`` in
-   min-degree order.  Each removal joins every pair of the vertex's
-   neighbours by a shortcut through it, as contraction hierarchies do
-   (Geisberger, Sanders, Schultes and Delling, WEA 2008).
+1. Eliminate: remove vertices in min-degree order while the lowest degree
+   is at most a cap that grows with the vertex count V: V // 75, at least
+   8 and at most 64 (``_elimination_cap``; 8, 20, 40 and 64 at 500, 1,500,
+   3,000 and 6,000 vertices, where it leaves cores of about 220, 340, 370
+   and 540).  Each removal joins every pair of the vertex's neighbours by a
+   shortcut through it, as contraction hierarchies do (Geisberger, Sanders,
+   Schultes and Delling, WEA 2008).
 2. Solve the core: Floyd-Warshall over the vertices left, vectorised one
    intermediate vertex at a time, with pairs that have no edge, and edges
    costlier than ``bound``, starting at ``bound``.
@@ -43,19 +46,22 @@ from .instance import Instance
 # ints and as floats (a float's significand holds 53 bits)
 _EXACT_INT = 2**50
 
-# vertices of at most this degree are eliminated before the core is solved.
-# A higher cap leaves a smaller core, but its shortcuts make the core denser
-# and give each fill-in row more neighbours to read.  Median all-pairs time
-# per generated instance, with the Floyd-Warshall core and the int16 fill-in
-# (seeds 1, 7, 11, caps interleaved, 9 runs each; one core of a 2-vCPU x86
-# host; each range spans the medians of two sweeps) at caps 8 / 12 / 16 /
-# 24 / 32 / 48: 1500 vertices 97-110 / 59-66 / 51-57 / 48-54 / 51-56 /
-# 62-68 ms, with cores of about 690 / 500 / 410 / 290 / 200 / 95 vertices;
-# 500 vertices 9.2-9.9 / 9.3-9.9 / 9.8-10.6 / 11.2-12.3 / 13.2-14.3 /
-# 14.6-15.7 ms.  Lower caps gain about 2 ms at 500 vertices and lose 3 ms or
-# more at 1500, so the cap stays at 24.  It changes speed only: the table is
-# the same at any cap.
-_ELIMINATION_DEGREE = 24
+# _eliminate removes vertices of degree at most V // _VERTICES_PER_CAP, at
+# least _MIN_CAP and at most _MAX_CAP, for a graph of V vertices.  A higher
+# cap leaves a smaller core, but its shortcuts make the core denser and give
+# each fill-in row more neighbours to read; the larger the graph, the more
+# the core's O(V^3) outweighs them, so the best cap grows with V.  Median
+# shortest_paths ms [core vertices] on generate_instance(V, 5 * V // 3, 60,
+# seed) for seeds 1, 7 and 11 (scripts/sweep_shortest_paths.py; one core
+# of a 2-vCPU x86 host whose speed drifts by up to 25% over minutes): at
+# 500 vertices caps 8-12 took 11-14 ms [150-230] and 24 took 15-16 [60-90];
+# at 1,500 caps 16-28 took 66-95 ms [250-420] and 8 took 140-170 [690];
+# at 3,000 caps 32-40 took 250-300 ms [350-470] and 24 or 64 about 10%
+# more; at 6,000 (seed 11) caps 40-64 took 1.19-1.23 s [590-850], 24 took
+# 1.91 s [1,333] and 80-128 took 1.33-1.51 s [130-390].  Above 64 each
+# removal's Python work, quadratic in its degree, outweighs the smaller
+# core.  The rule changes speed only: the table is the same at any cap.
+_MIN_CAP, _MAX_CAP, _VERTICES_PER_CAP = 8, 64, 75
 
 # a distance table as nested lists: all ints or all floats (see DistanceTable)
 Rows = list[list[int]] | list[list[float]]
@@ -113,10 +119,16 @@ class DistanceTable:
         return self._rows
 
 
+def _elimination_cap(n: int) -> int:
+    """The highest degree at which ``_eliminate`` removes a vertex of a
+    graph of ``n`` vertices: ``n // 75``, at least 8 and at most 64."""
+    return max(_MIN_CAP, min(n // _VERTICES_PER_CAP, _MAX_CAP))
+
+
 def _eliminate(adj: list[dict[int, float] | None]) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """Remove vertices from ``adj`` in min-degree order while the lowest
-    degree is at most ``_ELIMINATION_DEGREE``.  One vertex is always kept,
-    so the core is never empty.
+    degree is at most ``_elimination_cap(len(adj))``.  One vertex is always
+    kept, so the core is never empty.
 
     Each removal joins every pair of the vertex's neighbours by a shortcut
     costing the path through it, or lowers their edge to that cost, so the
@@ -124,6 +136,7 @@ def _eliminate(adj: list[dict[int, float] | None]) -> list[tuple[int, np.ndarray
     becomes None.  Returns, in removal order, each removed vertex with its
     neighbours and its edge costs to them at the time of removal.
     """
+    cap = _elimination_cap(len(adj))
     heap = [(len(nbrs), v) for v, nbrs in enumerate(adj)]
     heapq.heapify(heap)
     removed = []
@@ -132,7 +145,7 @@ def _eliminate(adj: list[dict[int, float] | None]) -> list[tuple[int, np.ndarray
         nbrs = adj[v]
         if nbrs is None or degree != len(nbrs):
             continue  # removed already, or pushed before its degree changed
-        if degree > _ELIMINATION_DEGREE:
+        if degree > cap:
             break
         adj[v] = None
         links = list(nbrs.items())
@@ -170,7 +183,7 @@ def _floyd_warshall(n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
     2-vCPU x86 host) it is faster up to about 1,100 core vertices (900:
     260 against 391 ms) and slower beyond (1,300: 863 against 716 ms;
     1,500: 1.20 against 0.94 s).  A generated instance of 1,500 vertices
-    leaves a core of about 290.
+    leaves a core of about 340.
     """
     m = np.full((n, n), absent, _int_type(2 * absent))
     w = np.minimum(ws, absent).astype(m.dtype)
@@ -234,9 +247,16 @@ def shortest_paths(instance: Instance) -> DistanceTable:
     core = [v for v, nbrs in enumerate(adj) if nbrs is not None]
     matrix = np.zeros((n, n), _int_type(4 * bound))
     matrix[np.ix_(core, core)] = _floyd_warshall(len(core), *_edge_arrays(adj, core), bound)
-    for v, nbrs, w in reversed(removed):
+    # every removal's edge costs, clipped and cast at once, in removal
+    # order: the loop below takes each removal's from the end of the rest
+    clipped = np.concatenate([np.empty(0), *(w for _, _, w in removed)])
+    clipped = np.minimum(clipped, bound).astype(matrix.dtype)
+    end = len(clipped)
+    for v, nbrs, _ in reversed(removed):
+        start = end - len(nbrs)
         block = matrix[nbrs]
-        block += np.minimum(w, bound).astype(matrix.dtype)[:, None]
+        block += clipped[start:end, None]
+        end = start
         row = matrix[v]
         block.min(axis=0, out=row)
         row[v] = 0

@@ -18,7 +18,8 @@ from routecut.generator import generate_instance
 from routecut.instance import forward_id
 from routecut.ranking import link_numerators
 
-from conftest import bellman_ford_all_pairs, make_instance, whole_graph_dijkstra
+from conftest import (bellman_ford_all_pairs, make_instance, tie_heavy_instance,
+                      whole_graph_dijkstra)
 
 
 def test_depot_self_distance_zero():
@@ -273,8 +274,9 @@ def test_fill_type_holds_four_times_a_path_across_the_core(near, fill_in):
     assert fill_in["types"] == [np.int32]
 
 
-# more vertices than the elimination cap: a clique on them keeps them all
-_CLIQUE = distances._ELIMINATION_DEGREE + 6
+# more vertices than the elimination cap of a graph of two such cliques
+# (8): a clique on them keeps them all
+_CLIQUE = 30
 
 
 def _clique(cost, missing=(), first=0):
@@ -333,3 +335,63 @@ def test_fractional_costs_run_all_pairs_dijkstra_only(dijkstra_sources):
     edges = _clique(lambda u, v: 0.5 + (u + v) % 3)
     assert _assert_table_of_the_float_rule(make_instance(_CLIQUE, edges)).dtype == np.float64
     assert dijkstra_sources == [None]
+
+
+def test_elimination_cap_grows_with_the_graph_between_its_limits():
+    caps = [distances._elimination_cap(n) for n in (1, 500, 1500, 3000, 4800, 6000, 10**6)]
+    assert caps == [8, 8, 20, 40, 64, 64, 64]
+
+
+# where elimination stops: before any removal, so that Floyd-Warshall solves
+# the whole graph; at the rule's cap; and with one vertex left
+STOPS = {"no elimination": lambda n: -1, "the rule": distances._elimination_cap,
+         "one vertex left": lambda n: n}
+
+
+STOP_INSTANCES = [pytest.param(60, 2, id="60 vertices"), pytest.param(500, 3, id="500 vertices"),
+                  *(pytest.param(None, s, id=f"tie-heavy {s}") for s in range(10))]
+
+
+@pytest.mark.parametrize("stop", STOPS)
+@pytest.mark.parametrize("vertices, seed", STOP_INSTANCES)
+def test_table_is_the_same_wherever_elimination_stops(vertices, seed, stop, fill_in, monkeypatch):
+    if vertices is None:
+        instance = tie_heavy_instance(seed)
+    else:
+        instance = generate_instance(vertices, 5 * vertices // 3, 60, seed=seed)
+    monkeypatch.setattr(distances, "_elimination_cap", STOPS[stop])
+    got = shortest_paths(instance).matrix
+    want = DistanceTable(whole_graph_dijkstra(instance)).matrix
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()  # bit for bit
+    (removed,) = fill_in["removed"]
+    n = instance.vertex_count
+    core = n - len(removed)
+    if stop == "the rule":
+        # a generated graph keeps a core; a tie-heavy one has 6 vertices at most
+        assert (1 < core < n) if vertices else core == 1
+    else:
+        assert core == (n if stop == "no elimination" else 1)
+
+
+def _circulant(n, degree, seed):
+    """Vertex v joined to v + 1 .. v + degree / 2 (mod ``n``), each edge
+    costing 1-100: every vertex has degree ``degree``."""
+    rng = random.Random(seed)
+    return make_instance(n, [(v, (v + step) % n, 1, 1, rng.randint(1, 100))
+                             for v in range(n) for step in range(1, degree // 2 + 1)])
+
+
+@pytest.mark.parametrize("degree", [6, 26])
+def test_circulant_core_removes_no_vertex_above_the_cap(degree, fill_in):
+    # degree 26 lies above the cap, so the whole graph is the core; degree 6
+    # lies below it, and each removal's shortcuts raise its neighbours'
+    # degrees until the lowest exceeds the cap.  Each removal costs Python
+    # work quadratic in its degree, so the cap bounds it
+    n = 150
+    _assert_table_of_the_float_rule(_circulant(n, degree, seed=degree))
+    (removed,) = fill_in["removed"]
+    cap = distances._elimination_cap(n)
+    assert cap <= distances._MAX_CAP
+    assert max((len(nbrs) for _, nbrs, _ in removed), default=0) <= cap
+    assert (removed == []) is (degree > cap)

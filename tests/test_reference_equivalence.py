@@ -54,10 +54,10 @@ from routecut.decompose import (
     fuzzy_kmedoid,
 )
 from routecut.distances import (
-    _ELIMINATION_DEGREE,
     _EXACT_INT,
     DistanceTable,
     _eliminate,
+    _elimination_cap,
     shortest_paths,
 )
 from routecut.generator import generate_instance
@@ -1734,6 +1734,10 @@ def test_shortest_paths_match_reference_on_tie_heavy_instances(seed, eliminated,
     assert fill_types == [np.int16]
 
 
+# more vertices than the elimination cap of a graph of four times as many (8)
+_CLIQUE = 30
+
+
 def _two_cliques(clique, seed):
     """Two cliques of vertices of degree above the elimination cap, with no
     edge between them, each with a sparse fringe: vertex 0 does not reach
@@ -1765,7 +1769,7 @@ def test_shortest_paths_fill_in_float64_where_a_pair_is_unreachable(kind, elimin
         n = base.vertex_count
         instance = Instance("isolated", n + 1, base.edges, base.depot, base.capacity)
     elif kind == "two cliques":
-        instance = _two_cliques(_ELIMINATION_DEGREE + 6, seed=1)
+        instance = _two_cliques(_CLIQUE, seed=1)
         n = instance.vertex_count - 1
     else:
         # vertex 0 has no edge and the depot lies elsewhere
@@ -1835,14 +1839,14 @@ def test_shortest_paths_match_reference_where_the_degree_cap_stops_elimination(s
     # a clique whose every vertex has degree above the cap, with a sparse
     # fringe: the fringe goes, and elimination stops at the clique
     rng = random.Random(seed)
-    clique = _ELIMINATION_DEGREE + 6
+    clique = _CLIQUE
     edges = [(u, v, 0, 0, rng.randint(1, 30)) for u in range(clique) for v in range(u + 1, clique)]
     vertices = 4 * clique
     edges += [(rng.randrange(v), v, 1, 1, rng.randint(0, 30)) for v in range(clique, vertices)]
     instance = make_instance(vertices, edges, capacity=10)
     _assert_same_table(instance)
     (count, core), = eliminated
-    assert count > 0 and len(core) >= clique and min(core) > _ELIMINATION_DEGREE
+    assert count > 0 and len(core) >= clique and min(core) > _elimination_cap(vertices)
 
 
 @pytest.mark.parametrize("excess, eliminates", [(0, True), (1, False)])
