@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import chain
 from typing import Callable
 
 import numpy as np
 
 from .distances import DistanceTable, Rows
-from .instance import Instance, forward_id, inverse_id, task_index_of
+from .instance import Instance, forward_id, task_index_of
 from .ranking import link_numerators
 from .solution import Solution
 
@@ -65,11 +66,12 @@ def _pairwise_distances(
 
 def _farthest_points(
     first: int, k: int, column: Callable[[int], np.ndarray]
-) -> tuple[list[int], list[np.ndarray]]:
-    """``k`` points chosen farthest-point style from point ``first``, and
-    their distance columns.  ``column(j)`` is every point's distance to point
-    ``j``, non-negative and of a signed or float type.  Each further point is
-    the first, in index order, farthest from its nearest point so far."""
+) -> tuple[list[int], list[np.ndarray], np.ndarray]:
+    """``k`` points chosen farthest-point style from point ``first``, their
+    distance columns and every point's distance to its nearest chosen point.
+    ``column(j)`` is every point's distance to point ``j``: non-negative,
+    zero at ``j`` and of a signed or float type.  Each further point is the
+    first, in index order, farthest from its nearest point so far."""
     points = [first]
     columns = [column(first)]
     # distance to the nearest point so far; -1 at the points, below every
@@ -82,7 +84,8 @@ def _farthest_points(
         columns.append(column(far))
         nearest[far] = -1
         np.minimum(nearest, columns[-1], out=nearest)
-    return points, columns
+    nearest[points] = 0  # each point's own column is zero there
+    return points, columns, nearest
 
 
 def fuzzy_kmedoid(
@@ -118,7 +121,7 @@ def fuzzy_kmedoid(
         return [members]
     d = _pairwise_distances(members, instance, dist)
 
-    medoids, _ = _farthest_points(rng.randrange(n), g, lambda j: d[:, j])
+    medoids, _, _ = _farthest_points(rng.randrange(n), g, lambda j: d[:, j])
     assign = np.full(n, -1, dtype=np.int64)
     for _ in range(20):
         to_medoid = d[:, medoids]
@@ -180,17 +183,21 @@ def elementary_virtual_tasks(instance: Instance) -> list[tuple[int, ...]]:
 
 
 def _endpoint_distances(
-    matrix: np.ndarray, heads: np.ndarray, tails: np.ndarray, j: int
+    to: np.ndarray, heads: np.ndarray, tails: np.ndarray, j: int
 ) -> np.ndarray:
-    """Distance from every unit to unit ``j`` given the units' endpoints.
+    """Distance from every unit to unit ``j`` given the units' endpoints,
+    where row ``v`` of ``to`` holds every vertex's distance to vertex ``v``.
 
     Units are traversable in either direction, so take the best pairing:
-    the nearer of unit ``j``'s two columns for every vertex, then the nearer
-    of each unit's two endpoints.  Reads each unit's rows at unit ``j``'s
-    columns: no symmetry.  Of ``matrix``'s type, which is signed so ``hdu``
-    can mark medoids with -1.
+    the nearer of unit ``j``'s two rows of ``to`` for every vertex, then the
+    nearer of each unit's two endpoints.  ``hdu`` passes the distance matrix
+    itself when it is symmetric, whose rows are contiguous, and its
+    transpose otherwise, whose rows are the matrix's columns: each unit is
+    read from its own rows at unit ``j``'s endpoints either way.  Of the
+    matrix's type, which is signed so ``_farthest_points`` can mark medoids
+    with -1.
     """
-    either = np.minimum(matrix[:, heads[j]], matrix[:, tails[j]])
+    either = np.minimum(to[heads[j]], to[tails[j]])
     return np.minimum(either[heads], either[tails])
 
 
@@ -200,14 +207,15 @@ def _chain_cluster(
     """Order one cluster of ``(ids, head, tail)`` units by a randomized
     nearest-neighbor chain, orienting each appended unit so its nearer
     endpoint joins the chain tail (a unit whose tail is strictly nearer is
-    appended reversed).  It draws from ``rng`` as ``hdu``'s tie-break
+    appended reversed, each ID flipped as ``inverse_id`` does; no unit
+    holds the depot's ID 0).  It draws from ``rng`` as ``hdu``'s tie-break
     contract states."""
     remaining = list(units)
     first, _, tail = remaining.pop(rng.randrange(len(remaining)))
     ids = list(first)
     while remaining:
         row = rows[tail]
-        gaps = [min(row[h], row[t]) for _, h, t in remaining]
+        gaps = [row[h] if row[h] <= row[t] else row[t] for _, h, t in remaining]
         best = min(gaps)
         j = gaps.index(best)
         if gaps.count(best) > 1:
@@ -215,7 +223,7 @@ def _chain_cluster(
             j = ties[rng.randrange(len(ties))]
         nxt, h, t = remaining.pop(j)
         if row[t] < row[h]:
-            ids.extend(inverse_id(x) for x in reversed(nxt))
+            ids.extend([x + 1 if x & 1 else x - 1 for x in reversed(nxt)])
             tail = h
         else:
             ids.extend(nxt)
@@ -256,30 +264,28 @@ def hdu(
     """
     if not 0.0 < scale < 1.0:
         raise ValueError("scale must be in (0, 1)")
-    for i, u in enumerate(units):
-        if not u:
-            raise ValueError(f"unit {i} is empty")
-    covered = sorted(ti for u in units for ti in map(task_index_of, u))
-    if covered != list(range(instance.task_count)):
+    if not all(units):
+        raise ValueError(f"unit {next(i for i, u in enumerate(units) if not u)} is empty")
+    # each ID's task index, as task_index_of takes it
+    covered = (np.fromiter(chain.from_iterable(units), dtype=np.int64) - 1) >> 1
+    if not np.array_equal(np.sort(covered), np.arange(instance.task_count)):
         raise ValueError("units must cover all tasks exactly once")
     if not units:
         return Solution.build([], instance, dist)
 
     rows = dist.rows
-    matrix = dist.matrix
+    # row v: every vertex's distance to v (see _endpoint_distances)
+    to = dist.matrix if dist.symmetric else dist.matrix.T
     while len(units) > 1:
         m = len(units)
         k = max(1, min(math.ceil(scale * m), m - 1))
         heads = np.fromiter((instance.id_head[u[0]] for u in units), dtype=np.intp, count=m)
         tails = np.fromiter((instance.id_tail[u[-1]] for u in units), dtype=np.intp, count=m)
-        _, columns = _farthest_points(
-            rng.randrange(m), k, lambda j: _endpoint_distances(matrix, heads, tails, j)
+        _, columns, nearest = _farthest_points(
+            rng.randrange(m), k, lambda j: _endpoint_distances(to, heads, tails, j)
         )
-        # each unit's distance to its nearest medoid, the first such medoid
-        # and how many tie with it, one medoid column at a time: no m x k array
-        nearest = columns[0].copy()
-        for column in columns[1:]:
-            np.minimum(nearest, column, out=nearest)
+        # each unit's first nearest medoid and how many tie with it, one
+        # medoid column at a time: no m x k array
         choice = np.zeros(m, dtype=np.intp)
         ties = np.zeros(m, dtype=np.intp)
         for c, column in enumerate(columns):

@@ -362,6 +362,48 @@ def test_hdu_rejects_partial_cover(path_instance):
         hdu(units, path_instance, dist, 0.1, make_rng(0))
 
 
+# path_instance has two tasks: IDs 1 and 2 are task 0, 3 and 4 task 1
+@pytest.mark.parametrize("units", [
+    [(0, 3)],  # the depot's ID in place of task 0
+    [(1, 5)],  # an ID above 2T
+    [(1, 10**9)],
+    [(1, -1)],  # negative IDs
+    [(-3,), (3,)],
+    [(1, 2)],  # both directions of task 0, task 1 missing
+    [(1, 3), (2,)],  # task 0 twice
+    [(1,), (4,), (1,)],
+    [(3,)],  # task 0 missing
+    [(0,), (1,), (3,)],  # every task, and the depot's ID besides
+])
+def test_hdu_rejects_a_cover_that_is_not_exact(path_instance, units):
+    dist = path_instance.distances()
+    with pytest.raises(ValueError, match="^units must cover all tasks exactly once$"):
+        hdu(units, path_instance, dist, 0.1, make_rng(0))
+
+
+@pytest.mark.parametrize("units, empty", [
+    ([(0,), ()], 1),
+    ([(), (1, 3)], 0),
+    ([(1, 2, 2), (), ()], 1),
+])
+def test_hdu_reports_an_empty_unit_before_a_bad_cover(path_instance, units, empty):
+    dist = path_instance.distances()
+    with pytest.raises(ValueError, match=f"^unit {empty} is empty$"):
+        hdu(units, path_instance, dist, 0.1, make_rng(0))
+
+
+def test_hdu_of_no_units_without_tasks_is_empty():
+    inst = make_instance(3, [(0, 1, 0, 0, 1), (1, 2, 0, 0, 1)])
+    assert inst.task_count == 0
+    rng = make_rng(0)
+    state = rng.getstate()
+    sol = hdu([], inst, inst.distances(), 0.1, rng)
+    assert sol.routes == [] and sol.total_cost == 0
+    assert rng.getstate() == state
+    with pytest.raises(ValueError, match="cover"):
+        hdu([(1,)], inst, inst.distances(), 0.1, make_rng(0))
+
+
 def test_hdu_rejects_an_empty_unit(path_instance):
     # the units cover every task, so only the empty one is wrong
     dist = path_instance.distances()

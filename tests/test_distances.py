@@ -1,5 +1,5 @@
-"""Shortest-path table invariants against a Bellman-Ford oracle, and the
-types the table is filled in and stored in."""
+"""Shortest-path table invariants against a Bellman-Ford oracle, the
+types the table is filled in and stored in, and when it reads symmetric."""
 
 import math
 import random
@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from routecut import Edge, Instance, Solution, distances
-from routecut.distances import _EXACT_INT, DistanceTable, shortest_paths
+from routecut import Edge, Instance, Solution, build_rank_matrix, distances
+from routecut.distances import _EXACT_INT, _SYMMETRY_STRIP, DistanceTable, shortest_paths
 from routecut.generator import generate_instance
 from routecut.instance import forward_id
 from routecut.ranking import link_numerators
@@ -395,3 +395,40 @@ def test_circulant_core_removes_no_vertex_above_the_cap(degree, fill_in):
     assert cap <= distances._MAX_CAP
     assert max((len(nbrs) for _, nbrs, _ in removed), default=0) <= cap
     assert (removed == []) is (degree > cap)
+
+
+def test_integer_tables_read_symmetric():
+    # tie-heavy instances have parallel required edges and zero-cost edges
+    instances = [tie_heavy_instance(seed) for seed in range(100)]
+    instances.append(make_instance(4, [(0, 1, 1, 1, 3), (0, 1, 1, 1, 0), (1, 0, 0, 0, 2),
+                                       (1, 2, 1, 2, 0), (2, 3, 0, 0, 0), (3, 3, 1, 1, 4)]))
+    instances += [generate_instance(v, 5 * v // 3, 60, seed=v) for v in (60, 200)]
+    for instance in instances:
+        dist = shortest_paths(instance)
+        assert dist.matrix.dtype.kind == "i"
+        assert dist.symmetric
+
+
+def test_symmetry_is_worked_out_on_first_use_only(monkeypatch):
+    instance = generate_instance(60, 90, 60, seed=3)
+    dist = instance.distances()
+    build_rank_matrix(instance, dist)
+    dist.rows
+    assert dist._symmetric is None  # set-up never compares the triangles
+    assert dist.symmetric
+    monkeypatch.setattr(np, "array_equal", None)  # kept: not compared again
+    assert dist.symmetric
+
+
+def test_one_asymmetric_pair_in_any_strip_is_seen():
+    n = 2 * _SYMMETRY_STRIP + 5
+    base = np.add.outer(np.arange(n), np.arange(n)) % 7
+    assert DistanceTable(base).symmetric
+    assert DistanceTable(np.zeros((0, 0))).symmetric
+    for r, c in ((0, 1), (1, 0), (n - 1, n - 2), (n - 2, n - 1),
+                 (_SYMMETRY_STRIP, _SYMMETRY_STRIP - 1),
+                 (_SYMMETRY_STRIP - 1, _SYMMETRY_STRIP), (3, n - 1)):
+        matrix = base.copy()
+        matrix[r, c] += 1
+        assert not DistanceTable(matrix).symmetric, (r, c)
+        assert not DistanceTable(matrix.astype(np.float64)).symmetric, (r, c)

@@ -429,6 +429,52 @@ def test_hdu_matches_reference_on_an_asymmetric_table(seed):
         _assert_hdu_matches(grouped, instance, dist, scale, seed + 1)
 
 
+def _assert_rows_read_as_columns(units, instance, dist, scale, seed, monkeypatch):
+    """``hdu`` gives the same routes and draws when it reads ``dist`` by
+    columns, as it does on an asymmetric table, as when it reads it by rows."""
+    assert dist.symmetric
+    by_rows_rng, by_columns_rng = make_rng(seed), make_rng(seed)
+    by_rows = hdu(list(units), instance, dist, scale, by_rows_rng)
+    with monkeypatch.context() as patch:
+        patch.setattr(DistanceTable, "symmetric", property(lambda self: False))
+        by_columns = hdu(list(units), instance, dist, scale, by_columns_rng)
+    assert by_columns.routes == by_rows.routes
+    assert by_columns_rng.getstate() == by_rows_rng.getstate()
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_hdu_reads_rows_and_columns_alike_on_tie_heavy_instances(seed, monkeypatch):
+    instance = tie_heavy_instance(seed)
+    dist = instance.distances()
+    grouped = _random_units(instance, random.Random(seed))
+    for scale in SCALES:
+        _assert_rows_read_as_columns(elementary_virtual_tasks(instance), instance, dist,
+                                     scale, seed, monkeypatch)
+        _assert_rows_read_as_columns(grouped, instance, dist, scale, seed + 1, monkeypatch)
+
+
+@pytest.mark.parametrize("vertices, tasks", ((60, 90), (200, 300)))
+def test_hdu_reads_rows_and_columns_alike_on_generated_instances(vertices, tasks, monkeypatch):
+    instance = generate_instance(vertices, tasks, 60, seed=tasks)
+    dist = instance.distances()
+    ranks = build_rank_matrix(instance, dist)
+    pool = _rco_pools(instance, dist, ranks, ((0.5, 0.9),), tasks)[0]
+    for scale in SCALES:
+        _assert_rows_read_as_columns(elementary_virtual_tasks(instance), instance, dist,
+                                     scale, tasks, monkeypatch)
+        _assert_rows_read_as_columns(pool, instance, dist, scale, tasks + 1, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_asymmetric_hdu_table_reads_asymmetric(seed):
+    # the matrix of test_hdu_matches_reference_on_an_asymmetric_table
+    instance = generate_instance(60, 90, 60, seed=seed)
+    matrix = instance.distances().matrix.astype(np.float64)
+    upper = np.triu_indices(len(matrix), 1)
+    matrix[upper] += np.random.default_rng(seed).random(len(upper[0])) / 3
+    assert not DistanceTable(matrix).symmetric
+
+
 @pytest.mark.parametrize("seed", range(2))
 def test_hdu_matches_reference_on_a_table_at_the_int16_limit(seed):
     # the largest entry int16 stores four of: far pairs all sit at 8191
@@ -994,10 +1040,11 @@ def test_farthest_points_match_reference_medoids(seed, kind):
         for g in range(1, n + 1):
             ref_rng, new_rng = make_rng(seed), make_rng(seed)
             expected = reference_farthest_point_medoids(d, g, ref_rng)
-            got, columns = _farthest_points(new_rng.randrange(n), g, lambda j: d[:, j])
+            got, columns, nearest = _farthest_points(new_rng.randrange(n), g, lambda j: d[:, j])
             assert got == expected
             assert new_rng.getstate() == ref_rng.getstate()
             assert all(np.array_equal(c, d[:, m]) for c, m in zip(columns, got))
+            assert np.array_equal(nearest, d[:, got].min(axis=1))
         assert np.array_equal(d, before)
 
 
