@@ -186,7 +186,8 @@ test ! -e nan
 fails 2 time_multiplier routecut bench exp.cfg --out-dir inf --time-multiplier inf
 test ! -e inf
 for setting in 'groups = 0:groups must be at least 1' 'virtual_clock = ture:virtual_clock' \
-    'groups = 2.5:bad.cfg:3: groups must be an integer'; do
+    'groups = 2.5:bad.cfg:3: groups must be an integer' 'runs = 0:runs must be at least 1' \
+    'time_multiplier = 0:time_multiplier must be finite and positive'; do
   printf '%s\n' 'instances = i.dat' 'variants = cluster-rco' "${setting%%:*}" > bad.cfg
   fails 2 "${setting#*:}" routecut bench bad.cfg --out-dir bad
   test ! -e bad

@@ -21,7 +21,8 @@ from typing import Iterable, get_type_hints
 from .instance import Instance, left_sum, load_instance
 from .ranking import RankMatrix, build_rank_matrix
 from .search import (
-    ALGORITHMS, PARAMETERS, SearchConfig, build_config, parse_value, share_cpus, solve,
+    ALGORITHMS, PARAMETERS, RANGES, SearchConfig, build_config, check_ranges, parse_value,
+    setting, settings, share_cpus, solve,
 )
 from .solution import read_solution, validate, write_solution
 
@@ -30,19 +31,14 @@ from .solution import read_solution, validate, write_solution
 class ExperimentSpec:
     instances: list[Path]
     variants: list[tuple[str, SearchConfig]]
-    runs: int = 25
-    base_seed: int = 0
-    budget: str | None = None  # "fixed:<sec>" or "per-knodes:<sec>"
-    time_multiplier: float = 1.0
-    workers: int = 1
+    runs: int = setting(25, "at least 1")
+    base_seed: int = setting(0)
+    budget: str | None = setting(None)  # "fixed:<sec>" or "per-knodes:<sec>"
+    time_multiplier: float = setting(1.0, "finite and positive")
+    workers: int = setting(1, "at least 1")
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError("runs must be at least 1")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if not 0 < self.time_multiplier < math.inf:  # NaN too
-            raise ValueError("time_multiplier must be finite and positive")
+        check_ranges(ExperimentSpec, vars(self))
         if self.budget is not None:
             _parse_budget(self.budget)
         stems = [Path(path).stem for path in self.instances]  # they name each cell's files
@@ -65,7 +61,7 @@ def _parse_budget(budget: str) -> tuple[str, float]:
         seconds = float(value)
     except ValueError:
         raise ValueError(f"budget {budget!r} lacks a seconds value") from None
-    if not 0 < seconds < math.inf:  # NaN too
+    if not RANGES["finite and positive"](seconds):
         raise ValueError(f"budget {budget!r}: the seconds must be finite and positive")
     return mode, seconds
 
@@ -277,13 +273,14 @@ def samples_by_cell(records: list[RunRecord]) -> dict[tuple[str, str], list[floa
 
 # --- experiment config files -------------------------------------------------
 #
-# Plain `key = value` lines; `#` starts a comment.  A key is an ExperimentSpec
-# field or a search.PARAMETERS key; list values are comma-separated.
+# Plain `key = value` lines; `#` starts a comment.  A key is `instances`,
+# `variants`, an ExperimentSpec `setting` or a search.PARAMETERS key; list
+# values are comma-separated.
 
 def parse_experiment_config(path: str | Path) -> ExperimentSpec:
-    kinds = {"runs": int, "base_seed": int, "budget": str, "time_multiplier": float, "workers": int}
-    typed = {"instances": str, "variants": str, **kinds,
-             **{key: kind for key, (_, kind) in PARAMETERS.items()}}
+    spec_keys = settings(ExperimentSpec)
+    typed = {"instances": str, "variants": str,
+             **{key: kind for key, (_, kind) in {**spec_keys, **PARAMETERS}.items()}}
     values: dict[str, object] = {}
     lines: dict[str, int] = {}
     base = Path(path).parent
@@ -320,5 +317,5 @@ def parse_experiment_config(path: str | Path) -> ExperimentSpec:
 
     params = {key: value for key, value in values.items() if key in PARAMETERS}
     variants = [(name, build_config(params, algorithm=name)) for name in variant_names]
-    given = {key: values[key] for key in kinds if key in values}
+    given = {name: values[key] for key, (name, _) in spec_keys.items() if key in values}
     return ExperimentSpec(instances, variants, **given)

@@ -11,12 +11,11 @@ from __future__ import annotations
 import math
 import re
 from collections import deque
-from dataclasses import dataclass
 from decimal import Decimal
 from functools import reduce
 from operator import add
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import IO, Iterable, NamedTuple, Union
 
 DEPOT_ID = 0
 
@@ -58,8 +57,7 @@ class InvalidInstanceError(ValueError):
     """Instance parses but violates a semantic invariant."""
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     u: int
     v: int
     demand: Number = 0

@@ -135,8 +135,11 @@ def local_search(
     ``deadline`` is an optional callable polled cooperatively that returns
     True once the time budget is exhausted (see the module docstring for
     both).  The result is always feasible and never costs more than the
-    input.
+    input.  A negative ``max_evals`` raises ``ValueError`` before any move
+    is tried.
     """
+    if max_evals is not None and max_evals < 0:
+        raise ValueError("max_evals must be non-negative")
     st = _State(solution, instance, dist)
     present = [ti for ti in range(instance.task_count) if st.where[ti] is not None]
     if len(present) <= 1 or max_evals == 0:

@@ -29,15 +29,16 @@ with a deterministic counter instead of real time.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import signal
 import threading
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import IO, Callable, Mapping
+from typing import IO, Callable, Mapping, get_args, get_type_hints
 
 from .construct import path_scanning
 from .decompose import (
@@ -67,67 +68,68 @@ _POOL_SIZE = 5  # incumbent solutions kept by the clustering loop
 _NEIGHBOR_SIZE = 20  # nearest tasks per task that local search tries moves around
 
 
+# The named ranges of settings, each written so that NaN fails it; a name is
+# also its error's text, as in ``lambda must be in [0, 1]``.
+RANGES: dict[str, Callable[[float], bool]] = {
+    "in [0, 1]": lambda x: 0 <= x <= 1,
+    "in (0, 1)": lambda x: 0 < x < 1,
+    "at least 1": lambda x: x >= 1,
+    "positive": lambda x: x > 0,
+    "non-negative": lambda x: x >= 0,
+    "finite and positive": lambda x: 0 < x < math.inf,
+}
+
+
+def setting(default, valid: str | None = None, key: str | None = None):
+    """A field that config files set: ``valid`` names its range in RANGES,
+    and ``key`` its config key where that is not the field name."""
+    return field(default=default, metadata={"key": key, "range": valid})
+
+
+def settings(cls: type) -> dict[str, tuple[str, type]]:
+    """``{key: (field, type)}`` over the ``setting`` fields of dataclass
+    ``cls``, in declaration order; the type is the field's annotation, with
+    ``X | None`` read as ``X``."""
+    kinds = {name: (get_args(hint) or (hint,))[0] for name, hint in get_type_hints(cls).items()}
+    return {f.metadata["key"] or f.name: (f.name, kinds[f.name]) for f in fields(cls) if f.metadata}
+
+
+def check_ranges(cls: type, values: Mapping[str, object], keys: Mapping[str, str] = {}) -> None:
+    """Raise ``ValueError("<name> must be <range>")`` for the first field of
+    dataclass ``cls`` whose value in ``values`` is set and out of its range;
+    ``<name>`` is the field's entry in ``keys``, or else the field name."""
+    for f in fields(cls):
+        valid, value = f.metadata.get("range"), values.get(f.name)
+        if valid and value is not None and not RANGES[valid](value):
+            raise ValueError(f"{keys.get(f.name, f.name)} must be {valid}")
+
+
 @dataclass
 class SearchConfig:
     algorithm: str = "sahid-rco"
-    lam: float = 0.05  # good-link cut probability
-    theta: float = 0.2  # poor-link cut probability
-    group_count: int = 2  # fuzzy k-medoid groups
-    fuzziness: float = 5.0  # fuzzy k-medoid exponent
-    scale: float = 0.1
-    accept_threshold: float = 1.10
-    idle_limit: int = 10000
-    max_cycles: int = 50
-    time_limit: float = 30.0
+    lam: float = setting(0.05, "in [0, 1]", key="lambda")  # good-link cut probability
+    theta: float = setting(0.2, "in [0, 1]")  # poor-link cut probability
+    group_count: int = setting(2, "at least 1", key="groups")  # fuzzy k-medoid groups
+    fuzziness: float = setting(5.0, "positive", key="alpha")  # fuzzy k-medoid exponent
+    scale: float = setting(0.1, "in (0, 1)")
+    accept_threshold: float = setting(1.10, "at least 1", key="accept")
+    idle_limit: int = setting(10000, key="idle")
+    max_cycles: int = setting(50, "non-negative")
+    time_limit: float = setting(30.0, "positive")
     seed: int = 0
-    sub_solver_budget: int = 50_000  # local-search move evaluations per sub-problem
-    max_iterations: int | None = None  # deterministic cap for the hierarchical loop
-    virtual_clock: bool = False
+    sub_solver_budget: int = setting(50_000, "non-negative")  # move evaluations per sub-problem
+    max_iterations: int | None = setting(None, "non-negative")  # cap for the hierarchical loop
+    virtual_clock: bool = setting(False)
 
     def __post_init__(self):
-        # each range message starts with its field's name: build_config
-        # swaps that for the PARAMETERS key
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        # `not 0 <= x <= 1`, `not x >= 1` and `not x > 0`, so that NaN fails
-        for name in ("lam", "theta"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if self.group_count < 1:
-            raise ValueError("group_count must be at least 1")
-        if not self.fuzziness > 0:
-            raise ValueError("fuzziness must be positive")
-        if not self.accept_threshold >= 1:
-            raise ValueError("accept_threshold must be at least 1")
-        if not self.time_limit > 0:
-            raise ValueError("time_limit must be positive")
-        if self.max_cycles < 0:
-            raise ValueError("max_cycles must be non-negative")
-        if self.max_iterations is not None and self.max_iterations < 0:
-            raise ValueError("max_iterations must be non-negative")
-        if not 0 < self.scale < 1:
-            raise ValueError("scale must be in (0, 1)")
-        if self.sub_solver_budget < 0:
-            raise ValueError("sub_solver_budget must be non-negative")
+        check_ranges(SearchConfig, vars(self))
 
 
-# The parameters settable from `routecut solve` and experiment config files:
-# config key -> (SearchConfig field, type).  The CLI flag is the key with
-# dashes; defaults live only in SearchConfig.
-PARAMETERS: dict[str, tuple[str, type]] = {
-    "lambda": ("lam", float),
-    "theta": ("theta", float),
-    "groups": ("group_count", int),
-    "alpha": ("fuzziness", float),
-    "scale": ("scale", float),
-    "accept": ("accept_threshold", float),
-    "idle": ("idle_limit", int),
-    "max_cycles": ("max_cycles", int),
-    "max_iterations": ("max_iterations", int),
-    "time_limit": ("time_limit", float),
-    "virtual_clock": ("virtual_clock", bool),
-    "sub_solver_budget": ("sub_solver_budget", int),
-}
+# The parameters of `routecut solve` and experiment config files: config key
+# -> (SearchConfig field, type).  The CLI flag is the key with dashes.
+PARAMETERS: dict[str, tuple[str, type]] = settings(SearchConfig)
 
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -165,14 +167,8 @@ def build_config(values: Mapping[str, object], **fields) -> SearchConfig:
         fields[name] = parse_value(key, kind, value)
     if fields.get("max_iterations") == 0:
         fields["max_iterations"] = None
-    keys = {PARAMETERS[key][0]: key for key in values}
-    try:
-        return SearchConfig(**fields)
-    except ValueError as error:
-        name, _, rest = str(error).partition(" ")
-        if name not in keys:
-            raise
-        raise ValueError(f"{keys[name]} {rest}") from None
+    check_ranges(SearchConfig, fields, {PARAMETERS[key][0]: key for key in values})
+    return SearchConfig(**fields)
 
 
 @dataclass

@@ -5,8 +5,9 @@ import gc
 import io
 import math
 import re
+import sys
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,9 @@ from routecut.bench import (
 from routecut import cli
 from routecut.cli import main
 from routecut.generator import generate_instance_file
-from routecut.search import PARAMETERS, SearchConfig, SearchTrace, build_config
+from routecut.search import (
+    PARAMETERS, RANGES, SearchConfig, SearchTrace, build_config, settings,
+)
 from routecut.solution import Solution, write_solution
 from routecut.stats import MIN_SAMPLE
 
@@ -331,6 +334,55 @@ def test_parse_config_names_the_key_of_a_value_that_does_not_parse(line, expecte
             build_config({key: value})
 
 
+_TINY = math.nextafter(0.0, 1.0)
+# (just outside, just inside) at each end of each named range, by setting type
+_RANGE_EDGES = {
+    ("in [0, 1]", float): [(-_TINY, 0.0), (math.nextafter(1.0, 2.0), 1.0)],
+    ("in (0, 1)", float): [(0.0, _TINY), (1.0, math.nextafter(1.0, 0.0))],
+    ("at least 1", int): [(0, 1)],
+    ("at least 1", float): [(math.nextafter(1.0, 0.0), 1.0)],
+    ("positive", float): [(0.0, _TINY)],
+    ("non-negative", int): [(-1, 0)],
+    ("finite and positive", float): [(0.0, _TINY), (math.inf, sys.float_info.max)],
+}
+
+
+def _ranged_settings():
+    for cls in (SearchConfig, ExperimentSpec):
+        ranges = {f.name: f.metadata.get("range") for f in fields(cls)}
+        for key, (name, kind) in settings(cls).items():
+            if ranges[name]:
+                yield pytest.param(cls, key, name, kind, ranges[name], id=key)
+
+
+def test_range_edges_cover_every_named_range():
+    assert {valid for valid, _ in _RANGE_EDGES} == set(RANGES)
+
+
+@pytest.mark.parametrize("cls, key, name, kind, valid", list(_ranged_settings()))
+def test_every_declared_range(cls, key, name, kind, valid, tmp_path, small_instance_file):
+    lists = {"instances": [], "variants": []} if cls is ExperimentSpec else {}
+    cfg = tmp_path / "exp.cfg"
+    head = f"instances = {small_instance_file}\nvariants = sahid-rco\n"
+    edges = _RANGE_EDGES[valid, kind] + ([(math.nan, None)] if kind is float else [])
+    for outside, inside in edges:
+        with pytest.raises(ValueError) as error:
+            cls(**lists, **{name: outside})
+        assert str(error.value) == f"{name} must be {valid}"
+        cfg.write_text(head + f"{key} = {outside!r}\n")
+        with pytest.raises(ValueError) as error:
+            parse_experiment_config(cfg)
+        assert str(error.value) == f"{key} must be {valid}"
+        if cls is SearchConfig:
+            with pytest.raises(ValueError) as error:
+                build_config({key: outside})
+            assert str(error.value) == f"{key} must be {valid}"
+        if inside is not None:
+            cls(**lists, **{name: inside})
+            cfg.write_text(head + f"{key} = {inside!r}\n")
+            parse_experiment_config(cfg)
+
+
 @pytest.mark.parametrize("flag, value, field", [
     ("--workers", "0", "workers"),
     ("--time-multiplier", "0", "time_multiplier"),
@@ -408,6 +460,9 @@ def test_parameter_table_is_the_documented_set():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     rows = re.findall(r"^\| `(\w+)` \| `([\w.]+)` \|", readme, re.MULTILINE)
     assert dict(rows) == {key: path for key, (path, _) in PARAMETERS.items()}
+    ranges = re.findall(r"^\| `(\w+)` \| `[\w.]+` \| [^|]+ \| ([^|]+) \|$", readme, re.MULTILINE)
+    declared = {f.name: f.metadata.get("range") or "any" for f in fields(SearchConfig)}
+    assert dict(ranges) == {key: declared[name] for key, (name, _) in PARAMETERS.items()}
 
 
 @pytest.mark.parametrize("key", sorted(PARAMETERS))

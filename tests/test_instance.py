@@ -208,6 +208,13 @@ def test_parallel_edges_are_distinct_tasks():
     assert inst.tasks[0].demand == 1 and inst.tasks[1].demand == 3
 
 
+def test_edges_are_immutable():
+    edge = Edge(0, 1, 2, 3, 3)
+    with pytest.raises(AttributeError):
+        edge.u = 5
+    assert edge.u == 0 and edge.required and not Edge(0, 1).required
+
+
 def test_self_loop_task_accepted():
     inst = make_instance(2, [(0, 0, 2, 3, 3), (0, 1, 1, 1, 1)], capacity=10)
     assert inst.task_count == 2

@@ -164,6 +164,18 @@ def test_zero_budget_returns_the_input_untouched():
     assert polls == []
 
 
+def test_negative_budget_is_rejected():
+    # without the check, the improving flips tried before the first count
+    # would be applied under a budget of -1
+    inst = generate_instance(20, 30, 10, seed=0)
+    dist = inst.distances()
+    ids = [inverse_id(forward_id(ti)) for ti in range(inst.task_count)]
+    start = Solution.build([ids[i : i + 3] for i in range(0, len(ids), 3)], inst, dist)
+    with pytest.raises(ValueError, match="^max_evals must be non-negative$"):
+        local_search(start, inst, dist, make_rng(2), max_evals=-1,
+                     neighbors=neighbors(inst, dist))
+
+
 def test_reaches_small_optimum_often():
     hits = 0
     for seed in range(10):
